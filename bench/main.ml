@@ -551,7 +551,7 @@ let engine_bench () =
   let ms = Ovo_core.Metrics.snapshot seq_metrics in
   Printf.printf
     "two-pass accounting: %d cost probes elected %d materialised winners\n\
-     (node-table copies %d - one per winner, none per losing candidate)\n"
+     (node-table copies %d - winners share their parent's node levels)\n"
     ms.Ovo_core.Metrics.s_cost_probes ms.Ovo_core.Metrics.s_states_materialised
     ms.Ovo_core.Metrics.s_node_table_copies;
   let doc =

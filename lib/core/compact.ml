@@ -1,5 +1,7 @@
 type kind = Bdd | Zdd
 
+type level = { var : int; first : int; pairs : int array }
+
 type state = {
   n : int;
   kind : kind;
@@ -7,7 +9,7 @@ type state = {
   assigned : Varset.t;
   order_rev : int list;
   table : int array;
-  node : (int * int * int, int) Hashtbl.t;
+  levels : level list;
   mincost : int;
   next_id : int;
 }
@@ -22,7 +24,7 @@ let initial kind mt =
     assigned = Varset.empty;
     order_rev = [];
     table = Array.init (1 lsl n) (Ovo_boolfun.Mtable.eval mt);
-    node = Hashtbl.create 16;
+    levels = [];
     mincost = 0;
     next_id = num_terminals;
   }
@@ -36,46 +38,37 @@ let check_var name st i =
   if Varset.mem i st.assigned then
     invalid_arg (Printf.sprintf "Compact.%s: variable already assigned" name)
 
+let free st = Varset.diff (Varset.full st.n) st.assigned
+
+(* A claimed pair table for a scan that compacts [st] w.r.t. [i]. *)
+let claim st i =
+  Pair_table.claim
+    ~zdd:(match st.kind with Zdd -> true | Bdd -> false)
+    ~bit:(Varset.rank_in i (free st))
+    ~next_id:st.next_id
+    ~cells:(Array.length st.table / 2)
+
 (* One table compaction w.r.t. variable [i].  For each assignment [b] to
    the remaining free variables, fetch the two cofactor nodes and apply
    the reduction rule of [st.kind]; create a fresh node only when the pair
-   is new at this variable.  A pair can never collide with an entry of
-   [st.node]: those are keyed by previously assigned variables, while [i]
-   is still free, so the per-variable node key [(i, lo, hi)] is fresh by
+   is new at this variable.  A pair can never collide with a node of
+   [st.levels]: those test previously assigned variables, while [i] is
+   still free, so the per-variable node key [(i, lo, hi)] is fresh by
    construction — dedup only has to look at pairs seen in this scan. *)
+let push_level pt ~var ~first levels =
+  if Pair_table.width pt = 0 then levels
+  else { var; first; pairs = Pair_table.pairs pt } :: levels
+
 let compact_gen ~charge ~metrics st i =
-  let freeset = Varset.diff (Varset.full st.n) st.assigned in
-  let p = Varset.rank_in i freeset in
-  let new_len = Array.length st.table / 2 in
-  let table = Array.make (max new_len 1) 0 in
-  let node = Hashtbl.copy st.node in
-  let mincost = ref st.mincost in
-  let next_id = ref st.next_id in
-  let low_mask = (1 lsl p) - 1 in
-  for b = 0 to new_len - 1 do
-    let idx0 = ((b lsr p) lsl (p + 1)) lor (b land low_mask) in
-    let lo = st.table.(idx0) in
-    let hi = st.table.(idx0 lor (1 lsl p)) in
-    let elided =
-      match st.kind with Bdd -> lo = hi | Zdd -> hi = 0
-    in
-    if elided then table.(b) <- lo
-    else
-      let key = (i, lo, hi) in
-      match Hashtbl.find_opt node key with
-      | Some u -> table.(b) <- u
-      | None ->
-          let u = !next_id in
-          incr next_id;
-          incr mincost;
-          Metrics.add_node metrics;
-          Hashtbl.add node key u;
-          table.(b) <- u
-  done;
-  Metrics.add_copy metrics;
+  let pt = claim st i in
+  let table = Pair_table.compact pt st.table in
+  let width = Pair_table.width pt in
+  let levels = push_level pt ~var:i ~first:st.next_id st.levels in
+  Pair_table.release pt;
+  Metrics.add_nodes metrics width;
   (match charge with
   | `Direct ->
-      Metrics.add_cells metrics new_len;
+      Metrics.add_cells metrics (Array.length table);
       Metrics.add_compaction metrics
   | `Materialise -> Metrics.add_state metrics);
   {
@@ -83,9 +76,9 @@ let compact_gen ~charge ~metrics st i =
     assigned = Varset.add i st.assigned;
     order_rev = i :: st.order_rev;
     table;
-    node;
-    mincost = !mincost;
-    next_id = !next_id;
+    levels;
+    mincost = st.mincost + width;
+    next_id = st.next_id + width;
   }
 
 let compact ?(metrics = Metrics.ambient) st i =
@@ -96,37 +89,20 @@ let materialise ?(metrics = Metrics.ambient) st i =
   check_var "materialise" st i;
   compact_gen ~charge:`Materialise ~metrics st i
 
-(* The cost-only kernel: the same scan as [compact], but nothing is
-   allocated beyond a small per-scan dedup set — no table, no node-table
-   copy, no state.  Exactness relies on the freshness argument above:
-   the number of nodes [compact st i] would create is the number of
-   distinct unelided [(lo, hi)] pairs in this scan. *)
+(* The cost-only kernel: the same scan as [compact], recording the
+   scan's pairs in the domain's reused pair table and building nothing.
+   Exactness relies on the freshness argument above: the number of
+   nodes [compact st i] would create is the number of distinct unelided
+   [(lo, hi)] pairs in this scan. *)
 let width_if_compacted ?(metrics = Metrics.ambient) st i =
   check_var "width_if_compacted" st i;
-  let freeset = Varset.diff (Varset.full st.n) st.assigned in
-  let p = Varset.rank_in i freeset in
-  let new_len = Array.length st.table / 2 in
-  let seen = Hashtbl.create (min 64 (max 1 new_len)) in
-  let width = ref 0 in
-  let low_mask = (1 lsl p) - 1 in
-  for b = 0 to new_len - 1 do
-    let idx0 = ((b lsr p) lsl (p + 1)) lor (b land low_mask) in
-    let lo = st.table.(idx0) in
-    let hi = st.table.(idx0 lor (1 lsl p)) in
-    let elided =
-      match st.kind with Bdd -> lo = hi | Zdd -> hi = 0
-    in
-    if not elided then begin
-      let key = (lo, hi) in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        incr width
-      end
-    end
-  done;
-  Metrics.add_cells metrics new_len;
+  let pt = claim st i in
+  Pair_table.count pt st.table;
+  let width = Pair_table.width pt in
+  Pair_table.release pt;
+  Metrics.add_cells metrics (Array.length st.table / 2);
   Metrics.add_probe metrics;
-  !width
+  width
 
 let mincost_if_compacted ?metrics st i =
   st.mincost + width_if_compacted ?metrics st i
@@ -136,7 +112,13 @@ let compact_chain st vars =
 
 let width_of_last ~before ~after = after.mincost - before.mincost
 
-let free st = Varset.diff (Varset.full st.n) st.assigned
+let iter_nodes f levels =
+  List.iter
+    (fun { var; first; pairs } ->
+      for j = 0 to (Array.length pairs / 2) - 1 do
+        f (first + j) ~var ~lo:pairs.(2 * j) ~hi:pairs.((2 * j) + 1)
+      done)
+    levels
 
 let order st = List.rev st.order_rev
 

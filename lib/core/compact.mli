@@ -8,10 +8,18 @@
     - [TABLE_I]: one cell per assignment [b] to the unassigned variables,
       holding the id of the diagram node for the subfunction
       [f|_{x_{[n]∖I} = b}];
-    - [NODE_I]: the set of created nodes, keyed by [(var, lo, hi)] — the
-      [var] component implements the paper's prose definition of node
-      equivalence ([var(u) = var(v)] is required; the pseudo-code's
-      children-only key would wrongly merge distinct subfunctions);
+    - [NODE_I]: the created nodes, as a list of {!level}s, most recent
+      first.  The paper keys this set by [(var, lo, hi)] — the [var]
+      component implements its prose definition of node equivalence
+      ([var(u) = var(v)] is required; the pseudo-code's children-only key
+      would wrongly merge distinct subfunctions).  Yet computing
+      [MINCOST] never consults [NODE_I]: a compaction w.r.t. a free
+      variable [i] looks up keys [(i, lo, hi)], and none can be in
+      [NODE_I] while [i] is free.  This freshness argument is why one
+      table per scan suffices: a compaction deduplicates only its own
+      scan's [(lo, hi)] pairs, in a reused {!Pair_table}, and conses one
+      level of new nodes onto its parent's list.  States share their
+      prefix's levels, and no node set is ever copied;
     - [MINCOST_I]: the number of non-terminal nodes created so far, i.e.
       the minimum achievable size of the bottom [|I|] levels given the
       segment constraints accumulated so far;
@@ -30,6 +38,15 @@ type kind =
   | Bdd  (** delete nodes with [lo = hi] (also the MTBDD rule) *)
   | Zdd  (** delete nodes with [hi] = terminal 0 (zero-suppression) *)
 
+type level = {
+  var : int;  (** the variable every node of the level tests *)
+  first : int;  (** id of the level's first node *)
+  pairs : int array;
+      (** children of ids [first, first+1, …]: node [first + j] has
+          [lo = pairs.(2j)] and [hi = pairs.(2j+1)] *)
+}
+(** The nodes one compaction created, in id order. *)
+
 type state = private {
   n : int;  (** total number of variables *)
   kind : kind;
@@ -38,7 +55,9 @@ type state = private {
   order_rev : int list;  (** achieved suborder, most recent first; so
                              [List.rev order_rev] is [π[1], …, π[|I|]] *)
   table : int array;  (** [2^(n-|I|)] node ids *)
-  node : (int * int * int, int) Hashtbl.t;  (** [(var, lo, hi) → id] *)
+  levels : level list;
+      (** [NODE_I], most recent level first; a compaction that creates
+          no node adds no level *)
   mincost : int;
   next_id : int;
 }
@@ -53,16 +72,17 @@ val of_truthtable : kind -> Ovo_boolfun.Truthtable.t -> state
 val compact : ?metrics:Metrics.t -> state -> int -> state
 (** [compact st i] — see above.  Raises [Invalid_argument] if [i] is out
     of range or already assigned.  The input state is not mutated.
-    Charges [table_cells]/[compactions] (and the allocation counters) to
+    Charges [table_cells], [compactions] and [node_creations] to
     [metrics], defaulting to {!Metrics.ambient}. *)
 
 val width_if_compacted : ?metrics:Metrics.t -> state -> int -> int
 (** The cost-only kernel of the two-pass DP: how many nodes
     [compact st i] {e would} create — the paper's [Cost_i] — computed by
-    the same cell scan but with {e no} allocation: no new table, no copy
-    of the node hashtable, no state.  Charges [table_cells] (a probe does
-    the work the theorems price) and [cost_probes].  Safe to call
-    concurrently on shared frozen states from {!Engine.Par} workers. *)
+    the same cell scan with no allocation: no new table, no level, no
+    state, and the scan's {!Pair_table} is the domain's reused one.
+    Charges [table_cells] (a probe does the work the theorems price) and
+    [cost_probes].  Safe to call concurrently on shared frozen states
+    from {!Engine.Par} workers and from systhreads. *)
 
 val mincost_if_compacted : ?metrics:Metrics.t -> state -> int -> int
 (** [st.mincost + width_if_compacted st i] — the DP objective of the
@@ -71,8 +91,8 @@ val mincost_if_compacted : ?metrics:Metrics.t -> state -> int -> int
 val materialise : ?metrics:Metrics.t -> state -> int -> state
 (** Exactly {!compact}, but with DP-winner accounting: the candidate's
     cells were already charged by the {!width_if_compacted} probe that
-    elected it, so this charges only [states_materialised],
-    [node_table_copies] and [node_creations]. *)
+    elected it, so this charges only [states_materialised] and
+    [node_creations]. *)
 
 val compact_chain : state -> int array -> state
 (** Fold {!compact} over the variables of an array, left to right: the
@@ -83,6 +103,17 @@ val width_of_last : before:state -> after:state -> int
 (** Number of nodes created by the last compaction — the paper's
     [Cost_i(f, π)] for the newly placed variable (Lemma 3 guarantees this
     only depends on the set split, not on the suborders). *)
+
+val push_level :
+  Pair_table.t -> var:int -> first:int -> level list -> level list
+(** [push_level pt ~var ~first levels] conses the nodes a scan over
+    [pt] created — ids from [first], testing [var] — onto [levels] as
+    one level; a scan that created no node adds none.  Call it before
+    releasing [pt].  {!Shared} builds its levels with it too. *)
+
+val iter_nodes : (int -> var:int -> lo:int -> hi:int -> unit) -> level list -> unit
+(** [iter_nodes f levels] calls [f id ~var ~lo ~hi] on every node the
+    levels list, most recent level first and in id order within one. *)
 
 val free : state -> Varset.t
 (** The unassigned variables [\[n\] ∖ I]. *)

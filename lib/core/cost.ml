@@ -19,7 +19,7 @@ let diff a b =
 
 let add_cells n = Metrics.add_cells Metrics.ambient n
 let add_compaction () = Metrics.add_compaction Metrics.ambient
-let add_node () = Metrics.add_node Metrics.ambient
+let add_node () = Metrics.add_nodes Metrics.ambient 1
 
 let pp ppf s =
   Format.fprintf ppf "cells=%d compactions=%d nodes=%d" s.table_cells

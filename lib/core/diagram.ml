@@ -14,9 +14,9 @@ let of_state (st : Compact.state) =
     invalid_arg "Diagram.of_state: state not complete";
   let count = st.next_id - st.num_terminals in
   let nodes = Array.make count { var = -1; lo = 0; hi = 0 } in
-  Hashtbl.iter
-    (fun (var, lo, hi) id -> nodes.(id - st.num_terminals) <- { var; lo; hi })
-    st.node;
+  Compact.iter_nodes
+    (fun id ~var ~lo ~hi -> nodes.(id - st.num_terminals) <- { var; lo; hi })
+    st.levels;
   {
     n = st.n;
     kind = st.kind;

@@ -79,7 +79,7 @@ val all_mincosts :
 (** [MINCOST_I] for every subset [I ⊆ \[n\]] — the full DP table, used by
     the Lemma 4 / Lemma 9 verification tests and by the divide-and-conquer
     cross-checks.  The table has [2^n] entries.  Runs in pure cost-table
-    mode: no per-candidate node-table copies, no layer of states kept. *)
+    mode: no per-candidate state, no layer of states kept. *)
 
 val of_state : Compact.state -> result
 (** Package a complete compaction state (any provenance: FS, FS*, or the

@@ -4,7 +4,6 @@ type t = {
   mutable compactions : int;
   mutable node_creations : int;
   mutable states_materialised : int;
-  mutable node_table_copies : int;
 }
 
 type snapshot = {
@@ -23,7 +22,6 @@ let create () =
     compactions = 0;
     node_creations = 0;
     states_materialised = 0;
-    node_table_copies = 0;
   }
 
 let reset m =
@@ -31,8 +29,7 @@ let reset m =
   m.cost_probes <- 0;
   m.compactions <- 0;
   m.node_creations <- 0;
-  m.states_materialised <- 0;
-  m.node_table_copies <- 0
+  m.states_materialised <- 0
 
 let snapshot m =
   {
@@ -41,7 +38,7 @@ let snapshot m =
     s_compactions = m.compactions;
     s_node_creations = m.node_creations;
     s_states_materialised = m.states_materialised;
-    s_node_table_copies = m.node_table_copies;
+    s_node_table_copies = 0;
   }
 
 let diff a b =
@@ -59,15 +56,13 @@ let merge_into ~into m =
   into.cost_probes <- into.cost_probes + m.cost_probes;
   into.compactions <- into.compactions + m.compactions;
   into.node_creations <- into.node_creations + m.node_creations;
-  into.states_materialised <- into.states_materialised + m.states_materialised;
-  into.node_table_copies <- into.node_table_copies + m.node_table_copies
+  into.states_materialised <- into.states_materialised + m.states_materialised
 
 let add_cells m n = m.table_cells <- m.table_cells + n
 let add_probe m = m.cost_probes <- m.cost_probes + 1
 let add_compaction m = m.compactions <- m.compactions + 1
-let add_node m = m.node_creations <- m.node_creations + 1
+let add_nodes m n = m.node_creations <- m.node_creations + n
 let add_state m = m.states_materialised <- m.states_materialised + 1
-let add_copy m = m.node_table_copies <- m.node_table_copies + 1
 
 (* The process-global context backing the legacy {!Cost} API and the
    default of the counting entry points.  Only ever written from the

@@ -5,7 +5,7 @@ type state = {
   assigned : Varset.t;
   order_rev : int list;
   tables : int array array;
-  node : (int * int * int, int) Hashtbl.t;
+  levels : Compact.level list;
   mincost : int;
   next_id : int;
 }
@@ -30,7 +30,7 @@ let initial kind mts =
     order_rev = [];
     tables =
       Array.map (fun mt -> Array.init (1 lsl n) (Ovo_boolfun.Mtable.eval mt)) mts;
-    node = Hashtbl.create 16;
+    levels = [];
     mincost = 0;
     next_id = num_terminals;
   }
@@ -44,48 +44,35 @@ let check_var name st i =
   if Varset.mem i st.assigned then
     invalid_arg (Printf.sprintf "Shared.%s: variable already assigned" name)
 
+let free st = Varset.diff (Varset.full st.n) st.assigned
+
+(* A claimed pair table for a scan that compacts every root's table of
+   [st] w.r.t. [i]: the roots share one pair set, as they share nodes. *)
+let claim st i =
+  Pair_table.claim
+    ~zdd:(match st.kind with Compact.Zdd -> true | Compact.Bdd -> false)
+    ~bit:(Varset.rank_in i (free st))
+    ~next_id:st.next_id
+    ~cells:(Array.length st.tables.(0) / 2 * Array.length st.tables)
+
 (* One compaction across every root's table; the node set — and hence the
    objective — is shared, so a subfunction used by several outputs is
-   created and counted once.  [charge] selects the accounting: `Direct
-   prices the scan as the theorems do (cells + a compaction); `Materialise
+   created and counted once.  As in {!Compact}, no node of [st.levels]
+   can be keyed [(i, _, _)] while [i] is free, so dedup only looks at
+   this scan's pairs.  [charge] selects the accounting: `Direct prices
+   the scan as the theorems do (cells + a compaction); `Materialise
    records only the DP-winner counters, the probe that elected it having
    already paid for the cells. *)
 let compact_gen ~charge ~metrics st i =
-  let freeset = Varset.diff (Varset.full st.n) st.assigned in
-  let p = Varset.rank_in i freeset in
-  let old_len = Array.length st.tables.(0) in
-  let new_len = old_len / 2 in
-  let node = Hashtbl.copy st.node in
-  let mincost = ref st.mincost in
-  let next_id = ref st.next_id in
-  let low_mask = (1 lsl p) - 1 in
-  let compact_table table =
-    let out = Array.make (max new_len 1) 0 in
-    for b = 0 to new_len - 1 do
-      let idx0 = ((b lsr p) lsl (p + 1)) lor (b land low_mask) in
-      let lo = table.(idx0) in
-      let hi = table.(idx0 lor (1 lsl p)) in
-      let elided = match st.kind with Compact.Bdd -> lo = hi | Compact.Zdd -> hi = 0 in
-      if elided then out.(b) <- lo
-      else
-        let key = (i, lo, hi) in
-        match Hashtbl.find_opt node key with
-        | Some u -> out.(b) <- u
-        | None ->
-            let u = !next_id in
-            incr next_id;
-            incr mincost;
-            Metrics.add_node metrics;
-            Hashtbl.add node key u;
-            out.(b) <- u
-    done;
-    out
-  in
-  let tables = Array.map compact_table st.tables in
-  Metrics.add_copy metrics;
+  let pt = claim st i in
+  let tables = Array.map (Pair_table.compact pt) st.tables in
+  let width = Pair_table.width pt in
+  let levels = Compact.push_level pt ~var:i ~first:st.next_id st.levels in
+  Pair_table.release pt;
+  Metrics.add_nodes metrics width;
   (match charge with
   | `Direct ->
-      Metrics.add_cells metrics (new_len * Array.length st.tables);
+      Metrics.add_cells metrics (Array.length tables.(0) * Array.length tables);
       Metrics.add_compaction metrics
   | `Materialise -> Metrics.add_state metrics);
   {
@@ -93,9 +80,9 @@ let compact_gen ~charge ~metrics st i =
     assigned = Varset.add i st.assigned;
     order_rev = i :: st.order_rev;
     tables;
-    node;
-    mincost = !mincost;
-    next_id = !next_id;
+    levels;
+    mincost = st.mincost + width;
+    next_id = st.next_id + width;
   }
 
 let compact ?(metrics = Metrics.ambient) st i =
@@ -107,42 +94,24 @@ let materialise ?(metrics = Metrics.ambient) st i =
   compact_gen ~charge:`Materialise ~metrics st i
 
 (* Cost-only kernel: how many fresh shared nodes a compaction on [i]
-   would create, across all roots, with no allocation.  As in
-   {!Compact.width_if_compacted}, no key [(i, _, _)] can pre-exist in
-   [st.node] because [i] is unassigned, so it suffices to count distinct
-   non-elided [(lo, hi)] pairs over every table's scan. *)
+   would create, across all roots — the distinct non-elided [(lo, hi)]
+   pairs over every table's scan — with no allocation. *)
 let width_if_compacted ?(metrics = Metrics.ambient) st i =
   check_var "width_if_compacted" st i;
-  let freeset = Varset.diff (Varset.full st.n) st.assigned in
-  let p = Varset.rank_in i freeset in
-  let old_len = Array.length st.tables.(0) in
-  let new_len = old_len / 2 in
-  let low_mask = (1 lsl p) - 1 in
-  let seen = Hashtbl.create 64 in
-  let fresh = ref 0 in
-  Array.iter
-    (fun table ->
-      for b = 0 to new_len - 1 do
-        let idx0 = ((b lsr p) lsl (p + 1)) lor (b land low_mask) in
-        let lo = table.(idx0) in
-        let hi = table.(idx0 lor (1 lsl p)) in
-        let elided =
-          match st.kind with Compact.Bdd -> lo = hi | Compact.Zdd -> hi = 0
-        in
-        if (not elided) && not (Hashtbl.mem seen (lo, hi)) then begin
-          Hashtbl.add seen (lo, hi) ();
-          incr fresh
-        end
-      done)
-    st.tables;
-  Metrics.add_cells metrics (new_len * Array.length st.tables);
+  let pt = claim st i in
+  for r = 0 to Array.length st.tables - 1 do
+    Pair_table.count pt st.tables.(r)
+  done;
+  let width = Pair_table.width pt in
+  Pair_table.release pt;
+  Metrics.add_cells metrics
+    (Array.length st.tables.(0) / 2 * Array.length st.tables);
   Metrics.add_probe metrics;
-  !fresh
+  width
 
 let compact_chain st vars =
   Array.fold_left (fun st i -> compact st i) st vars
 
-let free st = Varset.diff (Varset.full st.n) st.assigned
 let order st = List.rev st.order_rev
 let is_complete st = st.assigned = Varset.full st.n
 
@@ -150,14 +119,23 @@ let roots st =
   if not (is_complete st) then invalid_arg "Shared.roots: state not complete";
   Array.map (fun table -> table.(0)) st.tables
 
+(* The shared node store as an array: node [u] is
+   [nodes.(u - num_terminals)]. *)
+let nodes st =
+  let nodes =
+    Array.make (st.next_id - st.num_terminals)
+      { Diagram.var = -1; Diagram.lo = 0; Diagram.hi = 0 }
+  in
+  Compact.iter_nodes
+    (fun id ~var ~lo ~hi -> nodes.(id - st.num_terminals) <- { Diagram.var; lo; hi })
+    st.levels;
+  nodes
+
 (* As Diagram.eval, against the shared node store. *)
 let eval st ~root code =
   if not (is_complete st) then invalid_arg "Shared.eval: state not complete";
   if root < 0 || root >= Array.length st.tables then invalid_arg "Shared.eval";
-  let nodes = Array.make (st.next_id - st.num_terminals) (-1, 0, 0) in
-  Hashtbl.iter
-    (fun (var, lo, hi) id -> nodes.(id - st.num_terminals) <- (var, lo, hi))
-    st.node;
+  let nodes = nodes st in
   let order = Array.of_list (order st) in
   let cur = ref st.tables.(root).(0) in
   let dead = ref false in
@@ -171,7 +149,7 @@ let eval st ~root code =
         | Compact.Zdd -> if bit then dead := true
       end
       else
-        let var, lo, hi = nodes.(!cur - st.num_terminals) in
+        let { Diagram.var; lo; hi } = nodes.(!cur - st.num_terminals) in
         if var = v then cur := (if bit then hi else lo)
         else begin
           match st.kind with
@@ -212,23 +190,16 @@ let reachable_terminals st =
   Array.iter
     (fun table -> if table.(0) < st.num_terminals then seen.(table.(0)) <- true)
     st.tables;
-  Hashtbl.iter
-    (fun (_, lo, hi) _ ->
+  Compact.iter_nodes
+    (fun _ ~var:_ ~lo ~hi ->
       if lo < st.num_terminals then seen.(lo) <- true;
       if hi < st.num_terminals then seen.(hi) <- true)
-    st.node;
+    st.levels;
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 seen
 
 let diagrams st =
   if not (is_complete st) then invalid_arg "Shared.diagrams: state not complete";
-  let count = st.next_id - st.num_terminals in
-  let nodes =
-    Array.make count { Diagram.var = -1; Diagram.lo = 0; Diagram.hi = 0 }
-  in
-  Hashtbl.iter
-    (fun (var, lo, hi) id ->
-      nodes.(id - st.num_terminals) <- { Diagram.var; lo; hi })
-    st.node;
+  let nodes = nodes st in
   let order = Array.of_list (order st) in
   Array.map
     (fun table ->
@@ -276,13 +247,13 @@ let to_dot st =
     Buffer.add_string buf
       (Printf.sprintf "  n%d [shape=box,label=\"%d\"];\n" t t)
   done;
-  Hashtbl.iter
-    (fun (var, lo, hi) id ->
+  Compact.iter_nodes
+    (fun id ~var ~lo ~hi ->
       Buffer.add_string buf
         (Printf.sprintf "  n%d [shape=circle,label=\"x%d\"];\n" id var);
       Buffer.add_string buf (Printf.sprintf "  n%d -> n%d [style=dashed];\n" id lo);
       Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" id hi))
-    st.node;
+    st.levels;
   Array.iteri
     (fun i table ->
       Buffer.add_string buf

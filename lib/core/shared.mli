@@ -20,7 +20,8 @@ type state = private {
   assigned : Varset.t;
   order_rev : int list;
   tables : int array array;  (** one table per root, indexed alike *)
-  node : (int * int * int, int) Hashtbl.t;  (** shared across roots *)
+  levels : Compact.level list;
+      (** the node set, shared across roots, as in {!Compact.state} *)
   mincost : int;  (** distinct non-terminal nodes over all roots *)
   next_id : int;
 }
@@ -40,13 +41,15 @@ val compact : ?metrics:Metrics.t -> state -> int -> state
 val width_if_compacted : ?metrics:Metrics.t -> state -> int -> int
 (** Cost-only kernel: how many fresh shared nodes {!compact} would
     create, across all roots, with no allocation (no new tables, no
-    node-table copy, no state).  Charges [table_cells] and
-    [cost_probes].  Safe on frozen states from {!Engine.Par} workers. *)
+    level, no state): every root's scan records its pairs in the one
+    reused {!Pair_table} that {!Compact.width_if_compacted} uses.
+    Charges [table_cells] and [cost_probes].  Safe on frozen states
+    from {!Engine.Par} workers and from systhreads. *)
 
 val materialise : ?metrics:Metrics.t -> state -> int -> state
 (** Exactly {!compact} but with DP-winner accounting: cells were already
     charged by the probe that elected this candidate, so only
-    [states_materialised]/[node_table_copies]/[node_creations] move. *)
+    [states_materialised]/[node_creations] move. *)
 
 val compact_chain : state -> int array -> state
 

@@ -301,8 +301,8 @@ module Make (S : COMPACTABLE) = struct
     Array.of_list (List.rev !acc)
 
   (* The two-pass layer step for one subset.  Pass 1 probes every
-     candidate [h] for its cost only (Lemma 7 minimisation) — no state,
-     no node-table copy.  Pass 2 materialises the single winner, unless
+     candidate [h] for its cost only (Lemma 7 minimisation) — no
+     state.  Pass 2 materialises the single winner, unless
      [skip_state] (the caller will never read this layer's states).
      Ties keep the smallest [h], as the one-pass code did.  The previous
      layer is frozen, so this function is safe on Engine.Par workers.

@@ -11,7 +11,7 @@
     The loop evaluates each subset in two passes: a {e cost pass} probes
     every candidate [h] with the allocation-free [cost_if_compacted]
     kernel, and only the single winner is then materialised — losing
-    candidates never allocate a state or copy a node table.  Layers are
+    candidates never allocate a state.  Layers are
     independent given their predecessor, so an {!Engine.Par} engine
     splits each layer across worker domains, each counting into its own
     {!Metrics.t} scratch; results are deterministic and identical to
@@ -51,7 +51,7 @@ module type COMPACTABLE = sig
   val cost_if_compacted : metrics:Metrics.t -> state -> int -> int
   (** The DP objective the state would have after placing one variable
       on top of the assigned block — computed {e without} building the
-      state (no allocation, no node-table copy).  Must equal
+      state (no allocation).  Must equal
       [mincost (materialise st h)] exactly. *)
 
   val materialise : metrics:Metrics.t -> state -> int -> state

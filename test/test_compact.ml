@@ -111,6 +111,22 @@ let unit_tests =
         let _ = C.compact st 0 in
         Helpers.check_int "mincost unchanged" 0 st.C.mincost;
         Helpers.check_int "table unchanged" 4 (Array.length st.C.table));
+    Helpers.case "width probe allocates at most 4 words per call" (fun () ->
+        let tt = T.random (Helpers.rng 12) 12 in
+        let st = C.compact_chain (C.of_truthtable C.Bdd tt) [| 0; 1; 2; 3 |] in
+        let metrics = Ovo_core.Metrics.create () in
+        let free = Array.init 8 (fun j -> 4 + j) in
+        (* warm up: grow this domain's pair table to the state's scans *)
+        Array.iter (fun i -> ignore (C.width_if_compacted ~metrics st i)) free;
+        let calls = 1000 in
+        let before = Gc.minor_words () in
+        for c = 0 to calls - 1 do
+          ignore (C.width_if_compacted ~metrics st free.(c mod 8))
+        done;
+        let words = (Gc.minor_words () -. before) /. float_of_int calls in
+        Helpers.check_bool
+          (Printf.sprintf "%.2f minor words per probe" words)
+          true (words <= 4.0));
     Helpers.case "multi-terminal compaction" (fun () ->
         let mt = Ovo_boolfun.Mtable.of_array ~values:3 [| 0; 1; 2; 1 |] in
         let st = C.compact_chain (C.initial C.Bdd mt) [| 0; 1 |] in
@@ -155,12 +171,17 @@ let props =
         | first :: rest ->
             let w = width_for first in
             List.for_all (fun p -> width_for p = w) rest);
-    QCheck.Test.make ~name:"mincost equals node-table size" ~count:150
+    QCheck.Test.make ~name:"mincost equals listed node count" ~count:150
       (QCheck.pair (Helpers.arb_truthtable ~lo:1 ~hi:6 ()) QCheck.small_int)
       (fun (tt, seed) ->
         let order = Helpers.perm_of_seed seed (T.arity tt) in
         let st = C.compact_chain (C.of_truthtable C.Bdd tt) order in
-        st.C.mincost = Hashtbl.length st.C.node);
+        (* the levels list every id from the terminals to next_id once *)
+        let ids = ref [] in
+        C.iter_nodes (fun id ~var:_ ~lo:_ ~hi:_ -> ids := id :: !ids) st.C.levels;
+        List.sort compare !ids
+        = List.init st.C.mincost (fun j -> st.C.num_terminals + j)
+        && st.C.next_id = st.C.num_terminals + st.C.mincost);
   ]
 
 let () =

@@ -60,9 +60,10 @@ let unit_tests =
           (n * (1 lsl (n - 1)))
           s.M.s_cost_probes;
         (* exactly one winner per non-empty subset below the top layer is
-           materialised; the final layer is skipped in cost mode *)
-        Helpers.check_int "copies = winners"
-          s.M.s_states_materialised s.M.s_node_table_copies;
+           materialised; the final layer is skipped in cost mode.  A
+           winner shares its parent's node levels, so none copies a node
+           table *)
+        Helpers.check_int "copies = 0" 0 s.M.s_node_table_copies;
         Helpers.check_int "winners = 2^n - 2"
           ((1 lsl n) - 2)
           s.M.s_states_materialised;
@@ -72,7 +73,7 @@ let unit_tests =
         (* cells keep the Theorem 5 meaning: n * 3^(n-1) *)
         let pow3 = int_of_float (3. ** float_of_int (n - 1)) in
         Helpers.check_int "cells = n*3^(n-1)" (n * pow3) s.M.s_table_cells);
-    Helpers.case "Fs.run counts one copy per winner plus reconstruction"
+    Helpers.case "Fs.run materialises one state per winner plus reconstruction"
       (fun () ->
         let n = 5 in
         let tt = T.random (Helpers.rng 22) n in
@@ -82,8 +83,39 @@ let unit_tests =
         (* complete = costs (2^n - 2 winners, last layer skipped)
            followed by reconstruct (n materialisations) *)
         Helpers.check_int "winners" ((1 lsl n) - 2 + n) s.M.s_states_materialised;
-        Helpers.check_int "copies = winners" s.M.s_states_materialised
-          s.M.s_node_table_copies);
+        Helpers.check_int "copies = 0" 0 s.M.s_node_table_copies);
+    (* [ovo serve --workers 2] solves on systhreads of one domain, and a
+       systhread can be preempted mid-scan, so two scans of one domain
+       may overlap: each must still dedup in a pair table of its own. *)
+    Helpers.case "systhreads and Par domains never share a pair table"
+      (fun () ->
+        let tts = Array.init 60 (fun i -> T.random (Helpers.rng (1000 + i)) 10) in
+        let answer (r : Fs.result) = (r.Fs.mincost, r.Fs.order) in
+        let expected = Array.map (fun tt -> answer (Fs.run tt)) tts in
+        let errors = ref [] and lock = Mutex.create () in
+        let fail msg = Mutex.protect lock (fun () -> errors := msg :: !errors) in
+        let worker w =
+          for round = 1 to 3 do
+            Array.iteri
+              (fun i tt ->
+                match Fs.run ~metrics:(M.create ()) tt with
+                | r ->
+                    if answer r <> expected.(i) then
+                      fail (Printf.sprintf "thread %d round %d table %d: wrong answer" w round i)
+                | exception e ->
+                    fail (Printf.sprintf "thread %d round %d table %d: %s" w round i
+                            (Printexc.to_string e)))
+              tts
+          done
+        in
+        List.iter Thread.join (List.init 2 (Thread.create worker));
+        Alcotest.(check (list string)) "systhread solves agree with Seq" []
+          (List.rev !errors);
+        Array.iteri
+          (fun i tt ->
+            Helpers.check_bool (Printf.sprintf "Par table %d" i) true
+              (answer (Fs.run ~engine:par2 tt) = expected.(i)))
+          tts);
   ]
 
 let props =

@@ -186,9 +186,8 @@ let unit_tests =
         let m = M.create () in
         M.add_cells m 123;
         M.add_probe m;
-        M.add_node m;
+        M.add_nodes m 1;
         M.add_state m;
-        M.add_copy m;
         M.add_compaction m;
         let s = M.snapshot m in
         match M.of_json (M.to_json s) with
