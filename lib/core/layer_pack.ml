@@ -46,30 +46,41 @@ let pascal_table ~m ~k =
 (* Combinatorial number system: the rank of {c_1 < ... < c_k} among the
    k-subsets in increasing-bitmask (= colex) order is sum_i C(c_i, i),
    where c_i is the position of the i-th element within [j_set].  This
-   matches the order {!Varset.iter_subsets_of} enumerates. *)
-let rank_in ~pascal ~j_set ksub =
-  let r = ref 0 and i = ref 0 in
-  Varset.iter
-    (fun e ->
-      incr i;
-      r := !r + pascal.(Varset.rank_in e j_set).(!i))
-    ksub;
-  !r
+   matches the order {!Varset.iter_subsets_of} enumerates.
+
+   Both directions are top-level loops over plain ints with no free
+   variables, so a call allocates nothing (a local closure over refs
+   would allocate on every call).  [rank_walk] visits [j]'s members
+   upward, [pos] being the position of the lowest one and [i] the number
+   of [ksub] members seen so far. *)
+let rec rank_walk pascal j ksub pos i r =
+  if ksub land j = 0 then r
+  else
+    let low = j land -j in
+    if ksub land low = 0 then rank_walk pascal (j lxor low) ksub (pos + 1) i r
+    else
+      rank_walk pascal (j lxor low) (ksub lxor low) (pos + 1) (i + 1)
+        (r + pascal.(pos).(i + 1))
+
+let rank_in ~pascal ~j_set ksub = rank_walk pascal j_set ksub 0 0 0
 
 (* Inverse of {!rank_in}: peel off the largest position p with
-   C(p,i) <= r for i = k downto 1. *)
+   C(p,i) <= r for i = k downto 1, collecting the positions as a bitmask
+   over [0, m); [spread] then maps each position to [j]'s member there. *)
+let rec unrank_walk pascal p i r positions =
+  if i = 0 then positions
+  else if pascal.(p).(i) > r then unrank_walk pascal (p - 1) i r positions
+  else unrank_walk pascal p (i - 1) (r - pascal.(p).(i)) (positions lor (1 lsl p))
+
+let rec spread j positions pos sub =
+  if positions lsr pos = 0 then sub
+  else
+    let low = j land -j in
+    spread (j lxor low) positions (pos + 1)
+      (if positions land (1 lsl pos) <> 0 then sub lor low else sub)
+
 let unrank_in ~pascal ~j_set ~k r =
-  let members = Array.of_list (Varset.elements j_set) in
-  let r = ref r and sub = ref Varset.empty in
-  let p = ref (Array.length members - 1) in
-  for i = k downto 1 do
-    while pascal.(!p).(i) > !r do
-      decr p
-    done;
-    sub := Varset.add members.(!p) !sub;
-    r := !r - pascal.(!p).(i)
-  done;
-  !sub
+  spread j_set (unrank_walk pascal (Varset.cardinal j_set - 1) k r 0) 0 0
 
 (* --- zig-zag varints (LEB128) ----------------------------------------- *)
 

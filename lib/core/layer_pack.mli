@@ -43,13 +43,13 @@ val pascal_table : m:int -> k:int -> int array array
 
 val rank_in : pascal:int array array -> j_set:Varset.t -> Varset.t -> int
 (** Combinatorial (colex) rank of a subset within [j_set] — the order
-    {!Varset.iter_subsets_of} enumerates.  No validation: the caller
-    guarantees the subset is within [j_set] and the table is wide
-    enough. *)
+    {!Varset.iter_subsets_of} enumerates.  Allocates nothing.  No
+    validation: the caller guarantees the subset is within [j_set] and
+    the table is wide enough. *)
 
 val unrank_in :
   pascal:int array array -> j_set:Varset.t -> k:int -> int -> Varset.t
-(** Inverse of {!rank_in} for size-[k] subsets. *)
+(** Inverse of {!rank_in} for size-[k] subsets.  Allocates nothing. *)
 
 (** {1 Whole layers} *)
 

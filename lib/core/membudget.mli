@@ -39,8 +39,9 @@ type sink = {
     in-memory sinks. *)
 
 type t
-(** A mutable per-run accounting context (main-domain only — packing
-    happens after the parallel join, so no synchronisation is needed). *)
+(** A mutable per-run accounting context (calling-domain only — a layer
+    is packed once every participant of its parallel map has finished,
+    so no synchronisation is needed). *)
 
 val default_extent_bytes : int
 (** 1 MiB. *)

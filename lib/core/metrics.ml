@@ -66,8 +66,9 @@ let add_state m = m.states_materialised <- m.states_materialised + 1
 
 (* The process-global context backing the legacy {!Cost} API and the
    default of the counting entry points.  Only ever written from the
-   domain that runs the DP main loop (worker domains count into scratch
-   contexts that are merged after the join), so it stays race-free. *)
+   domain that runs the DP main loop (Par participants count into scratch
+   contexts that it merges once the layer is done), so it stays
+   race-free. *)
 let ambient = create ()
 
 let pp ppf s =

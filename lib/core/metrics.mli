@@ -2,11 +2,12 @@
     counters of {!Cost}.
 
     A {!t} is a mutable context owned by one run of a dynamic program (or
-    by one worker domain of a parallel run; see {!Engine}).  The core
+    by one participant of a parallel map; see {!Engine}).  The core
     algorithms take the context explicitly, so concurrent runs — or the
-    per-layer worker domains of {!Engine.Par} — never contaminate each
-    other: each domain counts into its own scratch context and the engine
-    {!merge_into}s the scratches after the join.
+    participating domains of an {!Engine.Par} layer — never contaminate
+    each other: each participant counts into its own scratch context and
+    the engine {!merge_into}s the scratches, in participant order, once
+    all of them have finished the layer.
 
     Counter discipline (chosen so that [table_cells] keeps the exact
     meaning the complexity theorems price — one unit per table cell

@@ -23,6 +23,14 @@ type progress = {
 
 let binomial = Layer_pack.binomial
 
+(* One subset's slot in a layer held as an array indexed by colex rank:
+   the winner of the Lemma 7 minimisation, or [Pruned] for a subset the
+   branch-and-bound discarded (or that no kept predecessor reaches).
+   [state] is [None] where the caller never reads the layer's states. *)
+type 'st entry =
+  | Pruned
+  | Winner of { cost : int; choice : int; state : 'st option }
+
 (* The packed cost/choice store of one sweep: layer [k] is split into
    fixed-size {!Layer_pack.Extent}s (9 bytes per subset, ~1 MiB of dense
    payload per extent) instead of two hashtable bindings, and under a
@@ -51,6 +59,7 @@ module Layers = struct
     mb : Membudget.t;
     trace : Trace.t;
     pascal : int array array;  (* shared rank/unrank table, k up to [upto] *)
+    members : int array;  (* [j_set]'s members by position *)
     slots : lrec option array;  (* indexed by cardinality; slot 0 unused *)
     mutable memo : (int * int * Extent.t) option;
         (* last transiently reloaded (k, ext, extent): colex-ordered
@@ -65,11 +74,13 @@ module Layers = struct
       mb;
       trace;
       pascal = Layer_pack.pascal_table ~m:(Varset.cardinal j_set) ~k:upto;
+      members = Array.of_list (Varset.elements j_set);
       slots = Array.make (upto + 1) None;
       memo = None;
     }
 
   let rank t ksub = Layer_pack.rank_in ~pascal:t.pascal ~j_set:t.j_set ksub
+  let unrank t ~k r = Layer_pack.unrank_in ~pascal:t.pascal ~j_set:t.j_set ~k r
 
   let ext_len lr ei = min lr.l_elen (lr.l_total - (ei * lr.l_elen))
 
@@ -123,11 +134,12 @@ module Layers = struct
       incr k
     done
 
-  (* Pack one completed layer's triples, extent by extent: each extent
-     is filled, charged and immediately subject to budget enforcement,
-     so the layer as a whole need never be resident at once. *)
-  let put_entries t ~k entries =
-    let total = binomial (Varset.cardinal t.j_set) k in
+  (* Pack one completed rank-indexed layer, extent by extent: each
+     extent is filled from its rank range, charged and immediately
+     subject to budget enforcement, so the packed layer as a whole need
+     never be resident at once. *)
+  let put_layer t ~k (layer : _ entry array) =
+    let total = Array.length layer in
     let elen =
       max 1 (Membudget.extent_bytes t.mb / Layer_pack.entry_bytes)
     in
@@ -141,24 +153,15 @@ module Layers = struct
       }
     in
     t.slots.(k) <- Some lr;
-    (* bucket the triples by extent index; entries arrive in colex order
-       but ranks are computed anyway, so no order is assumed *)
-    let buckets = Array.make n_ext [] in
-    Array.iter
-      (fun ((ksub, _, _) as e) ->
-        let r = rank t ksub in
-        buckets.(r / elen) <- (r, e) :: buckets.(r / elen))
-      entries;
     let layer_bytes = ref 0 in
     for ei = 0 to n_ext - 1 do
-      let lo = ei * elen in
-      let x =
-        Extent.create ~j_set:t.j_set ~k ~total ~lo ~len:(ext_len lr ei)
-      in
-      List.iter
-        (fun (r, (_, cost, choice)) -> Extent.set x ~rank:r ~cost ~choice)
-        buckets.(ei);
-      buckets.(ei) <- [];
+      let lo = ei * elen and len = ext_len lr ei in
+      let x = Extent.create ~j_set:t.j_set ~k ~total ~lo ~len in
+      for r = lo to lo + len - 1 do
+        match layer.(r) with
+        | Winner { cost; choice; _ } -> Extent.set x ~rank:r ~cost ~choice
+        | Pruned -> ()
+      done;
       layer_bytes := !layer_bytes + Extent.size_bytes x;
       Membudget.grew t.mb (Extent.size_bytes x);
       lr.l_extents.(ei) <- Some (Resident x);
@@ -261,9 +264,7 @@ module Layers = struct
     | Some lr ->
         for ei = 0 to Array.length lr.l_extents - 1 do
           Extent.iter (fetch_extent t ~k ~ei) (fun ~rank ~cost ~choice ->
-              f
-                (Layer_pack.unrank_in ~pascal:t.pascal ~j_set:t.j_set ~k rank)
-                ~cost ~choice)
+              f (unrank t ~k rank) ~cost ~choice)
         done
 
   (* Unpack everything back into the legacy hashtable form (the public
@@ -295,66 +296,85 @@ module Make (S : COMPACTABLE) = struct
     if upto < 0 || upto > j_size then invalid_arg "Subset_dp.run: bad upto";
     upto
 
-  let subsets_of j_set ~size =
-    let acc = ref [] in
-    Varset.iter_subsets_of j_set ~size (fun k -> acc := k :: !acc);
-    Array.of_list (List.rev !acc)
+  (* The two-pass layer step for the subset of colex rank [r] in layer
+     [k].  Pass 1 probes every candidate [h] for its cost only (Lemma 7
+     minimisation) — no state.  Pass 2 materialises the single winner,
+     unless [skip_state] (the caller will never read this layer's
+     states).  Ties keep the smallest [h], as the one-pass code did.
+     The previous layer is frozen, so this function is safe on
+     Engine.Par workers; its result lands at index [r] of the next
+     layer.
 
-  (* The two-pass layer step for one subset.  Pass 1 probes every
-     candidate [h] for its cost only (Lemma 7 minimisation) — no
-     state.  Pass 2 materialises the single winner, unless
-     [skip_state] (the caller will never read this layer's states).
-     Ties keep the smallest [h], as the one-pass code did.  The previous
-     layer is frozen, so this function is safe on Engine.Par workers.
+     Pass 1 finds K and every predecessor K ∖ {h} by rank, with no
+     hashing: with c_1 < … < c_k the positions of K's members in J,
+     rank K = Σ_j C(c_j, j), and unranking peels the members off from
+     the top.  Once c_i is peeled the residual rank is
+     Σ_{j<i} C(c_j, j), so rank (K ∖ {c_i}) = Σ_{j<i} C(c_j, j) +
+     Σ_{j>i} C(c_j, j−1) is that residual plus [above], the shifted sum
+     of the members already peeled.  The candidates come largest first,
+     so a tie replaces the incumbent choice.  The loop runs on local
+     refs and allocates nothing.
 
      [prune = Some (b, cap, base_free)] turns the step into a
-     branch-and-bound one: a predecessor missing from [prev] was pruned
-     (a subset all of whose predecessors are gone is unreachable and
-     pruned too), and a winner whose cost plus admissible remaining
-     bound exceeds the incumbent snapshot [cap] is dropped — [None].
-     [cap] is read once per layer on the calling domain, so Par workers
-     prune against the same incumbent as Seq and the surviving state
-     set is deterministic.  An optimal chain's prefixes always satisfy
+     branch-and-bound one: a [Pruned] predecessor is skipped (a subset
+     all of whose predecessors are gone is unreachable and pruned too),
+     and a winner whose cost plus admissible remaining bound exceeds the
+     incumbent snapshot [cap] is dropped.  [cap] is read once per layer
+     on the calling domain, so Par workers prune against the same
+     incumbent as Seq and the surviving state set is deterministic.  An
+     optimal chain's prefixes always satisfy
      [cost + remaining <= optimum <= cap], so exactly one full-cost
      chain to every optimal target survives and answers stay
      bit-identical (a pruned candidate never beats the surviving tight
      choice, so ties still keep the smallest [h]). *)
-  let eval_subset ~prev ~skip_state ~prune metrics ksub =
-    let best_h = ref (-1) and best_c = ref max_int in
-    Varset.iter
-      (fun h ->
-        match Hashtbl.find_opt prev (Varset.remove h ksub) with
-        | None -> ()
-        | Some before ->
-            let c = S.cost_if_compacted ~metrics before h in
-            if c < !best_c then begin
-              best_c := c;
-              best_h := h
-            end)
-      ksub;
+  let eval_rank ~layers ~k ~prev ~skip_state ~prune metrics r =
+    let pascal = layers.Layers.pascal and members = layers.Layers.members in
+    let ksub = ref Varset.empty in
+    let rest = ref r and above = ref 0 and c = ref (Array.length members - 1) in
+    let best_h = ref (-1) and best_c = ref max_int and best_r = ref (-1) in
+    for i = k downto 1 do
+      while pascal.(!c).(i) > !rest do
+        decr c
+      done;
+      rest := !rest - pascal.(!c).(i);
+      let h = members.(!c) and pr = !rest + !above in
+      ksub := Varset.add h !ksub;
+      (match prev.(pr) with
+      | Pruned -> ()
+      | Winner { state = Some before; _ } ->
+          let cost = S.cost_if_compacted ~metrics before h in
+          if cost <= !best_c then begin
+            best_c := cost;
+            best_h := h;
+            best_r := pr
+          end
+      | Winner { state = None; _ } -> assert false);
+      above := !above + pascal.(!c).(i - 1)
+    done;
     if !best_h < 0 then begin
       assert (Option.is_some prune);
-      None
+      Pruned
     end
     else
       let keep =
         match prune with
         | None -> true
         | Some (b, cap, base_free) ->
-            !best_c + Bound.remaining b (Varset.diff base_free ksub) <= cap
+            !best_c + Bound.remaining b (Varset.diff base_free !ksub) <= cap
       in
-      if not keep then None
+      if not keep then Pruned
       else
-        let st =
+        let state =
           if skip_state then None
-          else begin
-            let before = Hashtbl.find prev (Varset.remove !best_h ksub) in
-            let st = S.materialise ~metrics before !best_h in
-            assert (S.mincost st = !best_c);
-            Some st
-          end
+          else
+            match prev.(!best_r) with
+            | Winner { state = Some before; _ } ->
+                let st = S.materialise ~metrics before !best_h in
+                assert (S.mincost st = !best_c);
+                Some st
+            | Pruned | Winner { state = None; _ } -> assert false
         in
-        Some (ksub, !best_h, !best_c, st)
+        Winner { cost = !best_c; choice = !best_h; state }
 
   (* Replaying a subset's recorded choice chain over the base yields a
      state bit-identical to the one the original sweep materialised for
@@ -394,38 +414,75 @@ module Make (S : COMPACTABLE) = struct
       resume;
     !expect - 1
 
-  (* One full DP sweep.  [keep_last_states]: materialise and keep the
-     states of the final cardinality layer (algorithm FS* proper);
-     cost-only callers skip them and backtrack instead.  Intermediate
-     layers are always materialised (the next layer's probes need them)
-     and dropped eagerly as soon as their successor layer is complete —
-     only the packed integer layers outlive a layer.
+  (* A checkpointed layer as a rank-indexed one, states not yet rebuilt.
+     [validate_resume] checked the entry count, so a repeated subset
+     leaves another one missing. *)
+  let layer_of_progress layers p =
+    let layer = Array.make (Array.length p.p_entries) Pruned in
+    Array.iter
+      (fun (ksub, cost, choice) ->
+        let r = Layers.rank layers ksub in
+        (match layer.(r) with
+        | Pruned -> ()
+        | Winner _ -> invalid_arg "Subset_dp.run: resume layer is incomplete");
+        layer.(r) <- Winner { cost; choice; state = None })
+      p.p_entries;
+    layer
+
+  (* The kept subsets of a layer as checkpoint triples, in rank order. *)
+  let progress_of layers ~k layer =
+    let acc = ref [] in
+    for r = Array.length layer - 1 downto 0 do
+      match layer.(r) with
+      | Winner { cost; choice; _ } ->
+          acc := (Layers.unrank layers ~k r, cost, choice) :: !acc
+      | Pruned -> ()
+    done;
+    { p_layer = k; p_entries = Array.of_list !acc }
+
+  (* One full DP sweep.  A layer is an array indexed by colex rank: the
+     workers of one [Engine.map] each write their subsets' winners at
+     their own ranks, so between two layers the calling domain does no
+     hashing and no re-ranking — only the incumbent update and packing.
+     [keep_last_states]: materialise and keep the states of the final
+     cardinality layer (algorithm FS* proper); cost-only callers skip
+     them and backtrack instead.  Intermediate layers are always
+     materialised (the next layer's probes need them) and dropped as
+     soon as their successor layer is complete — only the packed integer
+     layers outlive a layer.
+
+     The sweep opens one {!Engine.with_pool} sized for its widest layer:
+     a Par sweep spawns its worker domains once, the calling domain works
+     as participant 0, and every exit path (a result, Cancelled,
+     Pruned_out, or an [on_layer] that raises) joins the workers.
 
      Each completed layer is bit-packed extent by extent into
-     {!Layer_pack.Extent}s by {!Layers.put_entries}, which charges [mb]
-     per extent and spills past the budget; packing happens on the
-     calling domain after the parallel join, so the packed bytes — like
-     the results they encode — are identical under Seq and Par.
+     {!Layer_pack.Extent}s by {!Layers.put_layer}, which charges [mb]
+     per extent and spills past the budget; packing reads the layer by
+     rank on the calling domain once every participant has finished it,
+     so the packed bytes — like the results they encode — are identical
+     under Seq and Par.
 
      [on_layer] fires once per completed cardinality layer with that
      layer's (subset, cost, tight choice) triples — the checkpoint
      hook — {e before} the layer is packed, so a checkpoint-backed spill
      sink ({!Ovo_store.Checkpoint.sink}) already holds the layer's
      record when its extents are evicted; the same boundaries [cancel]
-     is polled at.  [resume] preloads the
-     packed layers from previously completed progress and rebuilds the
-     last layer's states by replaying the recorded choice chains, so
-     the sweep continues exactly where the checkpointed run stopped and
-     stays bit-identical to an uninterrupted one under both engines.
+     is polled at.  The triples are only built when a hook is given.
+     [resume] preloads the packed layers from previously completed
+     progress and rebuilds the last layer's states by replaying the
+     recorded choice chains, so the sweep continues exactly where the
+     checkpointed run stopped and stays bit-identical to an
+     uninterrupted one under both engines.
 
      With a recording tracer, every cardinality layer is one span
      (category "dp") whose args carry the subset count and the layer's
-     metrics delta (merged across domains for Engine.Par; the per-domain
-     child spans come from Engine.map).  The whole sweep is a parent
-     span.  Spill traffic adds "spill" spans and counters — only ever
-     emitted when a budget is set, so unbudgeted traces are unchanged.
-     Probes stay untraced — the tracer's granularity floor is a layer,
-     so the disabled-tracer cost on the hot path is zero. *)
+     metrics delta (merged across domains for Engine.Par; the
+     per-participant child spans come from Engine.map).  The whole sweep
+     is a parent span.  Spill traffic adds "spill" spans and counters —
+     only ever emitted when a budget is set, so unbudgeted traces are
+     unchanged.  Probes stay untraced — the tracer's granularity floor is
+     a layer, so the disabled-tracer cost on the hot path is zero. *)
   let sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto ~keep_last_states
       ~on_layer ~resume ~base j_set =
     (match (prune, resume) with
@@ -435,51 +492,59 @@ module Make (S : COMPACTABLE) = struct
         invalid_arg "Subset_dp: pruning cannot resume from a checkpoint"
     | _ -> ());
     let base_free = S.free base in
+    let m = Varset.cardinal j_set in
     let layers =
       Layers.create ~trace ~mb ~base_cost:(S.mincost base) ~upto j_set
     in
     let start_k = validate_resume ~upto j_set resume + 1 in
+    let layer =
+      ref
+        [| Winner { cost = S.mincost base; choice = -1; state = Some base } |]
+    in
     List.iter
-      (fun p -> Layers.put_entries layers ~k:p.p_layer p.p_entries)
+      (fun p ->
+        let k = p.p_layer in
+        let resumed = layer_of_progress layers p in
+        Layers.put_layer layers ~k resumed;
+        layer := resumed;
+        (* the last resumed layer's states are only needed when the sweep
+           will read them: either another layer follows, or the caller
+           keeps the final layer (FS* proper) *)
+        if k = start_k - 1 && (k < upto || keep_last_states) then
+          Trace.with_span trace ~cat:"dp"
+            ~args:(fun () ->
+              [
+                ("k", Ovo_obs.Json.Int k);
+                ("subsets", Ovo_obs.Json.Int (Array.length resumed));
+              ])
+            "dp.rebuild"
+            (fun () ->
+              let chains =
+                Layers.chains layers
+                  (Array.init (Array.length resumed) (Layers.unrank layers ~k))
+              in
+              layer :=
+                Array.mapi
+                  (fun r -> function
+                    | Winner { cost; choice; _ } ->
+                        let st =
+                          List.fold_left
+                            (fun st h -> S.materialise ~metrics st h)
+                            base chains.(r)
+                        in
+                        assert (S.mincost st = cost);
+                        Winner { cost; choice; state = Some st }
+                    | Pruned -> assert false)
+                  resumed))
       resume;
-    let layer = ref (Hashtbl.create 1) in
-    if start_k = 1 then Hashtbl.replace !layer Varset.empty base
-    else begin
-      let m = start_k - 1 in
-      (* the resumed layer's states are only needed when the sweep will
-         read them: either another layer follows, or the caller keeps
-         the final layer (FS* proper) *)
-      if m < upto || keep_last_states then
-        Trace.with_span trace ~cat:"dp"
-          ~args:(fun () ->
-            [
-              ("k", Ovo_obs.Json.Int m);
-              ( "subsets",
-                Ovo_obs.Json.Int (binomial (Varset.cardinal j_set) m) );
-            ])
-          "dp.rebuild"
-          (fun () ->
-            let tbl = Hashtbl.create 64 in
-            let subs = subsets_of j_set ~size:m in
-            let chains = Layers.chains layers subs in
-            Array.iteri
-              (fun i ksub ->
-                let st =
-                  List.fold_left
-                    (fun st h -> S.materialise ~metrics st h)
-                    base chains.(i)
-                in
-                (* [subs] is in colex order, so the per-subset cost
-                   probes walk each spilled extent once via the memo *)
-                assert (S.mincost st = Layers.cost layers ksub);
-                Hashtbl.replace tbl ksub st)
-              subs;
-            layer := tbl)
-    end;
+    let width = ref 0 in
+    for k = start_k to upto do
+      width := max !width (binomial m k)
+    done;
     Trace.with_span trace ~cat:"dp"
       ~args:(fun () ->
         [
-          ("vars", Ovo_obs.Json.Int (Varset.cardinal j_set));
+          ("vars", Ovo_obs.Json.Int m);
           ("upto", Ovo_obs.Json.Int upto);
           ("resumed_from", Ovo_obs.Json.Int (start_k - 1));
           ("engine", Ovo_obs.Json.String (Engine.to_string engine));
@@ -487,95 +552,88 @@ module Make (S : COMPACTABLE) = struct
         @ (match prune with None -> [] | Some b -> Bound.to_args b))
       "dp.sweep"
       (fun () ->
-        for k = start_k to upto do
-          (* cooperative cancellation: a fired token (deadline or explicit)
-             aborts the sweep between layers — the finished layers' work
-             is discarded and Cancelled propagates to the caller's
-             [Cancel.protect] *)
-          Cancel.check cancel;
-          let prev = !layer in
-          let skip_state = k = upto && not keep_last_states in
-          let subs = subsets_of j_set ~size:k in
-          (* the incumbent is frozen for the whole layer: workers prune
-             against this snapshot, and only the post-join code below
-             (calling domain) tightens it — Seq and Par keep identical
-             surviving-state sets *)
-          let pr =
-            Option.map (fun b -> (b, Bound.incumbent b, base_free)) prune
-          in
-          let before = Metrics.snapshot metrics in
-          let results =
-            Trace.with_span trace ~cat:"dp"
-              ~args:(fun () ->
-                ("k", Ovo_obs.Json.Int k)
-                :: ("subsets", Ovo_obs.Json.Int (Array.length subs))
-                :: ("skip_state", Ovo_obs.Json.Bool skip_state)
-                :: Metrics.to_args
-                     (Metrics.diff (Metrics.snapshot metrics) before))
-              (Printf.sprintf "layer k=%d" k)
-              (fun () ->
-                Engine.map ~trace ~cancel engine ~metrics
-                  (eval_subset ~prev ~skip_state ~prune:pr)
-                  subs)
-          in
-          let kept =
-            Array.of_seq (Seq.filter_map Fun.id (Array.to_seq results))
-          in
-          (match prune with
-          | None -> ()
-          | Some b ->
-              let pruned = Array.length subs - Array.length kept in
-              Bound.note_pruned b pruned;
-              if Array.length kept = 0 then
-                raise
-                  (Bound.Pruned_out
-                     (Printf.sprintf
-                        "Subset_dp: layer k=%d lost all %d states to the \
-                         incumbent %d — no completion of this base beats it"
-                        k (Array.length subs) (Bound.incumbent b)));
-              (* layer boundary: tighten the incumbent from states whose
-                 completion cost is known exactly (achievable totals),
-                 and record the trajectory *)
-              let best_lb = ref max_int in
-              Array.iter
-                (fun (ksub, _, c, _) ->
-                  let free = Varset.diff base_free ksub in
-                  (match Bound.exact_completion b free with
-                  | Some extra -> Bound.observe b (c + extra)
-                  | None -> ());
-                  let lb = c + Bound.remaining b free in
-                  if lb < !best_lb then best_lb := lb)
-                kept;
-              Bound.record_layer b
-                {
-                  Bound.ls_layer = k;
-                  ls_kept = Array.length kept;
-                  ls_pruned = pruned;
-                  ls_lower = !best_lb;
-                  ls_incumbent = Bound.incumbent b;
-                };
-              Trace.counter trace "prune.states_pruned"
-                (float_of_int (Bound.states_pruned b));
-              if Bound.incumbent b < max_int then
-                Trace.counter trace "prune.incumbent"
-                  (float_of_int (Bound.incumbent b)));
-          let next = Hashtbl.create (Array.length kept * 2) in
-          Array.iter
-            (fun (ksub, _, _, st) ->
-              match st with
-              | Some st -> Hashtbl.replace next ksub st
-              | None -> ())
-            kept;
-          let entries = Array.map (fun (ksub, h, c, _) -> (ksub, c, h)) kept in
-          (* checkpoint first, pack second: once [on_layer] has made the
-             layer durable, a checkpoint-backed spill sink can treat
-             eviction of its extents as a no-op *)
-          on_layer { p_layer = k; p_entries = entries };
-          Layers.put_entries layers ~k entries;
-          (* eager drop: only the packed extents survive *)
-          Hashtbl.reset prev;
-          layer := next
-        done);
+        Engine.with_pool ~trace engine ~width:!width (fun pool ->
+            for k = start_k to upto do
+              (* cooperative cancellation: a fired token (deadline or
+                 explicit) aborts the sweep between layers — the finished
+                 layers' work is discarded and Cancelled propagates to the
+                 caller's [Cancel.protect] *)
+              Cancel.check cancel;
+              let prev = !layer in
+              let skip_state = k = upto && not keep_last_states in
+              let total = binomial m k in
+              (* the incumbent is frozen for the whole layer: workers
+                 prune against this snapshot, and only the code after
+                 the map below (calling domain) tightens it — Seq and
+                 Par keep identical surviving-state sets *)
+              let pr =
+                Option.map (fun b -> (b, Bound.incumbent b, base_free)) prune
+              in
+              let before = Metrics.snapshot metrics in
+              let next =
+                Trace.with_span trace ~cat:"dp"
+                  ~args:(fun () ->
+                    ("k", Ovo_obs.Json.Int k)
+                    :: ("subsets", Ovo_obs.Json.Int total)
+                    :: ("skip_state", Ovo_obs.Json.Bool skip_state)
+                    :: Metrics.to_args
+                         (Metrics.diff (Metrics.snapshot metrics) before))
+                  (Printf.sprintf "layer k=%d" k)
+                  (fun () ->
+                    Engine.map ~cancel pool ~metrics
+                      (eval_rank ~layers ~k ~prev ~skip_state ~prune:pr)
+                      total)
+              in
+              (match prune with
+              | None -> ()
+              | Some b ->
+                  (* layer boundary: tighten the incumbent from states
+                     whose completion cost is known exactly (achievable
+                     totals), and record the trajectory *)
+                  let kept = ref 0 and best_lb = ref max_int in
+                  Array.iteri
+                    (fun r -> function
+                      | Pruned -> ()
+                      | Winner { cost; _ } ->
+                          incr kept;
+                          let free =
+                            Varset.diff base_free (Layers.unrank layers ~k r)
+                          in
+                          (match Bound.exact_completion b free with
+                          | Some extra -> Bound.observe b (cost + extra)
+                          | None -> ());
+                          best_lb := min !best_lb (cost + Bound.remaining b free))
+                    next;
+                  let pruned = total - !kept in
+                  Bound.note_pruned b pruned;
+                  if !kept = 0 then
+                    raise
+                      (Bound.Pruned_out
+                         (Printf.sprintf
+                            "Subset_dp: layer k=%d lost all %d states to the \
+                             incumbent %d — no completion of this base beats \
+                             it"
+                            k total (Bound.incumbent b)));
+                  Bound.record_layer b
+                    {
+                      Bound.ls_layer = k;
+                      ls_kept = !kept;
+                      ls_pruned = pruned;
+                      ls_lower = !best_lb;
+                      ls_incumbent = Bound.incumbent b;
+                    };
+                  Trace.counter trace "prune.states_pruned"
+                    (float_of_int (Bound.states_pruned b));
+                  if Bound.incumbent b < max_int then
+                    Trace.counter trace "prune.incumbent"
+                      (float_of_int (Bound.incumbent b)));
+              (* checkpoint first, pack second: once [on_layer] has made
+                 the layer durable, a checkpoint-backed spill sink can
+                 treat eviction of its extents as a no-op *)
+              Option.iter (fun f -> f (progress_of layers ~k next)) on_layer;
+              Layers.put_layer layers ~k next;
+              layer := next
+            done));
     (layers, !layer)
 
   let membudget_of = function
@@ -584,19 +642,26 @@ module Make (S : COMPACTABLE) = struct
 
   let run ?(trace = Trace.null) ?(engine = Engine.Seq)
       ?(cancel = Cancel.never) ?(metrics = Metrics.ambient) ?membudget ?prune
-      ?(on_layer = fun _ -> ()) ?(resume = []) ?upto ~base j_set =
+      ?on_layer ?(resume = []) ?upto ~base j_set =
     let upto = validate ~base j_set upto in
     let mb = membudget_of membudget in
-    let layers, layer =
+    let layers, last =
       sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto
         ~keep_last_states:true ~on_layer ~resume ~base j_set
     in
     let mincosts, _ = Layers.to_tables layers upto in
+    let layer = Hashtbl.create (Array.length last) in
+    Array.iteri
+      (fun r -> function
+        | Winner { state = Some st; _ } ->
+            Hashtbl.replace layer (Layers.unrank layers ~k:upto r) st
+        | Winner { state = None; _ } | Pruned -> ())
+      last;
     { j_set; upto; mincosts; layer }
 
   let costs ?(trace = Trace.null) ?(engine = Engine.Seq)
       ?(cancel = Cancel.never) ?(metrics = Metrics.ambient) ?membudget ?prune
-      ?(on_layer = fun _ -> ()) ?(resume = []) ?upto ~base j_set =
+      ?on_layer ?(resume = []) ?upto ~base j_set =
     let upto = validate ~base j_set upto in
     let mb = membudget_of membudget in
     let layers, _ =
@@ -654,7 +719,7 @@ module Make (S : COMPACTABLE) = struct
      is never built. *)
   let complete ?(trace = Trace.null) ?(engine = Engine.Seq)
       ?(cancel = Cancel.never) ?(metrics = Metrics.ambient) ?membudget ?prune
-      ?(on_layer = fun _ -> ()) ?(resume = []) ~base j_set =
+      ?on_layer ?(resume = []) ~base j_set =
     let upto = validate ~base j_set None in
     let mb = membudget_of membudget in
     let layers, _ =

@@ -11,11 +11,15 @@
     The loop evaluates each subset in two passes: a {e cost pass} probes
     every candidate [h] with the allocation-free [cost_if_compacted]
     kernel, and only the single winner is then materialised — losing
-    candidates never allocate a state.  Layers are
+    candidates never allocate a state.  A layer is an array indexed by
+    the colex rank of its subsets, and each subset finds its
+    predecessors [K ∖ {h}] by rank, without hashing.  Layers are
     independent given their predecessor, so an {!Engine.Par} engine
-    splits each layer across worker domains, each counting into its own
-    {!Metrics.t} scratch; results are deterministic and identical to
-    {!Engine.Seq}.
+    runs each layer as one {!Engine.map} over the ranks, on a pool of
+    domains opened once per sweep ({!Engine.with_pool}) with the calling
+    domain as participant 0; each participant counts into its own
+    {!Metrics.t} scratch and writes its subsets' winners at their own
+    ranks, so results are deterministic and identical to {!Engine.Seq}.
 
     Beyond the classic {!run} (which returns the final layer's states),
     the {e cost-table mode} {!costs} stores only two integers per subset
@@ -29,7 +33,8 @@
     {!Membudget}: past the budget, completed layers spill to disk
     through the injected sink and are reloaded lazily during
     backtracking — results stay bit-identical to the in-memory run under
-    both engines, because packing happens after the parallel join.
+    both engines, because the calling domain packs each layer by rank
+    once every participant has finished it.
 
     With a {!Bound.t} context ([?prune]) the sweep becomes an exact
     {e branch-and-bound}: a subset whose cost plus admissible remaining
@@ -122,15 +127,19 @@ module Make (S : COMPACTABLE) : sig
       to [|j_set|].  Engine defaults to {!Engine.Seq}; metrics to
       {!Metrics.ambient}.  Intermediate layers are dropped eagerly (only
       [mincosts] survives), so peak state memory is two adjacent layers
-      during the sweep and one — the returned [upto] layer — after.
+      during the sweep and one — the returned [upto] layer, put into its
+      hashtable once the sweep is over — after.
 
       [cancel] (default {!Cancel.never}) is polled between cardinality
       layers: a fired token makes the sweep raise {!Cancel.Cancelled}
       instead of starting the next layer, so a deadline-expired run
       stops within one layer's work.  Wrap the call in {!Cancel.protect}
-      for a typed [Error `Cancelled] instead of the exception.
+      for a typed [Error `Cancelled] instead of the exception.  Every
+      exit — a result, {!Cancel.Cancelled}, {!Bound.Pruned_out}, or an
+      exception from [on_layer] — joins the sweep's worker domains
+      before it returns or raises.
 
-      [on_layer] (default a no-op) fires at the same layer boundaries
+      [on_layer] (default none) fires at the same layer boundaries
       [cancel] is polled at, once per {e newly computed} layer — the
       checkpoint-emission hook.  An exception it raises aborts the sweep
       and propagates.  [resume] (default [[]]) replays previously

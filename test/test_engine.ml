@@ -7,8 +7,21 @@ module M = Ovo_core.Metrics
 module C = Ovo_core.Compact
 module Fs = Ovo_core.Fs
 module T = Ovo_boolfun.Truthtable
+module B = Ovo_core.Bound
+module Mb = Ovo_core.Membudget
+module Sdp = Ovo_core.Subset_dp
+module Cancel = Ovo_core.Cancel
 
 let par2 = E.par ~domains:2 ()
+
+exception Boom of int
+
+(* A seed the optimum cannot meet: the sweep must raise Pruned_out. *)
+let liar_bound tt =
+  let optimum = (Fs.run tt).Fs.mincost in
+  B.make
+    ~seed:{ B.ub_source = "liar"; ub_value = optimum - 1 }
+    (B.counting_lower C.Bdd (Ovo_boolfun.Mtable.of_truthtable tt))
 
 let tables_equal a b =
   Hashtbl.length a = Hashtbl.length b
@@ -36,17 +49,70 @@ let unit_tests =
     Helpers.case "Engine.map merges worker metrics" (fun () ->
         let m = M.create () in
         let out =
-          E.map par2 ~metrics:m
-            (fun metrics x ->
-              M.add_cells metrics x;
-              x * 2)
-            (Array.init 10 (fun i -> i))
+          E.with_pool par2 ~width:10 (fun pool ->
+              E.map pool ~metrics:m
+                (fun metrics x ->
+                  M.add_cells metrics x;
+                  x * 2)
+                10)
         in
         Alcotest.(check (array int))
           "order preserved"
           (Array.init 10 (fun i -> 2 * i))
           out;
         Helpers.check_int "cells merged" 45 (M.snapshot m).M.s_table_cells);
+    Helpers.case "a raising item re-raises on the caller, and the pool lives on"
+      (fun () ->
+        let m = M.create () in
+        E.with_pool (E.par ~domains:3 ()) ~width:100 (fun pool ->
+            Helpers.check_int "participants" 3 (E.size pool);
+            Alcotest.check_raises "the item's exception" (Boom 37) (fun () ->
+                ignore
+                  (E.map pool ~metrics:m
+                     (fun _ i -> if i = 37 then raise (Boom i) else i)
+                     100));
+            Alcotest.(check (array int))
+              "the next job runs normally" (Array.init 100 Fun.id)
+              (E.map pool ~metrics:m (fun _ i -> i) 100)));
+    Helpers.case "Seq opens no worker, Par no more than the widest job"
+      (fun () ->
+        Helpers.check_int "seq" 1 (E.with_pool E.Seq ~width:100 E.size);
+        Helpers.check_int "par:8 over 3 items" 3
+          (E.with_pool (E.par ~domains:8 ()) ~width:3 E.size);
+        Helpers.check_int "par:4 over no items" 1
+          (E.with_pool (E.par ~domains:4 ()) ~width:0 E.size));
+    (* OCaml 5.1 allows 128 live domains: a pool leaking its worker on
+       any abort path would make a later spawn fail inside the loop. *)
+    Helpers.case "200 aborted Par solves leak no domain" (fun () ->
+        let tt = T.random (Helpers.rng 23) 6 in
+        for i = 1 to 200 do
+          match i mod 3 with
+          | 0 ->
+              Alcotest.check_raises "on_layer raises at k=2" (Boom i)
+                (fun () ->
+                  ignore
+                    (Fs.run ~engine:par2
+                       ~on_layer:(fun p ->
+                         if p.Sdp.p_layer = 2 then raise (Boom i))
+                       tt))
+          | 1 ->
+              let token = Cancel.make () in
+              Alcotest.check_raises "cancelled after layer 1" Cancel.Cancelled
+                (fun () ->
+                  ignore
+                    (Fs.run ~engine:par2 ~cancel:token
+                       ~on_layer:(fun p ->
+                         if p.Sdp.p_layer = 1 then Cancel.cancel token)
+                       tt))
+          | _ ->
+              Helpers.check_bool "unachievable seed" true
+                (match Fs.run ~engine:par2 ~prune:(liar_bound tt) tt with
+                | exception B.Pruned_out _ -> true
+                | _ -> false)
+        done;
+        let seq = Fs.run tt and par = Fs.run ~engine:par2 tt in
+        Helpers.check_int "mincost" seq.Fs.mincost par.Fs.mincost;
+        Alcotest.(check (array int)) "order" seq.Fs.order par.Fs.order);
     Helpers.case "cost-mode all_mincosts allocates no per-candidate copies"
       (fun () ->
         let n = 6 in
@@ -94,11 +160,11 @@ let unit_tests =
         let expected = Array.map (fun tt -> answer (Fs.run tt)) tts in
         let errors = ref [] and lock = Mutex.create () in
         let fail msg = Mutex.protect lock (fun () -> errors := msg :: !errors) in
-        let worker w =
+        let worker engine w =
           for round = 1 to 3 do
             Array.iteri
               (fun i tt ->
-                match Fs.run ~metrics:(M.create ()) tt with
+                match Fs.run ~engine ~metrics:(M.create ()) tt with
                 | r ->
                     if answer r <> expected.(i) then
                       fail (Printf.sprintf "thread %d round %d table %d: wrong answer" w round i)
@@ -108,15 +174,79 @@ let unit_tests =
               tts
           done
         in
-        List.iter Thread.join (List.init 2 (Thread.create worker));
+        List.iter Thread.join (List.init 2 (Thread.create (worker E.Seq)));
         Alcotest.(check (list string)) "systhread solves agree with Seq" []
           (List.rev !errors);
+        (* each systhread's Par sweeps open pools of their own *)
+        List.iter Thread.join (List.init 2 (Thread.create (worker par2)));
+        Alcotest.(check (list string)) "concurrent Par solves agree with Seq"
+          [] (List.rev !errors);
         Array.iteri
           (fun i tt ->
             Helpers.check_bool (Printf.sprintf "Par table %d" i) true
               (answer (Fs.run ~engine:par2 tt) = expected.(i)))
           tts);
   ]
+
+(* Everything a solve reports that could differ between engines: the
+   answer, the merged counters, the checkpoint triples of every layer
+   and, under a budget, the spilled bytes themselves. *)
+let observe ~engine ~mode tt =
+  let metrics = M.create () in
+  let layers = ref [] in
+  let on_layer (p : Sdp.progress) = layers := p :: !layers in
+  let spilled = Hashtbl.create 16 in
+  let membudget =
+    match mode with
+    | `Budget ->
+        Some
+          (Mb.create ~budget_bytes:1 ~extent_bytes:45
+             ~sink:
+               {
+                 Mb.spill =
+                   (fun ~k ~ext payload ->
+                     Hashtbl.replace spilled (k, ext) payload);
+                 reload =
+                   (fun ~k ~ext ->
+                     Ovo_core.Layer_pack.S_string (Hashtbl.find spilled (k, ext)));
+               }
+             ())
+    | `Plain | `Pruned -> None
+  in
+  let prune =
+    match mode with
+    | `Pruned ->
+        Some
+          (B.make
+             ~seed:{ B.ub_source = "oracle"; ub_value = (Fs.run tt).Fs.mincost }
+             (B.counting_lower C.Bdd (Ovo_boolfun.Mtable.of_truthtable tt)))
+    | `Plain | `Budget -> None
+  in
+  let r = Fs.run ~engine ~metrics ?membudget ?prune ~on_layer tt in
+  let spill =
+    Option.map
+      (fun mb ->
+        ( Mb.extents_spilled mb,
+          Mb.bytes_spilled mb,
+          Mb.raw_bytes_spilled mb,
+          List.sort compare (List.of_seq (Hashtbl.to_seq spilled)) ))
+      membudget
+  in
+  ( (r.Fs.mincost, r.Fs.order, r.Fs.widths),
+    M.snapshot metrics,
+    List.rev_map (fun p -> (p.Sdp.p_layer, p.Sdp.p_entries)) !layers,
+    spill,
+    Option.map B.states_pruned prune )
+
+let domain_count_prop =
+  QCheck.Test.make ~name:"Par with 2, 3, 4 or 8 domains equals Seq" ~count:40
+    (QCheck.triple
+       (Helpers.arb_truthtable ~lo:1 ~hi:9 ())
+       (QCheck.oneofl [ 2; 3; 4; 8 ])
+       (QCheck.oneofl [ `Plain; `Pruned; `Budget ]))
+    (fun (tt, domains, mode) ->
+      observe ~engine:E.Seq ~mode tt
+      = observe ~engine:(E.par ~domains ()) ~mode tt)
 
 let props =
   let run_pair ?kind engine tt = (Fs.run ?kind ~engine tt : Fs.result) in
@@ -185,6 +315,7 @@ let props =
         let _ = Fs.run ~engine:E.Seq ~metrics:ms tt in
         let _ = Fs.run ~engine:par2 ~metrics:mp tt in
         M.snapshot ms = M.snapshot mp);
+    domain_count_prop;
   ]
 
 let () =

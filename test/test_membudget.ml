@@ -69,6 +69,26 @@ let pack_tests =
             Helpers.check_int "cost" cost (Lp.cost t ksub);
             Helpers.check_int "choice" choice (Lp.choice t ksub))
           expect);
+    Helpers.case "rank_in/unrank_in follow enumeration order, allocation-free"
+      (fun () ->
+        let j_set = vs_of [ 1; 2; 4; 6; 7; 9 ] in
+        let pascal = Lp.pascal_table ~m:6 ~k:6 in
+        for k = 0 to 6 do
+          let r = ref 0 in
+          Vs.iter_subsets_of ~size:k j_set (fun ksub ->
+              Helpers.check_int "rank" !r (Lp.rank_in ~pascal ~j_set ksub);
+              Helpers.check_int "unrank" ksub
+                (Lp.unrank_in ~pascal ~j_set ~k !r);
+              incr r)
+        done;
+        let ksub = vs_of [ 2; 6; 9 ] in
+        let before = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Lp.rank_in ~pascal ~j_set ksub));
+          ignore (Sys.opaque_identity (Lp.unrank_in ~pascal ~j_set ~k:3 11))
+        done;
+        Helpers.check_int "minor words" 0
+          (int_of_float (Gc.minor_words () -. before)));
     Helpers.case "iter visits rank order exactly once" (fun () ->
         let j_set = vs_of [ 1; 2; 4; 6 ] in
         let t = Lp.create ~j_set ~k:3 in
