@@ -7,7 +7,6 @@ module T = Ovo_boolfun.Truthtable
 module F = Ovo_boolfun.Families
 module Fs = Ovo_core.Fs
 module C = Ovo_core.Compact
-module Cost = Ovo_core.Cost
 module E = Ovo_core.Eval_order
 module O = Ovo_quantum.Opt_obdd
 module P = Ovo_quantum.Params
@@ -19,10 +18,10 @@ module Nm = Ovo_numerics.Maths
 let section name = Printf.printf "\n================ [%s] ================\n" name
 
 let measured_cells f =
-  let before = Cost.snapshot () in
-  let result = f () in
-  let after = Cost.snapshot () in
-  (result, float_of_int (Cost.diff after before).Cost.table_cells)
+  let metrics = Ovo_core.Metrics.create () in
+  let result = f metrics in
+  let snap = Ovo_core.Metrics.snapshot metrics in
+  (result, float_of_int snap.Ovo_core.Metrics.s_table_cells)
 
 (* ------------------------------------------------------------------ *)
 
@@ -101,7 +100,7 @@ let thm5_scaling () =
   let points = ref [] in
   for n = 4 to 13 do
     let tt = T.random (Random.State.make [| n |]) n in
-    let _, cells = measured_cells (fun () -> Fs.run tt) in
+    let _, cells = measured_cells (fun metrics -> Fs.run ~metrics tt) in
     points := (n, cells) :: !points;
     Printf.printf "%3d %15.0f %15.0f %8.4f\n" n cells (Np.fs_cells n)
       (cells /. Np.fs_cells n)
@@ -125,7 +124,7 @@ let quantum_vs_classical () =
     "OptOBDD(6)" "tower-2";
   for n = 4 to 11 do
     let tt = T.random (Random.State.make [| 7 * n |]) n in
-    let _, fs_cells = measured_cells (fun () -> Fs.run tt) in
+    let _, fs_cells = measured_cells (fun metrics -> Fs.run ~metrics tt) in
     let ctx = O.make_ctx () in
     let _, qcost = O.minimize ~ctx (O.theorem10 ()) tt in
     let tower_cost =

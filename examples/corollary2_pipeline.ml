@@ -53,10 +53,11 @@ let () =
   Format.printf "out    FS-size  FS-cells   quantum-size  modeled-q-cells@.";
   Array.iteri
     (fun j tt ->
-      let before = Ovo_core.Cost.snapshot () in
-      let r = Ovo_core.Fs.run tt in
-      let after = Ovo_core.Cost.snapshot () in
-      let fs_cells = (Ovo_core.Cost.diff after before).Ovo_core.Cost.table_cells in
+      let metrics = Ovo_core.Metrics.create () in
+      let r = Ovo_core.Fs.run ~metrics tt in
+      let fs_cells =
+        (Ovo_core.Metrics.snapshot metrics).Ovo_core.Metrics.s_table_cells
+      in
       let ctx = Ovo_quantum.Opt_obdd.make_ctx () in
       let q, qcost =
         Ovo_quantum.Opt_obdd.minimize ~ctx (Ovo_quantum.Opt_obdd.theorem10 ()) tt

@@ -44,10 +44,15 @@ let all_mincosts ?(trace = Ovo_obs.Trace.null) ?(kind = Compact.Bdd) ?engine
     ?cancel ?metrics tt =
   let base = Compact.of_truthtable kind tt in
   Ovo_obs.Trace.with_span trace ~cat:"fs" "fs.all_mincosts" (fun () ->
-      let ct =
+      let table =
         Fs_star.costs ~trace ?engine ?cancel ?metrics ~base (Compact.free base)
       in
-      ct.Fs_star.cost_table)
+      let n = Ovo_boolfun.Truthtable.arity tt in
+      let all = Hashtbl.create (1 lsl n) in
+      for i_set = 0 to Varset.full n do
+        Hashtbl.replace all i_set (Subset_dp.mincost table i_set)
+      done;
+      all)
 
 let read_first_order r =
   let n = Array.length r.order in

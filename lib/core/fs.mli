@@ -78,8 +78,9 @@ val all_mincosts :
   (Varset.t, int) Hashtbl.t
 (** [MINCOST_I] for every subset [I ⊆ \[n\]] — the full DP table, used by
     the Lemma 4 / Lemma 9 verification tests and by the divide-and-conquer
-    cross-checks.  The table has [2^n] entries.  Runs in pure cost-table
-    mode: no per-candidate state, no layer of states kept. *)
+    cross-checks.  The table has [2^n] entries, filled in one pass from
+    the packed table of a pure cost-table sweep ({!Fs_star.costs}): no
+    per-candidate state, no layer of states kept. *)
 
 val of_state : Compact.state -> result
 (** Package a complete compaction state (any provenance: FS, FS*, or the

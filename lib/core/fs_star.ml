@@ -13,19 +13,11 @@ module Dp = Subset_dp.Make (struct
   let free = Compact.free
 end)
 
-type t = {
-  base_assigned : Varset.t;
+type t = Dp.t = {
   j_set : Varset.t;
   upto : int;
-  mincosts : (Varset.t, int) Hashtbl.t;
+  table : Subset_dp.table;
   layer : (Varset.t, Compact.state) Hashtbl.t;
-}
-
-type costs = Subset_dp.costs = {
-  cost_j_set : Varset.t;
-  cost_upto : int;
-  cost_table : (Varset.t, int) Hashtbl.t;
-  cost_choice : (Varset.t, int) Hashtbl.t;
 }
 
 (* keep the module's historical error messages *)
@@ -43,18 +35,10 @@ let run ?trace ?engine ?cancel ?metrics ?membudget ?prune ?on_layer ?resume
           ?resume ?upto ~base j_set)
   in
   Log.debug (fun m ->
-      m "FS* over %a from |I|=%d: %d subsets summarised, layer of %d states"
-        Varset.pp j_set
+      m "FS* over %a from |I|=%d: layer %d of %d states" Varset.pp j_set
         (Varset.cardinal base.Compact.assigned)
-        (Hashtbl.length d.Dp.mincosts)
-        (Hashtbl.length d.Dp.layer));
-  {
-    base_assigned = base.Compact.assigned;
-    j_set = d.Dp.j_set;
-    upto = d.Dp.upto;
-    mincosts = d.Dp.mincosts;
-    layer = d.Dp.layer;
-  }
+        d.upto (Hashtbl.length d.layer));
+  d
 
 let costs ?trace ?engine ?cancel ?metrics ?membudget ?prune ?on_layer ?resume
     ?upto ~(base : Compact.state) j_set =
@@ -62,12 +46,8 @@ let costs ?trace ?engine ?cancel ?metrics ?membudget ?prune ?on_layer ?resume
       Dp.costs ?trace ?engine ?cancel ?metrics ?membudget ?prune ?on_layer
         ?resume ?upto ~base j_set)
 
-let reconstruct ?trace ?metrics ~base ct target =
-  rebrand (fun () -> Dp.reconstruct ?trace ?metrics ~base ct target)
-
-let state_of t ksub = Hashtbl.find t.layer ksub
-
-let mincost_of t ksub = Hashtbl.find t.mincosts ksub
+let state_of = Dp.state_of
+let mincost_of = Dp.mincost_of
 
 let complete ?trace ?engine ?cancel ?metrics ?membudget ?prune ?on_layer
     ?resume ~base j_set =

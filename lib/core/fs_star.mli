@@ -16,25 +16,15 @@
     original algorithm FS (Theorem 5). *)
 
 type t = private {
-  base_assigned : Varset.t;  (** the set [I] of the base state *)
   j_set : Varset.t;
   upto : int;  (** cardinality at which the run stopped *)
-  mincosts : (Varset.t, int) Hashtbl.t;
-      (** [MINCOST⟨I,K⟩] for every [K ⊆ J] with [|K| ≤ upto] (including
-          [K = ∅], the base's own cost) *)
+  table : Subset_dp.table;
+      (** [MINCOST⟨I,K⟩] and the backtracking pointer of every [K ⊆ J]
+          with [|K| ≤ upto], packed by rank (see {!Subset_dp.table});
+          read it with {!mincost_of} *)
   layer : (Varset.t, Compact.state) Hashtbl.t;
       (** the optimal states at cardinality [upto], keyed by [K] *)
 }
-
-type costs = Subset_dp.costs = {
-  cost_j_set : Varset.t;
-  cost_upto : int;
-  cost_table : (Varset.t, int) Hashtbl.t;
-      (** [MINCOST⟨I,K⟩] for every computed [K] (including [∅]) *)
-  cost_choice : (Varset.t, int) Hashtbl.t;
-      (** backtracking pointers: a tight last-placed [h] per [K ≠ ∅] *)
-}
-(** The cost-table result of {!costs} — see {!Subset_dp.costs}. *)
 
 val run :
   ?trace:Ovo_obs.Trace.t ->
@@ -70,29 +60,22 @@ val costs :
   ?upto:int ->
   base:Compact.state ->
   Varset.t ->
-  costs
+  Subset_dp.table
 (** Pure cost-table mode: same sweep as {!run} but no layer of states is
-    returned — only [MINCOST⟨I,K⟩] and the backtracking pointers, two
-    integers per subset.  Same validation and defaults as {!run}. *)
-
-val reconstruct :
-  ?trace:Ovo_obs.Trace.t ->
-  ?metrics:Metrics.t ->
-  base:Compact.state ->
-  costs ->
-  Varset.t ->
-  Compact.state
-(** [reconstruct ~base ct k] materialises an optimal state for [K = k] by
-    backtracking the tight transitions recorded in [ct] — [|k|]
-    compactions over [base].  Requires [k ⊆ ct.cost_j_set] and
-    [|k| ≤ ct.cost_upto]. *)
+    returned — only the packed table of [MINCOST⟨I,K⟩] and backtracking
+    pointers, 9 bytes per subset; read it with {!Subset_dp.mincost}.
+    Same validation and defaults as {!run}. *)
 
 val state_of : t -> Varset.t -> Compact.state
-(** The optimal state for a [K] in the final layer; raises [Not_found]
-    for other sets. *)
+(** The optimal state for a [K] in the final layer.  Raises
+    [Invalid_argument] for a [K] outside that layer and
+    {!Bound.Pruned_out} for one a pruned run discarded. *)
 
 val mincost_of : t -> Varset.t -> int
-(** [MINCOST⟨I,K⟩]; raises [Not_found] when [K] was not computed. *)
+(** [MINCOST⟨I,K⟩] for [|K| ≤ upto], read from the packed table.
+    Raises [Invalid_argument] when [K] was not computed ([K ⊄ J] or
+    [|K| > upto]) and {!Bound.Pruned_out} for a [K] a pruned run
+    discarded. *)
 
 val complete :
   ?trace:Ovo_obs.Trace.t ->
@@ -110,5 +93,5 @@ val complete :
     for [K = J] — the
     composition step [FS(⟨I⟩) ↦ FS(⟨I,J⟩)] used verbatim by the quantum
     algorithms (their classical subroutine [Γ = FS*]).  Runs in
-    cost-table mode and reconstructs the winner, so it never holds more
-    than one layer of states. *)
+    cost-table mode and backtracks the packed table to the winner, so it
+    never holds more than one layer of states. *)

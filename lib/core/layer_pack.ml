@@ -9,24 +9,20 @@ let binomial n k =
     !r
   end
 
-(* One cardinality layer of the DP, bit-packed: entry [r] of [data] holds
-   the (cost, choice) of the k-subset whose combinatorial (colex) rank
-   within [j_set] is [r].  8-byte LE cost + 1-byte choice — a fixed 9
-   bytes per subset where the hashtable pair cost ~10x that in boxed
-   words, and a layout that serialises to a spill payload for free.
+(* One cardinality layer of the DP, or a rank range of it, bit-packed:
+   entry [r - lo] of an extent holds the (cost, choice) of the k-subset
+   whose combinatorial (colex) rank within [j_set] is [r].  8-byte LE
+   cost + 1-byte choice — a fixed 9 bytes per subset, where a hashtable
+   binding costs ~10x that in boxed words, and a layout that serialises
+   to a spill or checkpoint payload for free.
 
-   A branch-and-bound sweep leaves pruned subsets unset; the in-memory
-   layout stays dense (rank arithmetic is the whole point) but [encode]
-   switches to a sparse (rank, cost, choice) triple format or a
-   delta+varint compressed stream whenever that is smaller, so both
-   pruning and cost locality shrink spill volume. *)
+   A branch-and-bound sweep leaves pruned subsets unset (a negative
+   cost); the in-memory layout stays dense (rank arithmetic is the whole
+   point) and [Extent.encode] switches to a delta+varint compressed
+   stream over the set entries whenever that is smaller, so both pruning
+   and cost locality shrink spill volume. *)
 
 let entry_bytes = 9
-let header_bytes = 14
-let version = 1
-let sparse_header_bytes = 18
-let sparse_entry_bytes = 13
-let sparse_version = 2
 let packed_version = 3
 let raw_extent_version = 4
 let extent_header_bytes = 30
@@ -108,11 +104,9 @@ type bigstring =
 
 type src = S_string of string | S_big of bigstring
 
-let src_len = function
+let src_length = function
   | S_string s -> String.length s
   | S_big b -> Bigarray.Array1.dim b
-
-let src_length = src_len
 
 let src_get s i =
   match s with S_string s -> s.[i] | S_big b -> Bigarray.Array1.get b i
@@ -137,7 +131,7 @@ let src_i64 s i =
 let src_varint fail s pos =
   let v = ref 0 and shift = ref 0 and continue = ref true in
   while !continue do
-    if !pos >= src_len s then fail "truncated varint";
+    if !pos >= src_length s then fail "truncated varint";
     if !shift > 62 then fail "varint overflow";
     let b = src_u8 s !pos in
     incr pos;
@@ -147,86 +141,7 @@ let src_varint fail s pos =
   done;
   !v
 
-type t = {
-  j_set : Varset.t;
-  k : int;
-  count : int;
-  mutable present : int;
-  pascal : int array array;
-      (* pascal.(p).(i) = C(p,i), for the rank formula above *)
-  data : Bytes.t;
-}
-
-let create ~j_set ~k =
-  let m = Varset.cardinal j_set in
-  if k < 1 || k > m then invalid_arg "Layer_pack.create: bad cardinality";
-  let count = binomial m k in
-  let data = Bytes.make (count * entry_bytes) '\xff' in
-  { j_set; k; count; present = 0; pascal = pascal_table ~m ~k; data }
-
-let k t = t.k
-let j_set t = t.j_set
-let count t = t.count
-let present t = t.present
-let size_bytes t = header_bytes + Bytes.length t.data
-let rank t ksub =
-  if (not (Varset.subset ksub t.j_set)) || Varset.cardinal ksub <> t.k then
-    invalid_arg "Layer_pack: subset not of this layer";
-  rank_in ~pascal:t.pascal ~j_set:t.j_set ksub
-
-let unrank t r = unrank_in ~pascal:t.pascal ~j_set:t.j_set ~k:t.k r
-let is_set_at t off = Bytes.get_int64_le t.data off >= 0L
-
-let set t ksub ~cost ~choice =
-  if cost < 0 then invalid_arg "Layer_pack.set: negative cost";
-  if choice < 0 || choice > 0xff then invalid_arg "Layer_pack.set: bad choice";
-  let off = rank t ksub * entry_bytes in
-  if not (is_set_at t off) then t.present <- t.present + 1;
-  Bytes.set_int64_le t.data off (Int64.of_int cost);
-  Bytes.set_uint8 t.data (off + 8) choice
-
-let mem t ksub = is_set_at t (rank t ksub * entry_bytes)
-
-let cost t ksub =
-  let off = rank t ksub * entry_bytes in
-  let c = Int64.to_int (Bytes.get_int64_le t.data off) in
-  if c < 0 then invalid_arg "Layer_pack.cost: entry never set";
-  c
-
-let choice t ksub =
-  let off = rank t ksub * entry_bytes in
-  if Bytes.get_int64_le t.data off < 0L then
-    invalid_arg "Layer_pack.choice: entry never set";
-  Bytes.get_uint8 t.data (off + 8)
-
-let of_entries ~j_set ~k entries =
-  let t = create ~j_set ~k in
-  if Array.length entries > t.count then
-    invalid_arg "Layer_pack.of_entries: more entries than subsets";
-  Array.iter (fun (ksub, cost, choice) -> set t ksub ~cost ~choice) entries;
-  t
-
-(* Unset (pruned) subsets are skipped: a partial layer iterates only the
-   states the sweep kept. *)
-let iter t f =
-  Varset.iter_subsets_of t.j_set ~size:t.k (fun ksub ->
-      let off = rank t ksub * entry_bytes in
-      if is_set_at t off then
-        f ksub
-          ~cost:(Int64.to_int (Bytes.get_int64_le t.data off))
-          ~choice:(Bytes.get_uint8 t.data (off + 8)))
-
-let entries t =
-  let out = Array.make t.present (Varset.empty, 0, 0) in
-  let i = ref 0 in
-  iter t (fun ksub ~cost ~choice ->
-      out.(!i) <- (ksub, cost, choice);
-      incr i);
-  out
-
-(* --- v3/v4 stream helpers over a raw dense buffer ----------------------
-   Shared by the whole-layer encoder and the extent encoder: both hold a
-   dense 9 B/entry slice and differ only in the header they prepend. *)
+(* --- the v3/v4 extent header ---------------------------------------- *)
 
 let set_extent_header b ~ver ~k ~j_set ~total ~lo ~len ~present ~payload_len =
   Bytes.set_uint8 b 0 ver;
@@ -238,16 +153,64 @@ let set_extent_header b ~ver ~k ~j_set ~total ~lo ~len ~present ~payload_len =
   Bytes.set_int32_le b 22 (Int32.of_int present);
   Bytes.set_int32_le b 26 (Int32.of_int payload_len)
 
+type header = {
+  h_ver : int;
+  h_k : int;
+  h_j_set : Varset.t;
+  h_total : int;
+  h_lo : int;
+  h_len : int;
+  h_present : int;
+  h_payload_len : int;
+}
+
+(* Parse the header and check it against itself and the payload length
+   before anything is sized by it: a damaged or hostile header fails
+   here, never as an out-of-bounds read or an oversized buffer.  A v4
+   payload is exactly its dense slice; every v3 entry takes at least 3
+   bytes (rank gap, cost delta, choice). *)
+let read_header fail src =
+  let slen = src_length src in
+  if slen < extent_header_bytes then fail "payload shorter than header";
+  let h =
+    {
+      h_ver = src_u8 src 0;
+      h_k = src_u8 src 1;
+      h_j_set = Int64.to_int (src_i64 src 2);
+      h_total = src_u32 src 10;
+      h_lo = src_u32 src 14;
+      h_len = src_u32 src 18;
+      h_present = src_u32 src 22;
+      h_payload_len = src_u32 src 26;
+    }
+  in
+  if h.h_ver <> packed_version && h.h_ver <> raw_extent_version then
+    fail "unknown version";
+  if h.h_j_set < 0 || h.h_k < 1 || h.h_k > Varset.cardinal h.h_j_set then
+    fail "inconsistent header";
+  if h.h_total <> binomial (Varset.cardinal h.h_j_set) h.h_k then
+    fail "entry count does not match layer";
+  if h.h_len < 1 || h.h_lo + h.h_len > h.h_total then fail "bad extent range";
+  if h.h_present > h.h_len then fail "inconsistent header";
+  if slen <> extent_header_bytes + h.h_payload_len then fail "truncated extent";
+  if h.h_ver = raw_extent_version && h.h_payload_len <> h.h_len * entry_bytes
+  then fail "payload length mismatch";
+  if h.h_ver = packed_version && h.h_payload_len < 3 * h.h_present then
+    fail "payload too short for its entries";
+  h
+
+(* --- the v3 stream ---------------------------------------------------- *)
+
 (* The compressed stream over a dense slice: for every set entry, in
    rank order, [varint gap-from-previous-set-rank] (first: gap from
    [lo - 1]) ++ [zig-zag varint cost delta] (first: delta from 0) ++
    [u8 choice].  Costs within a layer are small and monotone-ish in
    colex order, so deltas are mostly 1-byte. *)
-let compress_slice data ~off ~len ~lo =
+let compress_slice data ~len ~lo =
   let buf = Buffer.create (len * 3) in
   let prev_rank = ref (lo - 1) and prev_cost = ref 0 in
   for i = 0 to len - 1 do
-    let eoff = off + (i * entry_bytes) in
+    let eoff = i * entry_bytes in
     let c64 = Bytes.get_int64_le data eoff in
     if c64 >= 0L then begin
       let rank = lo + i and cost = Int64.to_int c64 in
@@ -260,20 +223,22 @@ let compress_slice data ~off ~len ~lo =
   done;
   Buffer.contents buf
 
-(* Decode a v3 payload stream into a dense slice.  [want_lo]/[want_len]
-   select the sub-range to keep (containment slicing — a whole-layer v3
-   payload can serve one extent's reload); entries outside it are walked
-   but not stored. *)
-let decompress_into fail s ~pos ~payload_len ~src_lo ~src_present ~dst
-    ~want_lo ~want_len =
-  let limit = pos + payload_len in
-  let cursor = ref pos in
-  let prev_rank = ref (src_lo - 1) and prev_cost = ref 0 in
+(* Decode the v3 stream of header [h] into a dense slice, keeping only
+   the ranks [want_lo, want_lo + want_len) (containment slicing: a
+   larger extent, such as a checkpoint's whole-layer record, can serve
+   one extent's reload); entries outside it are walked but not stored.
+   Every rank must lie inside the header's own range.  Returns the
+   number of entries stored. *)
+let decompress_into fail s h ~dst ~want_lo ~want_len =
+  let limit = extent_header_bytes + h.h_payload_len in
+  let cursor = ref extent_header_bytes in
+  let prev_rank = ref (h.h_lo - 1) and prev_cost = ref 0 in
   let stored = ref 0 in
-  for _ = 1 to src_present do
+  for _ = 1 to h.h_present do
     if !cursor >= limit then fail "truncated stream";
     let gap = src_varint fail s cursor in
     if gap <= 0 then fail "non-increasing rank" (* gap 0 = duplicate *);
+    if gap >= h.h_lo + h.h_len - !prev_rank then fail "entry rank out of range";
     let rank = !prev_rank + gap in
     let cost = !prev_cost + unzigzag (src_varint fail s cursor) in
     if cost < 0 then fail "negative cost";
@@ -290,114 +255,7 @@ let decompress_into fail s ~pos ~payload_len ~src_lo ~src_present ~dst
     end
   done;
   if !cursor <> limit then fail "trailing stream bytes";
-  (!prev_rank, !stored)
-
-let encode_dense t =
-  let b = Bytes.create (header_bytes + Bytes.length t.data) in
-  Bytes.set_uint8 b 0 version;
-  Bytes.set_uint8 b 1 t.k;
-  Bytes.set_int64_le b 2 (Int64.of_int t.j_set);
-  Bytes.set_int32_le b 10 (Int32.of_int t.count);
-  Bytes.blit t.data 0 b header_bytes (Bytes.length t.data);
-  Bytes.unsafe_to_string b
-
-let encode_sparse t =
-  let b = Bytes.create (sparse_header_bytes + (t.present * sparse_entry_bytes)) in
-  Bytes.set_uint8 b 0 sparse_version;
-  Bytes.set_uint8 b 1 t.k;
-  Bytes.set_int64_le b 2 (Int64.of_int t.j_set);
-  Bytes.set_int32_le b 10 (Int32.of_int t.count);
-  Bytes.set_int32_le b 14 (Int32.of_int t.present);
-  let out = ref sparse_header_bytes in
-  for r = 0 to t.count - 1 do
-    let off = r * entry_bytes in
-    if is_set_at t off then begin
-      Bytes.set_int32_le b !out (Int32.of_int r);
-      Bytes.set_int64_le b (!out + 4) (Bytes.get_int64_le t.data off);
-      Bytes.set_uint8 b (!out + 12) (Bytes.get_uint8 t.data (off + 8));
-      out := !out + sparse_entry_bytes
-    end
-  done;
-  Bytes.unsafe_to_string b
-
-let encode_packed t =
-  let stream = compress_slice t.data ~off:0 ~len:t.count ~lo:0 in
-  let b = Bytes.create (extent_header_bytes + String.length stream) in
-  set_extent_header b ~ver:packed_version ~k:t.k ~j_set:t.j_set ~total:t.count
-    ~lo:0 ~len:t.count ~present:t.present
-    ~payload_len:(String.length stream);
-  Bytes.blit_string stream 0 b extent_header_bytes (String.length stream);
-  Bytes.unsafe_to_string b
-
-let encode t =
-  let candidates = [ encode_packed t; encode_sparse t; encode_dense t ] in
-  List.fold_left
-    (fun best c -> if String.length c < String.length best then c else best)
-    (List.hd candidates) (List.tl candidates)
-
-let decode s =
-  let fail msg = failwith (Printf.sprintf "Layer_pack.decode: %s" msg) in
-  if String.length s < header_bytes then fail "payload shorter than header";
-  let v = Char.code s.[0] in
-  if v <> version && v <> sparse_version && v <> packed_version then
-    fail "unknown version";
-  let k = Char.code s.[1] in
-  let j_set = Int64.to_int (String.get_int64_le s 2) in
-  let count = Int32.to_int (String.get_int32_le s 10) in
-  let m = Varset.cardinal j_set in
-  if j_set < 0 || k < 1 || k > m then fail "inconsistent header";
-  if count <> binomial m k then fail "entry count does not match layer";
-  let t = create ~j_set ~k in
-  (if v = version then begin
-     if String.length s <> header_bytes + (count * entry_bytes) then
-       fail "truncated layer data";
-     Bytes.blit_string s header_bytes t.data 0 (count * entry_bytes);
-     (* recover [present] by scanning for set sign bits *)
-     for r = 0 to count - 1 do
-       if is_set_at t (r * entry_bytes) then t.present <- t.present + 1
-     done
-   end
-   else if v = sparse_version then begin
-     if String.length s < sparse_header_bytes then
-       fail "payload shorter than sparse header";
-     let present = Int32.to_int (String.get_int32_le s 14) in
-     if present < 0 || present > count then fail "inconsistent sparse header";
-     if String.length s <> sparse_header_bytes + (present * sparse_entry_bytes)
-     then fail "truncated layer data";
-     for i = 0 to present - 1 do
-       let off = sparse_header_bytes + (i * sparse_entry_bytes) in
-       let r = Int32.to_int (String.get_int32_le s off) in
-       if r < 0 || r >= count then fail "entry rank out of range";
-       let c = String.get_int64_le s (off + 4) in
-       if c < 0L then fail "negative cost in sparse entry";
-       let doff = r * entry_bytes in
-       if not (is_set_at t doff) then t.present <- t.present + 1;
-       Bytes.set_int64_le t.data doff c;
-       Bytes.set_uint8 t.data (doff + 8) (Char.code s.[off + 12])
-     done;
-     if t.present <> present then fail "duplicate rank in sparse entries"
-   end
-   else begin
-     (* v3: a compressed stream — accepted here only when it covers the
-        whole layer (an extent payload is not a layer) *)
-     if String.length s < extent_header_bytes then
-       fail "payload shorter than extent header";
-     let lo = Int32.to_int (String.get_int32_le s 14) in
-     let len = Int32.to_int (String.get_int32_le s 18) in
-     let present = Int32.to_int (String.get_int32_le s 22) in
-     let payload_len = Int32.to_int (String.get_int32_le s 26) in
-     if lo <> 0 || len <> count then fail "extent payload, not a whole layer";
-     if present < 0 || present > count then fail "inconsistent header";
-     if String.length s <> extent_header_bytes + payload_len then
-       fail "truncated layer data";
-     let last_rank, stored =
-       decompress_into fail (S_string s) ~pos:extent_header_bytes ~payload_len
-         ~src_lo:0 ~src_present:present ~dst:t.data ~want_lo:0 ~want_len:count
-     in
-     if last_rank >= count then fail "entry rank out of range";
-     t.present <- stored
-   end);
-  t
+  !stored
 
 (* --- extents ------------------------------------------------------------ *)
 
@@ -504,181 +362,101 @@ module Extent = struct
         done;
         b
 
-  let encode_raw t =
-    let data = heap_data t in
-    let b = Bytes.create (extent_header_bytes + Bytes.length data) in
-    set_extent_header b ~ver:raw_extent_version ~k:t.x_k ~j_set:t.x_j_set
-      ~total:t.x_total ~lo:t.x_lo ~len:t.x_len ~present:t.x_present
-      ~payload_len:(Bytes.length data);
-    Bytes.blit data 0 b extent_header_bytes (Bytes.length data);
+  let with_header t ~ver payload =
+    let b = Bytes.create (extent_header_bytes + String.length payload) in
+    set_extent_header b ~ver ~k:t.x_k ~j_set:t.x_j_set ~total:t.x_total
+      ~lo:t.x_lo ~len:t.x_len ~present:t.x_present
+      ~payload_len:(String.length payload);
+    Bytes.blit_string payload 0 b extent_header_bytes (String.length payload);
     Bytes.unsafe_to_string b
 
+  (* [with_header] copies the slice out at once, so the unsafe view of
+     the live buffer never outlives this call *)
+  let encode_raw t =
+    with_header t ~ver:raw_extent_version
+      (Bytes.unsafe_to_string (heap_data t))
+
   let encode_packed t =
-    let data = heap_data t in
-    let stream = compress_slice data ~off:0 ~len:t.x_len ~lo:t.x_lo in
-    let b = Bytes.create (extent_header_bytes + String.length stream) in
-    set_extent_header b ~ver:packed_version ~k:t.x_k ~j_set:t.x_j_set
-      ~total:t.x_total ~lo:t.x_lo ~len:t.x_len ~present:t.x_present
-      ~payload_len:(String.length stream);
-    Bytes.blit_string stream 0 b extent_header_bytes (String.length stream);
-    Bytes.unsafe_to_string b
+    with_header t ~ver:packed_version
+      (compress_slice (heap_data t) ~len:t.x_len ~lo:t.x_lo)
 
   let encode t =
     let packed = encode_packed t and raw = encode_raw t in
     if String.length packed < String.length raw then packed else raw
 
-  (* Decode from any accepted payload shape, keeping only the requested
-     rank range.  The payload's own range must {e contain} the request —
-     an exact extent match and a whole-layer record (the unified
-     checkpoint format) are both containment, so one reload path serves
-     the spill store and the checkpoint store alike.  A v4 payload
-     backed by a mapped [src] keeps the mapping as its backing slice, so
-     the OS pages the data instead of the heap holding it. *)
+  let count_present t =
+    let n = ref 0 in
+    for i = 0 to t.x_len - 1 do
+      if data_i64 t.x_data (i * entry_bytes) >= 0L then incr n
+    done;
+    !n
+
+  (* The ranks [lo, lo+len) of a payload whose validated header [h]
+     contains them.  A v4 payload backed by a mapped [src] that matches
+     exactly keeps the mapping as its backing slice, so the OS pages the
+     data instead of the heap holding it. *)
+  let slice fail src h ~lo ~len =
+    let exact = h.h_lo = lo && h.h_len = len in
+    let shape x_data =
+      {
+        x_j_set = h.h_j_set;
+        x_k = h.h_k;
+        x_total = h.h_total;
+        x_lo = lo;
+        x_len = len;
+        x_present = 0;
+        x_data;
+      }
+    in
+    if h.h_ver = raw_extent_version then begin
+      let base = extent_header_bytes + ((lo - h.h_lo) * entry_bytes) in
+      let bytes = len * entry_bytes in
+      let t =
+        match src with
+        | S_big big when exact ->
+            shape (Map (Bigarray.Array1.sub big base bytes))
+        | S_big big ->
+            let get i = Bigarray.Array1.get big (base + i) in
+            shape (Heap (Bytes.init bytes get))
+        | S_string s ->
+            let b = Bytes.create bytes in
+            Bytes.blit_string s base b 0 bytes;
+            shape (Heap b)
+      in
+      t.x_present <- count_present t;
+      if exact && t.x_present <> h.h_present then
+        fail "present count does not match data";
+      t
+    end
+    else begin
+      let b = Bytes.make (len * entry_bytes) '\xff' in
+      let t = shape (Heap b) in
+      t.x_present <-
+        decompress_into fail src h ~dst:b ~want_lo:lo ~want_len:len;
+      t
+    end
+
   let of_src src ~j_set ~k ~total ~lo ~len =
-    let fail msg = failwith (Printf.sprintf "Layer_pack.Extent.of_src: %s" msg) in
     let m = Varset.cardinal j_set in
     if k < 1 || k > m || total <> binomial m k || lo < 0 || len < 1
        || lo + len > total
     then invalid_arg "Layer_pack.Extent.of_src: bad requested range";
-    let slen = src_len src in
-    if slen < header_bytes then fail "payload shorter than header";
-    let ver = src_u8 src 0 in
-    let hk = src_u8 src 1 in
-    let hj = Int64.to_int (src_i64 src 2) in
-    let hcount = src_u32 src 10 in
-    if hk <> k || hj <> j_set then fail "payload belongs to another layer";
-    if hcount <> total then fail "entry count does not match layer";
-    let fresh () =
-      {
-        x_j_set = j_set;
-        x_k = k;
-        x_total = total;
-        x_lo = lo;
-        x_len = len;
-        x_present = 0;
-        x_data = Heap (Bytes.make (len * entry_bytes) '\xff');
-      }
-    in
-    let count_present t =
-      let n = ref 0 in
-      for i = 0 to t.x_len - 1 do
-        if data_i64 t.x_data (i * entry_bytes) >= 0L then incr n
-      done;
-      !n
-    in
-    if ver = version then begin
-      (* whole-layer dense v1: the slice is plain offset arithmetic *)
-      if slen <> header_bytes + (total * entry_bytes) then
-        fail "truncated layer data";
-      let t = fresh () in
-      let b =
-        match t.x_data with Heap b -> b | Map _ -> assert false
-      in
-      (match src with
-      | S_string s ->
-          Bytes.blit_string s
-            (header_bytes + (lo * entry_bytes))
-            b 0 (len * entry_bytes)
-      | S_big big ->
-          for i = 0 to Bytes.length b - 1 do
-            Bytes.set b i
-              (Bigarray.Array1.get big (header_bytes + (lo * entry_bytes) + i))
-          done);
-      t.x_present <- count_present t;
-      t
-    end
-    else if ver = sparse_version then begin
-      if slen < sparse_header_bytes then fail "payload shorter than header";
-      let present = src_u32 src 14 in
-      if present < 0 || present > total then fail "inconsistent sparse header";
-      if slen <> sparse_header_bytes + (present * sparse_entry_bytes) then
-        fail "truncated layer data";
-      let t = fresh () in
-      let b = match t.x_data with Heap b -> b | Map _ -> assert false in
-      for i = 0 to present - 1 do
-        let off = sparse_header_bytes + (i * sparse_entry_bytes) in
-        let r = src_u32 src off in
-        if r < 0 || r >= total then fail "entry rank out of range";
-        if r >= lo && r < lo + len then begin
-          let c = src_i64 src (off + 4) in
-          if c < 0L then fail "negative cost in sparse entry";
-          let doff = (r - lo) * entry_bytes in
-          if Bytes.get_int64_le b doff >= 0L then
-            fail "duplicate rank in sparse entries";
-          Bytes.set_int64_le b doff c;
-          Bytes.set_uint8 b (doff + 8) (src_u8 src (off + 12));
-          t.x_present <- t.x_present + 1
-        end
-      done;
-      t
-    end
-    else if ver = packed_version || ver = raw_extent_version then begin
-      if slen < extent_header_bytes then fail "payload shorter than header";
-      let hlo = src_u32 src 14 in
-      let hlen = src_u32 src 18 in
-      let hpresent = src_u32 src 22 in
-      let payload_len = src_u32 src 26 in
-      if hlo < 0 || hlen < 1 || hlo + hlen > total then fail "bad extent range";
-      if hpresent < 0 || hpresent > hlen then fail "inconsistent header";
-      if not (hlo <= lo && lo + len <= hlo + hlen) then
-        fail "payload does not cover the requested range";
-      if slen <> extent_header_bytes + payload_len then fail "truncated extent";
-      if ver = raw_extent_version then begin
-        if payload_len <> hlen * entry_bytes then fail "payload length mismatch";
-        let t =
-          if hlo = lo && hlen = len then
-            (* exact match: a mapped payload stays mapped (zero copy) *)
-            match src with
-            | S_big big ->
-                {
-                  x_j_set = j_set;
-                  x_k = k;
-                  x_total = total;
-                  x_lo = lo;
-                  x_len = len;
-                  x_present = 0;
-                  x_data =
-                    Map
-                      (Bigarray.Array1.sub big extent_header_bytes payload_len);
-                }
-            | S_string s ->
-                let t = fresh () in
-                let b =
-                  match t.x_data with Heap b -> b | Map _ -> assert false
-                in
-                Bytes.blit_string s extent_header_bytes b 0 (len * entry_bytes);
-                t
-          else begin
-            let t = fresh () in
-            let b =
-              match t.x_data with Heap b -> b | Map _ -> assert false
-            in
-            let base = extent_header_bytes + ((lo - hlo) * entry_bytes) in
-            (match src with
-            | S_string s -> Bytes.blit_string s base b 0 (len * entry_bytes)
-            | S_big big ->
-                for i = 0 to Bytes.length b - 1 do
-                  Bytes.set b i (Bigarray.Array1.get big (base + i))
-                done);
-            t
-          end
-        in
-        t.x_present <- count_present t;
-        (if hlo = lo && hlen = len && t.x_present <> hpresent then
-           fail "present count does not match data");
-        t
-      end
-      else begin
-        let t = fresh () in
-        let b = match t.x_data with Heap b -> b | Map _ -> assert false in
-        let last_rank, stored =
-          decompress_into fail src ~pos:extent_header_bytes ~payload_len
-            ~src_lo:hlo ~src_present:hpresent ~dst:b ~want_lo:lo ~want_len:len
-        in
-        if last_rank >= hlo + hlen then fail "entry rank out of range";
-        t.x_present <- stored;
-        t
-      end
-    end
-    else fail "unknown version"
+    let fail msg = failwith ("Layer_pack.Extent.of_src: " ^ msg) in
+    let h = read_header fail src in
+    if h.h_k <> k || h.h_j_set <> j_set then
+      fail "payload belongs to another layer";
+    if not (h.h_lo <= lo && lo + len <= h.h_lo + h.h_len) then
+      fail "payload does not cover the requested range";
+    slice fail src h ~lo ~len
+
+  (* Every header field is checked before the slice is allocated, and a
+     complete extent has [len = present]: the allocation is bounded by
+     the payload's own length (9 B per 9 B of v4, per at least 3 B of
+     v3), whatever the header claims. *)
+  let decode s =
+    let fail msg = failwith ("Layer_pack.Extent.decode: " ^ msg) in
+    let src = S_string s in
+    let h = read_header fail src in
+    if h.h_present <> h.h_len then fail "extent is not complete";
+    slice fail src h ~lo:h.h_lo ~len:h.h_len
 end

@@ -1,29 +1,22 @@
-(** Bit-packed cost/choice tables for one cardinality layer of the
-    subset DP.
+(** Bit-packed cost/choice tables for the cardinality layers of the
+    subset DP — the one form the DP's table takes, in memory, in spill
+    segments and in checkpoints.
 
     The sweep of {!Subset_dp} produces, for every [k]-subset [K] of the
     free variables, a minimum cost and the variable chosen last — two
-    small integers.  A [Layer_pack.t] stores the whole layer in one flat
-    [Bytes] buffer at 9 bytes per subset (8-byte LE cost, 1-byte
+    small integers.  An {!Extent} stores a range of one layer's subsets
+    in one flat buffer at 9 bytes per subset (8-byte LE cost, 1-byte
     choice), indexed by the subset's {e combinatorial rank} (colex
     order — the order {!Varset.iter_subsets_of} enumerates, so ranks are
-    dense in [0 .. C(m,k)-1]).  Compared to the boxed hashtable pair it
-    replaces this is roughly an order of magnitude smaller, and
-    {!encode}/{!decode} turn a layer into a spill payload for
-    {!Membudget.sink} with no further serialisation step.
+    dense in [0 .. C(m,k)-1]).  A whole layer is the extent with
+    [lo = 0] and [len = C(m,k)].
 
-    Three on-disk formats share the version byte: dense v1 (9 B/entry),
-    sparse v2 (13 B per {e set} entry — pruned layers spill small) and
-    compressed v3 (delta+varint over the colex stream — cost locality
-    spills small); {!encode} picks whichever is smallest.  The {!Extent}
-    submodule splits a layer into fixed-size rank ranges so the
-    out-of-core sweep can spill and reload {e partial} layers: extents
-    serialise to v3 or raw v4 payloads with the same self-describing
-    header and the same damage rejection. *)
-
-type t
-(** One packed layer: the [(cost, choice)] of every size-[k] subset of a
-    universe [j_set]. *)
+    An extent serialises to one of two self-describing formats with the
+    same 30-byte header: compressed v3 (delta+varint over the colex
+    stream of set entries — cost locality and pruning spill small) or
+    raw v4 (the dense slice verbatim — the mmap format);
+    {!Extent.encode} picks whichever is smaller.  Every decoder rejects
+    damage as a clean [Failure]. *)
 
 val binomial : int -> int -> int
 (** [binomial n k] = [C(n,k)]; [0] outside [0 <= k <= n]. *)
@@ -50,82 +43,6 @@ val rank_in : pascal:int array array -> j_set:Varset.t -> Varset.t -> int
 val unrank_in :
   pascal:int array array -> j_set:Varset.t -> k:int -> int -> Varset.t
 (** Inverse of {!rank_in} for size-[k] subsets.  Allocates nothing. *)
-
-(** {1 Whole layers} *)
-
-val create : j_set:Varset.t -> k:int -> t
-(** An empty layer for the size-[k] subsets of [j_set]; entries are
-    unset until {!set}.  Raises [Invalid_argument] unless
-    [1 <= k <= cardinal j_set]. *)
-
-val of_entries : j_set:Varset.t -> k:int -> (Varset.t * int * int) array -> t
-(** Pack a layer from [(subset, cost, choice)] triples (any order).
-    Fewer than [C(m,k)] entries leave the rest unset — the shape a
-    pruned branch-and-bound layer produces.  Raises [Invalid_argument]
-    on more than [C(m,k)] entries. *)
-
-val set : t -> Varset.t -> cost:int -> choice:int -> unit
-(** Write one entry.  Costs must be non-negative (the sign bit marks
-    unset entries) and choices fit a byte. *)
-
-val cost : t -> Varset.t -> int
-(** The packed cost of a subset; raises [Invalid_argument] if the
-    subset is not a size-[k] subset of [j_set] or was never set. *)
-
-val choice : t -> Varset.t -> int
-(** The packed last-placed variable of a subset (same errors as
-    {!cost}). *)
-
-val k : t -> int
-val j_set : t -> Varset.t
-
-val count : t -> int
-(** Number of subsets in the layer, [C(cardinal j_set, k)]. *)
-
-val present : t -> int
-(** Number of entries actually set; [< count t] after pruning. *)
-
-val mem : t -> Varset.t -> bool
-(** Whether a subset's entry is set (i.e. survived pruning). *)
-
-val size_bytes : t -> int
-(** Resident footprint charged to {!Membudget} — header plus the dense
-    data buffer, regardless of how many entries are set.  The spill
-    payload ({!encode}) may be smaller when the layer is sparse or
-    compresses well. *)
-
-val rank : t -> Varset.t -> int
-(** Combinatorial (colex) rank of a subset within the layer. *)
-
-val unrank : t -> int -> Varset.t
-(** Inverse of {!rank}. *)
-
-val iter : t -> (Varset.t -> cost:int -> choice:int -> unit) -> unit
-(** Visit every {e set} entry in enumeration (rank) order; unset
-    (pruned) subsets are skipped. *)
-
-val entries : t -> (Varset.t * int * int) array
-(** All set [(subset, cost, choice)] triples in rank order — the shape
-    {!Subset_dp.progress} carries. *)
-
-val encode : t -> string
-(** Serialise the layer as a spill/checkpoint payload: the smallest of
-    dense v1 (14-byte header + 9 B/subset), sparse v2 (18-byte header +
-    13 B per set entry) and compressed v3 (30-byte header + delta+varint
-    stream).  Real cost tables are monotone-ish in colex order, so v3
-    usually wins by 2× or more. *)
-
-val encode_dense : t -> string
-val encode_sparse : t -> string
-
-val encode_packed : t -> string
-(** The individual encoders, exposed so tests can pin each format's
-    roundtrip and size independently of the automatic choice. *)
-
-val decode : string -> t
-(** Inverse of {!encode}; accepts v1, v2 and whole-layer v3 payloads.
-    Raises [Failure] on a truncated, corrupt or version-mismatched
-    payload — spill damage surfaces as a clean error. *)
 
 (** {1 Payload sources} *)
 
@@ -198,11 +115,20 @@ module Extent : sig
   val of_src :
     src -> j_set:Varset.t -> k:int -> total:int -> lo:int -> len:int -> t
   (** Decode the extent covering ranks [lo, lo+len) from a payload.  The
-      payload may be an exact extent (v3/v4), a {e larger} extent, or a
-      whole-layer record (v1/v2/v3 — the unified checkpoint format):
-      any payload whose range contains the request is sliced.  An exact
-      v4 match from a mapped source stays mapped (zero copy).  Raises
-      [Failure] on damage — wrong layer, truncation, rank disorder,
-      negative costs, present-count mismatch — and [Invalid_argument]
-      on a malformed request. *)
+      payload may be an exact extent or a {e larger} one — a checkpoint's
+      whole-layer record, say: any payload whose range contains the
+      request is sliced.  An exact v4 match from a mapped source stays
+      mapped (zero copy).  Raises [Failure] on damage — wrong layer,
+      truncation, rank disorder, negative costs, present-count
+      mismatch — and [Invalid_argument] on a malformed request. *)
+
+  val decode : string -> t
+  (** Decode the range the payload's own header describes — the inverse
+      of {!encode} for a {e complete} extent (every entry set, as in a
+      checkpoint's whole-layer record).  Total on hostile bytes: the
+      header is validated before anything is allocated ([1 <= k <= m],
+      [total = C(m,k)], the range inside the layer, [present = len], a
+      v3 payload of at least 3 bytes per entry, a v4 payload of exactly
+      [9·len] bytes), so the allocation is bounded by the payload's own
+      length, and every failure is a [Failure]. *)
 end

@@ -24,13 +24,6 @@ let create () =
     states_materialised = 0;
   }
 
-let reset m =
-  m.table_cells <- 0;
-  m.cost_probes <- 0;
-  m.compactions <- 0;
-  m.node_creations <- 0;
-  m.states_materialised <- 0
-
 let snapshot m =
   {
     s_table_cells = m.table_cells;
@@ -64,11 +57,10 @@ let add_compaction m = m.compactions <- m.compactions + 1
 let add_nodes m n = m.node_creations <- m.node_creations + n
 let add_state m = m.states_materialised <- m.states_materialised + 1
 
-(* The process-global context backing the legacy {!Cost} API and the
-   default of the counting entry points.  Only ever written from the
-   domain that runs the DP main loop (Par participants count into scratch
-   contexts that it merges once the layer is done), so it stays
-   race-free. *)
+(* The process-global default of the counting entry points.  Only ever
+   written from the domain that runs the DP main loop (Par participants
+   count into scratch contexts that it merges once the layer is done),
+   so it stays race-free. *)
 let ambient = create ()
 
 let pp ppf s =

@@ -1,5 +1,4 @@
-(** Per-run operation accounting — the replacement for the global
-    counters of {!Cost}.
+(** Per-run operation accounting.
 
     A {!t} is a mutable context owned by one run of a dynamic program (or
     by one participant of a parallel map; see {!Engine}).  The core
@@ -54,9 +53,6 @@ type snapshot = {
 val create : unit -> t
 (** A fresh context with all counters at zero. *)
 
-val reset : t -> unit
-(** Zero every counter in place. *)
-
 val snapshot : t -> snapshot
 (** An immutable copy of the current counter values. *)
 
@@ -75,9 +71,8 @@ val add_state : t -> unit
 (** Incrementors used by the core algorithms. *)
 
 val ambient : t
-(** The process-global context behind the deprecated {!Cost} API; it is
-    also the default context of the counting entry points, so legacy
-    [Cost.snapshot]-diff measurements keep working.  Written only by the
+(** The process-global default context of the counting entry points
+    (read by callers that pass no [?metrics]).  Written only by the
     calling domain, never from {!Engine.Par} workers. *)
 
 val pp : Format.formatter -> snapshot -> unit

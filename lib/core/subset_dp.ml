@@ -9,13 +9,6 @@ module type COMPACTABLE = sig
   val free : state -> Varset.t
 end
 
-type costs = {
-  cost_j_set : Varset.t;
-  cost_upto : int;
-  cost_table : (Varset.t, int) Hashtbl.t;
-  cost_choice : (Varset.t, int) Hashtbl.t;
-}
-
 type progress = {
   p_layer : int;
   p_entries : (Varset.t * int * int) array;
@@ -214,18 +207,15 @@ module Layers = struct
         let r = rank t ksub in
         (r, fetch_extent t ~k ~ei:(r / lr.l_elen))
 
-  let cost t ksub =
-    if Varset.is_empty ksub then t.base_cost
-    else
-      let r, x = extent_of t ~k:(Varset.cardinal ksub) ksub in
-      Extent.cost x ~rank:r
-
   (* Backtrack the recorded tight choices of every [target] (all of one
      cardinality [m]) level-synchronously: at each level the chains'
      ranks are grouped by extent, so a spilled extent costs one reload
      however many chains cross it — and extents no chain touches are
      never read at all.  Chains come back first-placed-first, ready to
-     replay. *)
+     replay — and replaying a chain over the base yields a state
+     bit-identical to the one the sweep materialised for its subset:
+     node ids are assigned in scan order, a deterministic function of
+     the placement sequence alone. *)
   let chains t targets =
     let m =
       if Array.length targets = 0 then 0 else Varset.cardinal targets.(0)
@@ -255,36 +245,30 @@ module Layers = struct
             subs
     done;
     acc
-
-  (* Visit every set entry of layer [k], extent by extent in rank
-     order. *)
-  let iter_layer t k f =
-    match t.slots.(k) with
-    | None -> invalid_arg "Subset_dp: layer not computed"
-    | Some lr ->
-        for ei = 0 to Array.length lr.l_extents - 1 do
-          Extent.iter (fetch_extent t ~k ~ei) (fun ~rank ~cost ~choice ->
-              f (unrank t ~k rank) ~cost ~choice)
-        done
-
-  (* Unpack everything back into the legacy hashtable form (the public
-     {!costs}/[mincosts] API). *)
-  let to_tables t upto =
-    let mincosts = Hashtbl.create 64 and choices = Hashtbl.create 64 in
-    Hashtbl.replace mincosts Varset.empty t.base_cost;
-    for k = 1 to upto do
-      iter_layer t k (fun ksub ~cost ~choice ->
-          Hashtbl.replace mincosts ksub cost;
-          Hashtbl.replace choices ksub choice)
-    done;
-    (mincosts, choices)
 end
+
+(* The sweep's packed table is the {!Layers} store itself: read by rank,
+   reloading a spilled extent through the sink when one is touched. *)
+type table = Layers.t
+
+let mincost (t : table) ksub =
+  let k = Varset.cardinal ksub in
+  if
+    (not (Varset.subset ksub t.Layers.j_set))
+    || k >= Array.length t.Layers.slots
+  then invalid_arg "Subset_dp.mincost: subset outside the computed layers";
+  if k = 0 then t.Layers.base_cost
+  else
+    let r, x = Layers.extent_of t ~k ksub in
+    if not (Layer_pack.Extent.mem x ~rank:r) then
+      raise (Bound.Pruned_out "Subset_dp.mincost: the subset was pruned");
+    Layer_pack.Extent.cost x ~rank:r
 
 module Make (S : COMPACTABLE) = struct
   type t = {
     j_set : Varset.t;
     upto : int;
-    mincosts : (Varset.t, int) Hashtbl.t;
+    table : table;
     layer : (Varset.t, S.state) Hashtbl.t;
   }
 
@@ -375,19 +359,6 @@ module Make (S : COMPACTABLE) = struct
             | Pruned | Winner { state = None; _ } -> assert false
         in
         Winner { cost = !best_c; choice = !best_h; state }
-
-  (* Replaying a subset's recorded choice chain over the base yields a
-     state bit-identical to the one the original sweep materialised for
-     it: node ids are assigned in scan order, which is a deterministic
-     function of the placement sequence alone. *)
-  let chain_of choices ksub =
-    let rec go k acc =
-      if Varset.is_empty k then acc
-      else
-        let h = Hashtbl.find choices k in
-        go (Varset.remove h k) (h :: acc)
-    in
-    go ksub []
 
   (* A resume must be a consecutive, complete prefix of layers 1..m with
      every entry a |layer|-subset of J; anything else means the
@@ -645,86 +616,47 @@ module Make (S : COMPACTABLE) = struct
       ?on_layer ?(resume = []) ?upto ~base j_set =
     let upto = validate ~base j_set upto in
     let mb = membudget_of membudget in
-    let layers, last =
+    let table, last =
       sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto
         ~keep_last_states:true ~on_layer ~resume ~base j_set
     in
-    let mincosts, _ = Layers.to_tables layers upto in
     let layer = Hashtbl.create (Array.length last) in
     Array.iteri
       (fun r -> function
         | Winner { state = Some st; _ } ->
-            Hashtbl.replace layer (Layers.unrank layers ~k:upto r) st
+            Hashtbl.replace layer (Layers.unrank table ~k:upto r) st
         | Winner { state = None; _ } | Pruned -> ())
       last;
-    { j_set; upto; mincosts; layer }
+    { j_set; upto; table; layer }
 
   let costs ?(trace = Trace.null) ?(engine = Engine.Seq)
       ?(cancel = Cancel.never) ?(metrics = Metrics.ambient) ?membudget ?prune
       ?on_layer ?(resume = []) ?upto ~base j_set =
     let upto = validate ~base j_set upto in
     let mb = membudget_of membudget in
-    let layers, _ =
-      sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto
-        ~keep_last_states:false ~on_layer ~resume ~base j_set
-    in
-    let mincosts, choices = Layers.to_tables layers upto in
-    { cost_j_set = j_set; cost_upto = upto; cost_table = mincosts;
-      cost_choice = choices }
+    fst
+      (sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto
+         ~keep_last_states:false ~on_layer ~resume ~base j_set)
 
-  let reconstruct ?(trace = Trace.null) ?(metrics = Metrics.ambient) ~base ct
-      target =
-    if not (Varset.subset target ct.cost_j_set)
-       || Varset.cardinal target > ct.cost_upto
-    then invalid_arg "Subset_dp.reconstruct: target not covered";
-    (* Backtrack the recorded tight transitions: [cost_choice] holds, for
-       every K, the last-placed h of an optimal suborder of K.  Walking
-       it from [target] down to the empty set yields the placement
-       sequence; replaying it over [base] materialises the optimal state
-       in |target| compactions. *)
-    let before = Metrics.snapshot metrics in
-    let st =
-      Trace.with_span trace ~cat:"dp"
-        ~args:(fun () ->
-          ("placements", Ovo_obs.Json.Int (Varset.cardinal target))
-          :: Metrics.to_args (Metrics.diff (Metrics.snapshot metrics) before))
-        "dp.reconstruct"
-        (fun () ->
-          List.fold_left
-            (fun st h -> S.materialise ~metrics st h)
-            base
-            (chain_of ct.cost_choice target))
-    in
-    assert (S.mincost st = Hashtbl.find ct.cost_table target);
-    st
-
-  (* Under pruning a subset may have been discarded — surface that as
-     {!Bound.Pruned_out} (the branch is provably not worth completing)
-     rather than [Not_found]. *)
   let state_of t ksub =
+    if (not (Varset.subset ksub t.j_set)) || Varset.cardinal ksub <> t.upto
+    then invalid_arg "Subset_dp.state_of: subset outside the final layer";
     match Hashtbl.find_opt t.layer ksub with
     | Some st -> st
     | None ->
         raise (Bound.Pruned_out "Subset_dp.state_of: the state was pruned")
 
-  let mincost_of t ksub =
-    match Hashtbl.find_opt t.mincosts ksub with
-    | Some c -> c
-    | None ->
-        raise (Bound.Pruned_out "Subset_dp.mincost_of: the state was pruned")
+  let mincost_of t ksub = mincost t.table ksub
 
-  (* The out-of-core path: sweep in packed (cost-only) mode, then
-     backtrack directly over the packed layers — spilled layers are
-     reloaded lazily, one fetch per cardinality, and the hashtable form
-     is never built. *)
-  let complete ?(trace = Trace.null) ?(engine = Engine.Seq)
-      ?(cancel = Cancel.never) ?(metrics = Metrics.ambient) ?membudget ?prune
-      ?on_layer ?(resume = []) ~base j_set =
-    let upto = validate ~base j_set None in
-    let mb = membudget_of membudget in
-    let layers, _ =
-      sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto
-        ~keep_last_states:false ~on_layer ~resume ~base j_set
+  (* The cost-only sweep, then one backtrack directly over the packed
+     layers: spilled extents are reloaded lazily, one fetch per extent
+     the chain crosses. *)
+  let complete ?(trace = Trace.null) ?engine ?cancel
+      ?(metrics = Metrics.ambient) ?membudget ?prune ?on_layer ?resume ~base
+      j_set =
+    let table =
+      costs ~trace ?engine ?cancel ~metrics ?membudget ?prune ?on_layer
+        ?resume ~base j_set
     in
     let before = Metrics.snapshot metrics in
     let st =
@@ -735,12 +667,12 @@ module Make (S : COMPACTABLE) = struct
         "dp.reconstruct"
         (fun () ->
           let chain =
-            match Layers.chains layers [| j_set |] with
+            match Layers.chains table [| j_set |] with
             | [| c |] -> c
             | _ -> assert false
           in
           List.fold_left (fun st h -> S.materialise ~metrics st h) base chain)
     in
-    assert (S.mincost st = Layers.cost layers j_set);
+    assert (S.mincost st = mincost table j_set);
     st
 end

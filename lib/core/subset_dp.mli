@@ -21,34 +21,34 @@
     {!Metrics.t} scratch and writes its subsets' winners at their own
     ranks, so results are deterministic and identical to {!Engine.Seq}.
 
-    Beyond the classic {!run} (which returns the final layer's states),
-    the {e cost-table mode} {!costs} stores only two integers per subset
-    — [MINCOST⟨K⟩] and the tight last-placed variable — and
-    {!reconstruct} replays those tight transitions over the base to
-    materialise an optimal state in [|K|] compactions, as the paper
-    reconstructs orderings from the DP table.
-
-    Internally every completed cardinality layer is bit-packed into a
-    {!Layer_pack} (9 bytes per subset) and accounted against an optional
-    {!Membudget}: past the budget, completed layers spill to disk
-    through the injected sink and are reloaded lazily during
-    backtracking — results stay bit-identical to the in-memory run under
-    both engines, because the calling domain packs each layer by rank
-    once every participant has finished it.
+    The DP's table — [MINCOST⟨K⟩] and a tight last-placed variable for
+    every subset — has one form, the {!table}: every completed
+    cardinality layer is bit-packed into colex-rank-indexed
+    {!Layer_pack.Extent}s (9 bytes per subset) and accounted against an
+    optional {!Membudget}: past the budget, completed extents spill to
+    disk through the injected sink and are reloaded lazily when read —
+    results stay bit-identical to the in-memory run under both engines,
+    because the calling domain packs each layer by rank once every
+    participant has finished it.  {!run} returns it beside the final
+    layer's states, {!costs} returns it alone, and {!complete}
+    backtracks the argmin pointers over it to materialise an optimal
+    state in [|J|] compactions, as the paper reconstructs orderings
+    from the DP table.
 
     With a {!Bound.t} context ([?prune]) the sweep becomes an exact
     {e branch-and-bound}: a subset whose cost plus admissible remaining
-    bound exceeds the incumbent is never materialised (nor packed — a
-    pruned layer spills sparse).  The incumbent is seeded from an
-    injected upper bound and tightened at layer boundaries from states
-    whose completion cost is known exactly, on the calling domain only,
-    so the surviving state set — and every answer — is deterministic
-    and bit-identical to the unpruned sweep under {!Engine.Seq} and
-    {!Engine.Par} alike.  A layer losing {e all} states raises
-    {!Bound.Pruned_out}: no completion of the base beats the incumbent
-    (only possible when the incumbent came from outside this sweep, as
-    in the quantum tower's shared-incumbent sub-sweeps, or from an
-    unsound seed).  Pruning is incompatible with [resume]. *)
+    bound exceeds the incumbent is never materialised (nor set in its
+    extent — pruned entries cost the compressed encoding nothing).  The
+    incumbent is seeded from an injected upper bound and tightened at
+    layer boundaries from states whose completion cost is known exactly,
+    on the calling domain only, so the surviving state set — and every
+    answer — is deterministic and bit-identical to the unpruned sweep
+    under {!Engine.Seq} and {!Engine.Par} alike.  A layer losing
+    {e all} states raises {!Bound.Pruned_out}: no completion of the base
+    beats the incumbent (only possible when the incumbent came from
+    outside this sweep, as in the quantum tower's shared-incumbent
+    sub-sweeps, or from an unsound seed).  Pruning is incompatible with
+    [resume]. *)
 
 module type COMPACTABLE = sig
   type state
@@ -70,18 +70,19 @@ module type COMPACTABLE = sig
   (** Variables not yet assigned. *)
 end
 
-type costs = {
-  cost_j_set : Varset.t;
-  cost_upto : int;
-  cost_table : (Varset.t, int) Hashtbl.t;
-      (** [MINCOST⟨base, K⟩] for every computed [K] (including [∅]) *)
-  cost_choice : (Varset.t, int) Hashtbl.t;
-      (** for each [K ≠ ∅], a tight last-placed [h] of the Lemma 7
-          recurrence — the backtracking pointers *)
-}
-(** The cost-table result: two integers per subset, no states.  It is
-    state-independent, so it lives outside the functor and can be shared
-    by every instance. *)
+type table
+(** The packed table of one sweep: [MINCOST⟨base, K⟩] and a tight
+    last-placed [h] (the backtracking pointer of the Lemma 7 recurrence)
+    for every computed [K ⊆ J], [|K| ≤ upto], each layer held as
+    colex-rank-indexed {!Layer_pack.Extent}s.  It is state-independent,
+    so it lives outside the functor and is shared by every instance. *)
+
+val mincost : table -> Varset.t -> int
+(** [MINCOST⟨base, K⟩], read by rank ([∅] gives the base's own cost).
+    Raises [Invalid_argument] when [K ⊄ J] or [|K| > upto], and
+    {!Bound.Pruned_out} when a pruned sweep discarded [K].  Under a
+    budget a spilled extent is reloaded through the sweep's sink, so
+    read the table while the sink's store still exists. *)
 
 type progress = {
   p_layer : int;  (** the cardinality layer that just completed *)
@@ -91,7 +92,7 @@ type progress = {
 }
 (** One completed cardinality layer of a sweep — everything a checkpoint
     needs to persist, and everything a resumed sweep needs back.  Like
-    {!costs} it is state-independent: rebuilding the layer's states is a
+    {!table} it is state-independent: rebuilding the layer's states is a
     deterministic replay of the recorded choice chains, so a resumed run
     is bit-identical to an uninterrupted one under both engines. *)
 
@@ -104,8 +105,7 @@ module Make (S : COMPACTABLE) : sig
   type t = {
     j_set : Varset.t;
     upto : int;
-    mincosts : (Varset.t, int) Hashtbl.t;
-        (** [MINCOST⟨base, K⟩] for every computed [K] (including [∅]) *)
+    table : table;  (** the packed cost/choice table of the sweep *)
     layer : (Varset.t, S.state) Hashtbl.t;
         (** optimal states at cardinality [upto] *)
   }
@@ -125,10 +125,11 @@ module Make (S : COMPACTABLE) : sig
     t
   (** As {!Fs_star.run}: requires [j_set ⊆ free base]; [upto] defaults
       to [|j_set|].  Engine defaults to {!Engine.Seq}; metrics to
-      {!Metrics.ambient}.  Intermediate layers are dropped eagerly (only
-      [mincosts] survives), so peak state memory is two adjacent layers
-      during the sweep and one — the returned [upto] layer, put into its
-      hashtable once the sweep is over — after.
+      {!Metrics.ambient}.  Intermediate layers of states are dropped
+      eagerly (only the packed [table] survives), so peak state memory
+      is two adjacent layers during the sweep and one — the returned
+      [upto] layer, put into its hashtable once the sweep is over —
+      after.
 
       [cancel] (default {!Cancel.never}) is polled between cardinality
       layers: a fired token makes the sweep raise {!Cancel.Cancelled}
@@ -144,7 +145,7 @@ module Make (S : COMPACTABLE) : sig
       checkpoint-emission hook.  An exception it raises aborts the sweep
       and propagates.  [resume] (default [[]]) replays previously
       completed layers [1..m] (consecutive, complete, validated): their
-      triples preload the cost/choice tables, layer [m]'s states are
+      triples preload the packed table, layer [m]'s states are
       rebuilt by replaying each subset's recorded chain over [base], and
       the sweep continues at [m+1] — bit-identical to an uninterrupted
       run under {!Engine.Seq} and {!Engine.Par} alike.
@@ -166,31 +167,22 @@ module Make (S : COMPACTABLE) : sig
     ?upto:int ->
     base:S.state ->
     Varset.t ->
-    costs
+    table
   (** Pure cost-table mode: same sweep, but the final layer's states are
-      never materialised and nothing but the integer tables is returned.
+      never materialised and only the packed {!table} is returned.
       Same validation and defaults as {!run}, including [on_layer] and
       [resume]. *)
 
-  val reconstruct :
-    ?trace:Ovo_obs.Trace.t ->
-    ?metrics:Metrics.t ->
-    base:S.state ->
-    costs ->
-    Varset.t ->
-    S.state
-  (** [reconstruct ~base ct k] materialises an optimal state for [K = k]
-      by backtracking [ct.cost_choice] from [k] to [∅] and replaying the
-      resulting placement sequence over [base] — [|k|] compactions
-      total.  Requires [k ⊆ ct.cost_j_set] and [|k| ≤ ct.cost_upto]. *)
-
   val state_of : t -> Varset.t -> S.state
   (** The kept optimal state of a subset at cardinality [upto].  Raises
-      {!Bound.Pruned_out} when a pruned sweep discarded it — the subset
-      provably heads no ordering beating the incumbent. *)
+      [Invalid_argument] for a subset outside that layer ([K ⊄ J] or
+      [|K| ≠ upto]), and {!Bound.Pruned_out} when a pruned sweep
+      discarded it — the subset provably heads no ordering beating the
+      incumbent. *)
 
   val mincost_of : t -> Varset.t -> int
-  (** [MINCOST⟨base, K⟩]; raises {!Bound.Pruned_out} when pruned. *)
+  (** [mincost t.table]: [MINCOST⟨base, K⟩] for [|K| ≤ upto], with the
+      same failures as {!mincost}. *)
 
   val complete :
     ?trace:Ovo_obs.Trace.t ->
@@ -204,10 +196,11 @@ module Make (S : COMPACTABLE) : sig
     base:S.state ->
     Varset.t ->
     S.state
-  (** Full run; the optimal state for [K = J].  A cost-only sweep
-      followed by a backtrack {e directly over the packed layers} — the
-      hashtable form of {!costs} is never built, at most one layer of
-      states is live at any time, and with a budgeted [membudget]
-      spilled layers are reloaded lazily (one fetch per cardinality), so
-      this is the out-of-core entry point {!Fs.run} drives. *)
+  (** Full run; the optimal state for [K = J]: {!costs}, then one
+      backtrack of the argmin pointers over the packed table, replayed
+      over [base] in [|J|] materialisations (span ["dp.reconstruct"]).
+      At most one layer of states is live at any time, and with a
+      budgeted [membudget] spilled extents are reloaded lazily (one
+      fetch per extent the chain crosses), so this is the out-of-core
+      entry point {!Fs.run} drives. *)
 end

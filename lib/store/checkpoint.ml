@@ -9,14 +9,9 @@ type meta = { ck_digest : string; ck_kind : Ovo_core.Compact.kind }
 
 let rtype_meta = 0
 
-(* The PR-9 triple format (u64 ksub / u64 cost / u8 choice per entry).
-   No longer written: a record of this type ends the resume prefix, so
-   an old checkpoint degrades to a fresh start instead of misdecoding. *)
-let rtype_layer_legacy = 1
-
-(* Unified with the spill format: the payload is [Layer_pack.encode] of
-   the whole layer, so a budget+checkpoint run writes each layer once
-   and the checkpoint itself can serve extent reloads ({!sink}). *)
+(* A layer record is one {!Lp.Extent} spanning the whole layer
+   ([lo = 0], [len = C(m,k)]) — the bytes the spill store would write
+   for it, so an open checkpoint can serve extent reloads ({!sink}). *)
 let rtype_layer = 2
 
 let kind_code = function Ovo_core.Compact.Bdd -> 0 | Ovo_core.Compact.Zdd -> 1
@@ -47,18 +42,36 @@ let decode_meta payload =
 
 (* A checkpointed layer is complete (pruned sweeps reject checkpoints),
    so the union of its k-subsets is the sweep's universe — exactly the
-   j_set the pack header must carry. *)
+   j_set the extent header must carry. *)
 let encode_layer (p : Sdp.progress) =
+  let k = p.Sdp.p_layer in
   let j_set =
     Array.fold_left
       (fun acc (ksub, _, _) -> Varset.union acc ksub)
       Varset.empty p.Sdp.p_entries
   in
-  Lp.encode (Lp.of_entries ~j_set ~k:p.Sdp.p_layer p.Sdp.p_entries)
+  let m = Varset.cardinal j_set in
+  let total = Lp.binomial m k and pascal = Lp.pascal_table ~m ~k in
+  let x = Lp.Extent.create ~j_set ~k ~total ~lo:0 ~len:total in
+  Array.iter
+    (fun (ksub, cost, choice) ->
+      Lp.Extent.set x ~rank:(Lp.rank_in ~pascal ~j_set ksub) ~cost ~choice)
+    p.Sdp.p_entries;
+  Lp.Extent.encode x
 
+(* [Extent.decode] raises only [Failure] and checks the header against
+   the payload's length before allocating, so what a hostile record can
+   make [load] allocate is bounded by the record's own length. *)
 let decode_layer payload =
-  let pack = Lp.decode payload in
-  { Sdp.p_layer = Lp.k pack; p_entries = Lp.entries pack }
+  let x = Lp.Extent.decode payload in
+  if Lp.Extent.lo x <> 0 || Lp.Extent.len x <> Lp.Extent.total x then
+    failwith "Checkpoint: layer record does not span its layer";
+  let j_set = Lp.Extent.j_set x and k = Lp.Extent.k x in
+  let pascal = Lp.pascal_table ~m:(Varset.cardinal j_set) ~k in
+  let entries = Array.make (Lp.Extent.len x) (Varset.empty, 0, 0) in
+  Lp.Extent.iter x (fun ~rank ~cost ~choice ->
+      entries.(rank) <- (Lp.unrank_in ~pascal ~j_set ~k rank, cost, choice));
+  { Sdp.p_layer = k; p_entries = entries }
 
 type t = { rlog : Rlog.t; layers : (int, string) Hashtbl.t }
 
@@ -75,7 +88,7 @@ let append_layer t p =
 (* The checkpoint as a spill store: the DP's [on_layer] hook fires
    before the layer is packed, so by the time an extent is evicted its
    layer's record is already in [t.layers] — spilling is a no-op and a
-   reload hands back the whole-layer record, which
+   reload hands back the whole-layer extent, which
    [Layer_pack.Extent.of_src] slices down to the requested rank range.
    A budget+checkpoint run therefore writes each layer to disk once. *)
 let sink t =
@@ -97,21 +110,16 @@ let close t =
 (* The longest consecutive prefix of layers 1..m that decodes cleanly.
    Append order guarantees consecutiveness in an untampered file; a
    corrupt middle record ends the usable prefix even when later records
-   are intact — resuming past a hole would change the result.  A legacy
-   (PR-9 triple-format) or unknown record type also ends the prefix:
-   old checkpoints restart cleanly rather than misdecode. *)
+   are intact — resuming past a hole would change the result.  A record
+   of another type or format (an older writer's) ends the prefix too:
+   the run recomputes from there rather than misdecode. *)
 let layers_prefix records =
   let rec go expect acc = function
-    | [] -> List.rev acc
     | { Rlog.rtype; payload } :: rest when rtype = rtype_layer -> (
         match decode_layer payload with
         | p when p.Sdp.p_layer = expect -> go (expect + 1) (p :: acc) rest
         | _ | (exception Failure _) -> List.rev acc)
-    | { Rlog.rtype; _ } :: _ ->
-        if rtype = rtype_layer_legacy then
-          Log.warn (fun m ->
-              m "legacy layer record (rtype %d): starting fresh" rtype);
-        List.rev acc
+    | _ -> List.rev acc
   in
   go 1 [] records
 

@@ -5,16 +5,17 @@
     [layer] record per completed cardinality layer — the DP's [on_layer]
     hook fires at the same boundaries cancellation is polled.
 
-    Layer records are {e unified with the spill format}: each payload is
-    {!Ovo_core.Layer_pack.encode} of the whole layer, the same bytes a
-    whole-layer spill would write.  That buys two things: checkpoints
-    inherit the pack encoders (dense/sparse/compressed, smallest wins),
-    and the open checkpoint can itself serve as the DP's spill store
+    A layer record is {e one extent spanning the layer}: the payload is
+    {!Ovo_core.Layer_pack.Extent.encode} of the extent with [lo = 0] and
+    [len = C(m,k)] — compressed v3 or raw v4, whichever is smaller — the
+    same format the spill store writes.  That buys two things:
+    checkpoints share the pack format's encoders and damage checks, and
+    the open checkpoint can itself serve as the DP's spill store
     ({!sink}) — a budget+checkpoint run writes each layer to disk
     {e once}, and extent reloads slice the layer records already on
-    hand.  Records in the pre-unification triple format (record type 1)
-    are recognised and end the resume prefix: an old checkpoint degrades
-    to a clean fresh start.
+    hand.  A record of another type or format — an older writer's
+    triple-format (type 1) or whole-layer v1/v2 record — ends the resume
+    prefix, so that layer and its successors are recomputed.
 
     Because layer states are rebuilt by deterministically replaying the
     recorded choice chains, a run killed at any point and resumed from
@@ -56,9 +57,12 @@ val close : t -> unit
 val load :
   string -> (meta * Ovo_core.Subset_dp.progress list, string) result
 (** Read a checkpoint: the meta record plus the longest consecutive
-    prefix of layers [1..m] that decodes cleanly (torn or corrupt
-    records end the prefix).  [Error] when the file is missing, carries
-    a foreign magic, or has no valid meta record. *)
+    prefix of layers [1..m] that decodes cleanly (torn, corrupt or
+    foreign-format records end the prefix).  [Error] when the file is
+    missing, carries a foreign magic, or has no valid meta record.
+    Total on hostile bytes: a CRC-valid record with any payload ends the
+    prefix or decodes, never raises, and makes [load] allocate no more
+    than a small multiple of the record's own length. *)
 
 val open_resume :
   ?fsync:Rlog.fsync ->

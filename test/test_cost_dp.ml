@@ -1,48 +1,30 @@
 (* The cost counters and the Subset_dp functor, tested directly. *)
 
-module Cost = Ovo_core.Cost
+module Metrics = Ovo_core.Metrics
 module C = Ovo_core.Compact
 module T = Ovo_boolfun.Truthtable
 
 let unit_tests =
   [
     Helpers.case "counters accumulate and diff" (fun () ->
-        let before = Cost.snapshot () in
+        let metrics = Metrics.create () in
         let st = C.of_truthtable C.Bdd (T.of_string "01100110") in
-        let _ = C.compact st 0 in
-        let after = Cost.snapshot () in
-        let d = Cost.diff after before in
-        Helpers.check_int "cells = half the table" 4 d.Cost.table_cells;
-        Helpers.check_int "one compaction" 1 d.Cost.compactions;
-        Helpers.check_bool "nodes counted" true (d.Cost.node_creations >= 1));
-    Helpers.case "reset zeroes" (fun () ->
-        Cost.reset ();
-        let s = Cost.snapshot () in
-        Helpers.check_int "cells" 0 s.Cost.table_cells;
-        Helpers.check_int "compactions" 0 s.Cost.compactions;
-        Helpers.check_int "nodes" 0 s.Cost.node_creations);
+        let before = Metrics.snapshot metrics in
+        let _ = C.compact ~metrics st 0 in
+        let d = Metrics.diff (Metrics.snapshot metrics) before in
+        Helpers.check_int "cells = half the table" 4 d.Metrics.s_table_cells;
+        Helpers.check_int "one compaction" 1 d.Metrics.s_compactions;
+        Helpers.check_bool "nodes counted" true
+          (d.Metrics.s_node_creations >= 1));
     Helpers.case "chain counts a geometric series of cells" (fun () ->
-        Cost.reset ();
+        (* [compact_chain] counts into the ambient context *)
+        let before = Metrics.snapshot Metrics.ambient in
         let tt = T.random (Helpers.rng 1) 6 in
         let _ = C.compact_chain (C.of_truthtable C.Bdd tt) [| 0; 1; 2; 3; 4; 5 |] in
-        let s = Cost.snapshot () in
+        let d = Metrics.diff (Metrics.snapshot Metrics.ambient) before in
         (* 32 + 16 + 8 + 4 + 2 + 1 *)
-        Helpers.check_int "cells" 63 s.Cost.table_cells;
-        Helpers.check_int "compactions" 6 s.Cost.compactions);
-    Helpers.case "pp renders all fields" (fun () ->
-        let s = Cost.snapshot () in
-        let text = Format.asprintf "%a" Cost.pp s in
-        Helpers.check_bool "mentions cells" true
-          (String.length text > 0
-          &&
-          let has needle =
-            let rec go i =
-              i + String.length needle <= String.length text
-              && (String.sub text i (String.length needle) = needle || go (i + 1))
-            in
-            go 0
-          in
-          has "cells" && has "compactions" && has "nodes"));
+        Helpers.check_int "cells" 63 d.Metrics.s_table_cells;
+        Helpers.check_int "compactions" 6 d.Metrics.s_compactions);
   ]
 
 (* A toy COMPACTABLE instance: states are (remaining multiset as mask,

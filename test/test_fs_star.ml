@@ -1,5 +1,6 @@
 module Fs = Ovo_core.Fs
 module Fss = Ovo_core.Fs_star
+module B = Ovo_core.Bound
 module C = Ovo_core.Compact
 module V = Ovo_core.Varset
 module T = Ovo_boolfun.Truthtable
@@ -32,8 +33,15 @@ let unit_tests =
         let base = C.of_truthtable C.Bdd tt in
         let t = Fss.run ~upto:2 ~base (C.free base) in
         Helpers.check_int "layer size" 10 (Hashtbl.length t.Fss.layer);
-        (* mincosts: C(5,1) + C(5,2) + empty = 16 *)
-        Helpers.check_int "summaries" 16 (Hashtbl.length t.Fss.mincosts);
+        (* every subset of size <= 2 has a MINCOST, none of size 3 *)
+        for k = 0 to 2 do
+          V.iter_subsets_of_size ~n:5 ~k (fun ksub ->
+              Helpers.check_bool "summary" true (Fss.mincost_of t ksub >= 0))
+        done;
+        Helpers.check_bool "beyond upto" true
+          (match Fss.mincost_of t (V.of_list [ 0; 1; 2 ]) with
+          | exception Invalid_argument _ -> true
+          | _ -> false);
         Hashtbl.iter
           (fun k _ -> Helpers.check_int "card" 2 (V.cardinal k))
           t.Fss.layer);
@@ -54,6 +62,51 @@ let unit_tests =
         let t = Fss.run ~base V.empty in
         Helpers.check_int "mincost" 0 (Fss.mincost_of t V.empty);
         Helpers.check_bool "state" true (Fss.state_of t V.empty == base));
+    Helpers.case "accessors raise Pruned_out on pruned subsets" (fun () ->
+        (* seeded with the optimum, the sweep drops every subset that
+           heads no optimal ordering; what it keeps is the unpruned run *)
+        let tt = Ovo_boolfun.Families.hidden_weighted_bit 8 in
+        let n = T.arity tt and upto = 4 in
+        let base = C.of_truthtable C.Bdd tt in
+        let b =
+          B.make
+            ~seed:{ B.ub_source = "optimum"; ub_value = (Fs.run tt).Fs.mincost }
+            (B.counting_lower C.Bdd (Ovo_boolfun.Mtable.of_truthtable tt))
+        in
+        let pruned = Fss.run ~prune:b ~upto ~base (C.free base) in
+        let plain = Fss.run ~upto ~base (C.free base) in
+        let is_pruned f =
+          match f () with exception B.Pruned_out _ -> true | _ -> false
+        in
+        let dropped = ref 0 and dropped_last = ref 0 in
+        for k = 0 to upto do
+          V.iter_subsets_of_size ~n ~k (fun ksub ->
+              if is_pruned (fun () -> Fss.mincost_of pruned ksub) then begin
+                incr dropped;
+                if k = upto then begin
+                  incr dropped_last;
+                  Helpers.check_bool "state pruned" true
+                    (is_pruned (fun () -> Fss.state_of pruned ksub))
+                end
+              end
+              else begin
+                Helpers.check_int "kept mincost"
+                  (Fss.mincost_of plain ksub)
+                  (Fss.mincost_of pruned ksub);
+                if k = upto then
+                  Helpers.check_bool "kept state" true
+                    (C.order (Fss.state_of pruned ksub)
+                     = C.order (Fss.state_of plain ksub))
+              end)
+        done;
+        Helpers.check_int "states_pruned counts the dropped subsets" !dropped
+          (B.states_pruned b);
+        Helpers.check_bool "a final-layer subset was pruned" true
+          (!dropped_last > 0);
+        Helpers.check_bool "outside the final layer" true
+          (match Fss.state_of pruned (V.of_list [ 0 ]) with
+          | exception Invalid_argument _ -> true
+          | _ -> false));
   ]
 
 let props =

@@ -1,4 +1,4 @@
-(* The memory-budgeted out-of-core DP: packed layer encode/decode, the
+(* The memory-budgeted out-of-core DP: packed extent encode/decode, the
    extent split, byte accounting (transient-once spill charging, closed
    form), spill/reload through Ovo_store.Spill in both segment formats,
    and the headline guarantee — a budgeted run is bit-identical to the
@@ -44,8 +44,35 @@ let mem_sink () =
 
 (* --- Layer_pack ------------------------------------------------------- *)
 
+module X = Lp.Extent
+
 let vs_of = List.fold_left (fun s i -> Vs.add i s) Vs.empty
 let bits s = Vs.fold (fun i acc -> acc lor (1 lsl i)) s 0
+
+(* A whole layer as one extent ([lo = 0], [len = C(m,k)]) — the shape of
+   a checkpoint record — with every entry set from [f ksub], visited in
+   rank order.  Also returns the subset of each rank. *)
+let whole_layer j_set ~k f =
+  let m = Vs.cardinal j_set in
+  let total = Lp.binomial m k and pascal = Lp.pascal_table ~m ~k in
+  let x = X.create ~j_set ~k ~total ~lo:0 ~len:total in
+  Vs.iter_subsets_of ~size:k j_set (fun ksub ->
+      let cost, choice = f ksub in
+      X.set x ~rank:(Lp.rank_in ~pascal ~j_set ksub) ~cost ~choice);
+  (x, Lp.unrank_in ~pascal ~j_set ~k)
+
+let same_extent msg a b =
+  Helpers.check_int (msg ^ ": lo") (X.lo a) (X.lo b);
+  Helpers.check_int (msg ^ ": len") (X.len a) (X.len b);
+  Helpers.check_int (msg ^ ": present") (X.present a) (X.present b);
+  for r = X.lo a to X.lo a + X.len a - 1 do
+    Helpers.check_bool (msg ^ ": mem") (X.mem a ~rank:r) (X.mem b ~rank:r);
+    if X.mem a ~rank:r then begin
+      Helpers.check_int (msg ^ ": cost") (X.cost a ~rank:r) (X.cost b ~rank:r);
+      Helpers.check_int (msg ^ ": choice") (X.choice a ~rank:r)
+        (X.choice b ~rank:r)
+    end
+  done
 
 let pack_tests =
   [
@@ -56,19 +83,20 @@ let pack_tests =
     Helpers.case "set/get over every subset" (fun () ->
         let j_set = vs_of [ 0; 2; 3; 5 ] in
         let k = 2 in
-        let t = Lp.create ~j_set ~k in
         let expect = Hashtbl.create 8 in
-        Vs.iter_subsets_of ~size:k j_set (fun ksub ->
-            let cost = bits ksub * 3
-            and choice = bits ksub land 0x3f in
-            Lp.set t ksub ~cost ~choice;
-            Hashtbl.replace expect ksub (cost, choice));
+        let x, unrank =
+          whole_layer j_set ~k (fun ksub ->
+              let entry = (bits ksub * 3, bits ksub land 0x3f) in
+              Hashtbl.replace expect ksub entry;
+              entry)
+        in
         Helpers.check_int "count" (Lp.binomial 4 2) (Hashtbl.length expect);
-        Hashtbl.iter
-          (fun ksub (cost, choice) ->
-            Helpers.check_int "cost" cost (Lp.cost t ksub);
-            Helpers.check_int "choice" choice (Lp.choice t ksub))
-          expect);
+        Helpers.check_int "present" (Lp.binomial 4 2) (X.present x);
+        for r = 0 to X.total x - 1 do
+          let cost, choice = Hashtbl.find expect (unrank r) in
+          Helpers.check_int "cost" cost (X.cost x ~rank:r);
+          Helpers.check_int "choice" choice (X.choice x ~rank:r)
+        done);
     Helpers.case "rank_in/unrank_in follow enumeration order, allocation-free"
       (fun () ->
         let j_set = vs_of [ 1; 2; 4; 6; 7; 9 ] in
@@ -90,74 +118,73 @@ let pack_tests =
         Helpers.check_int "minor words" 0
           (int_of_float (Gc.minor_words () -. before)));
     Helpers.case "iter visits rank order exactly once" (fun () ->
-        let j_set = vs_of [ 1; 2; 4; 6 ] in
-        let t = Lp.create ~j_set ~k:3 in
-        Vs.iter_subsets_of ~size:3 j_set (fun ksub ->
-            Lp.set t ksub ~cost:(bits ksub) ~choice:0);
+        let x, unrank =
+          whole_layer (vs_of [ 1; 2; 4; 6 ]) ~k:3 (fun ksub -> (bits ksub, 0))
+        in
         let seen = ref [] in
-        Lp.iter t (fun ksub ~cost ~choice:_ ->
-            Helpers.check_int "cost matches subset" (bits ksub) cost;
-            seen := ksub :: !seen);
-        Helpers.check_int "visited" (Lp.binomial 4 3) (List.length !seen));
+        X.iter x (fun ~rank ~cost ~choice:_ ->
+            Helpers.check_int "cost matches subset" (bits (unrank rank)) cost;
+            seen := rank :: !seen);
+        Helpers.check_bool "rank order" true
+          (List.rev !seen = List.init (Lp.binomial 4 3) Fun.id));
     Helpers.case "encode/decode roundtrip" (fun () ->
-        let j_set = vs_of [ 0; 1; 3; 7; 9 ] in
-        let t = Lp.create ~j_set ~k:2 in
-        Vs.iter_subsets_of ~size:2 j_set (fun ksub ->
-            Lp.set t ksub ~cost:(100 + bits ksub) ~choice:7);
-        let t' = Lp.decode (Lp.encode t) in
-        Vs.iter_subsets_of ~size:2 j_set (fun ksub ->
-            Helpers.check_int "cost" (Lp.cost t ksub) (Lp.cost t' ksub);
-            Helpers.check_int "choice" (Lp.choice t ksub) (Lp.choice t' ksub));
-        Helpers.check_int "size" (Lp.size_bytes t) (Lp.size_bytes t'));
+        let x, _ =
+          whole_layer (vs_of [ 0; 1; 3; 7; 9 ]) ~k:2 (fun ksub ->
+              (100 + bits ksub, 7))
+        in
+        List.iter
+          (fun payload ->
+            let x' = X.decode payload in
+            same_extent "decoded" x x';
+            Helpers.check_int "size" (X.size_bytes x) (X.size_bytes x'))
+          [ X.encode x; X.encode_packed x; X.encode_raw x ]);
     Helpers.case "compressed whole layer beats dense and roundtrips"
       (fun () ->
-        let j_set = vs_of [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
-        let t = Lp.create ~j_set ~k:4 in
         (* smooth cost ramp: the shape real DP tables have, where
            delta+varint wins big *)
         let r = ref 0 in
-        Vs.iter_subsets_of ~size:4 j_set (fun ksub ->
-            Lp.set t ksub ~cost:(1000 + !r) ~choice:(bits ksub land 7);
-            incr r);
-        let packed = Lp.encode_packed t in
-        let dense = Lp.encode_dense t in
-        Helpers.check_bool "packed at most half of dense" true
-          (2 * String.length packed <= String.length dense);
-        Helpers.check_bool "encode picks the smallest" true
-          (String.length (Lp.encode t) <= String.length packed);
-        let t' = Lp.decode packed in
-        Vs.iter_subsets_of ~size:4 j_set (fun ksub ->
-            Helpers.check_int "cost" (Lp.cost t ksub) (Lp.cost t' ksub);
-            Helpers.check_int "choice" (Lp.choice t ksub) (Lp.choice t' ksub)));
-    Helpers.case "decode rejects damage" (fun () ->
-        let t = Lp.create ~j_set:(vs_of [ 0; 1; 2 ]) ~k:1 in
-        Vs.iter_subsets_of ~size:1
-          (vs_of [ 0; 1; 2 ])
-          (fun ksub -> Lp.set t ksub ~cost:1 ~choice:0);
-        let s = Lp.encode t in
-        let fails s =
-          match Lp.decode s with
-          | exception Failure _ -> true
-          | _ -> false
+        let x, _ =
+          whole_layer (vs_of [ 0; 1; 2; 3; 4; 5; 6; 7 ]) ~k:4 (fun ksub ->
+              incr r;
+              (999 + !r, bits ksub land 7))
         in
-        Helpers.check_bool "truncated" true
-          (fails (String.sub s 0 (String.length s - 1)));
+        let packed = X.encode_packed x in
+        Helpers.check_bool "packed at most half of raw" true
+          (2 * String.length packed <= String.length (X.encode_raw x));
+        Helpers.check_bool "encode picks the smallest" true
+          (X.encode x = packed);
+        same_extent "decoded" x (X.decode packed));
+    Helpers.case "decode rejects damage" (fun () ->
+        let x, _ = whole_layer (vs_of [ 0; 1; 2 ]) ~k:1 (fun _ -> (1, 0)) in
+        let fails s =
+          match X.decode s with exception Failure _ -> true | _ -> false
+        in
+        List.iter
+          (fun s ->
+            Helpers.check_bool "truncated" true
+              (fails (String.sub s 0 (String.length s - 1)));
+            Helpers.check_bool "trailing garbage" true (fails (s ^ "!"));
+            let bad_version = Bytes.of_string s in
+            Bytes.set bad_version 0 '\xfe';
+            Helpers.check_bool "bad version" true
+              (fails (Bytes.to_string bad_version)))
+          [ X.encode_packed x; X.encode_raw x ];
         Helpers.check_bool "short header" true (fails "xy");
-        let bad_version = Bytes.of_string s in
-        Bytes.set bad_version 0 '\xfe';
-        Helpers.check_bool "bad version" true
-          (fails (Bytes.to_string bad_version)));
+        (* a partial extent has no complete range to decode *)
+        let partial =
+          X.create ~j_set:(vs_of [ 0; 1; 2 ]) ~k:1 ~total:3 ~lo:0 ~len:3
+        in
+        X.set partial ~rank:1 ~cost:4 ~choice:1;
+        Helpers.check_bool "incomplete" true (fails (X.encode partial)));
     Helpers.case "unset entry is an error" (fun () ->
-        let t = Lp.create ~j_set:(vs_of [ 0; 1 ]) ~k:1 in
+        let x = X.create ~j_set:(vs_of [ 0; 1 ]) ~k:1 ~total:2 ~lo:0 ~len:2 in
         Helpers.check_bool "unset" true
-          (match Lp.cost t (vs_of [ 0 ]) with
+          (match X.cost x ~rank:0 with
           | exception Invalid_argument _ -> true
           | _ -> false));
   ]
 
 (* --- extents ----------------------------------------------------------- *)
-
-module X = Lp.Extent
 
 (* A deterministic pseudo-random extent: a rank range of a layer with a
    random subset of entries set, costs of mixed magnitude. *)
@@ -181,19 +208,6 @@ let random_extent st =
         ~choice:(Random.State.int st 256)
   done;
   x
-
-let same_extent msg a b =
-  Helpers.check_int (msg ^ ": lo") (X.lo a) (X.lo b);
-  Helpers.check_int (msg ^ ": len") (X.len a) (X.len b);
-  Helpers.check_int (msg ^ ": present") (X.present a) (X.present b);
-  for r = X.lo a to X.lo a + X.len a - 1 do
-    Helpers.check_bool (msg ^ ": mem") (X.mem a ~rank:r) (X.mem b ~rank:r);
-    if X.mem a ~rank:r then begin
-      Helpers.check_int (msg ^ ": cost") (X.cost a ~rank:r) (X.cost b ~rank:r);
-      Helpers.check_int (msg ^ ": choice") (X.choice a ~rank:r)
-        (X.choice b ~rank:r)
-    end
-  done
 
 let extent_roundtrip_prop =
   QCheck.Test.make ~name:"extent packed/raw encodings agree" ~count:150
@@ -230,13 +244,13 @@ let extent_tests =
           | _ -> false);
         Helpers.check_int "size" (30 + (7 * 9)) (X.size_bytes x));
     Helpers.case "whole-layer records serve extent reloads" (fun () ->
-        (* the unified checkpoint story: a v1/v2/v3 whole-layer payload
+        (* the checkpoint story: a whole-layer record, packed or raw,
            contains any extent of that layer *)
         let j_set = vs_of [ 0; 1; 2; 3; 4; 5; 6 ] in
         let k = 3 in
-        let t = Lp.create ~j_set ~k in
-        Vs.iter_subsets_of ~size:k j_set (fun ksub ->
-            Lp.set t ksub ~cost:(500 + bits ksub) ~choice:(bits ksub land 3));
+        let whole, _ =
+          whole_layer j_set ~k (fun ksub -> (500 + bits ksub, bits ksub land 3))
+        in
         let total = Lp.binomial 7 3 in
         List.iter
           (fun payload ->
@@ -245,11 +259,12 @@ let extent_tests =
             in
             Helpers.check_int "len" 9 (X.len x);
             for r = 10 to 18 do
-              let ksub = Lp.unrank t r in
-              Helpers.check_int "cost" (Lp.cost t ksub) (X.cost x ~rank:r);
-              Helpers.check_int "choice" (Lp.choice t ksub) (X.choice x ~rank:r)
+              Helpers.check_int "cost" (X.cost whole ~rank:r)
+                (X.cost x ~rank:r);
+              Helpers.check_int "choice" (X.choice whole ~rank:r)
+                (X.choice x ~rank:r)
             done)
-          [ Lp.encode_dense t; Lp.encode_sparse t; Lp.encode_packed t ]);
+          [ X.encode_packed whole; X.encode_raw whole ]);
     Helpers.case "of_src rejects damage cleanly" (fun () ->
         let st = Helpers.rng 99 in
         let x = random_extent st in

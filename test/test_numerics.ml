@@ -122,11 +122,10 @@ let unit_tests =
     Helpers.case "predicted FS cells match the measured counter" (fun () ->
         for n = 1 to 7 do
           let tt = Ovo_boolfun.Truthtable.random (Helpers.rng n) n in
-          let before = Ovo_core.Cost.snapshot () in
-          let _ = Ovo_core.Fs.run tt in
-          let after = Ovo_core.Cost.snapshot () in
+          let metrics = Ovo_core.Metrics.create () in
+          let _ = Ovo_core.Fs.run ~metrics tt in
           let measured =
-            (Ovo_core.Cost.diff after before).Ovo_core.Cost.table_cells
+            (Ovo_core.Metrics.snapshot metrics).Ovo_core.Metrics.s_table_cells
           in
           check_float
             (Printf.sprintf "n=%d" n)

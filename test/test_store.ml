@@ -477,27 +477,50 @@ let checkpoint_tests =
         Ck.close w;
         Helpers.check_int "mincost" (Fs.run ~kind tt).Fs.mincost r.Fs.mincost);
     Helpers.case "legacy layer record ends the resume prefix" (fun () ->
-        let path = tmpfile () in
         let tt = Tt.of_string "0110100110010110" in
         let kind = Ovo_core.Compact.Bdd in
-        ignore
-          (run_until ~engine:Ovo_core.Engine.Seq ~kind ~path ~stop_after:2 tt);
-        (* a pre-unification writer appends a record of type 1 *)
-        let t, _, _ = Rlog.open_append path in
-        Rlog.append t ~rtype:1 "\x02legacy-triple-format";
-        Rlog.close t;
-        (match Ck.load path with
-        | Ok (_, layers) ->
-            Helpers.check_int "prefix stops before legacy" 2
-              (List.length layers)
-        | Error m -> Alcotest.fail m);
-        (* resume replays the clean prefix and still finishes right *)
-        let meta = Ck.meta_of ~kind tt in
-        let w, layers = Ck.open_resume ~path meta in
-        Helpers.check_int "resumed layers" 2 (List.length layers);
-        let r = Fs.run ~kind ~resume:layers tt in
-        Ck.close w;
-        Helpers.check_int "mincost" (Fs.run ~kind tt).Fs.mincost r.Fs.mincost);
+        let plain = solution_fingerprint (Fs.run ~kind tt) in
+        (* an older writer's layer 3: a record of the pre-unification
+           type 1, or a type-2 v1 dense record — 14-byte header
+           [ver=1][k][j_set][count], then 9 bytes per subset *)
+        let v1_dense =
+          let b = Bytes.create (14 + (4 * 9)) in
+          Bytes.set_uint8 b 0 1;
+          Bytes.set_uint8 b 1 3;
+          Bytes.set_int64_le b 2 0xfL;
+          Bytes.set_int32_le b 10 4l;
+          for r = 0 to 3 do
+            Bytes.set_int64_le b (14 + (r * 9)) 6L;
+            Bytes.set_uint8 b (14 + (r * 9) + 8) r
+          done;
+          Bytes.to_string b
+        in
+        List.iter
+          (fun (rtype, payload) ->
+            let path = tmpfile () in
+            ignore
+              (run_until ~engine:Ovo_core.Engine.Seq ~kind ~path ~stop_after:2
+                 tt);
+            let t, _, _ = Rlog.open_append path in
+            Rlog.append t ~rtype payload;
+            Rlog.close t;
+            (match Ck.load path with
+            | Ok (_, layers) ->
+                Helpers.check_int "prefix stops before legacy" 2
+                  (List.length layers)
+            | Error m -> Alcotest.fail m);
+            (* resume replays the clean prefix, recomputes layer 3 on,
+               and finishes bit-identical *)
+            (match
+               run_until ~engine:Ovo_core.Engine.Seq ~kind ~path ~stop_after:5
+                 tt
+             with
+            | Some r ->
+                Helpers.check_bool "bit-identical" true
+                  (solution_fingerprint r = plain)
+            | None -> Alcotest.fail "resumed run crashed");
+            Sys.remove path)
+          [ (1, "\x02legacy-triple-format"); (2, v1_dense) ]);
     Helpers.case "all-legacy checkpoint degrades to a fresh start" (fun () ->
         let path = tmpfile () in
         let tt = Tt.of_string "01101001" in
@@ -512,6 +535,33 @@ let checkpoint_tests =
         let w, layers = Ck.open_resume ~path meta in
         Helpers.check_int "no layers survive" 0 (List.length layers);
         Ck.close w);
+    Helpers.case "a header claiming C(28,14) entries allocates nothing"
+      (fun () ->
+        (* a CRC-valid v3 record whose 30-byte header claims the k=14
+           layer of 28 variables, 40 116 600 entries, over a 4-byte
+           stream: rejected before its dense slice would be sized *)
+        let total = Ovo_core.Layer_pack.binomial 28 14 in
+        let b = Bytes.make 34 '\x01' in
+        Bytes.set_uint8 b 0 3;
+        Bytes.set_uint8 b 1 14;
+        Bytes.set_int64_le b 2 (Int64.of_int ((1 lsl 28) - 1));
+        List.iteri
+          (fun i v -> Bytes.set_int32_le b (10 + (4 * i)) (Int32.of_int v))
+          [ total; 0; total; total; 4 ];
+        let path = tmpfile () in
+        let tt = Tt.of_string "01101001" in
+        let meta = Ck.meta_of ~kind:Ovo_core.Compact.Bdd tt in
+        Ck.close (Ck.create ~path meta);
+        let t, _, _ = Rlog.open_append path in
+        Rlog.append t ~rtype:2 (Bytes.to_string b);
+        Rlog.close t;
+        let before = Gc.allocated_bytes () in
+        (match Ck.load path with
+        | Ok (_, layers) -> Helpers.check_int "no layers" 0 (List.length layers)
+        | Error m -> Alcotest.fail m);
+        Helpers.check_bool "allocated < 1 MB" true
+          (Gc.allocated_bytes () -. before < 1e6);
+        Sys.remove path);
     Helpers.case "budget+checkpoint writes each layer once" (fun () ->
         let path = tmpfile () in
         let tt = Tt.of_string "0110100110010110" in
@@ -543,10 +593,73 @@ let checkpoint_tests =
         | Error m -> Alcotest.fail m);
   ]
 
+(* Hostile layer records: a valid checkpoint's layers 1..j, then layer
+   j+1's record truncated, byte-flipped or replaced by random bytes,
+   CRC-framed so only the layer decoder stands between it and a resume.
+   [load] must return the consecutive prefix — the j clean layers, or
+   j+1 if the damage still decodes as that layer — and never raise. *)
+let hostile_layer_prop =
+  let tt = Tt.of_string "01101001100101101110100000010111" in
+  let n = Tt.arity tt in
+  let meta = Ck.meta_of ~kind:Ovo_core.Compact.Bdd tt in
+  let layers =
+    let path = tmpfile () in
+    let w = Ck.create ~path meta in
+    ignore (Fs.run ~on_layer:(Ck.append_layer w) tt);
+    Ck.close w;
+    let records =
+      match Rlog.read path with
+      | Ok (_ :: records, _) -> List.map (fun r -> r.Rlog.payload) records
+      | Ok ([], _) | Error _ -> assert false
+    in
+    Sys.remove path;
+    Array.of_list records
+  in
+  QCheck.Test.make ~count:300
+    ~name:"hostile layer records end the resume prefix, never raise"
+    QCheck.(pair (int_range 0 (n - 1)) (int_range 0 1_000_000))
+    (fun (j, seed) ->
+      let st = Helpers.rng seed in
+      let valid = layers.(j) in
+      let hostile =
+        match Random.State.int st 3 with
+        | 0 -> String.sub valid 0 (Random.State.int st (String.length valid))
+        | 1 ->
+            let b = Bytes.of_string valid in
+            let i = Random.State.int st (Bytes.length b) in
+            Bytes.set_uint8 b i
+              (Bytes.get_uint8 b i lxor (1 + Random.State.int st 255));
+            Bytes.to_string b
+        | _ ->
+            String.init
+              (Random.State.int st (2 * String.length valid))
+              (fun _ -> Char.chr (Random.State.int st 256))
+      in
+      let path = tmpfile () in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          Ck.close (Ck.create ~path meta);
+          let t, _, _ = Rlog.open_append path in
+          for k = 0 to j - 1 do
+            Rlog.append t ~rtype:2 layers.(k)
+          done;
+          Rlog.append t ~rtype:2 hostile;
+          Rlog.close t;
+          match Ck.load path with
+          | Ok (_, got) ->
+              let m = List.length got in
+              (m = j || m = j + 1)
+              && List.for_all2
+                   (fun i p -> p.Ovo_core.Subset_dp.p_layer = i + 1)
+                   (List.init m Fun.id) got
+          | Error e -> QCheck.Test.fail_report e))
+
 let props =
   [
     checkpoint_resume_prop "Seq" Ovo_core.Engine.Seq;
     checkpoint_resume_prop "Par" (Ovo_core.Engine.Par { domains = 3 });
+    hostile_layer_prop;
   ]
 
 let () =
