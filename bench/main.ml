@@ -427,7 +427,7 @@ let shared_bench () =
       in
       let n = T.arity outputs.(0) in
       let blocked =
-        (Ovo_core.Shared.compact_chain
+        (Ovo_core.Shared.compact_chain ~metrics:(Ovo_core.Metrics.create ())
            (Ovo_core.Shared.of_truthtables C.Bdd outputs)
            (Array.init n (fun i -> i)))
           .Ovo_core.Shared.mincost

@@ -492,11 +492,14 @@ let optimize_cmd =
             with Invalid_argument m -> `Error (false, m))
         | None -> assert false)
     | Ok tt -> (
+        (* one context counts the heuristic's pricing and the final
+           evaluation, so --stats reports this run alone *)
+        let metrics = Ovo_core.Metrics.create () in
         let with_eval name order =
-          let st = Ovo_core.Eval_order.state ~kind tt order in
+          let st = Ovo_core.Eval_order.state ~metrics ~kind tt order in
           print_result ~save ~algo:name ~modeled:None (Ovo_core.Fs.of_state st)
             dot;
-          emit_stats stats Ovo_core.Metrics.ambient;
+          emit_stats stats metrics;
           `Ok ()
         in
         try
@@ -560,7 +563,6 @@ let optimize_cmd =
           Fun.protect ~finally:spill_cleanup @@ fun () ->
           match String.split_on_char ':' algo with
           | [ "fs" ] ->
-              let metrics = Ovo_core.Metrics.create () in
               let meta = Ovo_store.Checkpoint.meta_of ~kind tt in
               let writer, resume_layers =
                 match (checkpoint, resume) with
@@ -652,31 +654,31 @@ let optimize_cmd =
                 ctx.Ovo_quantum.Opt_obdd.metrics;
               `Ok ()
           | [ "brute" ] ->
-              let r = Ovo_ordering.Brute.best ~kind tt in
+              let r = Ovo_ordering.Brute.best ~metrics ~kind tt in
               with_eval "brute force" r.Ovo_ordering.Brute.order
           | [ "sifting" ] ->
-              let r = Ovo_ordering.Sifting.run ~trace ~kind tt in
+              let r = Ovo_ordering.Sifting.run ~trace ~metrics ~kind tt in
               with_eval "sifting (heuristic)" r.Ovo_ordering.Sifting.order
           | [ "window" ] ->
-              let r = Ovo_ordering.Window.run ~trace ~kind tt in
+              let r = Ovo_ordering.Window.run ~trace ~metrics ~kind tt in
               with_eval "window permutation (heuristic)" r.Ovo_ordering.Window.order
           | [ "exact-block" ] ->
-              let r = Ovo_ordering.Exact_block.run ~kind tt in
+              let r = Ovo_ordering.Exact_block.run ~metrics ~kind tt in
               with_eval "exact-block hybrid" r.Ovo_ordering.Exact_block.order
           | [ "astar" ] ->
-              let r = Ovo_ordering.Astar.run ~trace ~kind tt in
+              let r = Ovo_ordering.Astar.run ~trace ~metrics ~kind tt in
               Format.printf "A* expanded %d of %d subsets@."
                 r.Ovo_ordering.Astar.expanded r.Ovo_ordering.Astar.subsets_total;
               with_eval "A* (exact, pruned)" r.Ovo_ordering.Astar.order
           | [ "genetic" ] ->
               let rng = Random.State.make [| seed |] in
-              let r = Ovo_ordering.Genetic.run ~kind ~rng tt in
+              let r = Ovo_ordering.Genetic.run ~metrics ~kind ~rng tt in
               with_eval "genetic algorithm (heuristic)" r.Ovo_ordering.Genetic.order
           | [ "influence" ] ->
-              let r = Ovo_ordering.Influence.run ~kind tt in
+              let r = Ovo_ordering.Influence.run ~metrics ~kind tt in
               with_eval "influence static heuristic" r.Ovo_ordering.Influence.order
           | [ "scored" ] ->
-              let r = Ovo_learn.Scorer.run ~trace ~weights:swts ~kind tt in
+              let r = Ovo_learn.Scorer.run ~trace ~metrics ~weights:swts ~kind tt in
               with_eval "scored (learned static heuristic)"
                 r.Ovo_learn.Scorer.order
           | [ "simple" ] ->
@@ -695,13 +697,13 @@ let optimize_cmd =
               `Ok ()
           | [ "annealing" ] ->
               let rng = Random.State.make [| seed |] in
-              let r = Ovo_ordering.Annealing.run ~kind ~rng tt in
+              let r = Ovo_ordering.Annealing.run ~metrics ~kind ~rng tt in
               with_eval "simulated annealing (heuristic)"
                 r.Ovo_ordering.Annealing.order
           | [ "portfolio" ] ->
               let rng = Random.State.make [| seed |] in
               let r =
-                Ovo_ordering.Portfolio.run ~trace ~kind ~rng
+                Ovo_ordering.Portfolio.run ~trace ~metrics ~kind ~rng
                   ~extra:
                     [ Ovo_learn.Scorer.portfolio_member ~weights:swts ~kind () ]
                   tt
@@ -718,7 +720,7 @@ let optimize_cmd =
                 r.Ovo_ordering.Portfolio.best.Ovo_ordering.Portfolio.order
           | [ "random" ] ->
               let rng = Random.State.make [| seed |] in
-              let r = Ovo_ordering.Random_search.run ~kind ~rng tt in
+              let r = Ovo_ordering.Random_search.run ~metrics ~kind ~rng tt in
               with_eval "random search" r.Ovo_ordering.Random_search.order
           | _ -> `Error (false, "unknown --algo " ^ algo)
         with Invalid_argument m | Failure m -> `Error (false, m))

@@ -66,7 +66,9 @@ let () =
     (pkg_size = shared.S.size);
 
   (* the blocked ordering pays a visible price on the shared diagram *)
-  let blocked = S.compact_chain (S.of_truthtables Ovo_core.Compact.Bdd outputs)
+  let blocked =
+    S.compact_chain ~metrics:(Ovo_core.Metrics.create ())
+      (S.of_truthtables Ovo_core.Compact.Bdd outputs)
       (Array.init n (fun i -> i))
   in
   Printf.printf "blocked ordering instead: %d nodes (%.1fx the optimum)\n"

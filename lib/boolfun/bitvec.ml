@@ -88,6 +88,34 @@ let and_ a b = word_op2 Int64.logand a b
 let or_ a b = word_op2 Int64.logor a b
 let xor_ a b = word_op2 Int64.logxor a b
 
+(* Bit [i] of the result is bit [i lxor 2^k]: adjacent blocks of [2^k]
+   bits trade places.  Whole-byte blocks move by [blit]; below a byte,
+   a mask and a shift swap them.  Both keep the zero tail, since a
+   length that is a multiple of [2^(k+1)] pairs tail bits only with
+   tail bits. *)
+let flip_index v k =
+  if k < 0 || k > 60 || v.len land ((2 lsl k) - 1) <> 0 then
+    invalid_arg "Bitvec.flip_index";
+  let nb = Bytes.length v.data in
+  let out = Bytes.create nb in
+  if k >= 3 then begin
+    let block = 1 lsl (k - 3) in
+    let base = ref 0 in
+    while !base < nb do
+      Bytes.blit v.data !base out (!base + block) block;
+      Bytes.blit v.data (!base + block) out !base block;
+      base := !base + (2 * block)
+    done
+  end
+  else begin
+    let s = 1 lsl k and m = [| 0x55; 0x33; 0x0f |].(k) in
+    for i = 0 to nb - 1 do
+      let b = Char.code (Bytes.get v.data i) in
+      Bytes.set out i (Char.chr (((b lsr s) land m) lor ((b land m) lsl s)))
+    done
+  end;
+  { len = v.len; data = out }
+
 let map2 f a b =
   if a.len <> b.len then invalid_arg "Bitvec.map2";
   init a.len (fun i -> f (get a i) (get b i))

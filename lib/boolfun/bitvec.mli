@@ -53,6 +53,12 @@ val xor_ : t -> t -> t
     [O*(2^n)] truth-table layer should use on hot paths; semantically
     identical to the corresponding {!map2} (property-tested). *)
 
+val flip_index : t -> int -> t
+(** [flip_index v k] has bit [i] equal to bit [i lxor 2^k] of [v]: the
+    adjacent blocks of [2^k] bits trade places, by whole bytes or
+    within one.  Raises [Invalid_argument] unless the length is a
+    multiple of [2^(k+1)]. *)
+
 val map2 : (bool -> bool -> bool) -> t -> t -> t
 (** [map2 f a b] applies [f] bitwise; raises [Invalid_argument] when the
     lengths differ.  [f] is applied per bit (not per word) so any function

@@ -85,6 +85,10 @@ let ( &&& ) = binop Bitvec.and_
 let ( ||| ) = binop Bitvec.or_
 let xor = binop Bitvec.xor_
 
+let flip tt j =
+  if j < 0 || j >= tt.n then invalid_arg "Truthtable.flip";
+  { tt with bits = Bitvec.flip_index tt.bits j }
+
 let permute_vars tt perm =
   if Array.length perm <> tt.n then invalid_arg "Truthtable.permute_vars";
   let seen = Array.make tt.n false in

@@ -78,6 +78,12 @@ val ( ||| ) : t -> t -> t
 val xor : t -> t -> t
 (** Pointwise connectives; binary ones require equal arities. *)
 
+val flip : t -> int -> t
+(** [flip tt j] is [f] with input [j] negated:
+    [eval (flip tt j) code = eval tt (code lxor (1 lsl j))].  Word
+    parallel, so [xor tt (flip tt j)] — where flipping [j] flips [f] —
+    costs a few passes over the packed bits. *)
+
 val permute_vars : t -> int array -> t
 (** [permute_vars tt perm] relabels variables: the result [g] satisfies
     [g(y) = f(x)] where [x.(perm.(j)) = y.(j)].  [perm] must be a

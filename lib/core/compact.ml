@@ -81,11 +81,11 @@ let compact_gen ~charge ~metrics st i =
     next_id = st.next_id + width;
   }
 
-let compact ?(metrics = Metrics.ambient) st i =
+let compact ~metrics st i =
   check_var "compact" st i;
   compact_gen ~charge:`Direct ~metrics st i
 
-let materialise ?(metrics = Metrics.ambient) st i =
+let materialise ~metrics st i =
   check_var "materialise" st i;
   compact_gen ~charge:`Materialise ~metrics st i
 
@@ -94,7 +94,7 @@ let materialise ?(metrics = Metrics.ambient) st i =
    Exactness relies on the freshness argument above: the number of
    nodes [compact st i] would create is the number of distinct unelided
    [(lo, hi)] pairs in this scan. *)
-let width_if_compacted ?(metrics = Metrics.ambient) st i =
+let width_if_compacted ~metrics st i =
   check_var "width_if_compacted" st i;
   let pt = claim st i in
   Pair_table.count pt st.table;
@@ -104,11 +104,11 @@ let width_if_compacted ?(metrics = Metrics.ambient) st i =
   Metrics.add_probe metrics;
   width
 
-let mincost_if_compacted ?metrics st i =
-  st.mincost + width_if_compacted ?metrics st i
+let mincost_if_compacted ~metrics st i =
+  st.mincost + width_if_compacted ~metrics st i
 
-let compact_chain st vars =
-  Array.fold_left (fun st i -> compact st i) st vars
+let compact_chain ~metrics st vars =
+  Array.fold_left (fun st i -> compact ~metrics st i) st vars
 
 let width_of_last ~before ~after = after.mincost - before.mincost
 

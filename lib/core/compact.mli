@@ -69,13 +69,13 @@ val initial : kind -> Ovo_boolfun.Mtable.t -> state
 val of_truthtable : kind -> Ovo_boolfun.Truthtable.t -> state
 (** Boolean convenience wrapper around {!initial} (two terminals). *)
 
-val compact : ?metrics:Metrics.t -> state -> int -> state
+val compact : metrics:Metrics.t -> state -> int -> state
 (** [compact st i] — see above.  Raises [Invalid_argument] if [i] is out
     of range or already assigned.  The input state is not mutated.
     Charges [table_cells], [compactions] and [node_creations] to
-    [metrics], defaulting to {!Metrics.ambient}. *)
+    [metrics]. *)
 
-val width_if_compacted : ?metrics:Metrics.t -> state -> int -> int
+val width_if_compacted : metrics:Metrics.t -> state -> int -> int
 (** The cost-only kernel of the two-pass DP: how many nodes
     [compact st i] {e would} create — the paper's [Cost_i] — computed by
     the same cell scan with no allocation: no new table, no level, no
@@ -84,17 +84,17 @@ val width_if_compacted : ?metrics:Metrics.t -> state -> int -> int
     [cost_probes].  Safe to call concurrently on shared frozen states
     from {!Engine.Par} workers and from systhreads. *)
 
-val mincost_if_compacted : ?metrics:Metrics.t -> state -> int -> int
+val mincost_if_compacted : metrics:Metrics.t -> state -> int -> int
 (** [st.mincost + width_if_compacted st i] — the DP objective of the
     candidate, without building it. *)
 
-val materialise : ?metrics:Metrics.t -> state -> int -> state
+val materialise : metrics:Metrics.t -> state -> int -> state
 (** Exactly {!compact}, but with DP-winner accounting: the candidate's
     cells were already charged by the {!width_if_compacted} probe that
     elected it, so this charges only [states_materialised] and
     [node_creations]. *)
 
-val compact_chain : state -> int array -> state
+val compact_chain : metrics:Metrics.t -> state -> int array -> state
 (** Fold {!compact} over the variables of an array, left to right: the
     result is the state of the fully specified suborder.  [O(2^{n-|I|+1})]
     cells in total when the chain exhausts all free variables. *)

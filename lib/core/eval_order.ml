@@ -8,20 +8,23 @@ let check_permutation n order =
       seen.(v) <- true)
     order
 
-let state_mtable ?(kind = Compact.Bdd) mt order =
+let state_mtable ?(metrics = Metrics.create ()) ?(kind = Compact.Bdd) mt order
+    =
   check_permutation (Ovo_boolfun.Mtable.arity mt) order;
-  Compact.compact_chain (Compact.initial kind mt) order
+  Compact.compact_chain ~metrics (Compact.initial kind mt) order
 
-let state ?kind tt order =
-  state_mtable ?kind (Ovo_boolfun.Mtable.of_truthtable tt) order
+let state ?metrics ?kind tt order =
+  state_mtable ?metrics ?kind (Ovo_boolfun.Mtable.of_truthtable tt) order
 
-let mincost ?kind tt order = (state ?kind tt order).Compact.mincost
+let mincost ?metrics ?kind tt order = (state ?metrics ?kind tt order).Compact.mincost
 
-let diagram ?kind tt order = Diagram.of_state (state ?kind tt order)
+let diagram ?metrics ?kind tt order =
+  Diagram.of_state (state ?metrics ?kind tt order)
 
-let size ?kind tt order = Diagram.size (diagram ?kind tt order)
+let size ?metrics ?kind tt order = Diagram.size (diagram ?metrics ?kind tt order)
 
-let widths ?kind tt order = Diagram.level_widths (diagram ?kind tt order)
+let widths ?metrics ?kind tt order =
+  Diagram.level_widths (diagram ?metrics ?kind tt order)
 
 let read_first order =
   let n = Array.length order in

@@ -65,6 +65,7 @@ let read_first_order r =
 let count_optimal_orders ?(kind = Compact.Bdd) tt =
   let n = Ovo_boolfun.Truthtable.arity tt in
   let base = Compact.of_truthtable kind tt in
+  let metrics = Metrics.create () in
   let layer = ref (Hashtbl.create 1) in
   Hashtbl.replace !layer Varset.empty base;
   let counts = ref (Hashtbl.create 1) in
@@ -78,7 +79,7 @@ let count_optimal_orders ?(kind = Compact.Bdd) tt =
         Varset.iter
           (fun h ->
             let before = Hashtbl.find prev (Varset.remove h iset) in
-            let c = Compact.mincost_if_compacted before h in
+            let c = Compact.mincost_if_compacted ~metrics before h in
             let cnt = Hashtbl.find prev_counts (Varset.remove h iset) in
             match !best with
             | Some (bc, _, _) when c > bc -> ()
@@ -90,7 +91,8 @@ let count_optimal_orders ?(kind = Compact.Bdd) tt =
         match !best with
         | None -> assert false
         | Some (_, before, h) ->
-            Hashtbl.replace next_layer iset (Compact.materialise before h);
+            Hashtbl.replace next_layer iset
+              (Compact.materialise ~metrics before h);
             Hashtbl.replace next_counts iset !ways);
     Hashtbl.reset prev;
     layer := next_layer;

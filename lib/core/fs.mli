@@ -30,7 +30,7 @@ val run :
   result
 (** Minimum OBDD ([kind = Bdd], default) or ZDD ([kind = Zdd]) for a
     Boolean function.  [engine] (default {!Engine.Seq}) splits each DP
-    layer across domains; [metrics] (default {!Metrics.ambient}) receives
+    layer across domains; [metrics] (default a fresh context) receives
     the run's counters; a recording [trace] (default
     {!Ovo_obs.Trace.null}) gets one span per DP layer plus per-domain
     child spans under {!Engine.Par}.  [cancel] (default {!Cancel.never})

@@ -43,7 +43,7 @@ val run :
     state's free variables; [upto] defaults to [|j_set|] (full run).
     Raises [Invalid_argument] on violations.  [engine] (default
     {!Engine.Seq}) splits each cardinality layer across domains;
-    [metrics] (default {!Metrics.ambient}) receives the run's counters,
+    [metrics] (default a fresh context) receives the run's counters,
     aggregated across domains; [cancel] (default {!Cancel.never}) is
     polled between layers; [on_layer]/[resume] checkpoint and resume the
     sweep at those same boundaries — see {!Subset_dp.Make.run}. *)

@@ -57,12 +57,6 @@ let add_compaction m = m.compactions <- m.compactions + 1
 let add_nodes m n = m.node_creations <- m.node_creations + n
 let add_state m = m.states_materialised <- m.states_materialised + 1
 
-(* The process-global default of the counting entry points.  Only ever
-   written from the domain that runs the DP main loop (Par participants
-   count into scratch contexts that it merges once the layer is done),
-   so it stays race-free. *)
-let ambient = create ()
-
 let pp ppf s =
   Format.fprintf ppf
     "cells=%d probes=%d compactions=%d nodes=%d states=%d copies=%d"

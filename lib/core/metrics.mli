@@ -6,7 +6,9 @@
     participating domains of an {!Engine.Par} layer — never contaminate
     each other: each participant counts into its own scratch context and
     the engine {!merge_into}s the scratches, in participant order, once
-    all of them have finished the layer.
+    all of them have finished the layer.  There is no process-global
+    context: an entry point called without one counts into a fresh
+    context of its own.
 
     Counter discipline (chosen so that [table_cells] keeps the exact
     meaning the complexity theorems price — one unit per table cell
@@ -69,11 +71,6 @@ val add_compaction : t -> unit
 val add_nodes : t -> int -> unit
 val add_state : t -> unit
 (** Incrementors used by the core algorithms. *)
-
-val ambient : t
-(** The process-global default context of the counting entry points
-    (read by callers that pass no [?metrics]).  Written only by the
-    calling domain, never from {!Engine.Par} workers. *)
 
 val pp : Format.formatter -> snapshot -> unit
 (** Human-readable one-liner, for [--stats text]. *)

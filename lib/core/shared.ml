@@ -85,18 +85,18 @@ let compact_gen ~charge ~metrics st i =
     next_id = st.next_id + width;
   }
 
-let compact ?(metrics = Metrics.ambient) st i =
+let compact ~metrics st i =
   check_var "compact" st i;
   compact_gen ~charge:`Direct ~metrics st i
 
-let materialise ?(metrics = Metrics.ambient) st i =
+let materialise ~metrics st i =
   check_var "materialise" st i;
   compact_gen ~charge:`Materialise ~metrics st i
 
 (* Cost-only kernel: how many fresh shared nodes a compaction on [i]
    would create, across all roots — the distinct non-elided [(lo, hi)]
    pairs over every table's scan — with no allocation. *)
-let width_if_compacted ?(metrics = Metrics.ambient) st i =
+let width_if_compacted ~metrics st i =
   check_var "width_if_compacted" st i;
   let pt = claim st i in
   for r = 0 to Array.length st.tables - 1 do
@@ -109,8 +109,8 @@ let width_if_compacted ?(metrics = Metrics.ambient) st i =
   Metrics.add_probe metrics;
   width
 
-let compact_chain st vars =
-  Array.fold_left (fun st i -> compact st i) st vars
+let compact_chain ~metrics st vars =
+  Array.fold_left (fun st i -> compact ~metrics st i) st vars
 
 let order st = List.rev st.order_rev
 let is_complete st = st.assigned = Varset.full st.n

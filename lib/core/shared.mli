@@ -33,12 +33,12 @@ val initial : Compact.kind -> Ovo_boolfun.Mtable.t array -> state
 val of_truthtables : Compact.kind -> Ovo_boolfun.Truthtable.t array -> state
 (** Boolean convenience wrapper. *)
 
-val compact : ?metrics:Metrics.t -> state -> int -> state
+val compact : metrics:Metrics.t -> state -> int -> state
 (** One table compaction across all roots with a shared node set.
     Charges [table_cells] (one count per root per new cell) and
-    [compactions] to [metrics], defaulting to {!Metrics.ambient}. *)
+    [compactions] to [metrics]. *)
 
-val width_if_compacted : ?metrics:Metrics.t -> state -> int -> int
+val width_if_compacted : metrics:Metrics.t -> state -> int -> int
 (** Cost-only kernel: how many fresh shared nodes {!compact} would
     create, across all roots, with no allocation (no new tables, no
     level, no state): every root's scan records its pairs in the one
@@ -46,12 +46,12 @@ val width_if_compacted : ?metrics:Metrics.t -> state -> int -> int
     Charges [table_cells] and [cost_probes].  Safe on frozen states
     from {!Engine.Par} workers and from systhreads. *)
 
-val materialise : ?metrics:Metrics.t -> state -> int -> state
+val materialise : metrics:Metrics.t -> state -> int -> state
 (** Exactly {!compact} but with DP-winner accounting: cells were already
     charged by the probe that elected this candidate, so only
     [states_materialised]/[node_creations] move. *)
 
-val compact_chain : state -> int array -> state
+val compact_chain : metrics:Metrics.t -> state -> int array -> state
 
 val free : state -> Varset.t
 val order : state -> int list

@@ -612,7 +612,7 @@ module Make (S : COMPACTABLE) = struct
     | None -> Membudget.unbounded ()
 
   let run ?(trace = Trace.null) ?(engine = Engine.Seq)
-      ?(cancel = Cancel.never) ?(metrics = Metrics.ambient) ?membudget ?prune
+      ?(cancel = Cancel.never) ?(metrics = Metrics.create ()) ?membudget ?prune
       ?on_layer ?(resume = []) ?upto ~base j_set =
     let upto = validate ~base j_set upto in
     let mb = membudget_of membudget in
@@ -630,7 +630,7 @@ module Make (S : COMPACTABLE) = struct
     { j_set; upto; table; layer }
 
   let costs ?(trace = Trace.null) ?(engine = Engine.Seq)
-      ?(cancel = Cancel.never) ?(metrics = Metrics.ambient) ?membudget ?prune
+      ?(cancel = Cancel.never) ?(metrics = Metrics.create ()) ?membudget ?prune
       ?on_layer ?(resume = []) ?upto ~base j_set =
     let upto = validate ~base j_set upto in
     let mb = membudget_of membudget in
@@ -652,7 +652,7 @@ module Make (S : COMPACTABLE) = struct
      layers: spilled extents are reloaded lazily, one fetch per extent
      the chain crosses. *)
   let complete ?(trace = Trace.null) ?engine ?cancel
-      ?(metrics = Metrics.ambient) ?membudget ?prune ?on_layer ?resume ~base
+      ?(metrics = Metrics.create ()) ?membudget ?prune ?on_layer ?resume ~base
       j_set =
     let table =
       costs ~trace ?engine ?cancel ~metrics ?membudget ?prune ?on_layer

@@ -125,7 +125,7 @@ module Make (S : COMPACTABLE) : sig
     t
   (** As {!Fs_star.run}: requires [j_set ⊆ free base]; [upto] defaults
       to [|j_set|].  Engine defaults to {!Engine.Seq}; metrics to
-      {!Metrics.ambient}.  Intermediate layers of states are dropped
+      a fresh {!Metrics.t}.  Intermediate layers of states are dropped
       eagerly (only the packed [table] survives), so peak state memory
       is two adjacent layers during the sweep and one — the returned
       [upto] layer, put into its hashtable once the sweep is over —

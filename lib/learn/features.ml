@@ -23,42 +23,32 @@ let of_truthtable tt =
   let n = T.arity tt in
   let size = 1 lsl n in
   let fsize = float_of_int size in
+  (* [flips.(j)]: where flipping input [j] flips [f], one derivative
+     per variable that every pairwise count below reuses *)
+  let flips = Array.init n (fun j -> T.xor tt (T.flip tt j)) in
   let influence =
-    Array.init n (fun j ->
-        let flips = ref 0 in
-        for code = 0 to size - 1 do
-          if T.eval tt code <> T.eval tt (code lxor (1 lsl j)) then incr flips
-        done;
-        float_of_int !flips /. fsize)
+    Array.map (fun d -> float_of_int (T.count_ones d) /. fsize) flips
   in
+  let vars = Array.init n (T.var n) in
+  let ones = T.count_ones tt in
   let polarity =
     Array.init n (fun j ->
-        let f0, f1 = T.cofactors tt j in
-        float_of_int (T.count_ones f1 - T.count_ones f0)
-        /. float_of_int (size / 2))
+        (* |f_{j=1}| counts the ones of f with x_j set *)
+        let ones1 = T.count_ones (T.( &&& ) tt vars.(j)) in
+        float_of_int (ones1 - (ones - ones1)) /. float_of_int (size / 2))
   in
   let cosens = Array.make_matrix n n 0. in
   let walsh = Array.make_matrix n n 0. in
   for j = 0 to n - 1 do
+    let f_xj = T.xor tt vars.(j) in
     for k = j + 1 to n - 1 do
-      let both = ref 0 and agree = ref 0 in
-      for code = 0 to size - 1 do
-        let v = T.eval tt code in
-        let fj = v <> T.eval tt (code lxor (1 lsl j)) in
-        let fk = v <> T.eval tt (code lxor (1 lsl k)) in
-        if fj && fk then incr both;
-        (* (-1)^(f + x_j + x_k) summed over all codes *)
-        let chi =
-          (if v then 1 else 0)
-          lxor ((code lsr j) land 1)
-          lxor ((code lsr k) land 1)
-        in
-        if chi = 0 then incr agree
-      done;
-      let c = float_of_int !both /. fsize in
+      let both = T.count_ones (T.( &&& ) flips.(j) flips.(k)) in
+      (* (-1)^(f + x_j + x_k) is +1 exactly where f xor x_j xor x_k is 0 *)
+      let agree = size - T.count_ones (T.xor f_xj vars.(k)) in
+      let c = float_of_int both /. fsize in
       cosens.(j).(k) <- c;
       cosens.(k).(j) <- c;
-      let w = Float.abs (float_of_int ((2 * !agree) - size) /. fsize) in
+      let w = Float.abs (float_of_int ((2 * agree) - size) /. fsize) in
       walsh.(j).(k) <- w;
       walsh.(k).(j) <- w
     done
@@ -69,9 +59,8 @@ let of_truthtable tt =
         else
           Array.fold_left ( +. ) 0. walsh.(j) /. float_of_int (n - 1))
   in
-  let occurrence =
-    Array.init n (fun j -> if T.depends_on tt j then 1. else 0.)
-  in
+  (* f depends on x_j exactly where some flip of x_j flips f *)
+  let occurrence = Array.map (fun i -> if i > 0. then 1. else 0.) influence in
   {
     n;
     influence;

@@ -53,7 +53,11 @@ type t = {
 
 val of_truthtable : Ovo_boolfun.Truthtable.t -> t
 (** Semantic features only ([occurrence] = support indicator,
-    [adjacency] and [proximity] zero).  [O(n^2 2^n)]. *)
+    [adjacency] and [proximity] zero).  Word-parallel: one derivative
+    [f xor f∘flip_j] per variable, then popcounts of [&&&] and [xor]
+    combinations, [O(n^2 2^n)] bit operations done a word at a time.
+    The counts, and hence the floats, are exactly those of a per-bit
+    scan. *)
 
 val of_expr : ?arity:int -> Ovo_boolfun.Expr.t -> t
 (** Semantic features of the tabulated expression plus literal

@@ -152,7 +152,7 @@ let place ?(weights = Weights.default) (f : Features.t) =
 
 let order ?weights tt = place ?weights (Features.of_truthtable tt)
 
-let run ?(trace = Trace.null) ?weights ?kind tt =
+let run ?(trace = Trace.null) ?metrics ?weights ?kind tt =
   let r = ref None in
   Trace.with_span trace ~cat:"learn"
     ~args:(fun () ->
@@ -167,7 +167,9 @@ let run ?(trace = Trace.null) ?weights ?kind tt =
             Features.of_truthtable tt)
       in
       let order = place ?weights f in
-      let res = { mincost = Ovo_core.Eval_order.mincost ?kind tt order; order } in
+      let res =
+        { mincost = Ovo_core.Eval_order.mincost ?metrics ?kind tt order; order }
+      in
       r := Some res;
       res)
 

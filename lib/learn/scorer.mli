@@ -55,6 +55,7 @@ val order : ?weights:Weights.t -> Ovo_boolfun.Truthtable.t -> int array
 
 val run :
   ?trace:Ovo_obs.Trace.t ->
+  ?metrics:Ovo_core.Metrics.t ->
   ?weights:Weights.t ->
   ?kind:Ovo_core.Compact.kind ->
   Ovo_boolfun.Truthtable.t ->

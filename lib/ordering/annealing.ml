@@ -1,19 +1,12 @@
 type result = { mincost : int; order : int array; probes : int; accepted : int }
 
-let run_mtable ?(kind = Ovo_core.Compact.Bdd) ?(steps = 400)
-    ?(start_temperature = 5.0) ?(cooling = 0.97) ?initial ~rng mt =
+let run_mtable ?(metrics = Ovo_core.Metrics.create ())
+    ?(kind = Ovo_core.Compact.Bdd) ?(steps = 400) ?(start_temperature = 5.0)
+    ?(cooling = 0.97) ?initial ~rng mt =
   let n = Ovo_boolfun.Mtable.arity mt in
-  let base = Ovo_core.Compact.initial kind mt in
-  let probes = ref 0 in
-  let cost_of order =
-    incr probes;
-    (Ovo_core.Compact.compact_chain base order).Ovo_core.Compact.mincost
-  in
-  let current =
-    ref (match initial with None -> Perm.identity n | Some o -> Array.copy o)
-  in
-  let current_cost = ref (cost_of !current) in
-  let best = ref (Array.copy !current) and best_cost = ref !current_cost in
+  let chain = Chain.create ~metrics ~kind ?initial mt in
+  let probes = ref 1 in
+  let best = ref (Chain.order chain) and best_cost = ref (Chain.cost chain) in
   let accepted = ref 0 in
   let temperature = ref start_temperature in
   if n > 1 then
@@ -21,20 +14,19 @@ let run_mtable ?(kind = Ovo_core.Compact.Bdd) ?(steps = 400)
       let from = Random.State.int rng n in
       let to_ = Random.State.int rng n in
       if from <> to_ then begin
-        let cand = Perm.move !current ~from ~to_ in
-        let c = cost_of cand in
-        let delta = float_of_int (c - !current_cost) in
+        incr probes;
+        let c = Chain.price_move chain ~from ~to_ in
+        let delta = float_of_int (c - Chain.cost chain) in
         let accept =
           delta <= 0.
           || Random.State.float rng 1. < exp (-.delta /. Float.max !temperature 1e-9)
         in
         if accept then begin
           incr accepted;
-          current := cand;
-          current_cost := c;
+          Chain.accept chain (Perm.move (Chain.order chain) ~from ~to_);
           if c < !best_cost then begin
             best_cost := c;
-            best := Array.copy cand
+            best := Chain.order chain
           end
         end
       end;
@@ -42,6 +34,6 @@ let run_mtable ?(kind = Ovo_core.Compact.Bdd) ?(steps = 400)
     done;
   { mincost = !best_cost; order = !best; probes = !probes; accepted = !accepted }
 
-let run ?kind ?steps ?start_temperature ?cooling ?initial ~rng tt =
-  run_mtable ?kind ?steps ?start_temperature ?cooling ?initial ~rng
+let run ?metrics ?kind ?steps ?start_temperature ?cooling ?initial ~rng tt =
+  run_mtable ?metrics ?kind ?steps ?start_temperature ?cooling ?initial ~rng
     (Ovo_boolfun.Mtable.of_truthtable tt)

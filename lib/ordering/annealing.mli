@@ -6,7 +6,10 @@
     not; the temperature [T] decays geometrically.  Anneals escape the
     local optima that trap sifting and window permutation, at the price
     of many more probes — the quality benches put all of them side by
-    side against the exact optimum. *)
+    side against the exact optimum.  A move from [a] to [b] is priced
+    through a {!Chain} from the prefix state at [min a b] to
+    [max a b] (Lemma 3), and an accepted move recompacts only those
+    levels. *)
 
 type result = {
   mincost : int;
@@ -16,6 +19,7 @@ type result = {
 }
 
 val run :
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?steps:int ->
   ?start_temperature:float ->
@@ -29,6 +33,7 @@ val run :
     returned, so the result never loses to its initial ordering. *)
 
 val run_mtable :
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?steps:int ->
   ?start_temperature:float ->

@@ -20,7 +20,8 @@ module Frontier = Set.Make (struct
   let compare = compare
 end)
 
-let run ?(trace = Ovo_obs.Trace.null) ?(kind = C.Bdd) tt =
+let run ?(trace = Ovo_obs.Trace.null) ?(metrics = Ovo_core.Metrics.create ())
+    ?(kind = C.Bdd) tt =
   let n = Ovo_boolfun.Truthtable.arity tt in
   let goal = V.full n in
   (* the admissible heuristic is the shared counting bound of
@@ -71,7 +72,7 @@ let run ?(trace = Ovo_obs.Trace.null) ?(kind = C.Bdd) tt =
              successors are built; successors keep their own tables *)
           V.iter
             (fun i ->
-              let child = C.compact state i in
+              let child = C.compact ~metrics state i in
               incr generated;
               let cset = V.add i iset in
               let cg = child.C.mincost in

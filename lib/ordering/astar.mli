@@ -29,6 +29,7 @@ type result = {
 
 val run :
   ?trace:Ovo_obs.Trace.t ->
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   Ovo_boolfun.Truthtable.t ->
   result

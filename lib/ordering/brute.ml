@@ -1,6 +1,7 @@
 type result = { mincost : int; order : int array; evaluated : int }
 
-let best_mtable ?(kind = Ovo_core.Compact.Bdd) ?(limit = 9) mt =
+let best_mtable ?(metrics = Ovo_core.Metrics.create ())
+    ?(kind = Ovo_core.Compact.Bdd) ?(limit = 9) mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   if n > limit then invalid_arg "Brute.best: arity above limit";
   let base = Ovo_core.Compact.initial kind mt in
@@ -8,12 +9,12 @@ let best_mtable ?(kind = Ovo_core.Compact.Bdd) ?(limit = 9) mt =
   let evaluated = ref 0 in
   Perm.iter_all n (fun p ->
       incr evaluated;
-      let st = Ovo_core.Compact.compact_chain base p in
+      let st = Ovo_core.Compact.compact_chain ~metrics base p in
       if st.Ovo_core.Compact.mincost < !best_cost then begin
         best_cost := st.Ovo_core.Compact.mincost;
         best_order := Array.copy p
       end);
   { mincost = !best_cost; order = !best_order; evaluated = !evaluated }
 
-let best ?kind ?limit tt =
-  best_mtable ?kind ?limit (Ovo_boolfun.Mtable.of_truthtable tt)
+let best ?metrics ?kind ?limit tt =
+  best_mtable ?metrics ?kind ?limit (Ovo_boolfun.Mtable.of_truthtable tt)

@@ -10,10 +10,20 @@ type result = {
   evaluated : int;  (** permutations tried, [n!] *)
 }
 
-val best : ?kind:Ovo_core.Compact.kind -> ?limit:int -> Ovo_boolfun.Truthtable.t -> result
+val best :
+  ?metrics:Ovo_core.Metrics.t ->
+  ?kind:Ovo_core.Compact.kind ->
+  ?limit:int ->
+  Ovo_boolfun.Truthtable.t ->
+  result
 (** Exhaustive search.  Refuses arities above [limit] (default 9) to
     protect the caller from [n!] explosions — raise the limit expressly
     if you mean it. *)
 
-val best_mtable : ?kind:Ovo_core.Compact.kind -> ?limit:int -> Ovo_boolfun.Mtable.t -> result
+val best_mtable :
+  ?metrics:Ovo_core.Metrics.t ->
+  ?kind:Ovo_core.Compact.kind ->
+  ?limit:int ->
+  Ovo_boolfun.Mtable.t ->
+  result
 (** Multi-terminal variant. *)

@@ -1,50 +1,38 @@
 type result = { mincost : int; order : int array; sweeps : int }
 
-let run_mtable ?(kind = Ovo_core.Compact.Bdd) ?(block = 4) ?(max_sweeps = 8)
-    ?initial mt =
+let run_mtable ?(metrics = Ovo_core.Metrics.create ())
+    ?(kind = Ovo_core.Compact.Bdd) ?(block = 4) ?(max_sweeps = 8) ?initial mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let w = max 2 (min block (max n 2)) in
   let w = min w n in
-  let base0 = Ovo_core.Compact.initial kind mt in
-  let cost_of order =
-    (Ovo_core.Compact.compact_chain base0 order).Ovo_core.Compact.mincost
-  in
-  let order =
-    ref (match initial with None -> Perm.identity n | Some o -> Array.copy o)
-  in
-  let cost = ref (cost_of !order) in
+  let chain = Chain.create ~metrics ~kind ?initial mt in
   let sweeps = ref 0 in
   let improved = ref true in
   while !improved && !sweeps < max_sweeps do
     incr sweeps;
     improved := false;
     for start = 0 to n - w do
+      let order = Chain.order chain in
       (* state of the levels below the window *)
-      let prefix = Array.sub !order 0 start in
-      let base = Ovo_core.Compact.compact_chain base0 prefix in
+      let base = Chain.prefix chain start in
       let window_vars =
-        Ovo_core.Varset.of_list
-          (Array.to_list (Array.sub !order start w))
+        Ovo_core.Varset.of_list (Array.to_list (Array.sub order start w))
       in
       (* exact DP over the window (Lemma 8) *)
-      let st = Ovo_core.Fs_star.complete ~base window_vars in
-      let best_block =
-        (* the suborder achieved by the optimal state, window part only *)
-        let full = Array.of_list (Ovo_core.Compact.order st) in
-        Array.sub full start w
+      let st = Ovo_core.Fs_star.complete ~metrics ~base window_vars in
+      (* the suborder achieved by the optimal state, window part only *)
+      let block =
+        Array.sub (Array.of_list (Ovo_core.Compact.order st)) start w
       in
-      let cand = Array.copy !order in
-      Array.blit best_block 0 cand start w;
-      let c = cost_of cand in
-      if c < !cost then begin
-        cost := c;
-        order := cand;
+      if Chain.price_window chain ~start block < Chain.cost chain then begin
+        Array.blit block 0 order start w;
+        Chain.accept chain order;
         improved := true
       end
     done
   done;
-  { mincost = !cost; order = !order; sweeps = !sweeps }
+  { mincost = Chain.cost chain; order = Chain.order chain; sweeps = !sweeps }
 
-let run ?kind ?block ?max_sweeps ?initial tt =
-  run_mtable ?kind ?block ?max_sweeps ?initial
+let run ?metrics ?kind ?block ?max_sweeps ?initial tt =
+  run_mtable ?metrics ?kind ?block ?max_sweeps ?initial
     (Ovo_boolfun.Mtable.of_truthtable tt)

@@ -12,7 +12,8 @@
 
     Cost per window position: [O(2^(n-s) · 3^w)] cells instead of
     [O(w! · 2^n)] — for [w ≥ 5] the DP is already the cheaper exact
-    window. *)
+    window.  The state below the window is the {!Chain}'s prefix state,
+    and the result is priced by the same chain. *)
 
 type result = {
   mincost : int;
@@ -21,6 +22,7 @@ type result = {
 }
 
 val run :
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?block:int ->
   ?max_sweeps:int ->
@@ -31,6 +33,7 @@ val run :
     full exact FS), default [max_sweeps] 8. *)
 
 val run_mtable :
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?block:int ->
   ?max_sweeps:int ->

@@ -32,15 +32,16 @@ let order_crossover rng p1 p2 =
     child
   end
 
-let run_mtable ?(kind = Ovo_core.Compact.Bdd) ?(population = 16)
-    ?(generations = 24) ?(mutation_rate = 0.3) ~rng mt =
+let run_mtable ?(metrics = Ovo_core.Metrics.create ())
+    ?(kind = Ovo_core.Compact.Bdd) ?(population = 16) ?(generations = 24)
+    ?(mutation_rate = 0.3) ~rng mt =
   if population < 2 then invalid_arg "Genetic.run: population too small";
   let n = Ovo_boolfun.Mtable.arity mt in
-  let base = Ovo_core.Compact.initial kind mt in
+  let chain = Chain.create ~metrics ~kind mt in
   let probes = ref 0 in
   let cost_of order =
     incr probes;
-    (Ovo_core.Compact.compact_chain base order).Ovo_core.Compact.mincost
+    Chain.price chain order
   in
   let individual order = (cost_of order, order) in
   let pool =
@@ -78,6 +79,6 @@ let run_mtable ?(kind = Ovo_core.Compact.Bdd) ?(population = 16)
     probes = !probes;
   }
 
-let run ?kind ?population ?generations ?mutation_rate ~rng tt =
-  run_mtable ?kind ?population ?generations ?mutation_rate ~rng
+let run ?metrics ?kind ?population ?generations ?mutation_rate ~rng tt =
+  run_mtable ?metrics ?kind ?population ?generations ?mutation_rate ~rng
     (Ovo_boolfun.Mtable.of_truthtable tt)

@@ -4,7 +4,10 @@
     population of orderings with order-crossover (OX) and relocation
     mutation, selecting by diagram size.  GAs explore more globally than
     sifting's single trajectory at a much higher probe budget; the
-    quality bench lines it up against the rest. *)
+    quality bench lines it up against the rest.  Each individual is
+    priced through one {!Chain} that resumes from the longest prefix
+    the individual shares with the last one priced, and reuses the
+    widths above the last position where they differ (Lemma 3). *)
 
 type result = {
   mincost : int;
@@ -14,6 +17,7 @@ type result = {
 }
 
 val run :
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?population:int ->
   ?generations:int ->
@@ -26,6 +30,7 @@ val run :
     never loses to the identity ordering. *)
 
 val run_mtable :
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?population:int ->
   ?generations:int ->

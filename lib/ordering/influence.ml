@@ -1,19 +1,13 @@
+module T = Ovo_boolfun.Truthtable
+
 let influences tt =
-  let n = Ovo_boolfun.Truthtable.arity tt in
-  let size = 1 lsl n in
-  Array.init n (fun j ->
-      let flips = ref 0 in
-      for code = 0 to size - 1 do
-        if
-          Ovo_boolfun.Truthtable.eval tt code
-          <> Ovo_boolfun.Truthtable.eval tt (code lxor (1 lsl j))
-        then incr flips
-      done;
-      float_of_int !flips /. float_of_int size)
+  let size = float_of_int (T.size tt) in
+  Array.init (T.arity tt) (fun j ->
+      float_of_int (T.count_ones (T.xor tt (T.flip tt j))) /. size)
 
 type result = { mincost : int; order : int array }
 
-let run ?kind tt =
+let run ?metrics ?kind tt =
   let n = Ovo_boolfun.Truthtable.arity tt in
   let inf = influences tt in
   let by_influence =
@@ -23,4 +17,4 @@ let run ?kind tt =
   in
   (* ascending influence = read last first, i.e. high influence at root *)
   let order = Array.of_list (List.map fst by_influence) in
-  { mincost = Ovo_core.Eval_order.mincost ?kind tt order; order }
+  { mincost = Ovo_core.Eval_order.mincost ?metrics ?kind tt order; order }

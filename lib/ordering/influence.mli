@@ -18,6 +18,10 @@ type result = {
   order : int array;  (** read-last first; high influence at the root *)
 }
 
-val run : ?kind:Ovo_core.Compact.kind -> Ovo_boolfun.Truthtable.t -> result
+val run :
+  ?metrics:Ovo_core.Metrics.t ->
+  ?kind:Ovo_core.Compact.kind ->
+  Ovo_boolfun.Truthtable.t ->
+  result
 (** Order variables by descending influence (ties by index), evaluate
     once. *)

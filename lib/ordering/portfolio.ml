@@ -2,8 +2,8 @@ type entry = { method_name : string; mincost : int; order : int array }
 
 type result = { best : entry; entries : entry list }
 
-let run ?(trace = Ovo_obs.Trace.null) ?(kind = Ovo_core.Compact.Bdd) ?rng
-    ?(extra = []) tt =
+let run ?(trace = Ovo_obs.Trace.null) ?(metrics = Ovo_core.Metrics.create ())
+    ?(kind = Ovo_core.Compact.Bdd) ?rng ?(extra = []) tt =
   let rng = match rng with Some r -> r | None -> Random.State.make [| 0x0BDD |] in
   (* each member gets its own span so the profile shows where portfolio
      time goes; sifting and window additionally thread the tracer down
@@ -32,25 +32,25 @@ let run ?(trace = Ovo_obs.Trace.null) ?(kind = Ovo_core.Compact.Bdd) ?rng
     List.map (fun (name, f) -> member name (fun () -> f tt)) extra
     @ [
       member "influence" (fun () ->
-          let r = Influence.run ~kind tt in
+          let r = Influence.run ~metrics ~kind tt in
           { method_name = "influence"; mincost = r.Influence.mincost; order = r.Influence.order });
       member "sifting" (fun () ->
-          let r = Sifting.run ~trace ~kind tt in
+          let r = Sifting.run ~trace ~metrics ~kind tt in
           { method_name = "sifting"; mincost = r.Sifting.mincost; order = r.Sifting.order });
       member "window" (fun () ->
-          let r = Window.run ~trace ~kind tt in
+          let r = Window.run ~trace ~metrics ~kind tt in
           { method_name = "window"; mincost = r.Window.mincost; order = r.Window.order });
       member "annealing" (fun () ->
-          let r = Annealing.run ~kind ~rng tt in
+          let r = Annealing.run ~metrics ~kind ~rng tt in
           { method_name = "annealing"; mincost = r.Annealing.mincost; order = r.Annealing.order });
       member "genetic" (fun () ->
-          let r = Genetic.run ~kind ~rng tt in
+          let r = Genetic.run ~metrics ~kind ~rng tt in
           { method_name = "genetic"; mincost = r.Genetic.mincost; order = r.Genetic.order });
       member "random" (fun () ->
-          let r = Random_search.run ~kind ~rng tt in
+          let r = Random_search.run ~metrics ~kind ~rng tt in
           { method_name = "random"; mincost = r.Random_search.mincost; order = r.Random_search.order });
       member "exact-block" (fun () ->
-          let r = Exact_block.run ~kind tt in
+          let r = Exact_block.run ~metrics ~kind tt in
           { method_name = "exact-block"; mincost = r.Exact_block.mincost; order = r.Exact_block.order });
     ]
   in

@@ -17,6 +17,7 @@ type result = {
 
 val run :
   ?trace:Ovo_obs.Trace.t ->
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?rng:Random.State.t ->
   ?extra:(string * (Ovo_boolfun.Truthtable.t -> entry)) list ->
@@ -24,7 +25,9 @@ val run :
   result
 (** Members: influence (static), sifting, window permutation, simulated
     annealing, genetic, random search, and the exact-block hybrid.  The
-    RNG defaults to a fixed seed for reproducibility.
+    RNG defaults to a fixed seed for reproducibility.  Every built-in
+    member prices through its own {!Chain}, all charged to [metrics]
+    (default a fresh context).
 
     [extra] prepends injected members (name, solver), each wrapped in
     the same [portfolio.<name>] span — how layers above register the

@@ -1,16 +1,14 @@
 type result = { mincost : int; order : int array; probes : int }
 
-let run_mtable ?(kind = Ovo_core.Compact.Bdd) ?(samples = 100) ~rng mt =
+let run_mtable ?(metrics = Ovo_core.Metrics.create ())
+    ?(kind = Ovo_core.Compact.Bdd) ?(samples = 100) ~rng mt =
   let n = Ovo_boolfun.Mtable.arity mt in
-  let base = Ovo_core.Compact.initial kind mt in
-  let cost_of order =
-    (Ovo_core.Compact.compact_chain base order).Ovo_core.Compact.mincost
-  in
-  let best_order = ref (Perm.identity n) in
-  let best_cost = ref (cost_of !best_order) in
+  let chain = Chain.create ~metrics ~kind mt in
+  let best_order = ref (Chain.order chain) in
+  let best_cost = ref (Chain.cost chain) in
   for _ = 1 to samples do
     let cand = Perm.random rng n in
-    let c = cost_of cand in
+    let c = Chain.price chain cand in
     if c < !best_cost then begin
       best_cost := c;
       best_order := cand
@@ -18,5 +16,5 @@ let run_mtable ?(kind = Ovo_core.Compact.Bdd) ?(samples = 100) ~rng mt =
   done;
   { mincost = !best_cost; order = !best_order; probes = samples + 1 }
 
-let run ?kind ?samples ~rng tt =
-  run_mtable ?kind ?samples ~rng (Ovo_boolfun.Mtable.of_truthtable tt)
+let run ?metrics ?kind ?samples ~rng tt =
+  run_mtable ?metrics ?kind ?samples ~rng (Ovo_boolfun.Mtable.of_truthtable tt)

@@ -1,6 +1,8 @@
 (** Random-restart ordering search — the weakest baseline: sample [m]
     uniform orderings and keep the best.  Its gap to the exact optimum
-    calibrates how much structure the smarter methods exploit. *)
+    calibrates how much structure the smarter methods exploit.  Samples
+    are priced through one {!Chain}, which reuses whatever prefix and
+    suffix a sample shares with the previous one. *)
 
 type result = {
   mincost : int;
@@ -9,6 +11,7 @@ type result = {
 }
 
 val run :
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?samples:int ->
   rng:Random.State.t ->
@@ -18,6 +21,7 @@ val run :
     result never loses to "no search at all". *)
 
 val run_mtable :
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?samples:int ->
   rng:Random.State.t ->

@@ -31,10 +31,11 @@ let bound ?trace ?(kind = C.Bdd) ?(portfolio = false) ?rng tt =
    total, so either reading of the heuristic order's direction yields a
    sound seed — take the cheaper of the two. *)
 let weighted_cost_of_chain ~kind ~weights mt order =
+  let metrics = Ovo_core.Metrics.create () in
   let st = ref (C.initial kind mt) and total = ref 0 in
   Array.iter
     (fun h ->
-      let next = C.materialise !st h in
+      let next = C.compact ~metrics !st h in
       total := !total + (weights.(h) * C.width_of_last ~before:!st ~after:next);
       st := next)
     order;
@@ -56,10 +57,11 @@ let weighted_bound ?trace ?(kind = C.Bdd) ~weights mt =
    an achievable shared total and typically within a small factor. *)
 let shared_bound ?(kind = C.Bdd) mts =
   let module Sh = Ovo_core.Shared in
+  let metrics = Ovo_core.Metrics.create () in
   let st = ref (Sh.initial kind mts) in
   let n = (!st).Sh.n in
   for h = 0 to n - 1 do
-    st := Sh.materialise !st h
+    st := Sh.compact ~metrics !st h
   done;
   B.make
     ~seed:{ B.ub_source = "shared-identity"; ub_value = (!st).Sh.mincost }

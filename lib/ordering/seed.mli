@@ -14,8 +14,9 @@ val sifting_upper :
   ?max_passes:int ->
   Ovo_boolfun.Truthtable.t ->
   Ovo_core.Bound.upper
-(** The cost of the sifting ordering — cheap ([O(n² 2^n)] per pass
-    against the exact DP's [O*(3^n)]) and usually close to optimal. *)
+(** The cost of the sifting ordering — cheap ([O(n · 2^n)] cells per
+    pass against the exact DP's [O*(3^n)]) and usually close to
+    optimal. *)
 
 val sifting_upper_mtable :
   ?trace:Ovo_obs.Trace.t ->

@@ -1,23 +1,12 @@
 type result = { mincost : int; order : int array; passes : int; probes : int }
 
-let run_mtable ?(trace = Ovo_obs.Trace.null) ?(kind = Ovo_core.Compact.Bdd)
+let run_mtable ?(trace = Ovo_obs.Trace.null)
+    ?(metrics = Ovo_core.Metrics.create ()) ?(kind = Ovo_core.Compact.Bdd)
     ?(max_passes = 8) ?initial mt =
   let n = Ovo_boolfun.Mtable.arity mt in
-  let base = Ovo_core.Compact.initial kind mt in
-  let cost_of order =
-    (Ovo_core.Compact.compact_chain base order).Ovo_core.Compact.mincost
-  in
-  let order = ref (match initial with None -> Perm.identity n | Some o -> Array.copy o) in
-  let probes = ref 0 in
-  let probe o =
-    incr probes;
-    cost_of o
-  in
-  let cost = ref (probe !order) in
-  let widths_of order =
-    let st = Ovo_core.Compact.compact_chain base order in
-    Ovo_core.Diagram.level_widths (Ovo_core.Diagram.of_state st)
-  in
+  let cells0 = metrics.Ovo_core.Metrics.table_cells in
+  let chain = Chain.create ~metrics ~kind ?initial mt in
+  let probes = ref 1 in
   let passes = ref 0 in
   let improved = ref true in
   Ovo_obs.Trace.with_span trace ~cat:"heur"
@@ -26,7 +15,9 @@ let run_mtable ?(trace = Ovo_obs.Trace.null) ?(kind = Ovo_core.Compact.Bdd)
         ("n", Ovo_obs.Json.Int n);
         ("passes", Ovo_obs.Json.Int !passes);
         ("probes", Ovo_obs.Json.Int !probes);
-        ("mincost", Ovo_obs.Json.Int !cost);
+        ("mincost", Ovo_obs.Json.Int (Chain.cost chain));
+        ( "table_cells",
+          Ovo_obs.Json.Int (metrics.Ovo_core.Metrics.table_cells - cells0) );
       ])
     "sift.run"
   @@ fun () ->
@@ -34,46 +25,46 @@ let run_mtable ?(trace = Ovo_obs.Trace.null) ?(kind = Ovo_core.Compact.Bdd)
     incr passes;
     improved := false;
     (* sift the fattest levels first, per Rudell *)
-    let widths = widths_of !order in
+    let order = Chain.order chain and widths = Chain.widths chain in
     let schedule =
       List.sort
         (fun (_, w1) (_, w2) -> compare w2 w1)
-        (List.init n (fun pos -> ((!order).(pos), widths.(pos))))
+        (List.init n (fun pos -> (order.(pos), widths.(pos))))
     in
     List.iter
       (fun (v, _) ->
         (* current position of v may have shifted during this pass *)
+        let order = Chain.order chain in
         let from = ref 0 in
-        Array.iteri (fun i x -> if x = v then from := i) !order;
-        let best_cost = ref !cost and best_order = ref !order in
-        for target = 0 to n - 1 do
-          if target <> !from then begin
-            let cand = Perm.move !order ~from:!from ~to_:target in
-            let c = probe cand in
-            if c < !best_cost then begin
-              best_cost := c;
-              best_order := cand
-            end
-          end
-        done;
-        if !best_cost < !cost then begin
+        Array.iteri (fun i x -> if x = v then from := i) order;
+        let from = !from in
+        let costs = Chain.price_sift chain ~from in
+        probes := !probes + n - 1;
+        (* the first strictly cheaper target wins, as in a scan upward *)
+        let best = ref from in
+        Array.iteri (fun target c -> if c < costs.(!best) then best := target) costs;
+        if !best <> from then begin
           Ovo_obs.Trace.instant trace ~cat:"heur"
             ~args:(fun () ->
               [
                 ("pass", Ovo_obs.Json.Int !passes);
                 ("var", Ovo_obs.Json.Int v);
-                ("from", Ovo_obs.Json.Int !cost);
-                ("to", Ovo_obs.Json.Int !best_cost);
+                ("from", Ovo_obs.Json.Int (Chain.cost chain));
+                ("to", Ovo_obs.Json.Int costs.(!best));
               ])
             "sift.improve";
-          cost := !best_cost;
-          order := !best_order;
+          Chain.accept chain (Perm.move order ~from ~to_:!best);
           improved := true
         end)
       schedule
   done;
-  { mincost = !cost; order = !order; passes = !passes; probes = !probes }
+  {
+    mincost = Chain.cost chain;
+    order = Chain.order chain;
+    passes = !passes;
+    probes = !probes;
+  }
 
-let run ?trace ?kind ?max_passes ?initial tt =
-  run_mtable ?trace ?kind ?max_passes ?initial
+let run ?trace ?metrics ?kind ?max_passes ?initial tt =
+  run_mtable ?trace ?metrics ?kind ?max_passes ?initial
     (Ovo_boolfun.Mtable.of_truthtable tt)

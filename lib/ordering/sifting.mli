@@ -5,11 +5,17 @@
     the best position found.  Passes repeat until no pass improves the
     size or [max_passes] is reached.
 
-    Positions are evaluated with a full compaction chain ([O(2^n)] per
-    probe) rather than by adjacent in-place swaps: for the truth-table
-    scale this repository targets ([n ≲ 14]) this is simpler, exactly as
-    accurate, and still polynomially cheaper per probe than exact
-    optimisation.  One pass costs [O(n² · 2^n)] cells.
+    Positions are priced through a {!Chain} rather than by adjacent
+    in-place swaps.  By Lemma 3, moving a variable changes only the
+    levels between its old and new positions: the upward targets share
+    one chain from the variable's prefix state, plus one width probe
+    each, and each downward target needs one short chain from its own
+    prefix.  Sifting one variable therefore scans [O(2^n)] cells, and
+    one pass [O(n · 2^n)], exactly as accurate as a full compaction
+    chain per probe at [O(n² · 2^n)].
+
+    The [sift.run] span carries the pass and probe counts, the final
+    cost and the [table_cells] its pricing scanned.
 
     Sifting is a {e heuristic}: it has no worst-case guarantee (the
     paper's motivation for exact methods) and the tests include functions
@@ -24,6 +30,7 @@ type result = {
 
 val run :
   ?trace:Ovo_obs.Trace.t ->
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?max_passes:int ->
   ?initial:int array ->
@@ -33,6 +40,7 @@ val run :
 
 val run_mtable :
   ?trace:Ovo_obs.Trace.t ->
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?max_passes:int ->
   ?initial:int array ->

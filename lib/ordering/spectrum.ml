@@ -14,10 +14,14 @@ let compute ?(kind = Ovo_core.Compact.Bdd) ?(limit = 8) tt =
   let base =
     Ovo_core.Compact.initial kind (Ovo_boolfun.Mtable.of_truthtable tt)
   in
+  let metrics = Ovo_core.Metrics.create () in
   let counts = Hashtbl.create 32 in
   let total = ref 0 and sum = ref 0 in
   Perm.iter_all n (fun order ->
-      let c = (Ovo_core.Compact.compact_chain base order).Ovo_core.Compact.mincost in
+      let c =
+        (Ovo_core.Compact.compact_chain ~metrics base order)
+          .Ovo_core.Compact.mincost
+      in
       incr total;
       sum := !sum + c;
       Hashtbl.replace counts c

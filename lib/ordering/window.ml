@@ -1,17 +1,13 @@
 type result = { mincost : int; order : int array; sweeps : int; probes : int }
 
-let run_mtable ?(trace = Ovo_obs.Trace.null) ?(kind = Ovo_core.Compact.Bdd)
+let run_mtable ?(trace = Ovo_obs.Trace.null)
+    ?(metrics = Ovo_core.Metrics.create ()) ?(kind = Ovo_core.Compact.Bdd)
     ?(window = 3) ?(max_sweeps = 16) ?initial mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let w = max 2 (min window n) in
-  let base = Ovo_core.Compact.initial kind mt in
-  let probes = ref 0 in
-  let cost_of order =
-    incr probes;
-    (Ovo_core.Compact.compact_chain base order).Ovo_core.Compact.mincost
-  in
-  let order = ref (match initial with None -> Perm.identity n | Some o -> Array.copy o) in
-  let cost = ref (cost_of !order) in
+  let cells0 = metrics.Ovo_core.Metrics.table_cells in
+  let chain = Chain.create ~metrics ~kind ?initial mt in
+  let probes = ref 1 in
   let sweeps = ref 0 in
   let improved = ref true in
   Ovo_obs.Trace.with_span trace ~cat:"heur"
@@ -21,7 +17,9 @@ let run_mtable ?(trace = Ovo_obs.Trace.null) ?(kind = Ovo_core.Compact.Bdd)
         ("window", Ovo_obs.Json.Int w);
         ("sweeps", Ovo_obs.Json.Int !sweeps);
         ("probes", Ovo_obs.Json.Int !probes);
-        ("mincost", Ovo_obs.Json.Int !cost);
+        ("mincost", Ovo_obs.Json.Int (Chain.cost chain));
+        ( "table_cells",
+          Ovo_obs.Json.Int (metrics.Ovo_core.Metrics.table_cells - cells0) );
       ])
     "window.run"
   @@ fun () ->
@@ -29,35 +27,39 @@ let run_mtable ?(trace = Ovo_obs.Trace.null) ?(kind = Ovo_core.Compact.Bdd)
     incr sweeps;
     improved := false;
     for start = 0 to n - w do
-      let best_cost = ref !cost and best_order = ref !order in
+      let order = Chain.order chain in
+      let best_cost = ref (Chain.cost chain) and best_block = ref [||] in
       Perm.iter_all w (fun sub ->
-          let cand = Array.copy !order in
-          for i = 0 to w - 1 do
-            cand.(start + i) <- (!order).(start + sub.(i))
-          done;
-          let c = cost_of cand in
+          incr probes;
+          let block = Array.map (fun s -> order.(start + s)) sub in
+          let c = Chain.price_window chain ~start block in
           if c < !best_cost then begin
             best_cost := c;
-            best_order := cand
+            best_block := block
           end);
-      if !best_cost < !cost then begin
+      if !best_cost < Chain.cost chain then begin
         Ovo_obs.Trace.instant trace ~cat:"heur"
           ~args:(fun () ->
             [
               ("sweep", Ovo_obs.Json.Int !sweeps);
               ("start", Ovo_obs.Json.Int start);
-              ("from", Ovo_obs.Json.Int !cost);
+              ("from", Ovo_obs.Json.Int (Chain.cost chain));
               ("to", Ovo_obs.Json.Int !best_cost);
             ])
           "window.improve";
-        cost := !best_cost;
-        order := !best_order;
+        Array.blit !best_block 0 order start w;
+        Chain.accept chain order;
         improved := true
       end
     done
   done;
-  { mincost = !cost; order = !order; sweeps = !sweeps; probes = !probes }
+  {
+    mincost = Chain.cost chain;
+    order = Chain.order chain;
+    sweeps = !sweeps;
+    probes = !probes;
+  }
 
-let run ?trace ?kind ?window ?max_sweeps ?initial tt =
-  run_mtable ?trace ?kind ?window ?max_sweeps ?initial
+let run ?trace ?metrics ?kind ?window ?max_sweeps ?initial tt =
+  run_mtable ?trace ?metrics ?kind ?window ?max_sweeps ?initial
     (Ovo_boolfun.Mtable.of_truthtable tt)

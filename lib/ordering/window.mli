@@ -3,8 +3,13 @@
     Classical local-search heuristic: slide a window of [w] adjacent
     levels across the ordering and replace its contents by the best of
     the [w!] arrangements; sweep until a whole sweep makes no
-    improvement.  Cheap ([O(n · w! · 2^n)] per sweep here), weaker than
-    sifting, and another baseline with no optimality guarantee. *)
+    improvement.  A permutation of the window at [start] changes only
+    the window's levels (Lemma 3), so its {!Chain} price needs the
+    prefix state at [start] plus at most [w] compactions:
+    [O(w! · 2^(n-start))] cells per position and [O(w! · 2^n)] per
+    sweep.  Cheap, weaker than sifting, and another baseline with no
+    optimality guarantee.  The [window.run] span carries the
+    [table_cells] its pricing scanned. *)
 
 type result = {
   mincost : int;
@@ -15,6 +20,7 @@ type result = {
 
 val run :
   ?trace:Ovo_obs.Trace.t ->
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?window:int ->
   ?max_sweeps:int ->
@@ -25,6 +31,7 @@ val run :
 
 val run_mtable :
   ?trace:Ovo_obs.Trace.t ->
+  ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?window:int ->
   ?max_sweeps:int ->

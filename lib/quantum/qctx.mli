@@ -11,8 +11,7 @@ type t = {
   engine : Ovo_core.Engine.t;
       (** engine for the classical [FS*] subroutines (default [Seq]) *)
   metrics : Ovo_core.Metrics.t;
-      (** per-context counters; modeled costs are measured against this,
-          not against the process-global {!Ovo_core.Metrics.ambient} *)
+      (** per-context counters; modeled costs are measured against this *)
   trace : Ovo_obs.Trace.t;
       (** span tracer threaded through the classical subroutines and the
           quantum recursion (default {!Ovo_obs.Trace.null}) *)

@@ -70,9 +70,12 @@ let brute_mincost ?kind tt =
 let brute_mincost_mtable ?(kind = Ovo_core.Compact.Bdd) mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let base = Ovo_core.Compact.initial kind mt in
+  let metrics = Ovo_core.Metrics.create () in
   List.fold_left
     (fun acc order ->
-      min acc (Ovo_core.Compact.compact_chain base order).Ovo_core.Compact.mincost)
+      min acc
+        (Ovo_core.Compact.compact_chain ~metrics base order)
+          .Ovo_core.Compact.mincost)
     max_int (all_orders n)
 
 (* --- alcotest plumbing ------------------------------------------------- *)

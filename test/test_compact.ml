@@ -1,6 +1,9 @@
 module C = Ovo_core.Compact
 module T = Ovo_boolfun.Truthtable
 
+(* counts nobody reads: the kernels take an explicit context *)
+let metrics = Ovo_core.Metrics.create ()
+
 (* Reference width computation straight from the definition: the number
    of nodes labeled [v] in B(f, pi) is the number of distinct
    subfunctions of [f] obtained by restricting the variables read before
@@ -40,7 +43,7 @@ let widths_of_chain ~kind tt order =
   let st = ref base in
   Array.iteri
     (fun i v ->
-      let next = C.compact !st v in
+      let next = C.compact ~metrics !st v in
       widths.(i) <- C.width_of_last ~before:!st ~after:next;
       st := next)
     order;
@@ -67,35 +70,35 @@ let unit_tests =
           (Array.to_list st.C.table));
     Helpers.case "compact xor bottom variable" (fun () ->
         let st = C.of_truthtable C.Bdd (T.of_string "0110") in
-        let st1 = C.compact st 1 in
+        let st1 = C.compact ~metrics st 1 in
         (* one x1 node: the two cells are (x1) and (!x1), both depend *)
         Helpers.check_int "mincost" 2 st1.C.mincost;
         Helpers.check_int "table len" 2 (Array.length st1.C.table));
     Helpers.case "compact to completion" (fun () ->
         let st = C.of_truthtable C.Bdd (T.of_string "0110") in
-        let st2 = C.compact_chain st [| 0; 1 |] in
+        let st2 = C.compact_chain ~metrics st [| 0; 1 |] in
         Helpers.check_bool "complete" true (C.is_complete st2);
         Helpers.check_int "xor has 3 nodes" 3 st2.C.mincost;
         Helpers.check_bool "root is a node" true (C.root st2 >= 2));
     Helpers.case "order is recorded read-last-first" (fun () ->
         let st = C.of_truthtable C.Bdd (T.of_string "01101001") in
-        let st' = C.compact_chain st [| 2; 0; 1 |] in
+        let st' = C.compact_chain ~metrics st [| 2; 0; 1 |] in
         Alcotest.(check (list int)) "order" [ 2; 0; 1 ] (C.order st'));
     Helpers.case "free shrinks" (fun () ->
         let st = C.of_truthtable C.Bdd (T.of_string "01101001") in
-        let st' = C.compact st 1 in
+        let st' = C.compact ~metrics st 1 in
         Alcotest.(check (list int)) "free" [ 0; 2 ]
           (Ovo_core.Varset.elements (C.free st')));
     Helpers.case "double compaction of a variable rejected" (fun () ->
-        let st = C.compact (C.of_truthtable C.Bdd (T.of_string "0110")) 0 in
+        let st = C.compact ~metrics (C.of_truthtable C.Bdd (T.of_string "0110")) 0 in
         Alcotest.check_raises "again"
           (Invalid_argument "Compact.compact: variable already assigned")
-          (fun () -> ignore (C.compact st 0)));
+          (fun () -> ignore (C.compact ~metrics st 0)));
     Helpers.case "variable out of range rejected" (fun () ->
         let st = C.of_truthtable C.Bdd (T.of_string "0110") in
         Alcotest.check_raises "range"
           (Invalid_argument "Compact.compact: variable out of range")
-          (fun () -> ignore (C.compact st 2)));
+          (fun () -> ignore (C.compact ~metrics st 2)));
     Helpers.case "root of incomplete state rejected" (fun () ->
         let st = C.of_truthtable C.Bdd (T.of_string "0110") in
         Alcotest.check_raises "incomplete"
@@ -104,16 +107,16 @@ let unit_tests =
     Helpers.case "zdd rule skips zero hi-cofactors" (fun () ->
         (* f = !x0: under ZDD rule the x0 node is suppressed *)
         let st = C.of_truthtable C.Zdd (T.of_string "10") in
-        let st' = C.compact st 0 in
+        let st' = C.compact ~metrics st 0 in
         Helpers.check_int "suppressed" 0 st'.C.mincost);
     Helpers.case "input state is not mutated" (fun () ->
         let st = C.of_truthtable C.Bdd (T.of_string "0110") in
-        let _ = C.compact st 0 in
+        let _ = C.compact ~metrics st 0 in
         Helpers.check_int "mincost unchanged" 0 st.C.mincost;
         Helpers.check_int "table unchanged" 4 (Array.length st.C.table));
     Helpers.case "width probe allocates at most 4 words per call" (fun () ->
         let tt = T.random (Helpers.rng 12) 12 in
-        let st = C.compact_chain (C.of_truthtable C.Bdd tt) [| 0; 1; 2; 3 |] in
+        let st = C.compact_chain ~metrics (C.of_truthtable C.Bdd tt) [| 0; 1; 2; 3 |] in
         let metrics = Ovo_core.Metrics.create () in
         let free = Array.init 8 (fun j -> 4 + j) in
         (* warm up: grow this domain's pair table to the state's scans *)
@@ -129,7 +132,7 @@ let unit_tests =
           true (words <= 4.0));
     Helpers.case "multi-terminal compaction" (fun () ->
         let mt = Ovo_boolfun.Mtable.of_array ~values:3 [| 0; 1; 2; 1 |] in
-        let st = C.compact_chain (C.initial C.Bdd mt) [| 0; 1 |] in
+        let st = C.compact_chain ~metrics (C.initial C.Bdd mt) [| 0; 1 |] in
         Helpers.check_bool "complete" true (C.is_complete st);
         (* level x0: subfunctions (0,1) and (2,1): 2 nodes; level x1: 1 *)
         Helpers.check_int "mincost" 3 st.C.mincost);
@@ -162,8 +165,8 @@ let props =
         in
         let base = C.of_truthtable C.Bdd tt in
         let width_for perm =
-          let s = C.compact_chain base (Array.of_list perm) in
-          let s' = C.compact s i in
+          let s = C.compact_chain ~metrics base (Array.of_list perm) in
+          let s' = C.compact ~metrics s i in
           C.width_of_last ~before:s ~after:s'
         in
         match Helpers.permutations below with
@@ -175,7 +178,7 @@ let props =
       (QCheck.pair (Helpers.arb_truthtable ~lo:1 ~hi:6 ()) QCheck.small_int)
       (fun (tt, seed) ->
         let order = Helpers.perm_of_seed seed (T.arity tt) in
-        let st = C.compact_chain (C.of_truthtable C.Bdd tt) order in
+        let st = C.compact_chain ~metrics (C.of_truthtable C.Bdd tt) order in
         (* the levels list every id from the terminals to next_id once *)
         let ids = ref [] in
         C.iter_nodes (fun id ~var:_ ~lo:_ ~hi:_ -> ids := id :: !ids) st.C.levels;

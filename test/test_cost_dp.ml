@@ -17,11 +17,14 @@ let unit_tests =
         Helpers.check_bool "nodes counted" true
           (d.Metrics.s_node_creations >= 1));
     Helpers.case "chain counts a geometric series of cells" (fun () ->
-        (* [compact_chain] counts into the ambient context *)
-        let before = Metrics.snapshot Metrics.ambient in
+        let metrics = Metrics.create () in
+        let before = Metrics.snapshot metrics in
         let tt = T.random (Helpers.rng 1) 6 in
-        let _ = C.compact_chain (C.of_truthtable C.Bdd tt) [| 0; 1; 2; 3; 4; 5 |] in
-        let d = Metrics.diff (Metrics.snapshot Metrics.ambient) before in
+        let _ =
+          C.compact_chain ~metrics (C.of_truthtable C.Bdd tt)
+            [| 0; 1; 2; 3; 4; 5 |]
+        in
+        let d = Metrics.diff (Metrics.snapshot metrics) before in
         (* 32 + 16 + 8 + 4 + 2 + 1 *)
         Helpers.check_int "cells" 63 d.Metrics.s_table_cells;
         Helpers.check_int "compactions" 6 d.Metrics.s_compactions);

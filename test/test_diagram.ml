@@ -2,8 +2,11 @@ module C = Ovo_core.Compact
 module D = Ovo_core.Diagram
 module T = Ovo_boolfun.Truthtable
 
+(* counts nobody reads: the kernels take an explicit context *)
+let metrics = Ovo_core.Metrics.create ()
+
 let diagram_of ?(kind = C.Bdd) tt order =
-  D.of_state (C.compact_chain (C.of_truthtable kind tt) order)
+  D.of_state (C.compact_chain ~metrics (C.of_truthtable kind tt) order)
 
 let unit_tests =
   [
@@ -38,7 +41,7 @@ let unit_tests =
         Helpers.check_bool "round" true (T.equal (D.to_truthtable d) tt));
     Helpers.case "to_truthtable rejects multi-terminal" (fun () ->
         let mt = Ovo_boolfun.Mtable.of_array ~values:3 [| 0; 1; 2; 1 |] in
-        let d = D.of_state (C.compact_chain (C.initial C.Bdd mt) [| 0; 1 |]) in
+        let d = D.of_state (C.compact_chain ~metrics (C.initial C.Bdd mt) [| 0; 1 |]) in
         Alcotest.check_raises "multi"
           (Invalid_argument "Diagram.to_truthtable: not a two-terminal diagram")
           (fun () -> ignore (D.to_truthtable d)));
@@ -147,7 +150,7 @@ let props =
       (QCheck.pair (Helpers.arb_mtable ~lo:1 ~hi:5 ~values:4 ()) QCheck.small_int)
       (fun (mt, seed) ->
         let order = Helpers.perm_of_seed seed (Ovo_boolfun.Mtable.arity mt) in
-        let d = D.of_state (C.compact_chain (C.initial C.Bdd mt) order) in
+        let d = D.of_state (C.compact_chain ~metrics (C.initial C.Bdd mt) order) in
         D.check d mt);
   ]
 

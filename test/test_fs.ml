@@ -3,6 +3,9 @@ module C = Ovo_core.Compact
 module T = Ovo_boolfun.Truthtable
 module F = Ovo_boolfun.Families
 
+(* counts nobody reads: the kernels take an explicit context *)
+let metrics = Ovo_core.Metrics.create ()
+
 (* Exhaustive check of FS against brute force for every 2-variable
    function and a sample of 3-variable functions (all 256 would also be
    fine, but adds little over the sample + the qcheck property). *)
@@ -155,7 +158,7 @@ let brute_weighted ?(kind = C.Bdd) ~weights tt =
       let st = ref base in
       Array.iter
         (fun v ->
-          let nx = C.compact !st v in
+          let nx = C.compact ~metrics !st v in
           cost := !cost + (weights.(v) * C.width_of_last ~before:!st ~after:nx);
           st := nx)
         order;

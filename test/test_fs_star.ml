@@ -5,6 +5,9 @@ module C = Ovo_core.Compact
 module V = Ovo_core.Varset
 module T = Ovo_boolfun.Truthtable
 
+(* counts nobody reads: the kernels take an explicit context *)
+let metrics = Ovo_core.Metrics.create ()
+
 (* Brute-force MINCOST<I, K> reference: minimum node count of the bottom
    |I|+|K| levels over orderings that list I (in any internal order)
    first and then K. *)
@@ -15,7 +18,7 @@ let brute_seg_mincost ?(kind = C.Bdd) tt i_set k_set =
     (fun pi ->
       List.iter
         (fun pk ->
-          let st = C.compact_chain base (Array.of_list (pi @ pk)) in
+          let st = C.compact_chain ~metrics base (Array.of_list (pi @ pk)) in
           if st.C.mincost < !best then best := st.C.mincost)
         (Helpers.permutations (V.elements k_set)))
     (Helpers.permutations (V.elements i_set));
@@ -47,7 +50,7 @@ let unit_tests =
           t.Fss.layer);
     Helpers.case "j_set must be free" (fun () ->
         let tt = T.of_string "0110" in
-        let base = C.compact (C.of_truthtable C.Bdd tt) 0 in
+        let base = C.compact ~metrics (C.of_truthtable C.Bdd tt) 0 in
         Alcotest.check_raises "not free"
           (Invalid_argument "Fs_star.run: J not free in the base state")
           (fun () -> ignore (Fss.run ~base (V.of_list [ 0 ]))));
@@ -166,7 +169,7 @@ let props =
                state's cost must equal re-evaluating that suborder *)
             let order = Array.of_list (C.order st) in
             if V.of_list (Array.to_list order) <> kset then ok := false;
-            let re = C.compact_chain base order in
+            let re = C.compact_chain ~metrics base order in
             if re.C.mincost <> st.C.mincost then ok := false)
           t.Fss.layer;
         !ok);

@@ -45,6 +45,67 @@ let equivariance_prop =
         (Feat.of_truthtable (Tt.permute_vars tt perm))
         (Feat.permute (Feat.of_truthtable tt) perm))
 
+(* The semantic features straight from their definitions, one
+   assignment at a time. *)
+let per_bit_features tt =
+  let n = Tt.arity tt in
+  let size = 1 lsl n in
+  let fsize = float_of_int size in
+  let flip code j = Tt.eval tt code <> Tt.eval tt (code lxor (1 lsl j)) in
+  let influence =
+    Array.init n (fun j ->
+        let flips = ref 0 in
+        for code = 0 to size - 1 do
+          if flip code j then incr flips
+        done;
+        float_of_int !flips /. fsize)
+  in
+  let cosens = Array.make_matrix n n 0. and walsh = Array.make_matrix n n 0. in
+  for j = 0 to n - 1 do
+    for k = j + 1 to n - 1 do
+      let both = ref 0 and agree = ref 0 in
+      for code = 0 to size - 1 do
+        if flip code j && flip code k then incr both;
+        let chi =
+          Bool.to_int (Tt.eval tt code)
+          lxor ((code lsr j) land 1)
+          lxor ((code lsr k) land 1)
+        in
+        if chi = 0 then incr agree
+      done;
+      let c = float_of_int !both /. fsize in
+      cosens.(j).(k) <- c;
+      cosens.(k).(j) <- c;
+      let w = Float.abs (float_of_int ((2 * !agree) - size) /. fsize) in
+      walsh.(j).(k) <- w;
+      walsh.(k).(j) <- w
+    done
+  done;
+  let spectral =
+    Array.init n (fun j ->
+        if n <= 1 then 0.
+        else Array.fold_left ( +. ) 0. walsh.(j) /. float_of_int (n - 1))
+  in
+  let polarity =
+    Array.init n (fun j ->
+        let f0, f1 = Tt.cofactors tt j in
+        float_of_int (Tt.count_ones f1 - Tt.count_ones f0)
+        /. float_of_int (size / 2))
+  in
+  let occurrence =
+    Array.init n (fun j -> if Tt.depends_on tt j then 1. else 0.)
+  in
+  (influence, polarity, spectral, occurrence, cosens)
+
+let features_reference_prop =
+  QCheck.Test.make ~name:"word-parallel features equal the per-bit counts"
+    ~count:60
+    (Helpers.arb_truthtable ~lo:1 ~hi:10 ())
+    (fun tt ->
+      let f = Feat.of_truthtable tt in
+      Feat.(f.influence, f.polarity, f.spectral, f.occurrence, f.cosens)
+      = per_bit_features tt)
+
 let features_json_prop =
   QCheck.Test.make ~name:"features survive a JSON round-trip" ~count:100
     (Helpers.arb_truthtable ~lo:1 ~hi:6 ())
@@ -245,6 +306,7 @@ let gap_tests =
 let props =
   [
     equivariance_prop;
+    features_reference_prop;
     features_json_prop;
     scorer_perm_prop;
     scorer_cost_prop;

@@ -12,6 +12,9 @@ module C = Ovo_core.Compact
 module V = Ovo_core.Varset
 module T = Ovo_boolfun.Truthtable
 
+(* counts nobody reads: the kernels take an explicit context *)
+let metrics = Ovo_core.Metrics.create ()
+
 let lemma4_holds tt =
   let table = Fs.all_mincosts tt in
   let base = C.of_truthtable C.Bdd tt in
@@ -28,7 +31,7 @@ let lemma4_holds tt =
               if V.is_empty without then base
               else Fss.complete ~base without
             in
-            let st = C.compact st_without k in
+            let st = C.compact ~metrics st_without k in
             if st.C.mincost < !best then best := st.C.mincost)
           iset;
         if !best <> cost then ok := false
@@ -101,7 +104,7 @@ let props =
               if V.is_empty without then base
               else Fss.complete ~base without
             in
-            let st' = C.compact st_without k in
+            let st' = C.compact ~metrics st_without k in
             if st'.C.mincost < !best then best := st'.C.mincost)
           !j_set;
         lhs = !best);

@@ -2,13 +2,16 @@ module S = Ovo_core.Shared
 module C = Ovo_core.Compact
 module T = Ovo_boolfun.Truthtable
 
+(* counts nobody reads: the kernels take an explicit context *)
+let metrics = Ovo_core.Metrics.create ()
+
 (* brute-force shared optimum: chain every permutation over the shared
    multi-table state *)
 let brute_shared ?(kind = C.Bdd) tts =
   let base = S.of_truthtables kind tts in
   let n = T.arity tts.(0) in
   List.fold_left
-    (fun acc order -> min acc (S.compact_chain base order).S.mincost)
+    (fun acc order -> min acc (S.compact_chain ~metrics base order).S.mincost)
     max_int (Helpers.all_orders n)
 
 let gen_pair =
@@ -129,7 +132,7 @@ let props =
       (fun tts ->
         let r = S.minimize tts in
         let re =
-          S.compact_chain (S.of_truthtables C.Bdd tts) r.S.order
+          S.compact_chain ~metrics (S.of_truthtables C.Bdd tts) r.S.order
         in
         re.S.mincost = r.S.mincost);
   ]

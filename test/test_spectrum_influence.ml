@@ -58,6 +58,19 @@ let props =
         let s = Sp.compute tt in
         s.Sp.mean >= float_of_int s.Sp.min_cost
         && s.Sp.mean <= float_of_int s.Sp.max_cost);
+    QCheck.Test.make ~name:"influences equal the per-bit flip count"
+      ~count:100
+      (Helpers.arb_truthtable ~lo:1 ~hi:10 ())
+      (fun tt ->
+        let size = T.size tt in
+        Inf.influences tt
+        = Array.init (T.arity tt) (fun j ->
+              let flips = ref 0 in
+              for code = 0 to size - 1 do
+                if T.eval tt code <> T.eval tt (code lxor (1 lsl j)) then
+                  incr flips
+              done;
+              float_of_int !flips /. float_of_int size));
     QCheck.Test.make ~name:"influences vanish exactly off the support"
       ~count:100
       (Helpers.arb_truthtable ~lo:1 ~hi:6 ())

@@ -105,6 +105,15 @@ let props =
       (fun (a, b) ->
         QCheck.assume (T.arity a = T.arity b);
         T.equal (T.not_ T.(a &&& b)) T.(T.not_ a ||| T.not_ b));
+    QCheck.Test.make ~name:"flip negates one input" ~count:300
+      (QCheck.pair (Helpers.arb_truthtable ~lo:1 ~hi:10 ()) QCheck.small_nat)
+      (fun (tt, j) ->
+        let j = j mod T.arity tt in
+        let g = T.flip tt j in
+        List.for_all
+          (fun code -> T.eval g code = T.eval tt (code lxor (1 lsl j)))
+          (List.init (T.size tt) Fun.id)
+        && T.equal (T.flip g j) tt);
     QCheck.Test.make ~name:"xor self is false" ~count:200
       (Helpers.arb_truthtable ())
       (fun tt -> T.is_const (T.xor tt tt) = Some false);
