@@ -128,6 +128,11 @@ let jsonl t =
 
 let write_jsonl oc t = output_string oc (jsonl t)
 
+let write_file path t =
+  Out_channel.with_open_text path (fun oc ->
+      if Filename.check_suffix path ".jsonl" then write_jsonl oc t
+      else write_chrome oc t)
+
 (* ------------------------------------------------------------------ *)
 (* Human text summary: per-name aggregates, the top slowest individual
    spans, and Gc totals over top-level spans (counting nested spans too

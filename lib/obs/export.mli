@@ -15,6 +15,10 @@ val jsonl : Trace.t -> string
 
 val write_jsonl : out_channel -> Trace.t -> unit
 
+val write_file : string -> Trace.t -> unit
+(** Write to a file: JSON lines for a name ending in [.jsonl], else
+    Chrome [trace_event] JSON — the rule behind every [--trace] flag. *)
+
 val summary : ?top:int -> Trace.t -> string
 (** Human text profile: wall time, per-name span aggregates, the [top]
     (default 5) slowest individual spans, and Gc allocation totals over

@@ -65,19 +65,7 @@ let snapshot t =
    down; the next successful probe marks it back up — the data path
    also calls [mark_down]/[mark_up] as its own proxying succeeds or
    fails, so recovery does not have to wait a full interval. *)
-let probe t (name, addr) =
-  let ok =
-    match Client.connect ~timeout:t.timeout addr with
-    | exception Unix.Unix_error _ -> false
-    | c ->
-        Fun.protect
-          ~finally:(fun () -> Client.close c)
-          (fun () ->
-            match Client.roundtrip c { P.id = 0; op = P.Ping } with
-            | Ok { P.body = P.Pong; _ } -> true
-            | Ok _ | Error _ -> false)
-  in
-  set t name ok
+let probe t (name, addr) = set t name (Client.ping ~timeout:t.timeout addr)
 
 let checker_loop t =
   let rec nap k =

@@ -28,10 +28,7 @@ type t = {
   map : Shard_map.t;
   health : Health.t;
   stats : Rstats.t;
-  lsock : Unix.file_descr;
-  stop : bool Atomic.t;
-  last_activity : float Atomic.t;
-  mutable acceptor : Thread.t option;
+  net : Net.listener;
   mutable prom_export : Prom_export.t option;
 }
 
@@ -102,6 +99,16 @@ let live_owners ?exclude ctx key =
       (not (List.mem name excluded)) && Health.is_up ctx.t.health name)
     key
 
+(* Before failover attempt [attempt] > 0: count the retry and back off
+   [backoff_ms * 2^(attempt-1)], capped at 2 s. *)
+let retry_pause ctx attempt =
+  if attempt > 0 then begin
+    Rstats.record_retry ctx.t.stats;
+    Thread.delay
+      (Float.min 2.
+         (ctx.t.cfg.backoff_ms *. (2. ** float_of_int (attempt - 1)) /. 1000.))
+  end
+
 (* ---------- single solve: walk the replica list ---------- *)
 
 let proxy_solve ctx id (p : P.solve_params) =
@@ -112,13 +119,7 @@ let proxy_solve ctx id (p : P.solve_params) =
         Rstats.record_shard_down ctx.t.stats;
         shard_down_body (List.rev tried)
     | shard :: _ -> (
-        if attempt > 0 then begin
-          Rstats.record_retry ctx.t.stats;
-          Thread.delay
-            (Float.min 2.
-               (ctx.t.cfg.backoff_ms *. (2. ** float_of_int (attempt - 1))
-               /. 1000.))
-        end;
+        retry_pause ctx attempt;
         let started = now () in
         let outcome =
           match client_for ctx shard with
@@ -241,13 +242,7 @@ let proxy_solve_many ctx id (items : P.solve_params list) =
     if todo = [] then ()
     else if attempt >= max_rounds then ()  (* leftovers become shard_down *)
     else begin
-      if attempt > 0 then begin
-        Rstats.record_retry ctx.t.stats;
-        Thread.delay
-          (Float.min 2.
-             (ctx.t.cfg.backoff_ms *. (2. ** float_of_int (attempt - 1))
-             /. 1000.))
-      end;
+      retry_pause ctx attempt;
       let orphans, failed =
         scatter_round ctx id ~results ~exclude todo
       in
@@ -271,112 +266,44 @@ let proxy_solve_many ctx id (items : P.solve_params list) =
 
 (* ---------- request loop ---------- *)
 
-let write_reply oc reply =
-  output_string oc (P.reply_to_line reply);
-  output_char oc '\n';
-  flush oc
-
-let shutdown t = Atomic.set t.stop true
+let shutdown t = Net.shutdown t.net
 
 let stats_json t =
   Rstats.stats_json t.stats ~health:(Health.snapshot t.health)
 
 let prom_text t = Rstats.prom t.stats
 
-let handle_request ctx oc ({ id; op } : P.request) =
+let handle_request ctx send ({ id; op } : P.request) =
   let t = ctx.t in
-  Atomic.set t.last_activity (now ());
-  let endpoint =
-    match op with
-    | P.Ping -> "ping"
-    | P.Stats -> "stats"
-    | P.Metrics _ -> "metrics"
-    | P.Shutdown -> "shutdown"
-    | P.Solve _ -> "solve"
-    | P.Solve_many _ -> "solve_many"
-  in
-  Rstats.record_request t.stats ~endpoint;
+  Rstats.record_request t.stats ~endpoint:(P.op_name op);
+  let write ?item body = send (P.reply ?item id body) in
   (match op with
-  | P.Ping -> write_reply oc (P.reply id P.Pong)
-  | P.Stats -> write_reply oc (P.reply id (P.Ok_stats (stats_json t)))
-  | P.Metrics P.Mjson ->
-      write_reply oc (P.reply id (P.Ok_metrics (stats_json t)))
-  | P.Metrics P.Mprom ->
-      write_reply oc (P.reply id (P.Ok_prom (prom_text t)))
-  | P.Shutdown -> write_reply oc (P.reply id P.Bye)
-  | P.Solve p -> write_reply oc (P.reply id (proxy_solve ctx id p))
+  | P.Ping -> write P.Pong
+  | P.Stats -> write (P.Ok_stats (stats_json t))
+  | P.Metrics P.Mjson -> write (P.Ok_metrics (stats_json t))
+  | P.Metrics P.Mprom -> write (P.Ok_prom (prom_text t))
+  | P.Shutdown -> write P.Bye
+  | P.Solve p -> write (proxy_solve ctx id p)
   | P.Solve_many [] ->
-      write_reply oc
-        (P.reply id
-           (P.Error
-              { code = P.Bad_request; message = "solve_many: empty items";
-                retry_after_ms = None }))
+      write
+        (P.Error
+           { code = P.Bad_request; message = "solve_many: empty items";
+             retry_after_ms = None })
   | P.Solve_many items ->
-      let bodies = proxy_solve_many ctx id items in
-      Array.iteri
-        (fun k body -> write_reply oc (P.reply ~item:k id body))
-        bodies);
+      Array.iteri (fun k body -> write ~item:k body)
+        (proxy_solve_many ctx id items));
   if op = P.Shutdown then shutdown t
 
 let conn_loop t fd =
   let ctx = { t; clients = Hashtbl.create 4 } in
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let finally () =
-    Hashtbl.iter (fun _ c -> Client.close c) ctx.clients;
-    Hashtbl.reset ctx.clients;
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  Fun.protect ~finally (fun () ->
-      let rec loop () =
-        match input_line ic with
-        | exception End_of_file -> ()
-        | exception Sys_error _ -> ()
-        | line ->
-            if String.trim line <> "" then begin
-              match P.request_of_line line with
-              | Ok req -> handle_request ctx oc req
-              | Error (`Msg m) ->
-                  write_reply oc
-                    (P.reply 0
-                       (P.Error
-                          { code = P.Bad_request; message = m;
-                            retry_after_ms = None }))
-            end;
-            loop ()
-      in
-      try loop () with Sys_error _ -> ())
-
-let acceptor_loop t =
-  let rec loop () =
-    if Atomic.get t.stop then ()
-    else begin
-      (match t.cfg.idle_timeout with
-      | Some limit when now () -. Atomic.get t.last_activity > limit ->
-          shutdown t
-      | _ -> ());
-      if Atomic.get t.stop then ()
-      else
-        match Unix.select [ t.lsock ] [] [] 0.25 with
-        | [], _, _ -> loop ()
-        | _ :: _, _, _ ->
-            (match Unix.accept t.lsock with
-            | exception Unix.Unix_error _ -> ()
-            | fd, _ ->
-                Atomic.set t.last_activity (now ());
-                ignore (Thread.create (fun () -> conn_loop t fd) ()));
-            loop ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    end
-  in
-  loop ()
+  Fun.protect
+    ~finally:(fun () -> Hashtbl.iter (fun _ c -> Client.close c) ctx.clients)
+    (fun () -> Net.serve_requests t.net fd (handle_request ctx))
 
 (* ---------- lifecycle ---------- *)
 
 let start cfg =
   let cfg = { cfg with replicas = max 1 cfg.replicas } in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Sys_error _ | Invalid_argument _ -> ());
   let map = Shard_map.make ~strategy:cfg.strategy cfg.shards in
   let names = List.map (fun (s : Shard_map.shard) -> s.name) cfg.shards in
   let stats = Rstats.create ~shards:names () in
@@ -385,13 +312,9 @@ let start cfg =
       ~on_change:(fun name up -> Rstats.set_shard_up stats ~shard:name up)
       (List.map (fun (s : Shard_map.shard) -> (s.name, s.addr)) cfg.shards)
   in
-  let lsock = Net.bind_listen cfg.listen in
-  let t =
-    { cfg; map; health; stats; lsock; stop = Atomic.make false;
-      last_activity = Atomic.make (now ()); acceptor = None;
-      prom_export = None }
-  in
-  t.acceptor <- Some (Thread.create acceptor_loop t);
+  let net = Net.listen ?idle_timeout:cfg.idle_timeout cfg.listen in
+  let t = { cfg; map; health; stats; net; prom_export = None } in
+  Net.accept net (conn_loop t);
   t.prom_export <-
     Some
       (Prom_export.start ~sink:cfg.prom
@@ -401,27 +324,15 @@ let start cfg =
   t
 
 let wait t =
-  while not (Atomic.get t.stop) do
-    Thread.delay 0.05
-  done;
-  Option.iter Thread.join t.acceptor;
-  (try Unix.close t.lsock with Unix.Unix_error _ -> ());
-  Health.stop t.health;
-  Option.iter Prom_export.stop_and_flush t.prom_export;
-  (match t.cfg.listen with
-  | P.Unix_sock path -> (
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-  | P.Tcp _ -> ());
-  Printf.eprintf "[ovo-router] shutdown: final stats: %s\n%!"
-    (Json.to_string (stats_json t))
+  Net.wait t.net ~drain:(fun () ->
+      Health.stop t.health;
+      Option.iter Prom_export.stop_and_flush t.prom_export;
+      Printf.eprintf "[ovo-router] shutdown: final stats: %s\n%!"
+        (Json.to_string (stats_json t)))
 
 let run cfg =
   let t = start cfg in
-  let stop_signal _ = shutdown t in
-  (try Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal)
-   with Sys_error _ | Invalid_argument _ -> ());
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal)
-   with Sys_error _ | Invalid_argument _ -> ());
+  Net.stop_on_signals t.net;
   Printf.eprintf
     "[ovo-router] routing %s over %d shard%s (%s, %d replica%s)\n%!"
     (P.addr_to_string t.cfg.listen)

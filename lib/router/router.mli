@@ -52,9 +52,9 @@ val stats_json : t -> Ovo_obs.Json.t
 val prom_text : t -> string
 val shutdown : t -> unit
 val wait : t -> unit
-(** Block until shutdown is initiated, then join the acceptor, stop
-    the health checker, flush the Prometheus sink, and close the
-    listener (unlinking a Unix-socket path). *)
+(** Block until shutdown is initiated, then join the acceptor, close
+    the listener, stop the health checker, flush the Prometheus sink,
+    print the final stats line, and last unlink a Unix-socket path. *)
 
 val run : config -> unit
 (** [start], install SIGINT/SIGTERM handlers, print a ready line to

@@ -79,3 +79,8 @@ let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 let with_conn ?timeout ?retries ?backoff_ms addr f =
   let t = connect_retry ?timeout ?retries ?backoff_ms addr in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
+
+let ping ?(timeout = 1.0) addr =
+  match with_conn ~timeout addr (fun c -> roundtrip c { P.id = 0; op = P.Ping }) with
+  | Ok { P.body = P.Pong; _ } -> true
+  | Ok _ | Error _ | (exception Unix.Unix_error _) -> false

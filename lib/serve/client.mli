@@ -37,3 +37,7 @@ val with_conn :
   (t -> 'a) ->
   'a
 (** Connect (with optional retry policy), run, always close. *)
+
+val ping : ?timeout:float -> Protocol.addr -> bool
+(** Connect (bounded by [timeout], default 1 s), send [ping], and say
+    whether a [pong] came back; any failure is [false]. *)

@@ -23,9 +23,8 @@ type t = {
   refresh : unit -> unit;
   period : float;
   stop : bool Atomic.t;
-  lsock : Unix.file_descr option;
+  scrape : Net.listener option;
   mutable ticker : Thread.t option;
-  mutable http : Thread.t option;
 }
 
 (* tmp + rename so a scraper reading the file never sees a torn write *)
@@ -62,51 +61,35 @@ let ticker_loop t =
 (* Minimal one-shot HTTP/1.0 responder for a Prometheus scrape: read
    whatever request head arrives, answer with the exposition, close.
    Not a general HTTP server — just enough for a scrape loop or curl. *)
-let http_loop t lsock =
-  let serve_one fd =
-    let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-    Fun.protect ~finally (fun () ->
-        (try ignore (Unix.read fd (Bytes.create 4096) 0 4096)
-         with Unix.Unix_error _ -> ());
-        let body = t.render () in
-        let resp =
-          Printf.sprintf
-            "HTTP/1.0 200 OK\r\n\
-             Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-             Content-Length: %d\r\n\
-             Connection: close\r\n\r\n%s"
-            (String.length body) body
-        in
-        try ignore (Unix.write_substring fd resp 0 (String.length resp))
-        with Unix.Unix_error _ -> ())
-  in
-  let rec loop () =
-    if Atomic.get t.stop then ()
-    else
-      match Unix.select [ lsock ] [] [] 0.25 with
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ ->
-          (match Unix.accept lsock with
-          | exception Unix.Unix_error _ -> ()
-          | fd, _ -> ignore (Thread.create serve_one fd));
-          loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-  in
-  loop ()
+let serve_scrape t fd =
+  let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
+  Fun.protect ~finally (fun () ->
+      (try ignore (Unix.read fd (Bytes.create 4096) 0 4096)
+       with Unix.Unix_error _ -> ());
+      let body = t.render () in
+      let resp =
+        Printf.sprintf
+          "HTTP/1.0 200 OK\r\n\
+           Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
+           Content-Length: %d\r\n\
+           Connection: close\r\n\r\n%s"
+          (String.length body) body
+      in
+      try ignore (Unix.write_substring fd resp 0 (String.length resp))
+      with Unix.Unix_error _ -> ())
 
 let start ?(period = 1.0) ~sink ~render ~refresh () =
-  let lsock =
+  let scrape =
     match sink with
-    | Some (Prom_addr addr) -> Some (Net.bind_listen addr)
+    | Some (Prom_addr addr) -> Some (Net.listen addr)
     | Some (Prom_file _) | None -> None
   in
   let t =
-    { sink; render; refresh; period; stop = Atomic.make false; lsock;
-      ticker = None; http = None }
+    { sink; render; refresh; period; stop = Atomic.make false; scrape;
+      ticker = None }
   in
   t.ticker <- Some (Thread.create ticker_loop t);
-  t.http <-
-    Option.map (fun ls -> Thread.create (fun () -> http_loop t ls) ()) lsock;
+  Option.iter (fun l -> Net.accept l (serve_scrape t)) scrape;
   t
 
 let stop_and_flush t =
@@ -114,12 +97,12 @@ let stop_and_flush t =
   (* join before the final snapshot so nothing races the write below —
      once this returns, the file can never be rewritten again *)
   Option.iter Thread.join t.ticker;
-  Option.iter Thread.join t.http;
   t.ticker <- None;
-  t.http <- None;
   Option.iter
-    (fun ls -> try Unix.close ls with Unix.Unix_error _ -> ())
-    t.lsock;
+    (fun l ->
+      Net.shutdown l;
+      Net.wait l ~drain:ignore)
+    t.scrape;
   match t.sink with
   | Some (Prom_file path) -> (
       try write_file t path with Sys_error _ -> ())

@@ -120,26 +120,30 @@ let solve_fields (p : solve_params) =
     | None -> []
     | Some ms -> [ ("deadline_ms", Json.Float ms) ])
 
+let op_name = function
+  | Ping -> "ping"
+  | Stats -> "stats"
+  | Metrics _ -> "metrics"
+  | Shutdown -> "shutdown"
+  | Solve _ -> "solve"
+  | Solve_many _ -> "solve_many"
+
 let request_to_line { id; op } =
   let fields =
     match op with
-    | Solve p ->
-        [ ("id", Json.Int id); ("op", Json.String "solve") ] @ solve_fields p
+    | Solve p -> solve_fields p
     | Solve_many items ->
-        [ ("id", Json.Int id); ("op", Json.String "solve_many");
-          ( "items",
+        [ ( "items",
             Json.List
               (List.map (fun p -> Json.Obj (solve_fields p)) items) ) ]
-    | Stats -> [ ("id", Json.Int id); ("op", Json.String "stats") ]
     | Metrics fmt ->
-        [ ("id", Json.Int id); ("op", Json.String "metrics");
-          ( "format",
+        [ ( "format",
             Json.String
               (match fmt with Mjson -> "json" | Mprom -> "prometheus") ) ]
-    | Ping -> [ ("id", Json.Int id); ("op", Json.String "ping") ]
-    | Shutdown -> [ ("id", Json.Int id); ("op", Json.String "shutdown") ]
+    | Stats | Ping | Shutdown -> []
   in
-  Json.to_string (Json.Obj fields)
+  Json.to_string
+    (Json.Obj (("id", Json.Int id) :: ("op", Json.String (op_name op)) :: fields))
 
 let reply_to_line { r_id; item; body } =
   let item_field =

@@ -97,6 +97,10 @@ type reply = {
 val reply : ?item:int -> int -> response -> reply
 (** [reply ?item r_id body] — construction shorthand. *)
 
+val op_name : op -> string
+(** The wire name of an operation (["solve"], ["solve_many"], …), which
+    is also its endpoint label in stats and metrics. *)
+
 (** {1 Codecs}
 
     [*_to_line] render one line {e without} the trailing newline;

@@ -8,9 +8,6 @@ type prom_sink = Prom_export.sink =
   | Prom_file of string
   | Prom_addr of P.addr
 
-let prom_sink_of_string = Prom_export.sink_of_string
-let prom_sink_to_string = Prom_export.sink_to_string
-
 type config = {
   listen : P.addr;
   workers : int;
@@ -49,7 +46,7 @@ type job = {
 
 type t = {
   cfg : config;
-  lsock : Unix.file_descr;
+  net : Net.listener;
   queue : job Bqueue.t;
   cache : Cache.t;
   store : Ovo_store.Result_store.t option;
@@ -59,10 +56,7 @@ type t = {
   mutable alog : Access_log.t option;  (* [None] once closed in [wait] *)
   alog_m : Mutex.t;  (* serialises access-log appends across workers *)
   req_seq : int Atomic.t;
-  stop : bool Atomic.t;
   pending : int Atomic.t;  (* jobs admitted whose reply is not yet written *)
-  last_activity : float Atomic.t;
-  mutable acceptor : Thread.t option;
   mutable worker_threads : Thread.t list;
   mutable prom_export : Prom_export.t option;
 }
@@ -70,11 +64,6 @@ type t = {
 let now = Trace.monotonic
 
 (* ---------- per-connection request handling ---------- *)
-
-let write_reply oc reply =
-  output_string oc (P.reply_to_line reply);
-  output_char oc '\n';
-  flush oc
 
 (* Suggested backoff before the first solve has completed: with no
    solve duration observed there is nothing to extrapolate from, so
@@ -118,7 +107,7 @@ type admission = Done of P.response | Queued of job
 
 let admit_solve t (p : P.solve_params) =
   let req_id = Atomic.fetch_and_add t.req_seq 1 in
-  if Atomic.get t.stop then
+  if Net.stopping t.net then
     Done
       (P.Error
          { code = P.Shutting_down; message = "server is draining";
@@ -206,26 +195,17 @@ let prom_text t =
   refresh_live t;
   Stats.prom t.stats
 
-let shutdown t = Atomic.set t.stop true
+let shutdown t = Net.shutdown t.net
 
-let handle_request t oc ({ id; op } : P.request) =
-  Atomic.set t.last_activity (now ());
+let handle_request t send ({ id; op } : P.request) =
   let started = now () in
-  let endpoint =
-    match op with
-    | P.Ping -> "ping"
-    | P.Stats -> "stats"
-    | P.Metrics _ -> "metrics"
-    | P.Shutdown -> "shutdown"
-    | P.Solve _ -> "solve"
-    | P.Solve_many _ -> "solve_many"
-  in
+  let endpoint = P.op_name op in
   let write ?item body =
     Trace.with_span t.trace ~cat:"serve"
       ~args:(fun () ->
         [ ("id", Json.Int id); ("endpoint", Json.String endpoint) ])
       "serve.reply"
-      (fun () -> write_reply oc (P.reply ?item id body))
+      (fun () -> send (P.reply ?item id body))
   in
   let finish ?item = function
     | Done body -> write ?item body
@@ -257,33 +237,13 @@ let handle_request t oc ({ id; op } : P.request) =
   if op = P.Shutdown then shutdown t
 
 let conn_loop t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-  Fun.protect ~finally (fun () ->
-      let rec loop () =
-        match input_line ic with
-        | exception End_of_file -> ()
-        | exception Sys_error _ -> ()
-        | line ->
-            if String.trim line <> "" then begin
-              (match P.request_of_line line with
-              | Ok req ->
-                  Trace.with_span t.trace ~cat:"serve"
-                    ~args:(fun () -> [ ("id", Json.Int req.P.id) ])
-                    "serve.request"
-                    (fun () -> handle_request t oc req)
-              | Error (`Msg m) ->
-                  Stats.record_outcome t.stats `Error;
-                  write_reply oc
-                    (P.reply 0
-                       (P.Error
-                          { code = P.Bad_request; message = m;
-                            retry_after_ms = None })))
-            end;
-            loop ()
-      in
-      try loop () with Sys_error _ -> ())
+  Net.serve_requests t.net fd
+    ~on_bad_request:(fun () -> Stats.record_outcome t.stats `Error)
+    (fun send req ->
+      Trace.with_span t.trace ~cat:"serve"
+        ~args:(fun () -> [ ("id", Json.Int req.P.id) ])
+        "serve.request"
+        (fun () -> handle_request t send req))
 
 (* ---------- worker pool ---------- *)
 
@@ -357,40 +317,11 @@ let worker_loop t =
   in
   loop ()
 
-(* ---------- listener ---------- *)
-
-let acceptor_loop t =
-  let rec loop () =
-    if Atomic.get t.stop then ()
-    else begin
-      (match t.cfg.idle_timeout with
-      | Some limit when now () -. Atomic.get t.last_activity > limit ->
-          shutdown t
-      | _ -> ());
-      if Atomic.get t.stop then ()
-      else
-        match Unix.select [ t.lsock ] [] [] 0.25 with
-        | [], _, _ -> loop ()
-        | _ :: _, _, _ ->
-            (match Unix.accept t.lsock with
-            | exception Unix.Unix_error _ -> ()
-            | fd, _ ->
-                Atomic.set t.last_activity (now ());
-                ignore (Thread.create (fun () -> conn_loop t fd) ()));
-            loop ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    end
-  in
-  loop ()
-
 (* ---------- lifecycle ---------- *)
 
 let start cfg =
   let cfg = { cfg with workers = max 1 cfg.workers } in
-  (* a client vanishing mid-reply must surface as EPIPE, not kill us *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Sys_error _ | Invalid_argument _ -> ());
-  let lsock = Net.bind_listen cfg.listen in
+  let net = Net.listen ?idle_timeout:cfg.idle_timeout cfg.listen in
   let trace =
     if cfg.trace_file = None then Trace.null else Trace.make ()
   in
@@ -450,16 +381,15 @@ let start cfg =
       cfg.access_log
   in
   let t =
-    { cfg; lsock; queue = Bqueue.create ~cap:(max 1 cfg.queue_cap);
+    { cfg; net; queue = Bqueue.create ~cap:(max 1 cfg.queue_cap);
       cache; store; store_m;
       stats = Stats.create (); trace; alog; alog_m = Mutex.create ();
-      req_seq = Atomic.make 0; stop = Atomic.make false;
-      pending = Atomic.make 0; last_activity = Atomic.make (now ());
-      acceptor = None; worker_threads = []; prom_export = None }
+      req_seq = Atomic.make 0; pending = Atomic.make 0; worker_threads = [];
+      prom_export = None }
   in
   t.worker_threads <-
     List.init cfg.workers (fun _ -> Thread.create worker_loop t);
-  t.acceptor <- Some (Thread.create acceptor_loop t);
+  Net.accept net (conn_loop t);
   t.prom_export <-
     Some
       (Prom_export.start ~sink:cfg.prom
@@ -468,14 +398,8 @@ let start cfg =
          ());
   t
 
-let wait t =
-  (* phase 1: sit until someone initiates shutdown *)
-  while not (Atomic.get t.stop) do
-    Thread.delay 0.05
-  done;
-  (* phase 2: stop intake, drain, tear down *)
-  Option.iter Thread.join t.acceptor;
-  (try Unix.close t.lsock with Unix.Unix_error _ -> ());
+(* Once intake has stopped: drain the queue and tear down. *)
+let drain t () =
   let drained = Bqueue.length t.queue in
   Bqueue.close t.queue;
   List.iter Thread.join t.worker_threads;
@@ -500,31 +424,21 @@ let wait t =
   Mutex.unlock t.alog_m;
   (* workers are done: no more appends — sync and close the store *)
   Option.iter Ovo_store.Result_store.close t.store;
-  (match t.cfg.listen with
-  | P.Unix_sock path -> (
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-  | P.Tcp _ -> ());
-  (match t.cfg.trace_file with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      (if Filename.check_suffix path ".jsonl" then
-         Ovo_obs.Export.write_jsonl oc t.trace
-       else Ovo_obs.Export.write_chrome oc t.trace);
-      close_out oc;
+  Option.iter
+    (fun path ->
+      Ovo_obs.Export.write_file path t.trace;
       Printf.eprintf "[ovo-serve] trace written: %s (%d events)\n%!" path
-        (Trace.event_count t.trace));
+        (Trace.event_count t.trace))
+    t.cfg.trace_file;
   Printf.eprintf "[ovo-serve] shutdown: drained %d queued job%s\n%!" drained
     (if drained = 1 then "" else "s");
   Printf.eprintf "[ovo-serve] final stats: %s\n%!" (Json.to_string (stats_json t))
 
+let wait t = Net.wait t.net ~drain:(drain t)
+
 let run cfg =
   let t = start cfg in
-  let stop_signal _ = shutdown t in
-  (try Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal)
-   with Sys_error _ | Invalid_argument _ -> ());
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal)
-   with Sys_error _ | Invalid_argument _ -> ());
+  Net.stop_on_signals t.net;
   Printf.eprintf "[ovo-serve] listening on %s (%d workers, queue %d, cache %d)\n%!"
     (P.addr_to_string cfg.listen) (max 1 cfg.workers) cfg.queue_cap
     cfg.cache_cap;

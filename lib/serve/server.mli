@@ -1,8 +1,9 @@
 (** The ordering daemon: socket listener, connection threads, bounded
     job queue, worker pool, result cache, and graceful shutdown.
 
-    Thread topology: one acceptor thread multiplexes the listening
-    socket with a [select] timeout so it can notice the stop flag; each
+    Thread topology: the {!Net} listener's acceptor thread multiplexes
+    the listening socket with a [select] timeout so it can notice the
+    stop flag; each
     accepted connection gets its own thread that parses NDJSON requests,
     admits solve jobs to the {!Bqueue} (rejecting with [queue_full] +
     [retry_after_ms] under backpressure) and blocks on the job's
@@ -18,17 +19,9 @@
 
 type prom_sink = Prom_export.sink =
   | Prom_file of string
-      (** rewrite the exposition to this path (tmp + rename, so readers
-          never see a torn file) every second and once at shutdown *)
   | Prom_addr of Protocol.addr
-      (** serve the exposition over one-shot HTTP responses on this
-          address — enough for a Prometheus scrape loop or [curl] *)
-
-val prom_sink_of_string : string -> (prom_sink, [ `Msg of string ]) result
-(** A spec containing ['/'] is a file path; a parseable [host:port] is
-    a scrape address; a bare word is a file in the current directory. *)
-
-val prom_sink_to_string : prom_sink -> string
+      (** {!Prom_export.sink}, re-exported so a config can name its
+          constructors. *)
 
 type config = {
   listen : Protocol.addr;
@@ -124,9 +117,9 @@ val shutdown : t -> unit
 
 val wait : t -> unit
 (** Block until shutdown is initiated, then drain and tear down: join
-    the acceptor and workers, flush pending replies, close the listener
-    (unlinking a Unix-socket path), write the trace file, and print the
-    final stats line to stderr. *)
+    the acceptor and workers, flush pending replies, close the listener,
+    write the trace file, print the final stats line to stderr, and
+    last unlink a Unix-socket path. *)
 
 val run : config -> unit
 (** [start], install SIGINT/SIGTERM handlers that {!shutdown}, print a
