@@ -1,6 +1,5 @@
 (* Bench harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's per-experiment index), then runs Bechamel
-   wall-clock micro-benchmarks — one per table/figure — in a single
+   evaluation (see DESIGN.md's per-experiment index) in a single
    executable.  Output is recorded in EXPERIMENTS.md. *)
 
 module T = Ovo_boolfun.Truthtable
@@ -1385,85 +1384,6 @@ let metrics_bench () =
   close_out oc;
   Printf.printf "written: BENCH_metrics.json\n"
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock micro-benchmarks: one per table/figure.         *)
-
-let wallclock () =
-  section "wallclock (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let tt8 = T.random (Random.State.make [| 88 |]) 8 in
-  let tt10 = T.random (Random.State.make [| 110 |]) 10 in
-  let tt12 = T.random (Random.State.make [| 112 |]) 12 in
-  let tt6 = T.random (Random.State.make [| 66 |]) 6 in
-  let tests =
-    Test.make_grouped ~name:"ovo"
-      [
-        Test.make ~name:"fig1/eval-order-achilles6"
-          (Staged.stage (fun () ->
-               ignore (E.size (F.achilles 6) (F.achilles_bad_order 6))));
-        Test.make ~name:"thm5/fs-n8"
-          (Staged.stage (fun () -> ignore (Fs.run tt8)));
-        Test.make ~name:"thm5/fs-n10"
-          (Staged.stage (fun () -> ignore (Fs.run tt10)));
-        Test.make ~name:"quantum/optobdd-n6"
-          (Staged.stage (fun () ->
-               let ctx = O.make_ctx () in
-               ignore (O.minimize ~ctx (O.theorem10 ()) tt6)));
-        Test.make ~name:"table1/solve-k3"
-          (Staged.stage (fun () -> ignore (Nt.solve ~gamma:3. ~k:3)));
-        Test.make ~name:"quality/sifting-n10"
-          (Staged.stage (fun () -> ignore (Ovo_ordering.Sifting.run tt10)));
-        Test.make ~name:"zdd/fs-zdd-n8"
-          (Staged.stage (fun () -> ignore (Fs.run ~kind:C.Zdd tt8)));
-        Test.make ~name:"substrate/chain-n12"
-          (Staged.stage (fun () ->
-               ignore (E.mincost tt12 (Array.init 12 (fun i -> i)))));
-        Test.make ~name:"substrate/bitvec-xor-1M"
-          (let a = T.random (Random.State.make [| 1 |]) 20 in
-           let b = T.random (Random.State.make [| 2 |]) 20 in
-           Staged.stage (fun () -> ignore (T.xor a b)));
-        Test.make ~name:"dynbdd/sift-n10"
-          (Staged.stage (fun () ->
-               let man = Ovo_bdd.Dynbdd.create 10 in
-               let h = Ovo_bdd.Dynbdd.of_truthtable man tt10 in
-               Ovo_bdd.Dynbdd.protect man h;
-               Ovo_bdd.Dynbdd.sift man));
-        Test.make ~name:"cbdd/build-n10"
-          (Staged.stage (fun () ->
-               let man = Ovo_bdd.Cbdd.create 10 in
-               ignore (Ovo_bdd.Cbdd.of_truthtable man tt10)));
-        Test.make ~name:"shared/minimize-mul2"
-          (let outputs =
-             Array.init 4 (fun j ->
-                 T.of_fun 4 (fun code ->
-                     ((code land 3) * (code lsr 2)) land (1 lsl j) <> 0))
-           in
-           Staged.stage (fun () -> ignore (Ovo_core.Shared.minimize outputs)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some (t :: _) -> t
-          | Some [] | None -> nan
-        in
-        (name, est) :: acc)
-      results []
-  in
-  Printf.printf "%-34s %16s\n" "benchmark" "ns/run";
-  List.iter
-    (fun (name, est) -> Printf.printf "%-34s %16.0f\n" name est)
-    (List.sort compare rows)
-
 let () =
   fig1 ();
   table1 ();
@@ -1484,5 +1404,4 @@ let () =
   prune_bench ();
   learn_bench ();
   metrics_bench ();
-  wallclock ();
   Printf.printf "\nAll sections completed.\n"

@@ -89,6 +89,9 @@ let order_arg =
     & info [ "order" ] ~docv:"V0,V1,.."
         ~doc:"Ordering to evaluate, root (read-first) variable first.")
 
+let seed_arg =
+  Arg.(value & opt int 0x0BDD & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
+
 (* ------------------------------------------------------------------ *)
 (* The DP engine and its counters                                      *)
 
@@ -304,6 +307,3 @@ let prom_arg ~doc =
   in
   Arg.(
     value & opt (some prom_conv) None & info [ "prom" ] ~docv:"FILE|ADDR" ~doc)
-
-let seed_arg =
-  Arg.(value & opt int 0x0BDD & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")

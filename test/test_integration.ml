@@ -4,7 +4,6 @@
 module T = Ovo_boolfun.Truthtable
 module E = Ovo_boolfun.Expr
 module B = Ovo_bdd.Bdd
-module Cb = Ovo_bdd.Cbdd
 module D = Ovo_bdd.Dynbdd
 
 (* a random multi-level netlist: w internal gates, each a random 2-input
@@ -63,12 +62,12 @@ let props =
         let m = Ovo_boolfun.Blif.of_string blif in
         T.equal (Ovo_boolfun.Blif.output_table m "g0") expect);
     QCheck.Test.make
-      ~name:"Bdd, Cbdd and Dynbdd agree on random expressions" ~count:150
+      ~name:"Bdd and Dynbdd agree on random expressions" ~count:150
       (Helpers.arb_expr ~vars:5 ())
       (fun e ->
         let n = max 1 (E.max_var e + 1) in
         let expect = E.to_truthtable ~arity:n e in
-        let man_b = B.create n and man_c = Cb.create n and man_d = D.create n in
+        let man_b = B.create n and man_d = D.create n in
         let via_b = B.to_truthtable man_b (B.of_expr man_b e) in
         let build_d man =
           (* Dynbdd has no of_expr; build through connectives *)
@@ -83,8 +82,7 @@ let props =
           go e
         in
         let via_d = D.to_truthtable man_d (build_d man_d) in
-        let via_c = Cb.to_truthtable man_c (Cb.of_truthtable man_c expect) in
-        T.equal via_b expect && T.equal via_d expect && T.equal via_c expect);
+        T.equal via_b expect && T.equal via_d expect);
     QCheck.Test.make
       ~name:"optimised diagram imports agree across managers" ~count:80
       (Helpers.arb_truthtable ~lo:1 ~hi:6 ())
