@@ -1,7 +1,7 @@
 (* Terms, converters and printers shared by the ovo subcommands: the
    function to optimise, the DP engine and its counters, observability,
-   and daemon addresses.  Each flag is defined here once, so every
-   command that takes it parses and documents it the same way. *)
+   and daemon addresses.  A flag that several commands take is defined
+   here once, so each of them parses and documents it the same way. *)
 
 open Cmdliner
 
@@ -17,36 +17,40 @@ let load table expr pla output blif signal family =
         ("family", family) ]
   in
   let unknown_signal = "unknown --signal for this BLIF model" in
-  try
-    match given with
-    | [] -> Error "no input: pass one of --table, --expr, --pla, --blif, --family"
-    | _ :: _ :: _ ->
-        Error "pass exactly one of --table, --expr, --pla, --blif, --family"
-    | [ ("table", s) ] -> Ok ("function", Truthtable.of_string s)
-    | [ ("expr", s) ] -> Ok ("function", Expr.to_truthtable (Expr.of_string s))
-    | [ ("pla", path) ] ->
-        let p = Pla.of_file path in
-        let n = Pla.outputs p in
-        if output < 0 || output >= n then
-          Error
-            (Printf.sprintf "--output %d is out of range: %s has %d output%s"
-               output path n (if n = 1 then "" else "s"))
-        else Ok ("function", Pla.output_table p output)
-    | [ ("blif", path) ] -> (
-        let m = Blif.of_file path in
-        match (signal, Blif.output_names m) with
-        | Some name, _ | None, name :: _ -> (
-            try Ok ("function", Blif.output_table m name)
-            with Not_found -> Error unknown_signal)
-        | None, [] -> Error unknown_signal)
-    | [ (_, name) ] -> (
-        match List.assoc_opt name (Families.catalogue ~max_arity:24) with
-        | Some tt -> Ok (name, tt)
-        | None ->
+  let tt =
+    try
+      match given with
+      | [] ->
+          Error "no input: pass one of --table, --expr, --pla, --blif, --family"
+      | _ :: _ :: _ ->
+          Error "pass exactly one of --table, --expr, --pla, --blif, --family"
+      | [ ("table", s) ] -> Ok (Truthtable.of_string s)
+      | [ ("expr", s) ] -> Ok (Expr.to_truthtable (Expr.of_string s))
+      | [ ("pla", path) ] ->
+          let p = Pla.of_file path in
+          let n = Pla.outputs p in
+          if output < 0 || output >= n then
             Error
-              (Printf.sprintf "unknown family %S; try `ovo families` for the list"
-                 name))
-  with Failure m | Invalid_argument m | Sys_error m -> Error m
+              (Printf.sprintf "--output %d is out of range: %s has %d output%s"
+                 output path n (if n = 1 then "" else "s"))
+          else Ok (Pla.output_table p output)
+      | [ ("blif", path) ] -> (
+          let m = Blif.of_file path in
+          match (signal, Blif.output_names m) with
+          | Some name, _ | None, name :: _ -> (
+              try Ok (Blif.output_table m name)
+              with Not_found -> Error unknown_signal)
+          | None, [] -> Error unknown_signal)
+      | [ (_, name) ] -> (
+          match List.assoc_opt name (Families.catalogue ~max_arity:24) with
+          | Some tt -> Ok tt
+          | None ->
+              Error
+                (Printf.sprintf
+                   "unknown family %S; try `ovo families` for the list" name))
+    with Failure m | Invalid_argument m | Sys_error m -> Error m
+  in
+  Result.map (fun tt -> (Option.value family ~default:"function", tt)) tt
 
 (* The function named by --table/--expr/--pla/--blif/--family, with its
    report name (the family's, else "function").  A [result], so a

@@ -205,7 +205,7 @@ let submit_cmd =
              ~doc:"Per-job deadline; an expired job is aborted between DP \
                    layers and answered with $(b,cancelled) (exit code 3).")
   in
-  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let switch name doc = Arg.(value & flag & info [ name ] ~doc) in
   Cmd.v
     (Cmd.info "submit"
        ~doc:"Submit a function to a running $(b,ovo serve) daemon"
@@ -216,16 +216,16 @@ let submit_cmd =
       ret
         (const run $ Front.connect_arg () $ connect_timeout $ retries
        $ Front.input $ Front.kind $ Front.engine $ deadline_ms
-       $ flag "json" "Print the raw NDJSON reply line."
-       $ flag "ping" "Just check the server is up."
-       $ flag "stats"
+       $ switch "json" "Print the raw NDJSON reply line."
+       $ switch "ping" "Just check the server is up."
+       $ switch "stats"
            "Fetch the server's stats report (uptime, queue depth, cache hit \
             rate, per-endpoint latency percentiles)."
-       $ flag "metrics"
+       $ switch "metrics"
            "Fetch the server's aggregated telemetry as JSON (windowed rates, \
             latency distributions, engine gauges; schema in doc/service.md)."
-       $ flag "prom" "Fetch the server's Prometheus text exposition."
-       $ flag "shutdown" "Ask the server to drain its queue and exit."))
+       $ switch "prom" "Fetch the server's Prometheus text exposition."
+       $ switch "shutdown" "Ask the server to drain its queue and exit."))
 
 let top_cmd =
   let module J = Ovo_obs.Json in

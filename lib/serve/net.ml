@@ -25,7 +25,7 @@ let bind_listen addr =
   Unix.listen sock 64;
   sock
 
-(* ---------- the NDJSON listener shared by the daemon and the router ---------- *)
+(* ---------- the one listener: daemon, router, scrape responder ---------- *)
 
 let now = Ovo_obs.Trace.monotonic
 
