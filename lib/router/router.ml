@@ -307,12 +307,13 @@ let start cfg =
   let map = Shard_map.make ~strategy:cfg.strategy cfg.shards in
   let names = List.map (fun (s : Shard_map.shard) -> s.name) cfg.shards in
   let stats = Rstats.create ~shards:names () in
+  (* listen first: it ignores SIGPIPE before the health probes write *)
+  let net = Net.listen ?idle_timeout:cfg.idle_timeout cfg.listen in
   let health =
     Health.start ~interval:cfg.health_interval ~timeout:cfg.connect_timeout
       ~on_change:(fun name up -> Rstats.set_shard_up stats ~shard:name up)
       (List.map (fun (s : Shard_map.shard) -> (s.name, s.addr)) cfg.shards)
   in
-  let net = Net.listen ?idle_timeout:cfg.idle_timeout cfg.listen in
   let t = { cfg; map; health; stats; net; prom_export = None } in
   Net.accept net (conn_loop t);
   t.prom_export <-
