@@ -1,8 +1,8 @@
-(* ovo optimize.  Every exact algorithm is the one Friedman–Supowit
-   recurrence behind a different driver — fs (Theorem 5), --weights
-   (Lemma 3's weighted widths), and Tani's qdc, tower:N and simple over
-   FS* — so they share one branch: flag checks, the memory budget and
-   its spill store, the incumbent for --prune, printing and --stats. *)
+(* ovo optimize.  Every exact algorithm runs the one Friedman–Supowit
+   recurrence — fs (Theorem 5), --weights (Lemma 3's weighted widths),
+   and Tani's qdc, tower:N and simple over FS* — so they share one
+   branch: flag checks, the memory budget and its spill store, the
+   incumbent for --prune, printing and --stats. *)
 
 open Cmdliner
 
@@ -206,7 +206,7 @@ let write_diagram ~save ~dot d =
     dot
 
 (* ------------------------------------------------------------------ *)
-(* the drivers                                                         *)
+(* running the algorithms                                             *)
 
 (* A heuristic's label and the order it settles on (root first). *)
 let heuristic ~trace ~metrics ~kind ~seed ~model h tt =
