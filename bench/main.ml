@@ -16,6 +16,17 @@ module Nm = Ovo_numerics.Maths
 
 let section name = Printf.printf "\n================ [%s] ================\n" name
 
+(* Remove [path] and everything under it; a missing path is not an error. *)
+let rec remove_tree path =
+  match Sys.is_directory path with
+  | exception Sys_error _ -> ()
+  | true ->
+      Array.iter
+        (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      Sys.rmdir path
+  | false -> Sys.remove path
+
 let measured_cells f =
   let metrics = Ovo_core.Metrics.create () in
   let result = f metrics in
@@ -567,7 +578,8 @@ let engine_bench () =
     (host_speedup /. float_of_int cores);
   Printf.printf
     "two-pass accounting: %d cost probes elected %d materialised winners\n\
-     (node-table copies %d - winners share their parent's node levels)\n"
+     (node-table copies %d - sweep winners are arena slices; node levels \
+     exist only on replay)\n"
     ms.Ovo_core.Metrics.s_cost_probes ms.Ovo_core.Metrics.s_states_materialised
     ms.Ovo_core.Metrics.s_node_table_copies;
   let doc =
@@ -846,6 +858,7 @@ let store_bench () =
   (* Warm restart of the result store: append, drop the handle, reopen. *)
   let dir = Filename.temp_file "ovo-bench-store" "" in
   Sys.remove dir;
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
   let entry_of seed =
     let canon, _ = T.canonicalize (T.random (Random.State.make [| seed |]) 8) in
     let r = Fs.run canon in

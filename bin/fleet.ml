@@ -610,6 +610,8 @@ let bench_serve_cmd =
             (Filename.get_temp_dir_name ())
             (Printf.sprintf "ovo-bench-%d" (Unix.getpid ()))
         in
+        (* the daemons' logs and sockets go with the reaped daemons *)
+        Fun.protect ~finally:(fun () -> Front.remove_tree dir) @@ fun () ->
         let run_on ?router names =
           bench_spawned ~dir ~workers ?router names ~clients ~batch work
         in

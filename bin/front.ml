@@ -279,6 +279,17 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path text =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
 
+(* Remove [path] and everything under it; a missing path is not an error. *)
+let rec remove_tree path =
+  match Sys.is_directory path with
+  | exception Sys_error _ -> ()
+  | true ->
+      Array.iter
+        (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      Sys.rmdir path
+  | false -> Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* daemon addresses                                                    *)
 

@@ -129,7 +129,14 @@ let mem_budget_arg =
     & opt (some Front.mem_budget_conv) None
     & info [ "mem-budget" ] ~docv:"BYTES"
         ~doc:
-          "($(b,--algo fs) only)  Cap the resident bytes of the DP's packed            cost/choice layers.  Completed layers past the cap spill to            CRC-framed segments under $(b,--spill-dir) and are reloaded            lazily during reconstruction; the solution is bit-identical to            an unbounded run.  Accepts $(b,k)/$(b,M)/$(b,G) suffixes            (binary multiples).")
+          "(With $(b,--algo) $(b,fs), $(b,qdc), $(b,tower:N) or $(b,simple), \
+           and with $(b,--weights).)  Cap the resident bytes of the DP's \
+           packed cost/choice table (9 bytes per subset); the two layer \
+           buffers that hold the sweep's states are not counted.  Completed \
+           layers past the cap spill to CRC-framed segments under \
+           $(b,--spill-dir) and are reloaded lazily during reconstruction; \
+           the solution is bit-identical to an unbounded run.  Accepts \
+           $(b,k)/$(b,M)/$(b,G) suffixes (binary multiples).")
 
 let spill_dir_arg =
   Arg.(
@@ -204,6 +211,40 @@ let write_diagram ~save ~dot d =
       Front.write_file path (Ovo_core.Diagram.to_dot d);
       Format.printf "diagram written   : %s@." path)
     dot
+
+(* ------------------------------------------------------------------ *)
+(* refusing what cannot fit                                           *)
+
+(* MemTotal from /proc/meminfo in bytes, if the file is there. *)
+let mem_total () =
+  match In_channel.with_open_text "/proc/meminfo" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text ->
+      List.find_map
+        (fun line ->
+          Scanf.sscanf_opt line "MemTotal: %d kB" (fun kb -> kb * 1024))
+        (String.split_on_char '\n' text)
+
+let pp_bytes b =
+  if b >= 1 lsl 30 then
+    Printf.sprintf "%.1f GiB" (float_of_int b /. 1073741824.)
+  else Printf.sprintf "%.1f MiB" (float_of_int b /. 1048576.)
+
+(* The estimate is the full FS sweep's two arena buffers (Arena.bytes);
+   --weights sweeps the same lattice, and the quantum compositions run
+   FS* sub-sweeps over the same table.  Refuse before the base table is
+   built. *)
+let refuse_oversized tt =
+  let n = Ovo_boolfun.Truthtable.arity tt in
+  let need = Ovo_core.Arena.bytes ~cells:(1 lsl n) ~m:n ~upto:n in
+  match mem_total () with
+  | Some total when need > total ->
+      failwith
+        (Printf.sprintf
+           "an exact solve over %d variables needs about %s for the DP's two \
+            layer buffers, more than this machine's memory (MemTotal %s)"
+           n (pp_bytes need) (pp_bytes total))
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* running the algorithms                                             *)
@@ -296,6 +337,7 @@ let run input kind algo dot save weights seed engine stats obs checkpoint
         refuse
           (checkpoint <> None && resume <> None)
           "pass --checkpoint (start fresh) or --resume (continue), not both";
+        if exact then refuse_oversized tt;
         let model = Front.load_weights model in
         (* one context counts the run's pricing and the final
            evaluation, so --stats reports this run alone *)

@@ -107,6 +107,32 @@ let width_if_compacted ~metrics st i =
 let mincost_if_compacted ~metrics st i =
   st.mincost + width_if_compacted ~metrics st i
 
+(* The sweep kernel: the same two scans over arena slices. *)
+let slice_claim kind (src : Arena.layer) ~bit ~next_id =
+  Pair_table.claim
+    ~zdd:(match kind with Zdd -> true | Bdd -> false)
+    ~bit ~next_id ~cells:(src.cells / 2)
+
+let load st (l : Arena.layer) r = Arena.blit st.table l ~pos:(r * l.cells)
+
+let probe ~metrics kind src r ~bit ~next_id =
+  let pt = slice_claim kind src ~bit ~next_id in
+  Pair_table.count_slice pt src r;
+  let width = Pair_table.width pt in
+  Pair_table.release pt;
+  Metrics.add_cells metrics (src.cells / 2);
+  Metrics.add_probe metrics;
+  width
+
+let write ~metrics kind src r dst dr ~bit ~next_id =
+  let pt = slice_claim kind src ~bit ~next_id in
+  Pair_table.compact_slice pt src r dst dr;
+  let width = Pair_table.width pt in
+  Pair_table.release pt;
+  Metrics.add_nodes metrics width;
+  Metrics.add_state metrics;
+  width
+
 let compact_chain ~metrics st vars =
   Array.fold_left (fun st i -> compact ~metrics st i) st vars
 

@@ -89,10 +89,49 @@ val mincost_if_compacted : metrics:Metrics.t -> state -> int -> int
     candidate, without building it. *)
 
 val materialise : metrics:Metrics.t -> state -> int -> state
-(** Exactly {!compact}, but with DP-winner accounting: the candidate's
-    cells were already charged by the {!width_if_compacted} probe that
-    elected it, so this charges only [states_materialised] and
-    [node_creations]. *)
+(** Exactly {!compact}, but with DP-winner accounting, for replaying a
+    chain the DP elected: the cells were already charged by the probe
+    that elected each placement, so this charges only
+    [states_materialised] and [node_creations]. *)
+
+(** {1 The sweep kernel}
+
+    {!Subset_dp} keeps no [state] in its sweep: a subset's state there is
+    its [mincost] and [next_id] plus a slice of an {!Arena} layer, laid
+    out as [table] is.  These are the scans of {!width_if_compacted} and
+    {!materialise} over such slices, with the same charges.  The slice
+    compacted w.r.t. the variable at bit [bit] of its index holds ids
+    below [next_id]. *)
+
+val load : state -> Arena.layer -> int -> unit
+(** [load st l r] writes [st.table] as slice [r] of [l]. *)
+
+val probe :
+  metrics:Metrics.t ->
+  kind ->
+  Arena.layer ->
+  int ->
+  bit:int ->
+  next_id:int ->
+  int
+(** [probe kind l r ~bit ~next_id]: the number of nodes compacting
+    slice [r] of [l] would create.  It records the scan's pair set only
+    and writes nothing.  Charges [table_cells] and [cost_probes]. *)
+
+val write :
+  metrics:Metrics.t ->
+  kind ->
+  Arena.layer ->
+  int ->
+  Arena.layer ->
+  int ->
+  bit:int ->
+  next_id:int ->
+  int
+(** [write kind src r dst dr ~bit ~next_id] writes the compaction of
+    slice [r] of [src] as slice [dr] of [dst] and returns the number of
+    nodes it creates, whose ids run from [next_id].  Charges
+    [states_materialised] and [node_creations]. *)
 
 val compact_chain : metrics:Metrics.t -> state -> int array -> state
 (** Fold {!compact} over the variables of an array, left to right: the

@@ -2,16 +2,26 @@ let log_src = Logs.Src.create "ovo.core.fs" ~doc:"Friedman-Supowit DP"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-module Dp = Subset_dp.Make (struct
+module State = struct
   type state = Compact.state
 
-  let cost_if_compacted ~metrics (st : Compact.state) h =
-    st.Compact.mincost + Compact.width_if_compacted ~metrics st h
-
   let materialise ~metrics st h = Compact.materialise ~metrics st h
-  let mincost (st : Compact.state) = st.Compact.mincost
+  let mincost (st : Compact.state) = st.mincost
   let free = Compact.free
-end)
+  let next_id (st : Compact.state) = st.next_id
+  let cells (st : Compact.state) = Array.length st.table
+  let load = Compact.load
+
+  let probe ~metrics ~(base : Compact.state) src r ~bit ~next_id =
+    Compact.probe ~metrics base.kind src r ~bit ~next_id
+
+  let write ~metrics ~(base : Compact.state) src r dst dr ~bit ~next_id =
+    Compact.write ~metrics base.kind src r dst dr ~bit ~next_id
+
+  let step_cost ~base:_ _ _ ~width = width
+end
+
+module Dp = Subset_dp.Make (State)
 
 type t = Dp.t = {
   j_set : Varset.t;

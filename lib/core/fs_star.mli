@@ -15,6 +15,10 @@
     algorithms.  Running to [k = |J|] with [I = ∅], [J = \[n\]] is the
     original algorithm FS (Theorem 5). *)
 
+module State : Subset_dp.COMPACTABLE with type state = Compact.state
+(** {!Compact.state} as the DP's state: a node adds 1 to the objective,
+    and the sweep kernel is {!Compact.probe}/{!Compact.write}. *)
+
 type t = private {
   j_set : Varset.t;
   upto : int;  (** cardinality at which the run stopped *)
@@ -93,5 +97,6 @@ val complete :
     for [K = J] — the
     composition step [FS(⟨I⟩) ↦ FS(⟨I,J⟩)] used verbatim by the quantum
     algorithms (their classical subroutine [Γ = FS*]).  Runs in
-    cost-table mode and backtracks the packed table to the winner, so it
-    never holds more than one layer of states. *)
+    cost-table mode and backtracks the packed table to the winner: the
+    sweep's states are arena slices, and the only full state it builds
+    is the winner's, by replaying its chain. *)

@@ -15,9 +15,6 @@ module Weighted_state = struct
     wcost : int;
   }
 
-  let cost_if_compacted ~metrics st i =
-    st.wcost + (st.weights.(i) * Compact.width_if_compacted ~metrics st.inner i)
-
   let materialise ~metrics st i =
     let next = Compact.materialise ~metrics st.inner i in
     let width = Compact.width_of_last ~before:st.inner ~after:next in
@@ -25,6 +22,17 @@ module Weighted_state = struct
 
   let mincost st = st.wcost
   let free st = Compact.free st.inner
+  let next_id st = st.inner.Compact.next_id
+  let cells st = Fs_star.State.cells st.inner
+  let load st = Compact.load st.inner
+
+  let probe ~metrics ~base src r ~bit ~next_id =
+    Fs_star.State.probe ~metrics ~base:base.inner src r ~bit ~next_id
+
+  let write ~metrics ~base src r dst dr ~bit ~next_id =
+    Fs_star.State.write ~metrics ~base:base.inner src r dst dr ~bit ~next_id
+
+  let step_cost ~base _ i ~width = base.weights.(i) * width
 end
 
 module Dp = Subset_dp.Make (Weighted_state)

@@ -16,13 +16,15 @@
 
     - {!Compact.compact} (a direct, stand-alone compaction): charges
       [table_cells], [compactions] and [node_creations].
-    - {!Compact.width_if_compacted} (the allocation-free cost probe):
-      charges [table_cells] and [cost_probes] — a probe does the same
-      cell scan a compaction would, it just materialises nothing.
-    - {!Compact.materialise} (building the already-costed winner inside
-      the DP): charges [states_materialised] and [node_creations] but
-      {e not} [table_cells] — its cells were already charged by the
-      probe that elected it.
+    - {!Compact.width_if_compacted} and {!Compact.probe} (the
+      allocation-free cost probes, of a full state and of an arena
+      slice): charge [table_cells] and [cost_probes] — a probe does the
+      same cell scan a compaction would, it just builds nothing.
+    - {!Compact.write} (writing the already-costed winner's slice in
+      the DP's sweep) and {!Compact.materialise} (a replay step):
+      charge [states_materialised] and [node_creations] but {e not}
+      [table_cells] — the cells were already charged by the probe that
+      elected the winner.
 
     With this discipline the measured [table_cells] of a full {!Fs.run}
     is exactly the paper's [n·3^(n-1)] (Theorem 5), as before the

@@ -29,26 +29,37 @@ val claim : zdd:bool -> bit:int -> next_id:int -> cells:int -> t
 (** A cleared table for one scan that compacts bit [bit] of tables
     whose cells are node ids below [next_id], producing [cells] cells in
     all.  [zdd] picks the elision rule: [hi = 0] (ZDD) instead of
-    [lo = hi] (BDD).  Pair with {!release}. *)
+    [lo = hi] (BDD).  One claim serves one kind of scan, a probe or a
+    build.  Pair with {!release}. *)
 
 val count : t -> int array -> unit
 (** Scan a table and record its unelided pairs, building nothing: the
-    cost-only probe.  Several tables scanned under one claim share the
-    pair set, as the roots of a shared diagram do. *)
+    cost-only probe of a full state.  It keeps only the pair set, a
+    stamp and a key per slot.  Several tables scanned under one claim
+    share the pair set, as the roots of a shared diagram do. *)
 
 val compact : t -> int array -> int array
 (** The same scan, building the compacted table (half the length of the
     input): an elided cell keeps its [lo] child, and any other cell gets
-    [next_id] plus the index of its pair. *)
+    [next_id] plus the index of its pair, whose children {!pairs}
+    lists. *)
+
+val count_slice : t -> Arena.layer -> int -> unit
+(** {!count} over slice [r] of an arena layer: the sweep's probe. *)
+
+val compact_slice : t -> Arena.layer -> int -> Arena.layer -> int -> unit
+(** [compact_slice t src r dst dr] writes the compaction of slice [r]
+    of [src] as slice [dr] of [dst]: the sweep's materialise.  It
+    records no pairs; the sweep never builds node levels. *)
 
 val width : t -> int
 (** Distinct unelided pairs recorded since the claim: the number of
     nodes the scan creates. *)
 
 val pairs : t -> int array
-(** The recorded pairs in index order, [lo] then [hi]: a fresh array of
-    [2 * width t] ints. *)
+(** The pairs {!compact} recorded, in index order, [lo] then [hi]: a
+    fresh array of [2 * width t] ints. *)
 
 val release : t -> unit
-(** Hand the table back to its domain.  {!count} and {!compact} release
-    it themselves before re-raising an exception. *)
+(** Hand the table back to its domain.  The scans release it
+    themselves before re-raising an exception. *)

@@ -93,22 +93,6 @@ let materialise ~metrics st i =
   check_var "materialise" st i;
   compact_gen ~charge:`Materialise ~metrics st i
 
-(* Cost-only kernel: how many fresh shared nodes a compaction on [i]
-   would create, across all roots — the distinct non-elided [(lo, hi)]
-   pairs over every table's scan — with no allocation. *)
-let width_if_compacted ~metrics st i =
-  check_var "width_if_compacted" st i;
-  let pt = claim st i in
-  for r = 0 to Array.length st.tables - 1 do
-    Pair_table.count pt st.tables.(r)
-  done;
-  let width = Pair_table.width pt in
-  Pair_table.release pt;
-  Metrics.add_cells metrics
-    (Array.length st.tables.(0) / 2 * Array.length st.tables);
-  Metrics.add_probe metrics;
-  width
-
 let compact_chain ~metrics st vars =
   Array.fold_left (fun st i -> compact ~metrics st i) st vars
 
@@ -172,16 +156,35 @@ let check st mts =
     mts;
   !ok
 
-module Dp = Subset_dp.Make (struct
+(* One slice holds every root's table, back to back: the root index
+   sits above the free variables' bits of the cell index, so a scan of
+   the slice is the roots' scans in turn, sharing one pair set — the
+   {!Compact} kernel as it stands. *)
+module State = struct
   type nonrec state = state
-
-  let cost_if_compacted ~metrics st h =
-    st.mincost + width_if_compacted ~metrics st h
 
   let materialise ~metrics st h = materialise ~metrics st h
   let mincost st = st.mincost
   let free = free
-end)
+  let next_id st = st.next_id
+  let cells st = Array.length st.tables.(0) * Array.length st.tables
+
+  let load st (l : Arena.layer) r =
+    Array.iteri
+      (fun j table ->
+        Arena.blit table l ~pos:((r * l.cells) + (j * Array.length table)))
+      st.tables
+
+  let probe ~metrics ~base src r ~bit ~next_id =
+    Compact.probe ~metrics base.kind src r ~bit ~next_id
+
+  let write ~metrics ~base src r dst dr ~bit ~next_id =
+    Compact.write ~metrics base.kind src r dst dr ~bit ~next_id
+
+  let step_cost ~base:_ _ _ ~width = width
+end
+
+module Dp = Subset_dp.Make (State)
 
 type result = { mincost : int; size : int; order : int array; state : state }
 

@@ -38,18 +38,11 @@ val compact : metrics:Metrics.t -> state -> int -> state
     Charges [table_cells] (one count per root per new cell) and
     [compactions] to [metrics]. *)
 
-val width_if_compacted : metrics:Metrics.t -> state -> int -> int
-(** Cost-only kernel: how many fresh shared nodes {!compact} would
-    create, across all roots, with no allocation (no new tables, no
-    level, no state): every root's scan records its pairs in the one
-    reused {!Pair_table} that {!Compact.width_if_compacted} uses.
-    Charges [table_cells] and [cost_probes].  Safe on frozen states
-    from {!Engine.Par} workers and from systhreads. *)
-
 val materialise : metrics:Metrics.t -> state -> int -> state
-(** Exactly {!compact} but with DP-winner accounting: cells were already
-    charged by the probe that elected this candidate, so only
-    [states_materialised]/[node_creations] move. *)
+(** Exactly {!compact} but with DP-winner accounting, for replaying a
+    chain the DP elected: cells were already charged by the probe that
+    elected each placement, so only [states_materialised]/
+    [node_creations] move. *)
 
 val compact_chain : metrics:Metrics.t -> state -> int array -> state
 
@@ -65,6 +58,11 @@ val eval : state -> root:int -> int -> int
 
 val check : state -> Ovo_boolfun.Mtable.t array -> bool
 (** Semantic equivalence of every root against its table. *)
+
+module State : Subset_dp.COMPACTABLE with type state = state
+(** The shared state as the DP's state: one arena slice holds every
+    root's table, back to back, and the sweep kernel is
+    {!Compact.probe}/{!Compact.write}. *)
 
 type result = {
   mincost : int;  (** shared non-terminal count *)

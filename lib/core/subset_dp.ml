@@ -3,10 +3,34 @@ module Trace = Ovo_obs.Trace
 module type COMPACTABLE = sig
   type state
 
-  val cost_if_compacted : metrics:Metrics.t -> state -> int -> int
   val materialise : metrics:Metrics.t -> state -> int -> state
   val mincost : state -> int
   val free : state -> Varset.t
+  val next_id : state -> int
+  val cells : state -> int
+  val load : state -> Arena.layer -> int -> unit
+
+  val probe :
+    metrics:Metrics.t ->
+    base:state ->
+    Arena.layer ->
+    int ->
+    bit:int ->
+    next_id:int ->
+    int
+
+  val write :
+    metrics:Metrics.t ->
+    base:state ->
+    Arena.layer ->
+    int ->
+    Arena.layer ->
+    int ->
+    bit:int ->
+    next_id:int ->
+    int
+
+  val step_cost : base:state -> Varset.t -> int -> width:int -> int
 end
 
 type progress = {
@@ -19,10 +43,9 @@ let binomial = Layer_pack.binomial
 (* One subset's slot in a layer held as an array indexed by colex rank:
    the winner of the Lemma 7 minimisation, or [Pruned] for a subset the
    branch-and-bound discarded (or that no kept predecessor reaches).
-   [state] is [None] where the caller never reads the layer's states. *)
-type 'st entry =
-  | Pruned
-  | Winner of { cost : int; choice : int; state : 'st option }
+   A winner's table is the slice at its rank in the layer's arena
+   buffer, holding ids below [next_id]. *)
+type entry = Pruned | Winner of { cost : int; choice : int; next_id : int }
 
 (* The packed cost/choice store of one sweep: layer [k] is split into
    fixed-size {!Layer_pack.Extent}s (9 bytes per subset, ~1 MiB of dense
@@ -131,7 +154,7 @@ module Layers = struct
      extent is filled from its rank range, charged and immediately
      subject to budget enforcement, so the packed layer as a whole need
      never be resident at once. *)
-  let put_layer t ~k (layer : _ entry array) =
+  let put_layer t ~k (layer : entry array) =
     let total = Array.length layer in
     let elen =
       max 1 (Membudget.extent_bytes t.mb / Layer_pack.entry_bytes)
@@ -280,24 +303,31 @@ module Make (S : COMPACTABLE) = struct
     if upto < 0 || upto > j_size then invalid_arg "Subset_dp.run: bad upto";
     upto
 
-  (* The two-pass layer step for the subset of colex rank [r] in layer
+  (* What every layer step of one sweep reads: [below.(c)] counts the
+     base's free variables under [J]'s member at position [c]. *)
+  type ctx = { layers : Layers.t; base : S.state; below : int array }
+
+  (* The two-pass layer step for the subset K of colex rank [r] in layer
      [k].  Pass 1 probes every candidate [h] for its cost only (Lemma 7
-     minimisation) — no state.  Pass 2 materialises the single winner,
-     unless [skip_state] (the caller will never read this layer's
-     states).  Ties keep the smallest [h], as the one-pass code did.
-     The previous layer is frozen, so this function is safe on
+     minimisation), reading the predecessor's slice in [src].  Pass 2
+     writes the single winner's slice at rank [r] of [dst]; the final
+     layer has no [dst] (nothing reads its slices).  Ties keep the
+     smallest [h], as the one-pass code did.  The previous layer is
+     frozen and each rank owns its slice, so this function is safe on
      Engine.Par workers; its result lands at index [r] of the next
      layer.
 
-     Pass 1 finds K and every predecessor K ∖ {h} by rank, with no
-     hashing: with c_1 < … < c_k the positions of K's members in J,
-     rank K = Σ_j C(c_j, j), and unranking peels the members off from
-     the top.  Once c_i is peeled the residual rank is
-     Σ_{j<i} C(c_j, j), so rank (K ∖ {c_i}) = Σ_{j<i} C(c_j, j) +
-     Σ_{j>i} C(c_j, j−1) is that residual plus [above], the shifted sum
-     of the members already peeled.  The candidates come largest first,
-     so a tie replaces the incumbent choice.  The loop runs on local
-     refs and allocates nothing.
+     Pass 1 finds every predecessor K ∖ {h} by rank, with no hashing:
+     with c_1 < … < c_k the positions of K's members in J, rank K =
+     Σ_j C(c_j, j), and unranking peels the members off from the top.
+     Once c_i is peeled the residual rank is Σ_{j<i} C(c_j, j), so
+     rank (K ∖ {c_i}) = Σ_{j<i} C(c_j, j) + Σ_{j>i} C(c_j, j−1) is that
+     residual plus [above], the shifted sum of the members already
+     peeled.  The candidates come largest first, so a tie replaces the
+     incumbent choice.  The i−1 members below c_i are assigned in the
+     predecessor, so the candidate sits at bit [below.(c) − (i − 1)] of
+     its slice's index.  The loop runs on local refs and allocates
+     nothing.
 
      [prune = Some (b, cap, base_free)] turns the step into a
      branch-and-bound one: a [Pruned] predecessor is skipped (a subset
@@ -311,28 +341,34 @@ module Make (S : COMPACTABLE) = struct
      chain to every optimal target survives and answers stay
      bit-identical (a pruned candidate never beats the surviving tight
      choice, so ties still keep the smallest [h]). *)
-  let eval_rank ~layers ~k ~prev ~skip_state ~prune metrics r =
-    let pascal = layers.Layers.pascal and members = layers.Layers.members in
-    let ksub = ref Varset.empty in
+  let eval_rank ctx ~k ~prev ~src ~dst ~prune metrics r =
+    let pascal = ctx.layers.Layers.pascal
+    and members = ctx.layers.Layers.members
+    and base = ctx.base in
+    let ksub = Layers.unrank ctx.layers ~k r in
     let rest = ref r and above = ref 0 and c = ref (Array.length members - 1) in
     let best_h = ref (-1) and best_c = ref max_int and best_r = ref (-1) in
+    let best_bit = ref 0 and best_w = ref 0 and best_next = ref 0 in
     for i = k downto 1 do
       while pascal.(!c).(i) > !rest do
         decr c
       done;
       rest := !rest - pascal.(!c).(i);
       let h = members.(!c) and pr = !rest + !above in
-      ksub := Varset.add h !ksub;
       (match prev.(pr) with
       | Pruned -> ()
-      | Winner { state = Some before; _ } ->
-          let cost = S.cost_if_compacted ~metrics before h in
+      | Winner { cost; next_id; _ } ->
+          let bit = ctx.below.(!c) - (i - 1) in
+          let width = S.probe ~metrics ~base src pr ~bit ~next_id in
+          let cost = cost + S.step_cost ~base (Varset.remove h ksub) h ~width in
           if cost <= !best_c then begin
             best_c := cost;
             best_h := h;
-            best_r := pr
-          end
-      | Winner { state = None; _ } -> assert false);
+            best_r := pr;
+            best_bit := bit;
+            best_w := width;
+            best_next := next_id
+          end);
       above := !above + pascal.(!c).(i - 1)
     done;
     if !best_h < 0 then begin
@@ -344,21 +380,21 @@ module Make (S : COMPACTABLE) = struct
         match prune with
         | None -> true
         | Some (b, cap, base_free) ->
-            !best_c + Bound.remaining b (Varset.diff base_free !ksub) <= cap
+            !best_c + Bound.remaining b (Varset.diff base_free ksub) <= cap
       in
       if not keep then Pruned
-      else
-        let state =
-          if skip_state then None
-          else
-            match prev.(!best_r) with
-            | Winner { state = Some before; _ } ->
-                let st = S.materialise ~metrics before !best_h in
-                assert (S.mincost st = !best_c);
-                Some st
-            | Pruned | Winner { state = None; _ } -> assert false
-        in
-        Winner { cost = !best_c; choice = !best_h; state }
+      else begin
+        (match dst with
+        | None -> ()
+        | Some dst ->
+            let width =
+              S.write ~metrics ~base src !best_r dst r ~bit:!best_bit
+                ~next_id:!best_next
+            in
+            assert (width = !best_w));
+        Winner
+          { cost = !best_c; choice = !best_h; next_id = !best_next + !best_w }
+      end
 
   (* A resume must be a consecutive, complete prefix of layers 1..m with
      every entry a |layer|-subset of J; anything else means the
@@ -385,9 +421,9 @@ module Make (S : COMPACTABLE) = struct
       resume;
     !expect - 1
 
-  (* A checkpointed layer as a rank-indexed one, states not yet rebuilt.
-     [validate_resume] checked the entry count, so a repeated subset
-     leaves another one missing. *)
+  (* A checkpointed layer as a rank-indexed one, slices not yet rebuilt
+     ([next_id] is only known once they are).  [validate_resume] checked
+     the entry count, so a repeated subset leaves another one missing. *)
   let layer_of_progress layers p =
     let layer = Array.make (Array.length p.p_entries) Pruned in
     Array.iter
@@ -396,7 +432,7 @@ module Make (S : COMPACTABLE) = struct
         (match layer.(r) with
         | Pruned -> ()
         | Winner _ -> invalid_arg "Subset_dp.run: resume layer is incomplete");
-        layer.(r) <- Winner { cost; choice; state = None })
+        layer.(r) <- Winner { cost; choice; next_id = 0 })
       p.p_entries;
     layer
 
@@ -411,16 +447,54 @@ module Make (S : COMPACTABLE) = struct
     done;
     { p_layer = k; p_entries = Array.of_list !acc }
 
+  (* The full state of a subset: its recorded chain replayed over the
+     base.  Node ids are assigned in scan order, a deterministic
+     function of the placement sequence, so the replay is bit-identical
+     to the slice the sweep wrote. *)
+  let replay ~metrics base chain =
+    List.fold_left (fun st h -> S.materialise ~metrics st h) base chain
+
+  (* Replay the chains of every kept subset of layer [k] of the packed
+     table, inside a "dp.rebuild" span; [f r st] receives each state. *)
+  let rebuild ~trace ~replay table ~k layer f =
+    Trace.with_span trace ~cat:"dp"
+      ~args:(fun () ->
+        [
+          ("k", Ovo_obs.Json.Int k);
+          ("subsets", Ovo_obs.Json.Int (Array.length layer));
+        ])
+      "dp.rebuild"
+      (fun () ->
+        let ranks =
+          List.filter
+            (fun r -> layer.(r) <> Pruned)
+            (List.init (Array.length layer) Fun.id)
+          |> Array.of_list
+        in
+        let chains =
+          Layers.chains table (Array.map (Layers.unrank table ~k) ranks)
+        in
+        Array.iteri (fun i r -> f r (replay chains.(i))) ranks)
+
+  let max_next layer =
+    Array.fold_left
+      (fun acc -> function
+        | Winner { next_id; _ } -> max acc next_id
+        | Pruned -> acc)
+      0 layer
+
   (* One full DP sweep.  A layer is an array indexed by colex rank: the
      workers of one [Engine.map] each write their subsets' winners at
-     their own ranks, so between two layers the calling domain does no
+     their own ranks, and their slices at the same ranks of the layer's
+     arena buffer, so between two layers the calling domain does no
      hashing and no re-ranking — only the incumbent update and packing.
-     [keep_last_states]: materialise and keep the states of the final
-     cardinality layer (algorithm FS* proper); cost-only callers skip
-     them and backtrack instead.  Intermediate layers are always
-     materialised (the next layer's probes need them) and dropped as
-     soon as their successor layer is complete — only the packed integer
-     layers outlive a layer.
+     The final layer writes no slices: its states are rebuilt by replay
+     ([run]) or only its table is wanted ([costs], [complete]).  Layer
+     [k] lives in arena buffer [k mod 2] and dies when layer [k + 2]
+     overwrites it; only the packed integer layers outlive a layer.  A
+     layer's cells are 2 bytes when the previous layer's largest
+     [next_id] plus the nodes one compaction can add stay within
+     {!Arena.narrow_ids}, and 4 bytes otherwise.
 
      The sweep opens one {!Engine.with_pool} sized for its widest layer:
      a Par sweep spawns its worker domains once, the calling domain works
@@ -441,7 +515,7 @@ module Make (S : COMPACTABLE) = struct
      record when its extents are evicted; the same boundaries [cancel]
      is polled at.  The triples are only built when a hook is given.
      [resume] preloads the packed layers from previously completed
-     progress and rebuilds the last layer's states by replaying the
+     progress and rebuilds the last layer's slices by replaying the
      recorded choice chains, so the sweep continues exactly where the
      checkpointed run stopped and stays bit-identical to an
      uninterrupted one under both engines.
@@ -454,8 +528,8 @@ module Make (S : COMPACTABLE) = struct
      only ever emitted when a budget is set, so unbudgeted traces are
      unchanged.  Probes stay untraced — the tracer's granularity floor is
      a layer, so the disabled-tracer cost on the hot path is zero. *)
-  let sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto ~keep_last_states
-      ~on_layer ~resume ~base j_set =
+  let sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto ~on_layer ~resume
+      ~base j_set =
     (match (prune, resume) with
     | Some _, _ :: _ ->
         (* a checkpoint records complete layers; a pruned sweep neither
@@ -467,47 +541,62 @@ module Make (S : COMPACTABLE) = struct
     let layers =
       Layers.create ~trace ~mb ~base_cost:(S.mincost base) ~upto j_set
     in
+    let ctx =
+      {
+        layers;
+        base;
+        below =
+          Array.map (fun h -> Varset.rank_in h base_free) layers.Layers.members;
+      }
+    in
+    let cells = S.cells base in
+    let arena = Arena.claim ~cells ~m ~upto in
+    Fun.protect ~finally:(fun () -> Arena.release arena) @@ fun () ->
+    (* layer [k]'s buffer, for cells holding ids below [bound] *)
+    let arena_layer k ~bound =
+      Arena.layer arena ~k ~wide:(bound > Arena.narrow_ids)
+        ~cells:(cells lsr k) ~slices:(binomial m k)
+    in
     let start_k = validate_resume ~upto j_set resume + 1 in
     let layer =
       ref
-        [| Winner { cost = S.mincost base; choice = -1; state = Some base } |]
+        [|
+          Winner
+            { cost = S.mincost base; choice = -1; next_id = S.next_id base };
+        |]
     in
     List.iter
       (fun p ->
-        let k = p.p_layer in
         let resumed = layer_of_progress layers p in
-        Layers.put_layer layers ~k resumed;
-        layer := resumed;
-        (* the last resumed layer's states are only needed when the sweep
-           will read them: either another layer follows, or the caller
-           keeps the final layer (FS* proper) *)
-        if k = start_k - 1 && (k < upto || keep_last_states) then
-          Trace.with_span trace ~cat:"dp"
-            ~args:(fun () ->
-              [
-                ("k", Ovo_obs.Json.Int k);
-                ("subsets", Ovo_obs.Json.Int (Array.length resumed));
-              ])
-            "dp.rebuild"
-            (fun () ->
-              let chains =
-                Layers.chains layers
-                  (Array.init (Array.length resumed) (Layers.unrank layers ~k))
-              in
-              layer :=
-                Array.mapi
-                  (fun r -> function
-                    | Winner { cost; choice; _ } ->
-                        let st =
-                          List.fold_left
-                            (fun st h -> S.materialise ~metrics st h)
-                            base chains.(r)
-                        in
-                        assert (S.mincost st = cost);
-                        Winner { cost; choice; state = Some st }
-                    | Pruned -> assert false)
-                  resumed))
+        Layers.put_layer layers ~k:p.p_layer resumed;
+        layer := resumed)
       resume;
+    (* the slices of layer [start_k - 1], if a layer follows it; a
+       resumed layer's ids are below the base's plus every cell of the
+       layers above it *)
+    let src = ref None in
+    (if start_k <= upto then
+       let k = start_k - 1 in
+       if k = 0 then begin
+         let l = arena_layer 0 ~bound:(S.next_id base) in
+         S.load base l 0;
+         src := Some l
+       end
+       else begin
+         let l =
+           arena_layer k ~bound:(S.next_id base + cells - (cells lsr k))
+         in
+         let resumed = !layer in
+         rebuild ~trace ~replay:(replay ~metrics base) layers ~k resumed
+           (fun r st ->
+             match resumed.(r) with
+             | Winner { cost; choice; _ } ->
+                 assert (S.mincost st = cost);
+                 S.load st l r;
+                 resumed.(r) <- Winner { cost; choice; next_id = S.next_id st }
+             | Pruned -> assert false);
+         src := Some l
+       end);
     let width = ref 0 in
     for k = start_k to upto do
       width := max !width (binomial m k)
@@ -531,8 +620,16 @@ module Make (S : COMPACTABLE) = struct
                  caller's [Cancel.protect] *)
               Cancel.check cancel;
               let prev = !layer in
-              let skip_state = k = upto && not keep_last_states in
+              let last = k = upto in
               let total = binomial m k in
+              let dst =
+                if last then None
+                else
+                  let top = max_next prev in
+                  Some
+                    (arena_layer k
+                       ~bound:(top + min (cells lsr k) (top * top)))
+              in
               (* the incumbent is frozen for the whole layer: workers
                  prune against this snapshot, and only the code after
                  the map below (calling domain) tightens it — Seq and
@@ -546,13 +643,14 @@ module Make (S : COMPACTABLE) = struct
                   ~args:(fun () ->
                     ("k", Ovo_obs.Json.Int k)
                     :: ("subsets", Ovo_obs.Json.Int total)
-                    :: ("skip_state", Ovo_obs.Json.Bool skip_state)
+                    :: ("skip_state", Ovo_obs.Json.Bool last)
                     :: Metrics.to_args
                          (Metrics.diff (Metrics.snapshot metrics) before))
                   (Printf.sprintf "layer k=%d" k)
                   (fun () ->
                     Engine.map ~cancel pool ~metrics
-                      (eval_rank ~layers ~k ~prev ~skip_state ~prune:pr)
+                      (eval_rank ctx ~k ~prev ~src:(Option.get !src) ~dst
+                         ~prune:pr)
                       total)
               in
               (match prune with
@@ -603,7 +701,8 @@ module Make (S : COMPACTABLE) = struct
                  treat eviction of its extents as a no-op *)
               Option.iter (fun f -> f (progress_of layers ~k next)) on_layer;
               Layers.put_layer layers ~k next;
-              layer := next
+              layer := next;
+              if not last then src := dst
             done));
     (layers, !layer)
 
@@ -611,32 +710,40 @@ module Make (S : COMPACTABLE) = struct
     | Some mb -> mb
     | None -> Membudget.unbounded ()
 
-  let run ?(trace = Trace.null) ?(engine = Engine.Seq)
-      ?(cancel = Cancel.never) ?(metrics = Metrics.create ()) ?membudget ?prune
-      ?on_layer ?(resume = []) ?upto ~base j_set =
-    let upto = validate ~base j_set upto in
-    let mb = membudget_of membudget in
-    let table, last =
-      sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto
-        ~keep_last_states:true ~on_layer ~resume ~base j_set
-    in
-    let layer = Hashtbl.create (Array.length last) in
-    Array.iteri
-      (fun r -> function
-        | Winner { state = Some st; _ } ->
-            Hashtbl.replace layer (Layers.unrank table ~k:upto r) st
-        | Winner { state = None; _ } | Pruned -> ())
-      last;
-    { j_set; upto; table; layer }
-
   let costs ?(trace = Trace.null) ?(engine = Engine.Seq)
       ?(cancel = Cancel.never) ?(metrics = Metrics.create ()) ?membudget ?prune
       ?on_layer ?(resume = []) ?upto ~base j_set =
     let upto = validate ~base j_set upto in
     let mb = membudget_of membudget in
     fst
-      (sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto
-         ~keep_last_states:false ~on_layer ~resume ~base j_set)
+      (sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto ~on_layer
+         ~resume ~base j_set)
+
+  (* The sweep, then the final layer's full states rebuilt by replay.
+     The sweep already counted every state but the final layer's, so a
+     replay charges only its last placement: the counters read as if
+     the sweep had materialised the final layer itself. *)
+  let run ?(trace = Trace.null) ?(engine = Engine.Seq)
+      ?(cancel = Cancel.never) ?(metrics = Metrics.create ()) ?membudget ?prune
+      ?on_layer ?(resume = []) ?upto ~base j_set =
+    let upto = validate ~base j_set upto in
+    let mb = membudget_of membudget in
+    let table, last =
+      sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto ~on_layer ~resume
+        ~base j_set
+    in
+    let layer = Hashtbl.create (Array.length last) in
+    let replay chain =
+      match List.rev chain with
+      | [] -> base
+      | h :: prefix ->
+          S.materialise ~metrics
+            (replay ~metrics:(Metrics.create ()) base (List.rev prefix))
+            h
+    in
+    rebuild ~trace ~replay table ~k:upto last (fun r st ->
+        Hashtbl.replace layer (Layers.unrank table ~k:upto r) st);
+    { j_set; upto; table; layer }
 
   let state_of t ksub =
     if (not (Varset.subset ksub t.j_set)) || Varset.cardinal ksub <> t.upto
@@ -671,7 +778,7 @@ module Make (S : COMPACTABLE) = struct
             | [| c |] -> c
             | _ -> assert false
           in
-          List.fold_left (fun st h -> S.materialise ~metrics st h) base chain)
+          replay ~metrics base chain)
     in
     assert (S.mincost st = mincost table j_set);
     st

@@ -1,5 +1,5 @@
 (** The subset dynamic program of Lemmas 4/7, abstracted over the state
-    being compacted — now a {e two-pass} engine.
+    being compacted — a {e two-pass} engine over two arena layers.
 
     Both the single-rooted [FS*] ({!Fs_star}) and the multi-rooted
     variant ({!Shared}) run the same loop: for growing cardinality [k],
@@ -8,18 +8,27 @@
     captures that loop once; the per-state operations come from the
     parameter.
 
+    Inside the sweep a state is only [{mincost; next_id}] plus its
+    table, a {e slice} at its colex rank in its layer's {!Arena} buffer:
+    layer [k] needs only layer [k - 1] (Remark 1), so two buffers,
+    ping-ponged and sized once by {!Arena.bytes}, hold every table the
+    sweep builds, at 2 bytes per cell while the layer's ids allow it and
+    4 bytes otherwise.  No sweep state has node levels; the full state
+    ({!Compact.state}, with its levels and suborder) exists only where a
+    chain is replayed: {!complete}'s winner, {!run}'s final layer and a
+    resumed layer.
+
     The loop evaluates each subset in two passes: a {e cost pass} probes
-    every candidate [h] with the allocation-free [cost_if_compacted]
-    kernel, and only the single winner is then materialised — losing
-    candidates never allocate a state.  A layer is an array indexed by
-    the colex rank of its subsets, and each subset finds its
-    predecessors [K ∖ {h}] by rank, without hashing.  Layers are
-    independent given their predecessor, so an {!Engine.Par} engine
-    runs each layer as one {!Engine.map} over the ranks, on a pool of
-    domains opened once per sweep ({!Engine.with_pool}) with the calling
-    domain as participant 0; each participant counts into its own
-    {!Metrics.t} scratch and writes its subsets' winners at their own
-    ranks, so results are deterministic and identical to {!Engine.Seq}.
+    every candidate [h] with the count-only [probe] kernel, and only the
+    single winner's slice is then written — losing candidates write
+    nothing.  Each subset finds its predecessors [K ∖ {h}] by rank,
+    without hashing.  Layers are independent given their predecessor,
+    so an {!Engine.Par} engine runs each layer as one {!Engine.map} over
+    the ranks, on a pool of domains opened once per sweep
+    ({!Engine.with_pool}) with the calling domain as participant 0; each
+    participant counts into its own {!Metrics.t} scratch and writes its
+    subsets' winners and slices at their own ranks, so results are
+    deterministic and identical to {!Engine.Seq}.
 
     The DP's table — [MINCOST⟨K⟩] and a tight last-placed variable for
     every subset — has one form, the {!table}: every completed
@@ -29,16 +38,16 @@
     disk through the injected sink and are reloaded lazily when read —
     results stay bit-identical to the in-memory run under both engines,
     because the calling domain packs each layer by rank once every
-    participant has finished it.  {!run} returns it beside the final
-    layer's states, {!costs} returns it alone, and {!complete}
-    backtracks the argmin pointers over it to materialise an optimal
-    state in [|J|] compactions, as the paper reconstructs orderings
-    from the DP table.
+    participant has finished it.  The budget meters this table only,
+    not the arena.  {!run} returns it beside the final layer's states,
+    {!costs} returns it alone, and {!complete} backtracks the argmin
+    pointers over it to materialise an optimal state in [|J|]
+    compactions, as the paper reconstructs orderings from the DP table.
 
     With a {!Bound.t} context ([?prune]) the sweep becomes an exact
     {e branch-and-bound}: a subset whose cost plus admissible remaining
-    bound exceeds the incumbent is never materialised (nor set in its
-    extent — pruned entries cost the compressed encoding nothing).  The
+    bound exceeds the incumbent is never written (nor set in its extent
+    — pruned entries cost the compressed encoding nothing).  The
     incumbent is seeded from an injected upper bound and tightened at
     layer boundaries from states whose completion cost is known exactly,
     on the calling domain only, so the surviving state set — and every
@@ -52,22 +61,67 @@
 
 module type COMPACTABLE = sig
   type state
-
-  val cost_if_compacted : metrics:Metrics.t -> state -> int -> int
-  (** The DP objective the state would have after placing one variable
-      on top of the assigned block — computed {e without} building the
-      state (no allocation).  Must equal
-      [mincost (materialise st h)] exactly. *)
+  (** The full state: its tables, node levels and suborder.  The sweep
+      builds one only to replay a chain. *)
 
   val materialise : metrics:Metrics.t -> state -> int -> state
-  (** Place one variable on top of the assigned block (the winner of a
-      cost pass; accounting goes to the materialisation counters). *)
+  (** Place one variable on top of the assigned block of a full state
+      (a replay step; accounting goes to the materialisation
+      counters). *)
 
   val mincost : state -> int
-  (** Non-terminal nodes created so far (the DP objective). *)
+  (** The DP objective so far. *)
 
   val free : state -> Varset.t
   (** Variables not yet assigned. *)
+
+  val next_id : state -> int
+  (** The id the next created node gets: every id in the state's
+      tables is below it. *)
+
+  (** {2 The sweep kernel}
+
+      The sweep's [base] is a full state; the functions below see it
+      only for its constants (diagram kind, weights).  A slice of the
+      base is {!cells} cells long, and every compaction halves it. *)
+
+  val cells : state -> int
+  (** Cells of the state's slice. *)
+
+  val load : state -> Arena.layer -> int -> unit
+  (** [load st l r] writes the state's tables as slice [r] of [l]. *)
+
+  val probe :
+    metrics:Metrics.t ->
+    base:state ->
+    Arena.layer ->
+    int ->
+    bit:int ->
+    next_id:int ->
+    int
+  (** [probe ~base l r ~bit ~next_id]: the number of nodes placing the
+      variable at bit [bit] of slice [r]'s index would create, counted
+      without writing anything.  [next_id] is the slice's state's. *)
+
+  val write :
+    metrics:Metrics.t ->
+    base:state ->
+    Arena.layer ->
+    int ->
+    Arena.layer ->
+    int ->
+    bit:int ->
+    next_id:int ->
+    int
+  (** [write ~base src r dst dr ~bit ~next_id]: the same placement,
+      written as slice [dr] of [dst]; returns the width {!probe}
+      counted. *)
+
+  val step_cost : base:state -> Varset.t -> int -> width:int -> int
+  (** [step_cost ~base sub h ~width]: what placing [h] on the state of
+      [sub] (relative to [base]) adds to the objective when the
+      placement creates [width] nodes.  Replaying the placement must
+      move {!mincost} by exactly this much. *)
 end
 
 type table
@@ -125,11 +179,12 @@ module Make (S : COMPACTABLE) : sig
     t
   (** As {!Fs_star.run}: requires [j_set ⊆ free base]; [upto] defaults
       to [|j_set|].  Engine defaults to {!Engine.Seq}; metrics to
-      a fresh {!Metrics.t}.  Intermediate layers of states are dropped
-      eagerly (only the packed [table] survives), so peak state memory
-      is two adjacent layers during the sweep and one — the returned
-      [upto] layer, put into its hashtable once the sweep is over —
-      after.
+      a fresh {!Metrics.t}.  The sweep's states live in its two arena
+      buffers and die with them (only the packed [table] survives); the
+      returned [upto] layer is rebuilt by replaying each kept subset's
+      chain over [base] (span ["dp.rebuild"]).  Only the last placement
+      of each replay is charged to [metrics], so the counters read as
+      if the sweep had built the final layer itself.
 
       [cancel] (default {!Cancel.never}) is polled between cardinality
       layers: a fired token makes the sweep raise {!Cancel.Cancelled}
@@ -145,7 +200,7 @@ module Make (S : COMPACTABLE) : sig
       checkpoint-emission hook.  An exception it raises aborts the sweep
       and propagates.  [resume] (default [[]]) replays previously
       completed layers [1..m] (consecutive, complete, validated): their
-      triples preload the packed table, layer [m]'s states are
+      triples preload the packed table, layer [m]'s slices are
       rebuilt by replaying each subset's recorded chain over [base], and
       the sweep continues at [m+1] — bit-identical to an uninterrupted
       run under {!Engine.Seq} and {!Engine.Par} alike.
@@ -169,7 +224,7 @@ module Make (S : COMPACTABLE) : sig
     Varset.t ->
     table
   (** Pure cost-table mode: same sweep, but the final layer's states are
-      never materialised and only the packed {!table} is returned.
+      never rebuilt and only the packed {!table} is returned.
       Same validation and defaults as {!run}, including [on_layer] and
       [resume]. *)
 
@@ -199,7 +254,7 @@ module Make (S : COMPACTABLE) : sig
   (** Full run; the optimal state for [K = J]: {!costs}, then one
       backtrack of the argmin pointers over the packed table, replayed
       over [base] in [|J|] materialisations (span ["dp.reconstruct"]).
-      At most one layer of states is live at any time, and with a
+      The only full state it builds is that chain's, and with a
       budgeted [membudget] spilled extents are reloaded lazily (one
       fetch per extent the chain crosses), so this is the out-of-core
       entry point {!Fs.run} drives. *)

@@ -1,14 +1,7 @@
 module Varset = Ovo_core.Varset
 module Metrics = Ovo_core.Metrics
 
-module type STATE = sig
-  type state
-
-  val cost_if_compacted : metrics:Metrics.t -> state -> int -> int
-  val materialise : metrics:Metrics.t -> state -> int -> state
-  val mincost : state -> int
-  val free : state -> Varset.t
-end
+module type STATE = Ovo_core.Subset_dp.COMPACTABLE
 
 (* Modeled classical cost of [f ()]: table cells charged to the
    context's metrics (nested measurements compose — diffs telescope). *)

@@ -9,17 +9,9 @@
     ({!Opt_shared}), supporting the paper's closing remark that the
     speedups carry over to other diagram variants. *)
 
-module type STATE = sig
-  type state
-
-  val cost_if_compacted :
-    metrics:Ovo_core.Metrics.t -> state -> int -> int
-  (** Two-pass DP probe — see {!Ovo_core.Subset_dp.COMPACTABLE}. *)
-
-  val materialise : metrics:Ovo_core.Metrics.t -> state -> int -> state
-  val mincost : state -> int
-  val free : state -> Ovo_core.Varset.t
-end
+module type STATE = Ovo_core.Subset_dp.COMPACTABLE
+(** The full state the quantum code composes, and the sweep kernel its
+    classical FS* sub-sweeps run on. *)
 
 module Make (S : STATE) : sig
   type subroutine

@@ -1,15 +1,6 @@
 module Shared = Ovo_core.Shared
 
-module Inst = Opt_generic.Make (struct
-  type state = Shared.state
-
-  let cost_if_compacted ~metrics (st : Shared.state) h =
-    st.Shared.mincost + Shared.width_if_compacted ~metrics st h
-
-  let materialise ~metrics st h = Shared.materialise ~metrics st h
-  let mincost (st : Shared.state) = st.Shared.mincost
-  let free = Shared.free
-end)
+module Inst = Opt_generic.Make (Shared.State)
 
 type subroutine = Inst.subroutine
 

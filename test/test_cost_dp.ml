@@ -30,26 +30,30 @@ let unit_tests =
         Helpers.check_int "compactions" 6 d.Metrics.s_compactions);
   ]
 
-(* A toy COMPACTABLE instance: states are (remaining multiset as mask,
-   accumulated cost); compacting variable i costs the number of smaller
-   free variables (so different orders genuinely differ, with minimum
-   achieved by taking big variables first... actually taking any order
-   of a fixed set gives Sum over placements — we choose a cost where the
-   min over orders is known in closed form). *)
+(* A toy COMPACTABLE instance with no table: its slices are empty, so
+   the sweep kernel sees only the step cost.  Placing variable i costs i
+   times the number of variables still free after it, so the optimum
+   over a set places big indices early and different orders genuinely
+   differ. *)
 module Toy = struct
   type state = { free : Ovo_core.Varset.t; cost : int }
 
-  (* placing i costs i times the number of variables still free after
-     it; the optimum over a set therefore places big indices early *)
   let compact st i =
     if not (Ovo_core.Varset.mem i st.free) then invalid_arg "toy";
     let free = Ovo_core.Varset.remove i st.free in
     { free; cost = st.cost + (i * Ovo_core.Varset.cardinal free) }
 
-  let cost_if_compacted ~metrics:_ st i = (compact st i).cost
   let materialise ~metrics:_ st i = compact st i
   let mincost st = st.cost
   let free st = st.free
+  let next_id _ = 0
+  let cells _ = 0
+  let load _ _ _ = ()
+  let probe ~metrics:_ ~base:_ _ _ ~bit:_ ~next_id:_ = 0
+  let write ~metrics:_ ~base:_ _ _ _ _ ~bit:_ ~next_id:_ = 0
+
+  let step_cost ~base sub i ~width:_ =
+    i * (Ovo_core.Varset.cardinal (Ovo_core.Varset.diff base.free sub) - 1)
 end
 
 module Toy_dp = Ovo_core.Subset_dp.Make (Toy)
@@ -85,6 +89,47 @@ let dp_tests =
               (Ovo_core.Varset.cardinal (Ovo_core.Varset.diff full k))
               (Ovo_core.Varset.cardinal st.Toy.free))
           t.Toy_dp.layer);
+    Helpers.case "4-byte cells: value alphabets past 65 535 match brute force"
+      (fun () ->
+        (* terminal ids at or past 65 536 need 4-byte cells from the base
+           on; alphabets just below it cross over at some layer.  A
+           2-byte cell would alias id v with v - 65 536 (values 3 and
+           65 539 below), so a wrong width changes the optimum. *)
+        let n = 6 in
+        let brute kind mt =
+          let metrics = Metrics.create () and base = C.initial kind mt in
+          List.fold_left
+            (fun acc order ->
+              min acc (C.compact_chain ~metrics base order).C.mincost)
+            max_int (Helpers.all_orders n)
+        in
+        let check name alphabet values =
+          let rng = Helpers.rng alphabet in
+          let mt =
+            Ovo_boolfun.Mtable.of_fun n ~values:alphabet (fun _ ->
+                values.(Random.State.int rng (Array.length values)))
+          in
+          List.iter
+            (fun kind ->
+              let r = Ovo_core.Fs.run_mtable ~kind mt in
+              let p =
+                Ovo_core.Fs.run_mtable ~kind
+                  ~engine:(Ovo_core.Engine.par ~domains:2 ())
+                  mt
+              in
+              Helpers.check_int name (brute kind mt) r.Ovo_core.Fs.mincost;
+              Helpers.check_bool (name ^ ": diagram") true
+                (Ovo_core.Diagram.check r.Ovo_core.Fs.diagram mt);
+              Helpers.check_bool (name ^ ": par order") true
+                (p.Ovo_core.Fs.order = r.Ovo_core.Fs.order))
+            [ C.Bdd; C.Zdd ]
+        in
+        check "wide base" 70_000 [| 0; 3; 7; 65_539; 65_543; 69_999 |];
+        for alphabet = 65_470 to 65_535 do
+          if alphabet mod 3 = 0 then
+            check (Printf.sprintf "alphabet %d" alphabet) alphabet
+              [| 0; 1; 2; alphabet - 2; alphabet - 1 |]
+        done);
     Helpers.case "invalid J rejected" (fun () ->
         let base = { Toy.free = Ovo_core.Varset.of_list [ 0; 1 ]; cost = 0 } in
         Alcotest.check_raises "bad J"
