@@ -224,7 +224,14 @@ module Make (S : STATE) = struct
                             t))
               end
             in
-            let state, search_cost = divide_and_conquer j_set (m + 1) in
+            (* only the preprocess's kept states outlive its sweep; its
+               table goes back to the shared budget once this level is
+               done *)
+            let state, search_cost =
+              Fun.protect
+                ~finally:(fun () -> Ovo_core.Subset_dp.release pre.Dp.table)
+                (fun () -> divide_and_conquer j_set (m + 1))
+            in
             Log.debug (fun msg ->
                 msg "%s over %d vars: division points [%s], preprocess %.3e cells, search %.3e modeled"
                   label n'
