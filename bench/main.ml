@@ -911,186 +911,6 @@ let store_bench () =
   Printf.printf "written: BENCH_store.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* [mem]: the memory-budgeted out-of-core DP.  An unbounded run first
-   measures the instance's peak packed-layer bytes (Membudget accounts
-   even without a budget); the budgeted run then gets a quarter of that,
-   forcing most layers through the spill sink, and must reproduce the
-   unbounded answer bit for bit.  Peak RSS comes from /proc (0 where
-   unavailable).  Results go to BENCH_mem.json. *)
-let mem_bench () =
-  section "mem";
-  let module Mb = Ovo_core.Membudget in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let peak_rss_kb () =
-    match open_in "/proc/self/status" with
-    | exception Sys_error _ -> 0
-    | ic ->
-        let rec go acc =
-          match input_line ic with
-          | exception End_of_file ->
-              close_in ic;
-              acc
-          | line when String.length line > 6 && String.sub line 0 6 = "VmHWM:"
-            -> (
-              let v = String.trim (String.sub line 6 (String.length line - 6)) in
-              match String.split_on_char ' ' v with
-              | kb :: _ ->
-                  go (Option.value ~default:acc (int_of_string_opt kb))
-              | [] -> go acc)
-          | _ -> go acc
-        in
-        go 0
-  in
-  let reps = 5 in
-  let n = 12 in
-  let tt = T.random (Random.State.make [| 3131 |]) n in
-  let plain_r = ref None in
-  let plain_mb = ref (Mb.unbounded ()) in
-  let plain_s =
-    median
-      (List.init reps (fun _ ->
-           let mb = Mb.unbounded () in
-           let r, s = wall (fun () -> Fs.run ~membudget:mb tt) in
-           plain_r := Some r;
-           plain_mb := mb;
-           s))
-  in
-  let peak_layer = Mb.peak_layer_bytes !plain_mb in
-  let budget = max 1 (peak_layer / 4) in
-  let spill_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ovo-bench-spill-%d" (Unix.getpid ()))
-  in
-  let budget_r = ref None in
-  let budget_mb = ref (Mb.unbounded ()) in
-  let budget_s =
-    median
-      (List.init reps (fun _ ->
-           let sp = Ovo_store.Spill.create spill_dir in
-           let mb =
-             Mb.create ~budget_bytes:budget ~sink:(Ovo_store.Spill.sink sp) ()
-           in
-           let r, s =
-             wall (fun () ->
-                 Fun.protect
-                   ~finally:(fun () -> Ovo_store.Spill.remove sp)
-                   (fun () -> Fs.run ~membudget:mb tt))
-           in
-           budget_r := Some r;
-           budget_mb := mb;
-           s))
-  in
-  let plain = Option.get !plain_r and budgeted = Option.get !budget_r in
-  let same (a : Fs.result) (b : Fs.result) =
-    a.Fs.mincost = b.Fs.mincost
-    && a.Fs.size = b.Fs.size
-    && a.Fs.order = b.Fs.order
-    && a.Fs.widths = b.Fs.widths
-  in
-  let identical = same budgeted plain in
-  let overhead = budget_s /. Float.max 1e-9 plain_s in
-  let mb = !budget_mb in
-  (* Hump sub-case: the k=n/2 layer alone exceeds the budget, so it can
-     only leave RAM piecewise.  Small extents split it; completion plus
-     bit-identity is the whole point, timing is not measured. *)
-  let hump_extent = 1024 in
-  let hump_budget = 2 * (hump_extent + Ovo_core.Layer_pack.extent_header_bytes)
-  in
-  let hump_sp = Ovo_store.Spill.create spill_dir in
-  let hump_mb =
-    Mb.create ~budget_bytes:hump_budget ~extent_bytes:hump_extent
-      ~sink:(Ovo_store.Spill.sink hump_sp) ()
-  in
-  let hump_r =
-    Fun.protect
-      ~finally:(fun () -> Ovo_store.Spill.remove hump_sp)
-      (fun () -> Fs.run ~membudget:hump_mb tt)
-  in
-  let hump_identical = same hump_r plain in
-  (* transient-once bound: resident never exceeds the budget by more
-     than the one extent being packed for eviction *)
-  let hump_bound =
-    hump_budget + Ovo_core.Layer_pack.extent_header_bytes + hump_extent
-  in
-  let hump_respected = Mb.peak_resident_bytes hump_mb <= hump_bound in
-  Printf.printf
-    "FS on a random n=%d function: in-memory %.4fs (peak layer %d B), \
-     budget %d B %.4fs -> %.3fx overhead\n"
-    n plain_s peak_layer budget budget_s overhead;
-  Printf.printf
-    "budgeted run: %d layers / %d extents spilled (%d B raw -> %d B stored, \
-     %.2fx), %d reloads (%d B), peak resident %d B, identical=%b\n"
-    (Mb.layers_spilled mb) (Mb.extents_spilled mb) (Mb.raw_bytes_spilled mb)
-    (Mb.bytes_spilled mb) (Mb.compression_ratio mb) (Mb.reloads mb)
-    (Mb.bytes_reloaded mb) (Mb.peak_resident_bytes mb) identical;
-  Printf.printf
-    "hump case: budget %d B < hump layer %d B, extent %d B: %d extents \
-     spilled, peak resident %d B (bound %d B), identical=%b respected=%b\n"
-    hump_budget (Mb.peak_layer_bytes hump_mb) hump_extent
-    (Mb.extents_spilled hump_mb)
-    (Mb.peak_resident_bytes hump_mb)
-    hump_bound hump_identical hump_respected;
-  let doc =
-    Ovo_obs.Json.Obj
-      [
-        ("schema", Ovo_obs.Json.Int 2);
-        ("n", Ovo_obs.Json.Int n);
-        ("reps", Ovo_obs.Json.Int reps);
-        ("inmem_seconds", Ovo_obs.Json.Float plain_s);
-        ("budgeted_seconds", Ovo_obs.Json.Float budget_s);
-        ("spill_overhead_ratio", Ovo_obs.Json.Float overhead);
-        ("identical_to_inmem", Ovo_obs.Json.Bool identical);
-        ("budget_bytes", Ovo_obs.Json.Int budget);
-        ("extent_bytes", Ovo_obs.Json.Int (Mb.extent_bytes mb));
-        ("peak_layer_bytes", Ovo_obs.Json.Int peak_layer);
-        ("peak_resident_bytes", Ovo_obs.Json.Int (Mb.peak_resident_bytes mb));
-        ("layers_spilled", Ovo_obs.Json.Int (Mb.layers_spilled mb));
-        ("extents_spilled", Ovo_obs.Json.Int (Mb.extents_spilled mb));
-        ("bytes_spilled", Ovo_obs.Json.Int (Mb.bytes_spilled mb));
-        ("raw_bytes_spilled", Ovo_obs.Json.Int (Mb.raw_bytes_spilled mb));
-        ("compression_ratio", Ovo_obs.Json.Float (Mb.compression_ratio mb));
-        ("reloads", Ovo_obs.Json.Int (Mb.reloads mb));
-        ("extents_reloaded", Ovo_obs.Json.Int (Mb.reloads mb));
-        ("bytes_reloaded", Ovo_obs.Json.Int (Mb.bytes_reloaded mb));
-        ( "hump",
-          Ovo_obs.Json.Obj
-            [
-              ("budget_bytes", Ovo_obs.Json.Int hump_budget);
-              ("extent_bytes", Ovo_obs.Json.Int hump_extent);
-              ( "peak_layer_bytes",
-                Ovo_obs.Json.Int (Mb.peak_layer_bytes hump_mb) );
-              ( "peak_resident_bytes",
-                Ovo_obs.Json.Int (Mb.peak_resident_bytes hump_mb) );
-              ( "layer_exceeds_budget",
-                Ovo_obs.Json.Bool (Mb.peak_layer_bytes hump_mb > hump_budget)
-              );
-              ( "extents_spilled",
-                Ovo_obs.Json.Int (Mb.extents_spilled hump_mb) );
-              ("reloads", Ovo_obs.Json.Int (Mb.reloads hump_mb));
-              ( "compression_ratio",
-                Ovo_obs.Json.Float (Mb.compression_ratio hump_mb) );
-              ("identical_to_inmem", Ovo_obs.Json.Bool hump_identical);
-              ("budget_respected", Ovo_obs.Json.Bool hump_respected);
-            ] );
-        ("peak_rss_kb", Ovo_obs.Json.Int (peak_rss_kb ()));
-      ]
-  in
-  let oc = open_out "BENCH_mem.json" in
-  output_string oc (Ovo_obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "written: BENCH_mem.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* [prune]: the branch-and-bound exact DP.  Every catalogue family is
    solved plain and sifting-seeded-pruned and the two results must agree
    bit for bit — pruning is an optimisation, never an approximation.
@@ -1413,7 +1233,6 @@ let () =
   obs_bench ();
   serve_bench ();
   store_bench ();
-  mem_bench ();
   prune_bench ();
   learn_bench ();
   metrics_bench ();

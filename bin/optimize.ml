@@ -1,8 +1,8 @@
 (* ovo optimize.  Every exact algorithm runs the one Friedman–Supowit
    recurrence — fs (Theorem 5), --weights (Lemma 3's weighted widths),
    and Tani's qdc, tower:N and simple over FS* — so they share one
-   branch: flag checks, the memory budget and its spill store, the
-   incumbent for --prune, printing and --stats. *)
+   branch: flag checks, the admission estimate, the incumbent for
+   --prune, printing and --stats. *)
 
 open Cmdliner
 
@@ -130,44 +130,12 @@ let mem_budget_arg =
     & info [ "mem-budget" ] ~docv:"BYTES"
         ~doc:
           "(With $(b,--algo) $(b,fs), $(b,qdc), $(b,tower:N) or $(b,simple), \
-           and with $(b,--weights).)  Cap the resident bytes of the DP's \
-           packed cost/choice table (9 bytes per subset); the two layer \
-           buffers that hold the sweep's states are not counted.  Completed \
-           layers past the cap spill to CRC-framed segments under \
-           $(b,--spill-dir) and are reloaded lazily during reconstruction; \
-           the solution is bit-identical to an unbounded run.  Accepts \
+           and with $(b,--weights).)  Refuse, before any table is built, an \
+           exact solve whose estimate exceeds $(i,BYTES): the DP's two layer \
+           buffers plus its whole packed cost/choice table (9 bytes per \
+           subset).  A solve that fits runs as it would without the flag, \
+           and $(b,--stats json) gains a \"mem\" block.  Accepts \
            $(b,k)/$(b,M)/$(b,G) suffixes (binary multiples).")
-
-let spill_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "spill-dir" ] ~docv:"DIR"
-        ~doc:
-          "Directory for $(b,--mem-budget) spill segments (default: a fresh            $(b,ovo-spill-<pid>) under the system temp directory).  Segments            are deleted when the run finishes.")
-
-let spill_mmap_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "spill-mmap" ]
-        ~doc:
-          "Write $(b,--mem-budget) spill segments in the mappable raw \
-           format and reload them via $(b,mmap)(2): reloaded extents stay \
-           off the OCaml heap and the kernel pages them in (and back out) \
-           on demand.  Corruption detection (CRC-32) is unchanged.")
-
-let spill_extent_arg =
-  Arg.(
-    value
-    & opt (some Front.mem_budget_conv) None
-    & info [ "spill-extent" ] ~docv:"BYTES"
-        ~doc:
-          "($(b,--mem-budget) only)  Dense payload bytes per spill extent \
-           (default 1M).  Layers are split into fixed-size extents and \
-           spilled/reloaded at that granularity, so even a single layer \
-           larger than the whole budget stays out of core.  Accepts \
-           $(b,k)/$(b,M)/$(b,G) suffixes.")
 
 let prune_arg =
   Arg.(
@@ -225,26 +193,21 @@ let mem_total () =
           Scanf.sscanf_opt line "MemTotal: %d kB" (fun kb -> kb * 1024))
         (String.split_on_char '\n' text)
 
-let pp_bytes b =
-  if b >= 1 lsl 30 then
-    Printf.sprintf "%.1f GiB" (float_of_int b /. 1073741824.)
-  else Printf.sprintf "%.1f MiB" (float_of_int b /. 1048576.)
-
-(* The estimate is the full FS sweep's two arena buffers (Arena.bytes);
-   --weights sweeps the same lattice, and the quantum compositions run
-   FS* sub-sweeps over the same table.  Refuse before the base table is
-   built. *)
-let refuse_oversized tt =
+(* Membudget.estimate is the full FS sweep's two arena buffers plus its
+   whole packed table; --weights sweeps the same lattice, and the
+   quantum compositions run smaller FS* sub-sweeps that release their
+   tables.  Refuse before the base table is built, against --mem-budget
+   first and then the machine's memory. *)
+let refuse_oversized ~mem_budget tt =
   let n = Ovo_boolfun.Truthtable.arity tt in
-  let need = Ovo_core.Arena.bytes ~cells:(1 lsl n) ~m:n ~upto:n in
-  match mem_total () with
-  | Some total when need > total ->
-      failwith
-        (Printf.sprintf
-           "an exact solve over %d variables needs about %s for the DP's two \
-            layer buffers, more than this machine's memory (MemTotal %s)"
-           n (pp_bytes need) (pp_bytes total))
-  | Some _ | None -> ()
+  let pp = Ovo_core.Membudget.pp_bytes in
+  let check limit cap =
+    Option.iter failwith (Ovo_core.Membudget.refusal ~n ~limit cap)
+  in
+  Option.iter (fun b -> check ("--mem-budget " ^ pp b) b) mem_budget;
+  Option.iter
+    (fun t -> check ("this machine's memory (MemTotal " ^ pp t ^ ")") t)
+    (mem_total ())
 
 (* ------------------------------------------------------------------ *)
 (* running the algorithms                                             *)
@@ -293,8 +256,7 @@ let heuristic ~trace ~metrics ~kind ~seed ~model h tt =
         (Random_search.run ~metrics ~kind ~rng:(rng ()) tt).order )
 
 let run input kind algo dot save weights seed engine stats obs checkpoint
-    resume crash_after fsync mem_budget spill_dir spill_mmap spill_extent
-    prune model =
+    resume crash_after fsync mem_budget prune model =
   Front.with_obs obs @@ fun trace ->
   match input with
   | Error m -> `Error (false, m)
@@ -318,50 +280,22 @@ let run input kind algo dot save weights seed engine stats obs checkpoint
         refuse
           (mem_budget <> None && not exact)
           "--mem-budget needs --algo fs, qdc, tower:N or simple";
-        List.iter
-          (fun (given, flag) ->
-            refuse (given && mem_budget = None) (flag ^ " needs --mem-budget"))
-          [ (spill_dir <> None, "--spill-dir"); (spill_mmap, "--spill-mmap");
-            (spill_extent <> None, "--spill-extent") ];
         refuse (prune && not exact)
           "--prune needs --algo fs, qdc, tower:N or simple";
         refuse (prune && ck) "--prune is incompatible with --checkpoint/--resume";
-        (* unified mode: the checkpoint doubles as the spill store, so
-           a budget+checkpoint run writes each layer once and needs no
-           spill directory *)
-        let unified = mem_budget <> None && ck in
-        refuse
-          (unified && (spill_dir <> None || spill_mmap))
-          "--checkpoint/--resume already serve as the spill store; drop \
-           --spill-dir/--spill-mmap";
         refuse
           (checkpoint <> None && resume <> None)
           "pass --checkpoint (start fresh) or --resume (continue), not both";
-        if exact then refuse_oversized tt;
+        if exact then refuse_oversized ~mem_budget tt;
         let model = Front.load_weights model in
         (* one context counts the run's pricing and the final
            evaluation, so --stats reports this run alone *)
         let metrics = Ovo_core.Metrics.create () in
-        let membudget, spill_cleanup =
-          match mem_budget with
-          | Some budget_bytes when not unified ->
-              let dir =
-                match spill_dir with
-                | Some d -> d
-                | None ->
-                    Filename.concat
-                      (Filename.get_temp_dir_name ())
-                      (Printf.sprintf "ovo-spill-%d" (Unix.getpid ()))
-              in
-              let sp = Ovo_store.Spill.create ~fsync ~mmap:spill_mmap dir in
-              ( Some
-                  (Ovo_core.Membudget.create ~budget_bytes
-                     ?extent_bytes:spill_extent
-                     ~sink:(Ovo_store.Spill.sink sp) ()),
-                fun () -> Ovo_store.Spill.remove sp )
-          | _ -> (None, ignore)
+        let membudget =
+          Option.map
+            (fun budget_bytes -> Ovo_core.Membudget.create ~budget_bytes ())
+            mem_budget
         in
-        Fun.protect ~finally:spill_cleanup @@ fun () ->
         let bound =
           match (prune, weights) with
           | false, _ -> None
@@ -422,18 +356,6 @@ let run input kind algo dot save weights seed engine stats obs checkpoint
                     (Some w, layers)
                 | None, None -> (None, [])
               in
-              let membudget =
-                match (mem_budget, writer) with
-                | Some budget_bytes, Some w ->
-                    (* spill through the checkpoint: evictions are
-                       no-ops (the layer record is already appended) and
-                       reloads slice the records on hand *)
-                    Some
-                      (Ovo_core.Membudget.create ~budget_bytes
-                         ?extent_bytes:spill_extent
-                         ~sink:(Ovo_store.Checkpoint.sink w) ())
-                | _ -> membudget
-              in
               let on_layer (p : Ovo_core.Subset_dp.progress) =
                 Option.iter
                   (fun w ->
@@ -484,5 +406,4 @@ let cmd =
         (const run $ Front.input $ Front.kind $ algo_arg $ Front.dot_arg
        $ save_arg $ weights_arg $ Front.seed_arg $ Front.engine $ Front.stats
        $ Front.obs $ checkpoint_arg $ resume_arg $ crash_after_arg
-       $ Front.fsync_arg $ mem_budget_arg $ spill_dir_arg $ spill_mmap_arg
-       $ spill_extent_arg $ prune_arg $ Front.model_arg))
+       $ Front.fsync_arg $ mem_budget_arg $ prune_arg $ Front.model_arg))

@@ -64,10 +64,11 @@ let serve_cmd =
   let mem_budget =
     Arg.(value & opt (some Front.mem_budget_conv) None
          & info [ "mem-budget" ] ~docv:"BYTES"
-             ~doc:"Per-solve cap on resident DP layer bytes: big requests \
-                   degrade to out-of-core (spilling to a scratch directory \
-                   under the system temp dir) instead of growing the \
-                   daemon's memory without bound.  Accepts k/M/G suffixes.")
+             ~doc:"Per-solve memory cap: a request whose exact solve needs \
+                   more (the DP's two layer buffers plus its packed \
+                   cost/choice table) is refused at admission with \
+                   $(b,too_large), naming the estimate, instead of growing \
+                   the daemon's memory.  Accepts k/M/G suffixes.")
   in
   let prune =
     Arg.(value & flag
@@ -266,10 +267,9 @@ let top_cmd =
       (i0 [ "outcomes"; "ok" ]) (i0 [ "outcomes"; "cached" ])
       (i0 [ "outcomes"; "cancelled" ]) (i0 [ "outcomes"; "rejected" ])
       (i0 [ "outcomes"; "errors" ]);
-    bpf "engine   layer %d (%d states)  pruned %d  spilled %d B\n"
+    bpf "engine   layer %d (%d states)  pruned %d\n"
       (i0 [ "engine"; "layer" ]) (i0 [ "engine"; "layer_states" ])
-      (i0 [ "engine"; "states_pruned_total" ])
-      (i0 [ "engine"; "spill_bytes_total" ]);
+      (i0 [ "engine"; "states_pruned_total" ]);
     bpf "gc       heap %d words  majors %d  rss %d B\n"
       (i0 [ "gc"; "heap_words" ]) (i0 [ "gc"; "major_collections" ])
       (i0 [ "gc"; "resident_bytes" ]);

@@ -14,8 +14,7 @@
     - an {!upper} is an achievable total cost, normally seeded from a
       heuristic orderer (sifting or the portfolio) through an {e
       injected provider} — core never depends on [lib/ordering], the
-      caller passes the seed in, mirroring how {!Membudget} injects its
-      spill sink;
+      caller passes the seed in;
     - {!t} is the live pruning context of one solve: the lower bound,
       the atomic incumbent shared across {!Engine.Par} worker domains,
       the pruned-state counter and the per-layer incumbent trajectory.

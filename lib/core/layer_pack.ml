@@ -14,13 +14,13 @@ let binomial n k =
    whose combinatorial (colex) rank within [j_set] is [r].  8-byte LE
    cost + 1-byte choice — a fixed 9 bytes per subset, where a hashtable
    binding costs ~10x that in boxed words, and a layout that serialises
-   to a spill or checkpoint payload for free.
+   to a checkpoint payload for free.
 
    A branch-and-bound sweep leaves pruned subsets unset (a negative
    cost); the in-memory layout stays dense (rank arithmetic is the whole
-   point) and [Extent.encode] switches to a delta+varint compressed
-   stream over the set entries whenever that is smaller, so both pruning
-   and cost locality shrink spill volume. *)
+   point).  [Extent.encode] switches to a delta+varint compressed stream
+   over the set entries whenever that is smaller, so cost locality
+   shrinks checkpoints. *)
 
 let entry_bytes = 9
 let packed_version = 3
@@ -82,8 +82,7 @@ let unrank_in ~pascal ~j_set ~k r =
 
 (* Costs along colex order move in small steps, so the v3 stream stores
    per-entry deltas as zig-zag varints: 1–2 bytes where the raw layout
-   spends 8.  Duplicated (deliberately) from [Ovo_store.Codec]: ovo.core
-   must not depend on the store layer. *)
+   spends 8. *)
 
 let varint_add buf v =
   if v < 0 then invalid_arg "Layer_pack: negative varint";
@@ -97,43 +96,14 @@ let varint_add buf v =
 let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
 let unzigzag v = (v lsr 1) lxor (- (v land 1))
 
-(* --- payload sources --------------------------------------------------- *)
-
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type src = S_string of string | S_big of bigstring
-
-let src_length = function
-  | S_string s -> String.length s
-  | S_big b -> Bigarray.Array1.dim b
-
-let src_get s i =
-  match s with S_string s -> s.[i] | S_big b -> Bigarray.Array1.get b i
-
-let src_u8 s i = Char.code (src_get s i)
-
-let src_u32 s i =
-  src_u8 s i
-  lor (src_u8 s (i + 1) lsl 8)
-  lor (src_u8 s (i + 2) lsl 16)
-  lor (src_u8 s (i + 3) lsl 24)
-
-let src_i64 s i =
-  let v = ref 0L in
-  for j = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (src_u8 s (i + j)))
-  done;
-  !v
-
 (* Read one LEB128 varint at [!pos]; raises on truncation or a value
    that cannot have been written by [varint_add] (> 9 septets). *)
-let src_varint fail s pos =
+let read_varint fail s pos =
   let v = ref 0 and shift = ref 0 and continue = ref true in
   while !continue do
-    if !pos >= src_length s then fail "truncated varint";
+    if !pos >= String.length s then fail "truncated varint";
     if !shift > 62 then fail "varint overflow";
-    let b = src_u8 s !pos in
+    let b = String.get_uint8 s !pos in
     incr pos;
     v := !v lor ((b land 0x7f) lsl !shift);
     shift := !shift + 7;
@@ -169,19 +139,20 @@ type header = {
    here, never as an out-of-bounds read or an oversized buffer.  A v4
    payload is exactly its dense slice; every v3 entry takes at least 3
    bytes (rank gap, cost delta, choice). *)
-let read_header fail src =
-  let slen = src_length src in
+let read_header fail s =
+  let slen = String.length s in
   if slen < extent_header_bytes then fail "payload shorter than header";
+  let u32 i = Int32.to_int (String.get_int32_le s i) land 0xFFFF_FFFF in
   let h =
     {
-      h_ver = src_u8 src 0;
-      h_k = src_u8 src 1;
-      h_j_set = Int64.to_int (src_i64 src 2);
-      h_total = src_u32 src 10;
-      h_lo = src_u32 src 14;
-      h_len = src_u32 src 18;
-      h_present = src_u32 src 22;
-      h_payload_len = src_u32 src 26;
+      h_ver = String.get_uint8 s 0;
+      h_k = String.get_uint8 s 1;
+      h_j_set = Int64.to_int (String.get_int64_le s 2);
+      h_total = u32 10;
+      h_lo = u32 14;
+      h_len = u32 18;
+      h_present = u32 22;
+      h_payload_len = u32 26;
     }
   in
   if h.h_ver <> packed_version && h.h_ver <> raw_extent_version then
@@ -223,45 +194,34 @@ let compress_slice data ~len ~lo =
   done;
   Buffer.contents buf
 
-(* Decode the v3 stream of header [h] into a dense slice, keeping only
-   the ranks [want_lo, want_lo + want_len) (containment slicing: a
-   larger extent, such as a checkpoint's whole-layer record, can serve
-   one extent's reload); entries outside it are walked but not stored.
-   Every rank must lie inside the header's own range.  Returns the
-   number of entries stored. *)
-let decompress_into fail s h ~dst ~want_lo ~want_len =
+(* Decode the v3 stream of header [h] into the dense slice [dst] of
+   its range.  Every rank must lie inside that range. *)
+let decompress_into fail s h ~dst =
   let limit = extent_header_bytes + h.h_payload_len in
   let cursor = ref extent_header_bytes in
   let prev_rank = ref (h.h_lo - 1) and prev_cost = ref 0 in
-  let stored = ref 0 in
   for _ = 1 to h.h_present do
     if !cursor >= limit then fail "truncated stream";
-    let gap = src_varint fail s cursor in
+    let gap = read_varint fail s cursor in
     if gap <= 0 then fail "non-increasing rank" (* gap 0 = duplicate *);
     if gap >= h.h_lo + h.h_len - !prev_rank then fail "entry rank out of range";
     let rank = !prev_rank + gap in
-    let cost = !prev_cost + unzigzag (src_varint fail s cursor) in
+    let cost = !prev_cost + unzigzag (read_varint fail s cursor) in
     if cost < 0 then fail "negative cost";
     if !cursor >= limit then fail "truncated choice";
-    let ch = src_u8 s !cursor in
+    let ch = String.get_uint8 s !cursor in
     incr cursor;
     prev_rank := rank;
     prev_cost := cost;
-    if rank >= want_lo && rank < want_lo + want_len then begin
-      let off = (rank - want_lo) * entry_bytes in
-      Bytes.set_int64_le dst off (Int64.of_int cost);
-      Bytes.set_uint8 dst (off + 8) ch;
-      incr stored
-    end
+    let off = (rank - h.h_lo) * entry_bytes in
+    Bytes.set_int64_le dst off (Int64.of_int cost);
+    Bytes.set_uint8 dst (off + 8) ch
   done;
-  if !cursor <> limit then fail "trailing stream bytes";
-  !stored
+  if !cursor <> limit then fail "trailing stream bytes"
 
 (* --- extents ------------------------------------------------------------ *)
 
 module Extent = struct
-  type data = Heap of Bytes.t | Map of bigstring
-
   type t = {
     x_j_set : Varset.t;
     x_k : int;
@@ -269,7 +229,7 @@ module Extent = struct
     x_lo : int;
     x_len : int;
     mutable x_present : int;
-    x_data : data;  (* dense 9 B/entry slice for ranks [lo, lo+len) *)
+    x_data : Bytes.t;  (* dense 9 B/entry slice for ranks [lo, lo+len) *)
   }
 
   let j_set t = t.x_j_set
@@ -293,25 +253,8 @@ module Extent = struct
       x_lo = lo;
       x_len = len;
       x_present = 0;
-      x_data = Heap (Bytes.make (len * entry_bytes) '\xff');
+      x_data = Bytes.make (len * entry_bytes) '\xff';
     }
-
-  let data_i64 d off =
-    match d with
-    | Heap b -> Bytes.get_int64_le b off
-    | Map b ->
-        let v = ref 0L in
-        for j = 7 downto 0 do
-          v :=
-            Int64.logor (Int64.shift_left !v 8)
-              (Int64.of_int (Char.code (Bigarray.Array1.get b (off + j))))
-        done;
-        !v
-
-  let data_u8 d off =
-    match d with
-    | Heap b -> Bytes.get_uint8 b off
-    | Map b -> Char.code (Bigarray.Array1.get b off)
 
   let off_of t rank =
     if rank < t.x_lo || rank >= t.x_lo + t.x_len then
@@ -323,44 +266,32 @@ module Extent = struct
     if choice < 0 || choice > 0xff then
       invalid_arg "Layer_pack.Extent.set: bad choice";
     let off = off_of t rank in
-    match t.x_data with
-    | Map _ -> invalid_arg "Layer_pack.Extent.set: mapped extents are read-only"
-    | Heap b ->
-        if Bytes.get_int64_le b off < 0L then t.x_present <- t.x_present + 1;
-        Bytes.set_int64_le b off (Int64.of_int cost);
-        Bytes.set_uint8 b (off + 8) choice
+    let b = t.x_data in
+    if Bytes.get_int64_le b off < 0L then t.x_present <- t.x_present + 1;
+    Bytes.set_int64_le b off (Int64.of_int cost);
+    Bytes.set_uint8 b (off + 8) choice
 
-  let mem t ~rank = data_i64 t.x_data (off_of t rank) >= 0L
+  let mem t ~rank = Bytes.get_int64_le t.x_data (off_of t rank) >= 0L
 
   let cost t ~rank =
-    let c = Int64.to_int (data_i64 t.x_data (off_of t rank)) in
+    let c = Int64.to_int (Bytes.get_int64_le t.x_data (off_of t rank)) in
     if c < 0 then invalid_arg "Layer_pack.Extent.cost: entry never set";
     c
 
   let choice t ~rank =
     let off = off_of t rank in
-    if data_i64 t.x_data off < 0L then
+    if Bytes.get_int64_le t.x_data off < 0L then
       invalid_arg "Layer_pack.Extent.choice: entry never set";
-    data_u8 t.x_data (off + 8)
+    Bytes.get_uint8 t.x_data (off + 8)
 
   let iter t f =
     for i = 0 to t.x_len - 1 do
       let off = i * entry_bytes in
-      let c = data_i64 t.x_data off in
+      let c = Bytes.get_int64_le t.x_data off in
       if c >= 0L then
         f ~rank:(t.x_lo + i) ~cost:(Int64.to_int c)
-          ~choice:(data_u8 t.x_data (off + 8))
+          ~choice:(Bytes.get_uint8 t.x_data (off + 8))
     done
-
-  let heap_data t =
-    match t.x_data with
-    | Heap b -> b
-    | Map big ->
-        let b = Bytes.create (t.x_len * entry_bytes) in
-        for i = 0 to Bytes.length b - 1 do
-          Bytes.set b i (Bigarray.Array1.get big i)
-        done;
-        b
 
   let with_header t ~ver payload =
     let b = Bytes.create (extent_header_bytes + String.length payload) in
@@ -373,90 +304,49 @@ module Extent = struct
   (* [with_header] copies the slice out at once, so the unsafe view of
      the live buffer never outlives this call *)
   let encode_raw t =
-    with_header t ~ver:raw_extent_version
-      (Bytes.unsafe_to_string (heap_data t))
+    with_header t ~ver:raw_extent_version (Bytes.unsafe_to_string t.x_data)
 
   let encode_packed t =
     with_header t ~ver:packed_version
-      (compress_slice (heap_data t) ~len:t.x_len ~lo:t.x_lo)
+      (compress_slice t.x_data ~len:t.x_len ~lo:t.x_lo)
 
   let encode t =
     let packed = encode_packed t and raw = encode_raw t in
     if String.length packed < String.length raw then packed else raw
 
-  let count_present t =
-    let n = ref 0 in
-    for i = 0 to t.x_len - 1 do
-      if data_i64 t.x_data (i * entry_bytes) >= 0L then incr n
-    done;
-    !n
-
-  (* The ranks [lo, lo+len) of a payload whose validated header [h]
-     contains them.  A v4 payload backed by a mapped [src] that matches
-     exactly keeps the mapping as its backing slice, so the OS pages the
-     data instead of the heap holding it. *)
-  let slice fail src h ~lo ~len =
-    let exact = h.h_lo = lo && h.h_len = len in
-    let shape x_data =
+  (* Every header field is checked before the slice is allocated, and a
+     complete extent has [len = present]: the allocation is bounded by
+     the payload's own length (9 B per 9 B of v4, per at least 3 B of
+     v3), whatever the header claims.  A v4 slice must hold exactly
+     [present] set entries. *)
+  let decode s =
+    let fail msg = failwith ("Layer_pack.Extent.decode: " ^ msg) in
+    let h = read_header fail s in
+    if h.h_present <> h.h_len then fail "extent is not complete";
+    let t =
       {
         x_j_set = h.h_j_set;
         x_k = h.h_k;
         x_total = h.h_total;
-        x_lo = lo;
-        x_len = len;
+        x_lo = h.h_lo;
+        x_len = h.h_len;
         x_present = 0;
-        x_data;
+        x_data = Bytes.make (h.h_len * entry_bytes) '\xff';
       }
     in
     if h.h_ver = raw_extent_version then begin
-      let base = extent_header_bytes + ((lo - h.h_lo) * entry_bytes) in
-      let bytes = len * entry_bytes in
-      let t =
-        match src with
-        | S_big big when exact ->
-            shape (Map (Bigarray.Array1.sub big base bytes))
-        | S_big big ->
-            let get i = Bigarray.Array1.get big (base + i) in
-            shape (Heap (Bytes.init bytes get))
-        | S_string s ->
-            let b = Bytes.create bytes in
-            Bytes.blit_string s base b 0 bytes;
-            shape (Heap b)
-      in
-      t.x_present <- count_present t;
-      if exact && t.x_present <> h.h_present then
-        fail "present count does not match data";
-      t
+      Bytes.blit_string s extent_header_bytes t.x_data 0
+        (h.h_len * entry_bytes);
+      for i = 0 to h.h_len - 1 do
+        if Bytes.get_int64_le t.x_data (i * entry_bytes) >= 0L then
+          t.x_present <- t.x_present + 1
+      done;
+      if t.x_present <> h.h_present then
+        fail "present count does not match data"
     end
     else begin
-      let b = Bytes.make (len * entry_bytes) '\xff' in
-      let t = shape (Heap b) in
-      t.x_present <-
-        decompress_into fail src h ~dst:b ~want_lo:lo ~want_len:len;
-      t
-    end
-
-  let of_src src ~j_set ~k ~total ~lo ~len =
-    let m = Varset.cardinal j_set in
-    if k < 1 || k > m || total <> binomial m k || lo < 0 || len < 1
-       || lo + len > total
-    then invalid_arg "Layer_pack.Extent.of_src: bad requested range";
-    let fail msg = failwith ("Layer_pack.Extent.of_src: " ^ msg) in
-    let h = read_header fail src in
-    if h.h_k <> k || h.h_j_set <> j_set then
-      fail "payload belongs to another layer";
-    if not (h.h_lo <= lo && lo + len <= h.h_lo + h.h_len) then
-      fail "payload does not cover the requested range";
-    slice fail src h ~lo ~len
-
-  (* Every header field is checked before the slice is allocated, and a
-     complete extent has [len = present]: the allocation is bounded by
-     the payload's own length (9 B per 9 B of v4, per at least 3 B of
-     v3), whatever the header claims. *)
-  let decode s =
-    let fail msg = failwith ("Layer_pack.Extent.decode: " ^ msg) in
-    let src = S_string s in
-    let h = read_header fail src in
-    if h.h_present <> h.h_len then fail "extent is not complete";
-    slice fail src h ~lo:h.h_lo ~len:h.h_len
+      decompress_into fail s h ~dst:t.x_data;
+      t.x_present <- h.h_present
+    end;
+    t
 end

@@ -1,6 +1,6 @@
 (** Bit-packed cost/choice tables for the cardinality layers of the
-    subset DP — the one form the DP's table takes, in memory, in spill
-    segments and in checkpoints.
+    subset DP — the one form the DP's table takes, in memory and in
+    checkpoints.
 
     The sweep of {!Subset_dp} produces, for every [k]-subset [K] of the
     free variables, a minimum cost and the variable chosen last — two
@@ -13,10 +13,9 @@
 
     An extent serialises to one of two self-describing formats with the
     same 30-byte header: compressed v3 (delta+varint over the colex
-    stream of set entries — cost locality and pruning spill small) or
-    raw v4 (the dense slice verbatim — the mmap format);
-    {!Extent.encode} picks whichever is smaller.  Every decoder rejects
-    damage as a clean [Failure]. *)
+    stream of set entries — cost locality packs small) or raw v4 (the
+    dense slice verbatim); {!Extent.encode} picks whichever is smaller.
+    The decoder rejects damage as a clean [Failure]. *)
 
 val binomial : int -> int -> int
 (** [binomial n k] = [C(n,k)]; [0] outside [0 <= k <= n]. *)
@@ -44,26 +43,10 @@ val unrank_in :
   pascal:int array array -> j_set:Varset.t -> k:int -> int -> Varset.t
 (** Inverse of {!rank_in} for size-[k] subsets.  Allocates nothing. *)
 
-(** {1 Payload sources} *)
-
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type src = S_string of string | S_big of bigstring
-(** Where a reload's bytes live: an ordinary string, or a memory-mapped
-    file region ([--spill-mmap]) that the OS pages on demand.  Decoding
-    from [S_big] never copies the raw v4 slice — the extent keeps the
-    mapping as its backing store. *)
-
-val src_length : src -> int
-(** Payload length in bytes, whichever backing. *)
-
 (** {1 Extents} *)
 
-(** A fixed-size rank range of one layer — the granularity the
-    out-of-core sweep spills and reloads at, so a layer larger than the
-    whole memory budget can still leave RAM piecewise and come back one
-    touched extent at a time. *)
+(** A rank range of one layer.  The sweep and checkpoints hold each
+    layer as one extent spanning it ([lo = 0], [len = C(m,k)]). *)
 module Extent : sig
   type t
 
@@ -91,8 +74,8 @@ module Extent : sig
 
   val set : t -> rank:int -> cost:int -> choice:int -> unit
   (** Write the entry of a {e global} rank; raises [Invalid_argument]
-      outside [lo, lo+len), on a negative cost, an over-wide choice, or
-      a read-only (mapped) extent. *)
+      outside [lo, lo+len), on a negative cost or an over-wide
+      choice. *)
 
   val mem : t -> rank:int -> bool
   val cost : t -> rank:int -> int
@@ -111,16 +94,6 @@ module Extent : sig
 
   val encode_packed : t -> string
   val encode_raw : t -> string
-
-  val of_src :
-    src -> j_set:Varset.t -> k:int -> total:int -> lo:int -> len:int -> t
-  (** Decode the extent covering ranks [lo, lo+len) from a payload.  The
-      payload may be an exact extent or a {e larger} one — a checkpoint's
-      whole-layer record, say: any payload whose range contains the
-      request is sliced.  An exact v4 match from a mapped source stays
-      mapped (zero copy).  Raises [Failure] on damage — wrong layer,
-      truncation, rank disorder, negative costs, present-count
-      mismatch — and [Invalid_argument] on a malformed request. *)
 
   val decode : string -> t
   (** Decode the range the payload's own header describes — the inverse

@@ -35,8 +35,8 @@ type ctx = Qctx.t = {
       (** span tracer: the quantum recursion records one span per level
           with oracle-call counts and modeled-query deltas *)
   membudget : Ovo_core.Membudget.t option;
-      (** one global out-of-core budget shared by every recursive [FS*]
-          sub-sweep — see {!Qctx.t} *)
+      (** one global accounting context shared by every recursive
+          [FS*] sub-sweep — see {!Qctx.t} *)
   bound : Ovo_core.Bound.t option;
       (** one global branch-and-bound incumbent shared by every
           sub-sweep — see {!Qctx.t} *)

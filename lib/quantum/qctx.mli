@@ -16,9 +16,10 @@ type t = {
       (** span tracer threaded through the classical subroutines and the
           quantum recursion (default {!Ovo_obs.Trace.null}) *)
   membudget : Ovo_core.Membudget.t option;
-      (** one {e global} memory budget shared by every recursive [FS*]
-          sub-sweep of the tower — per-call budgets would multiply the
-          allowance by the recursion width *)
+      (** one {e global} accounting context shared by every recursive
+          [FS*] sub-sweep of the tower; each sub-sweep releases its
+          table when it returns, so its peak is the most packed table
+          one point of the recursion holds *)
   bound : Ovo_core.Bound.t option;
       (** one {e global} branch-and-bound context: every sub-sweep
           prunes against the same incumbent, and a sub-sweep of a

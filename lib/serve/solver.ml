@@ -15,7 +15,7 @@ type solved = {
 
 let is_pow2 k = k > 0 && k land (k - 1) = 0
 
-let parse_table ~max_arity s =
+let parse_table ?mem_budget ~max_arity s =
   let len = String.length s in
   if not (is_pow2 len) then
     Error (`Bad (Printf.sprintf "table length %d is not a power of two" len))
@@ -29,7 +29,16 @@ let parse_table ~max_arity s =
         (`Too_large
            (Printf.sprintf "arity %d exceeds the server limit of %d" !n
               max_arity))
-    else Ok (Truthtable.of_string s)
+    else
+      let limit cap =
+        "the server's --mem-budget " ^ Ovo_core.Membudget.pp_bytes cap
+      in
+      match
+        Option.bind mem_budget (fun cap ->
+            Ovo_core.Membudget.refusal ~n:!n ~limit:(limit cap) cap)
+      with
+      | Some m -> Error (`Too_large m)
+      | None -> Ok (Truthtable.of_string s)
 
 (* Fs results are read-last-first ([order.(0)] at the bottom); the wire
    carries root-first.  [perm] maps canonical variables back to the
@@ -43,18 +52,7 @@ let reply_of_entry ~digest ~perm ~cached (e : Cache.entry) =
   done;
   { digest; mincost = e.mincost; size = e.size; order; widths; cached }
 
-(* Out-of-core solves spill into a fresh per-job scratch directory —
-   two workers may race on the same canonical table, so directories must
-   never be shared. *)
-let spill_seq = Atomic.make 0
-
-let fresh_spill_dir () =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "ovo-serve-spill-%d-%d" (Unix.getpid ())
-       (Atomic.fetch_and_add spill_seq 1))
-
-let solve ?(trace = Trace.null) ?mem_budget ?(prune = false)
+let solve ?(trace = Trace.null) ?(prune = false)
     ?(orderer = `Exact) ?stats ~cache ~cancel ~engine ~kind tt =
   (* the pruning context outlives [Cancel.protect]: a deadline-expired
      pruned solve still reports its best (lower, incumbent) pair — the
@@ -122,30 +120,8 @@ let solve ?(trace = Trace.null) ?mem_budget ?(prune = false)
             in
             let r =
               Trace.with_span trace ~cat:"serve" "serve.solve" (fun () ->
-                  match mem_budget with
-                  | None ->
-                      Fs.run ~trace ~kind ~engine ~cancel ?prune:pr ?on_layer
-                        canon
-                  | Some budget_bytes ->
-                      let sp = Ovo_store.Spill.create (fresh_spill_dir ()) in
-                      Fun.protect
-                        ~finally:(fun () -> Ovo_store.Spill.remove sp)
-                        (fun () ->
-                          let membudget =
-                            Ovo_core.Membudget.create ~budget_bytes
-                              ~sink:(Ovo_store.Spill.sink sp) ()
-                          in
-                          Fun.protect
-                            ~finally:(fun () ->
-                              Option.iter
-                                (fun st ->
-                                  Stats.add_spill_bytes st
-                                    (Ovo_core.Membudget.bytes_spilled
-                                       membudget))
-                                stats)
-                            (fun () ->
-                              Fs.run ~trace ~kind ~engine ~cancel ~membudget
-                                ?prune:pr ?on_layer canon)))
+                  Fs.run ~trace ~kind ~engine ~cancel ?prune:pr ?on_layer
+                    canon)
             in
             note_pruned ();
             let entry =

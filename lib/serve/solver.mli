@@ -20,15 +20,18 @@ type solved = {
 }
 
 val parse_table :
+  ?mem_budget:int ->
   max_arity:int ->
   string ->
   (Ovo_boolfun.Truthtable.t, [ `Bad of string | `Too_large of string ]) result
 (** Validate a wire table: characters ['0'|'1'], length a power of two,
-    arity at most [max_arity].  Runs at admission, before any queueing. *)
+    arity at most [max_arity], and, with [mem_budget], an exact solve's
+    {!Ovo_core.Membudget.estimate} within that many bytes ([`Too_large]
+    naming the estimate otherwise).  Runs at admission, before any
+    queueing, so a solve that cannot fit is refused up front. *)
 
 val solve :
   ?trace:Ovo_obs.Trace.t ->
-  ?mem_budget:int ->
   ?prune:bool ->
   ?orderer:[ `Exact | `Scored ] ->
   ?stats:Stats.t ->
@@ -61,14 +64,8 @@ val solve :
     reply is never added to the cache and a later [`Exact] solve of the
     same function is unaffected.  Cache hits still answer exactly.
 
-    [mem_budget] caps the resident bytes of the DP's packed layers for
-    this solve ({!Ovo_core.Membudget}): a budgeted miss spills completed
-    layers to a fresh scratch directory under the system temp dir
-    (removed when the solve finishes, even on failure) and produces a
-    result bit-identical to an unbounded one.
-
     [stats] wires the solve into the server's telemetry: the cache
     probe feeds the hit-rate window, every completed DP layer updates
     the engine progress gauges ([ovo_dp_layer], [ovo_dp_layer_states]),
-    and pruned-state / spilled-byte totals accumulate when pruning or a
-    memory budget is active — including on the cancelled path. *)
+    and the pruned-state total accumulates when pruning is active —
+    including on the cancelled path. *)

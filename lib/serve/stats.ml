@@ -36,7 +36,6 @@ type t = {
   g_layer : R.gauge;
   g_layer_states : R.gauge;
   c_pruned : R.counter;
-  c_spill_bytes : R.counter;
   g_gc_heap_words : R.gauge;
   g_gc_major : R.gauge;
   g_rss : R.gauge;
@@ -105,9 +104,6 @@ let create ?(clock = Ovo_obs.Trace.monotonic) () =
     c_pruned =
       R.counter reg ~help:"DP states pruned by branch-and-bound"
         "ovo_dp_states_pruned_total";
-    c_spill_bytes =
-      R.counter reg ~help:"Bytes of DP layers spilled out of core"
-        "ovo_spill_bytes_total";
     g_gc_heap_words = R.gauge reg ~help:"OCaml heap words" "ovo_gc_heap_words";
     g_gc_major =
       R.gauge reg ~help:"Completed major GC collections"
@@ -176,7 +172,6 @@ let note_layer t ~layer ~states =
   R.set t.g_layer_states (float_of_int states)
 
 let add_pruned t n = if n > 0 then R.inc t.c_pruned n
-let add_spill_bytes t n = if n > 0 then R.inc t.c_spill_bytes n
 let worker_busy t = Atomic.incr t.busy
 let worker_idle t = Atomic.decr t.busy
 let workers_busy t = Atomic.get t.busy
@@ -322,9 +317,8 @@ let metrics_json t =
         Json.Obj
           [ ("layer", gi t.g_layer);
             ("layer_states", gi t.g_layer_states);
-            ("states_pruned_total", Json.Int (R.counter_value t.c_pruned));
-            ("spill_bytes_total", Json.Int (R.counter_value t.c_spill_bytes))
-          ] );
+            ("states_pruned_total", Json.Int (R.counter_value t.c_pruned)) ]
+      );
       ( "gc",
         Json.Obj
           [ ("heap_words", gi t.g_gc_heap_words);

@@ -5,7 +5,7 @@
     Everything lifetime lives in the registry — per-endpoint request
     counters and log-bucketed latency histograms, outcome tallies,
     solve-duration and queue-wait histograms, engine gauges (DP layer
-    progress, states pruned, bytes spilled), GC/process gauges.  On top
+    progress, states pruned), GC/process gauges.  On top
     sit rolling {!Ovo_metrics.Window}s for the "right now" numbers:
     request rates over the last 1/10/60 s and the cache hit-rate over
     the last minute.
@@ -73,7 +73,6 @@ val note_layer : t -> layer:int -> states:int -> unit
     dashboard reads these as "what is the engine chewing on"). *)
 
 val add_pruned : t -> int -> unit
-val add_spill_bytes : t -> int -> unit
 
 val worker_busy : t -> unit
 val worker_idle : t -> unit

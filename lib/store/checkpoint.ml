@@ -10,8 +10,7 @@ type meta = { ck_digest : string; ck_kind : Ovo_core.Compact.kind }
 let rtype_meta = 0
 
 (* A layer record is one {!Lp.Extent} spanning the whole layer
-   ([lo = 0], [len = C(m,k)]) — the bytes the spill store would write
-   for it, so an open checkpoint can serve extent reloads ({!sink}). *)
+   ([lo = 0], [len = C(m,k)]). *)
 let rtype_layer = 2
 
 let kind_code = function Ovo_core.Compact.Bdd -> 0 | Ovo_core.Compact.Zdd -> 1
@@ -73,39 +72,18 @@ let decode_layer payload =
       entries.(rank) <- (Lp.unrank_in ~pascal ~j_set ~k rank, cost, choice));
   { Sdp.p_layer = k; p_entries = entries }
 
-type t = { rlog : Rlog.t; layers : (int, string) Hashtbl.t }
+type t = Rlog.t
 
 let create ?fsync ~path m =
   let rlog = Rlog.create ?fsync path in
   Rlog.append rlog ~rtype:rtype_meta (encode_meta m);
-  { rlog; layers = Hashtbl.create 16 }
+  rlog
 
-let append_layer t p =
-  let payload = encode_layer p in
-  Rlog.append t.rlog ~rtype:rtype_layer payload;
-  Hashtbl.replace t.layers p.Sdp.p_layer payload
-
-(* The checkpoint as a spill store: the DP's [on_layer] hook fires
-   before the layer is packed, so by the time an extent is evicted its
-   layer's record is already in [t.layers] — spilling is a no-op and a
-   reload hands back the whole-layer extent, which
-   [Layer_pack.Extent.of_src] slices down to the requested rank range.
-   A budget+checkpoint run therefore writes each layer to disk once. *)
-let sink t =
-  {
-    Ovo_core.Membudget.spill = (fun ~k:_ ~ext:_ _ -> ());
-    reload =
-      (fun ~k ~ext:_ ->
-        match Hashtbl.find_opt t.layers k with
-        | Some payload -> Lp.S_string payload
-        | None ->
-            failwith
-              (Printf.sprintf "Checkpoint.sink: layer %d not checkpointed" k));
-  }
+let append_layer t p = Rlog.append t ~rtype:rtype_layer (encode_layer p)
 
 let close t =
-  Rlog.sync t.rlog;
-  Rlog.close t.rlog
+  Rlog.sync t;
+  Rlog.close t
 
 (* The longest consecutive prefix of layers 1..m that decodes cleanly.
    Append order guarantees consecutiveness in an untampered file; a
@@ -147,16 +125,11 @@ let open_resume ?fsync ~path m =
   | Ok (_, layers) ->
       (* compact back to the valid prefix, atomically, then append past
          it — a resumed run can itself be killed and resumed *)
-      let encoded =
-        List.map (fun p -> (p.Sdp.p_layer, encode_layer p)) layers
-      in
       Rlog.write_atomic ?fsync path
         ((rtype_meta, encode_meta m)
-        :: List.map (fun (_, pl) -> (rtype_layer, pl)) encoded);
+        :: List.map (fun p -> (rtype_layer, encode_layer p)) layers);
       let rlog, records, _ = Rlog.open_append ?fsync path in
       assert (List.length records = 1 + List.length layers);
-      let tbl = Hashtbl.create 16 in
-      List.iter (fun (k, pl) -> Hashtbl.replace tbl k pl) encoded;
       Log.info (fun m ->
           m "%s: resuming past layer %d" path (List.length layers));
-      ({ rlog; layers = tbl }, layers)
+      (rlog, layers)

@@ -8,14 +8,11 @@
     A layer record is {e one extent spanning the layer}: the payload is
     {!Ovo_core.Layer_pack.Extent.encode} of the extent with [lo = 0] and
     [len = C(m,k)] — compressed v3 or raw v4, whichever is smaller — the
-    same format the spill store writes.  That buys two things:
-    checkpoints share the pack format's encoders and damage checks, and
-    the open checkpoint can itself serve as the DP's spill store
-    ({!sink}) — a budget+checkpoint run writes each layer to disk
-    {e once}, and extent reloads slice the layer records already on
-    hand.  A record of another type or format — an older writer's
-    triple-format (type 1) or whole-layer v1/v2 record — ends the resume
-    prefix, so that layer and its successors are recomputed.
+    form the DP's table takes in memory, so checkpoints share the pack
+    format's encoders and damage checks.  A record of another type or
+    format — an older writer's triple-format (type 1) or whole-layer
+    v1/v2 record — ends the resume prefix, so that layer and its
+    successors are recomputed.
 
     Because layer states are rebuilt by deterministically replaying the
     recorded choice chains, a run killed at any point and resumed from
@@ -42,15 +39,7 @@ val create : ?fsync:Rlog.fsync -> path:string -> meta -> t
 
 val append_layer : t -> Ovo_core.Subset_dp.progress -> unit
 (** Persist one completed layer — the [on_layer] hook.  The layer must
-    be complete (unpruned); its record doubles as the spill payload
-    {!sink} serves. *)
-
-val sink : t -> Ovo_core.Membudget.sink
-(** The checkpoint as spill store: spilling an extent is a no-op (its
-    layer's record is already appended — the DP checkpoints a layer
-    before packing it) and reloading returns the whole-layer record for
-    {!Ovo_core.Layer_pack.Extent.of_src} to slice.  Raises [Failure] on
-    a reload for a layer this writer never appended. *)
+    be complete (unpruned). *)
 
 val close : t -> unit
 

@@ -20,20 +20,6 @@ let u64 b v =
             (Int64.logand (Int64.shift_right_logical v64 (8 * i)) 0xFFL)))
   done
 
-(* LEB128: 7 value bits per byte, high bit = continuation.  The same
-   stream format Layer_pack's compressed extents use (re-implemented
-   there because ovo.core cannot depend on this layer). *)
-let varint b v =
-  if v < 0 then invalid_arg "Codec.varint";
-  let v = ref v in
-  while !v >= 0x80 do
-    Buffer.add_char b (Char.chr (0x80 lor (!v land 0x7F)));
-    v := !v lsr 7
-  done;
-  Buffer.add_char b (Char.chr !v)
-
-let svarint b v = varint b ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
-
 let str b s =
   u32 b (String.length s);
   Buffer.add_string b s
@@ -76,22 +62,6 @@ let r_u64 r =
      not written by this codec *)
   if Int64.of_int (Int64.to_int !v) <> !v then raise (Corrupt "u64 range");
   Int64.to_int !v
-
-let r_varint r =
-  let v = ref 0 and shift = ref 0 and continue = ref true in
-  while !continue do
-    let byte = r_u8 r in
-    if !shift > 62 then raise (Corrupt "varint overflow");
-    v := !v lor ((byte land 0x7F) lsl !shift);
-    shift := !shift + 7;
-    continue := byte land 0x80 <> 0
-  done;
-  if !v < 0 then raise (Corrupt "varint overflow");
-  !v
-
-let r_svarint r =
-  let v = r_varint r in
-  (v lsr 1) lxor (-(v land 1))
 
 let r_str r =
   let len = r_u32 r in

@@ -18,14 +18,6 @@ val u32 : Buffer.t -> int -> unit
 val u64 : Buffer.t -> int -> unit
 (** Eight bytes LE, two's complement — any OCaml [int] round-trips. *)
 
-val varint : Buffer.t -> int -> unit
-(** LEB128: 7 value bits per byte, high bit continues; requires
-    [v >= 0].  Small values cost one byte — the stream format of
-    compressed spill extents. *)
-
-val svarint : Buffer.t -> int -> unit
-(** Zig-zag then {!varint} — signed deltas near zero stay short. *)
-
 val str : Buffer.t -> string -> unit
 (** [u32] length prefix, then the bytes. *)
 
@@ -45,12 +37,6 @@ val r_u32 : reader -> int
 val r_u64 : reader -> int
 (** Read back the fixed-width integers, in writing order.  All raise
     [Failure] past end of input. *)
-
-val r_varint : reader -> int
-
-val r_svarint : reader -> int
-(** Read back {!varint}/{!svarint}; {!Corrupt} on truncation or a value
-    past the native [int] range. *)
 
 val r_str : reader -> string
 

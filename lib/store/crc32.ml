@@ -26,22 +26,5 @@ let update ?(crc = 0l) buf ~pos ~len =
   done;
   Int32.logxor !c 0xFFFFFFFFl
 
-let update_big ?(crc = 0l) buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim buf then
-    invalid_arg "Crc32.update_big";
-  let t = Lazy.force table in
-  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
-  for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int
-        (Int32.logand
-           (Int32.logxor !c
-              (Int32.of_int (Char.code (Bigarray.Array1.unsafe_get buf i))))
-           0xFFl)
-    in
-    c := Int32.logxor (Array.unsafe_get t idx) (Int32.shift_right_logical !c 8)
-  done;
-  Int32.logxor !c 0xFFFFFFFFl
-
 let string s =
   update (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

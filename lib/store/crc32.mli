@@ -9,14 +9,5 @@ val update : ?crc:int32 -> bytes -> pos:int -> len:int -> int32
     [update ~crc:(update b1) b2] equals the digest of the
     concatenation. *)
 
-val update_big :
-  ?crc:int32 ->
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t ->
-  pos:int ->
-  len:int ->
-  int32
-(** {!update} over a bigstring — used to verify memory-mapped spill
-    segments without copying them onto the OCaml heap. *)
-
 val string : string -> int32
 (** Digest of a whole string. *)

@@ -86,3 +86,11 @@ let case name f = Alcotest.test_case name `Quick f
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* Whether [sub] occurs in [s]. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0

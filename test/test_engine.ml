@@ -8,7 +8,6 @@ module C = Ovo_core.Compact
 module Fs = Ovo_core.Fs
 module T = Ovo_boolfun.Truthtable
 module B = Ovo_core.Bound
-module Mb = Ovo_core.Membudget
 module Sdp = Ovo_core.Subset_dp
 module Cancel = Ovo_core.Cancel
 
@@ -189,30 +188,12 @@ let unit_tests =
   ]
 
 (* Everything a solve reports that could differ between engines: the
-   answer, the merged counters, the checkpoint triples of every layer
-   and, under a budget, the spilled bytes themselves. *)
+   answer, the merged counters and the checkpoint triples of every
+   layer. *)
 let observe ~engine ~mode tt =
   let metrics = M.create () in
   let layers = ref [] in
   let on_layer (p : Sdp.progress) = layers := p :: !layers in
-  let spilled = Hashtbl.create 16 in
-  let membudget =
-    match mode with
-    | `Budget ->
-        Some
-          (Mb.create ~budget_bytes:1 ~extent_bytes:45
-             ~sink:
-               {
-                 Mb.spill =
-                   (fun ~k ~ext payload ->
-                     Hashtbl.replace spilled (k, ext) payload);
-                 reload =
-                   (fun ~k ~ext ->
-                     Ovo_core.Layer_pack.S_string (Hashtbl.find spilled (k, ext)));
-               }
-             ())
-    | `Plain | `Pruned -> None
-  in
   let prune =
     match mode with
     | `Pruned ->
@@ -220,22 +201,12 @@ let observe ~engine ~mode tt =
           (B.make
              ~seed:{ B.ub_source = "oracle"; ub_value = (Fs.run tt).Fs.mincost }
              (B.counting_lower C.Bdd (Ovo_boolfun.Mtable.of_truthtable tt)))
-    | `Plain | `Budget -> None
+    | `Plain -> None
   in
-  let r = Fs.run ~engine ~metrics ?membudget ?prune ~on_layer tt in
-  let spill =
-    Option.map
-      (fun mb ->
-        ( Mb.extents_spilled mb,
-          Mb.bytes_spilled mb,
-          Mb.raw_bytes_spilled mb,
-          List.sort compare (List.of_seq (Hashtbl.to_seq spilled)) ))
-      membudget
-  in
+  let r = Fs.run ~engine ~metrics ?prune ~on_layer tt in
   ( (r.Fs.mincost, r.Fs.order, r.Fs.widths),
     M.snapshot metrics,
     List.rev_map (fun p -> (p.Sdp.p_layer, p.Sdp.p_entries)) !layers,
-    spill,
     Option.map B.states_pruned prune )
 
 let domain_count_prop =
@@ -243,7 +214,7 @@ let domain_count_prop =
     (QCheck.triple
        (Helpers.arb_truthtable ~lo:1 ~hi:9 ())
        (QCheck.oneofl [ 2; 3; 4; 8 ])
-       (QCheck.oneofl [ `Plain; `Pruned; `Budget ]))
+       (QCheck.oneofl [ `Plain; `Pruned ]))
     (fun (tt, domains, mode) ->
       observe ~engine:E.Seq ~mode tt
       = observe ~engine:(E.par ~domains ()) ~mode tt)

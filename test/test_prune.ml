@@ -2,8 +2,8 @@
    admissibility of the counting lower bounds, and the headline
    guarantee — a sifting-seeded pruned sweep prunes states yet stays
    bit-identical to the unpruned one (cost, size, ordering and widths)
-   under Seq and Par, with and without a memory budget, for the plain,
-   weighted, shared and quantum entry points.  An unsound seed must be
+   under Seq and Par, for the plain, weighted, shared and quantum entry
+   points.  An unsound seed must be
    rejected (Pruned_out), never turned into a wrong answer. *)
 
 module B = Ovo_core.Bound
@@ -16,18 +16,6 @@ module Tt = Ovo_boolfun.Truthtable
 module Mt = Ovo_boolfun.Mtable
 module Seed = Ovo_ordering.Seed
 module O = Ovo_quantum.Opt_obdd
-
-let mem_sink () =
-  let store = Hashtbl.create 8 in
-  {
-    Mb.spill =
-      (fun ~k ~ext payload -> Hashtbl.replace store (k, ext) payload);
-    reload =
-      (fun ~k ~ext ->
-        match Hashtbl.find_opt store (k, ext) with
-        | Some p -> Ovo_core.Layer_pack.S_string p
-        | None -> failwith "mem_sink: no such extent");
-  }
 
 (* A trivially admissible lower bound for exercising the context. *)
 let zero_lower =
@@ -157,18 +145,6 @@ let identical_zdd_prop =
       let pruned = Fs.run ~kind ~prune:(Seed.bound ~kind tt) tt in
       same_result plain pruned)
 
-let identical_budget_prop name engine =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "pruning composes with a 1-byte budget (%s)" name)
-    ~count:40
-    (Helpers.arb_truthtable ~lo:3 ~hi:6 ())
-    (fun tt ->
-      let plain = Fs.run ~engine tt in
-      let mb = Mb.create ~budget_bytes:1 ~sink:(mem_sink ()) () in
-      let pruned = Fs.run ~engine ~membudget:mb ~prune:(Seed.bound tt) tt in
-      Mb.layers_spilled mb > 0 && same_result plain pruned)
-
 let tight_seed_prop =
   QCheck.Test.make ~name:"a tight seed (= optimum) still yields the optimum"
     ~count:60
@@ -230,29 +206,28 @@ let shared_identical_prop =
 
 (* --- quantum tower sharing one bound and budget ------------------------ *)
 
+(* A pruned composition against one shared bound and one shared budget
+   answers as the plain one does, and its sub-sweeps — the ones pruned
+   out included — hand their tables back, so the shared peak stays
+   within a full sweep's table. *)
+let shared_bound_and_budget sub seed () =
+  let n = 6 in
+  let tt = Tt.random (Helpers.rng seed) n in
+  let plain, _ = O.minimize ~ctx:(O.make_ctx ()) (sub ()) tt in
+  let mb = Mb.create ~budget_bytes:(Mb.estimate ~n) () in
+  let ctx = O.make_ctx ~membudget:mb ~bound:(Seed.bound tt) () in
+  let pruned, _ = O.minimize ~ctx (sub ()) tt in
+  Helpers.check_int "mincost" plain.Fs.mincost pruned.Fs.mincost;
+  Helpers.check_bool "order" true (pruned.Fs.order = plain.Fs.order);
+  Helpers.check_bool "peak within one full table" true
+    (Mb.peak_resident_bytes mb <= Mb.table_bytes ~n)
+
 let quantum_tests =
   [
-    Helpers.case "qdc with a shared bound and budget is unchanged" (fun () ->
-        let tt = Tt.random (Helpers.rng 77) 6 in
-        let plain_ctx = O.make_ctx () in
-        let plain, _ = O.minimize ~ctx:plain_ctx (O.theorem10 ()) tt in
-        let mb = Mb.create ~budget_bytes:1 ~sink:(mem_sink ()) () in
-        let ctx = O.make_ctx ~membudget:mb ~bound:(Seed.bound tt) () in
-        let pruned, _ = O.minimize ~ctx (O.theorem10 ()) tt in
-        Helpers.check_int "mincost" plain.Fs.mincost pruned.Fs.mincost;
-        Helpers.check_bool "order" true (pruned.Fs.order = plain.Fs.order);
-        Helpers.check_bool "budget was exercised" true
-          (Mb.layers_spilled mb > 0));
+    Helpers.case "qdc with a shared bound and budget is unchanged"
+      (shared_bound_and_budget O.theorem10 77);
     Helpers.case "tower with a shared bound and budget is unchanged"
-      (fun () ->
-        let tt = Tt.random (Helpers.rng 78) 6 in
-        let plain_ctx = O.make_ctx () in
-        let plain, _ = O.minimize ~ctx:plain_ctx (O.tower ~depth:2) tt in
-        let mb = Mb.create ~budget_bytes:1 ~sink:(mem_sink ()) () in
-        let ctx = O.make_ctx ~membudget:mb ~bound:(Seed.bound tt) () in
-        let pruned, _ = O.minimize ~ctx (O.tower ~depth:2) tt in
-        Helpers.check_int "mincost" plain.Fs.mincost pruned.Fs.mincost;
-        Helpers.check_bool "order" true (pruned.Fs.order = plain.Fs.order));
+      (shared_bound_and_budget (fun () -> O.tower ~depth:2) 78);
     Helpers.case "prune cannot resume from a checkpoint" (fun () ->
         let tt = Tt.random (Helpers.rng 79) 5 in
         Helpers.check_bool "rejected" true
@@ -273,8 +248,6 @@ let props =
     identical_prop "Seq" Ovo_core.Engine.Seq;
     identical_prop "Par" (Ovo_core.Engine.Par { domains = 3 });
     identical_zdd_prop;
-    identical_budget_prop "Seq" Ovo_core.Engine.Seq;
-    identical_budget_prop "Par" (Ovo_core.Engine.Par { domains = 3 });
     tight_seed_prop;
     unsound_seed_prop;
     weighted_identical_prop;
