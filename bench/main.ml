@@ -437,18 +437,17 @@ let shared_bench () =
       in
       let n = T.arity outputs.(0) in
       let blocked =
-        (Ovo_core.Shared.compact_chain ~metrics:(Ovo_core.Metrics.create ())
-           (Ovo_core.Shared.of_truthtables C.Bdd outputs)
+        (C.compact_chain ~metrics:(Ovo_core.Metrics.create ())
+           (Ovo_core.Shared.initial C.Bdd
+              (Array.map Ovo_boolfun.Mtable.of_truthtable outputs))
            (Array.init n (fun i -> i)))
-          .Ovo_core.Shared.mincost
+          .C.mincost
       in
       let qshared =
         if n <= 6 then begin
           let ctx = Ovo_quantum.Qctx.make () in
           let qr, _ =
-            Ovo_quantum.Opt_shared.minimize ~ctx
-              (Ovo_quantum.Opt_shared.theorem10 ())
-              outputs
+            Ovo_quantum.Opt_shared.minimize ~ctx (O.theorem10 ()) outputs
           in
           string_of_int qr.Ovo_core.Shared.mincost
         end
@@ -467,10 +466,8 @@ let spectrum () =
      orderings are (the quantitative version of the paper's motivation).\n\n";
   List.iter
     (fun (name, tt) ->
-      let s = Ovo_ordering.Spectrum.compute tt in
-      let dp_count = Fs.count_optimal_orders tt in
-      Format.printf "%-14s %a (DP count %.0f)@." name Ovo_ordering.Spectrum.pp
-        s dp_count)
+      Format.printf "%-14s %a@." name Ovo_ordering.Spectrum.pp
+        (Ovo_ordering.Spectrum.compute tt))
     [
       ("achilles-3", F.achilles 3);
       ("achilles-4", F.achilles 4);

@@ -32,7 +32,13 @@
     new table (half the old one), as the complexity analysis requires.
 
     Table indexing: the unassigned variables, sorted ascending, map to the
-    bit positions of the cell index (smallest variable ↔ bit 0). *)
+    bit positions of the cell index (smallest variable ↔ bit 0).
+
+    A state may have several roots, one table each, for the
+    multi-rooted diagrams of {!Shared} ([THY96]): the tables lie back to
+    back in [table], the root index above the free variables' bits, so
+    a compaction scans them in turn against one shared node set and
+    every function below serves one root or many alike. *)
 
 type kind =
   | Bdd  (** delete nodes with [lo = hi] (also the MTBDD rule) *)
@@ -54,7 +60,9 @@ type state = private {
   assigned : Varset.t;  (** the set [I] *)
   order_rev : int list;  (** achieved suborder, most recent first; so
                              [List.rev order_rev] is [π[1], …, π[|I|]] *)
-  table : int array;  (** [2^(n-|I|)] node ids *)
+  table : int array;
+      (** [roots · 2^(n-|I|)] node ids: root [j]'s table is the block
+          starting at [j · 2^(n-|I|)] *)
   levels : level list;
       (** [NODE_I], most recent level first; a compaction that creates
           no node adds no level *)
@@ -68,6 +76,11 @@ val initial : kind -> Ovo_boolfun.Mtable.t -> state
 
 val of_truthtable : kind -> Ovo_boolfun.Truthtable.t -> state
 (** Boolean convenience wrapper around {!initial} (two terminals). *)
+
+val of_mtables : kind -> Ovo_boolfun.Mtable.t array -> state
+(** [FS(∅)] of a multi-rooted diagram: root [j]'s table is [mts.(j)].
+    Every table must have [mts.(0)]'s arity and value alphabet, and
+    there must be at least one; {!Shared.initial} checks both. *)
 
 val compact : metrics:Metrics.t -> state -> int -> state
 (** [compact st i] — see above.  Raises [Invalid_argument] if [i] is out
@@ -83,10 +96,6 @@ val width_if_compacted : metrics:Metrics.t -> state -> int -> int
     Charges [table_cells] (a probe does the work the theorems price) and
     [cost_probes].  Safe to call concurrently on shared frozen states
     from {!Engine.Par} workers and from systhreads. *)
-
-val mincost_if_compacted : metrics:Metrics.t -> state -> int -> int
-(** [st.mincost + width_if_compacted st i] — the DP objective of the
-    candidate, without building it. *)
 
 val materialise : metrics:Metrics.t -> state -> int -> state
 (** Exactly {!compact}, but with DP-winner accounting, for replaying a
@@ -143,13 +152,6 @@ val width_of_last : before:state -> after:state -> int
     [Cost_i(f, π)] for the newly placed variable (Lemma 3 guarantees this
     only depends on the set split, not on the suborders). *)
 
-val push_level :
-  Pair_table.t -> var:int -> first:int -> level list -> level list
-(** [push_level pt ~var ~first levels] conses the nodes a scan over
-    [pt] created — ids from [first], testing [var] — onto [levels] as
-    one level; a scan that created no node adds none.  Call it before
-    releasing [pt].  {!Shared} builds its levels with it too. *)
-
 val iter_nodes : (int -> var:int -> lo:int -> hi:int -> unit) -> level list -> unit
 (** [iter_nodes f levels] calls [f id ~var ~lo ~hi] on every node the
     levels list, most recent level first and in id order within one. *)
@@ -157,12 +159,17 @@ val iter_nodes : (int -> var:int -> lo:int -> hi:int -> unit) -> level list -> u
 val free : state -> Varset.t
 (** The unassigned variables [\[n\] ∖ I]. *)
 
+val roots : state -> int
+(** The number of roots: [Array.length table / 2^(n-|I|)]. *)
+
 val order : state -> int list
 (** The achieved suborder [π[1], …, π[|I|]] (read-last first). *)
 
 val is_complete : state -> bool
-(** All variables assigned (the table has a single cell: the root). *)
+(** All variables assigned (the table has one cell per root: the
+    root's id). *)
 
 val root : state -> int
-(** Root node id of a complete state; raises [Invalid_argument] if the
-    state is not complete. *)
+(** Root node id of a complete single-rooted state; raises
+    [Invalid_argument] if the state is not complete or has several
+    roots ({!Shared.roots} reads those). *)

@@ -12,6 +12,8 @@ type t = {
 let of_state (st : Compact.state) =
   if not (Compact.is_complete st) then
     invalid_arg "Diagram.of_state: state not complete";
+  if Compact.roots st <> 1 then
+    invalid_arg "Diagram.of_state: state has several roots";
   let count = st.next_id - st.num_terminals in
   let nodes = Array.make count { var = -1; lo = 0; hi = 0 } in
   Compact.iter_nodes

@@ -21,6 +21,10 @@ type t = private {
 }
 
 val of_state : Compact.state -> t
+(** The diagram of a complete single-rooted state.  Raises
+    [Invalid_argument] if the state is not complete or has several
+    roots ({!Shared.diagrams} gives one view per root). *)
+
 val of_parts :
   kind:Compact.kind ->
   n:int ->

@@ -57,45 +57,3 @@ let all_mincosts ?(trace = Ovo_obs.Trace.null) ?(kind = Compact.Bdd) ?engine
 let read_first_order r =
   let n = Array.length r.order in
   Array.init n (fun i -> r.order.(n - 1 - i))
-
-(* Path counting over the subset lattice: cnt(I) = sum over h of
-   cnt(I∖h) where placing h last is tight.  Candidates are probed with
-   the cost-only kernel; only each subset's winner is materialised (the
-   next cardinality's probes need its table). *)
-let count_optimal_orders ?(kind = Compact.Bdd) tt =
-  let n = Ovo_boolfun.Truthtable.arity tt in
-  let base = Compact.of_truthtable kind tt in
-  let metrics = Metrics.create () in
-  let layer = ref (Hashtbl.create 1) in
-  Hashtbl.replace !layer Varset.empty base;
-  let counts = ref (Hashtbl.create 1) in
-  Hashtbl.replace !counts Varset.empty 1.;
-  for k = 1 to n do
-    let next_layer = Hashtbl.create 64 in
-    let next_counts = Hashtbl.create 64 in
-    let prev = !layer and prev_counts = !counts in
-    Varset.iter_subsets_of_size ~n ~k (fun iset ->
-        let best = ref None and ways = ref 0. in
-        Varset.iter
-          (fun h ->
-            let before = Hashtbl.find prev (Varset.remove h iset) in
-            let c = Compact.mincost_if_compacted ~metrics before h in
-            let cnt = Hashtbl.find prev_counts (Varset.remove h iset) in
-            match !best with
-            | Some (bc, _, _) when c > bc -> ()
-            | Some (bc, _, _) when c = bc -> ways := !ways +. cnt
-            | Some _ | None ->
-                best := Some (c, before, h);
-                ways := cnt)
-          iset;
-        match !best with
-        | None -> assert false
-        | Some (_, before, h) ->
-            Hashtbl.replace next_layer iset
-              (Compact.materialise ~metrics before h);
-            Hashtbl.replace next_counts iset !ways);
-    Hashtbl.reset prev;
-    layer := next_layer;
-    counts := next_counts
-  done;
-  Hashtbl.find !counts (Varset.full n)

@@ -56,13 +56,11 @@ let weighted_bound ?trace ?(kind = C.Bdd) ~weights mt =
 (* No multi-rooted sifting exists yet; the identity placement is still
    an achievable shared total and typically within a small factor. *)
 let shared_bound ?(kind = C.Bdd) mts =
-  let module Sh = Ovo_core.Shared in
-  let metrics = Ovo_core.Metrics.create () in
-  let st = ref (Sh.initial kind mts) in
-  let n = (!st).Sh.n in
-  for h = 0 to n - 1 do
-    st := Sh.compact ~metrics !st h
-  done;
+  let base = Ovo_core.Shared.initial kind mts in
+  let st =
+    C.compact_chain ~metrics:(Ovo_core.Metrics.create ()) base
+      (Array.init base.C.n Fun.id)
+  in
   B.make
-    ~seed:{ B.ub_source = "shared-identity"; ub_value = (!st).Sh.mincost }
+    ~seed:{ B.ub_source = "shared-identity"; ub_value = st.C.mincost }
     (B.shared_counting_lower kind mts)

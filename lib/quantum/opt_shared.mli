@@ -1,25 +1,13 @@
-(** Quantum (simulated) joint optimisation of multi-rooted diagrams —
-    the {!Opt_generic} machinery instantiated on {!Ovo_core.Shared}
-    states: the same divide-and-conquer, quantum minimum finding and
-    composition tower, minimising the shared node count of several
-    functions at once. *)
-
-type subroutine
-
-val name : subroutine -> string
-
-val fs_star : subroutine
-val simple_split : ?alpha:float -> unit -> subroutine
-val opt_obdd :
-  ?label:string -> k:int -> alpha:float array -> subroutine -> subroutine
-val theorem10 : ?k:int -> unit -> subroutine
-val tower : depth:int -> subroutine
-(** As in {!Opt_obdd}, over shared states. *)
+(** Quantum (simulated) joint optimisation of multi-rooted diagrams:
+    any {!Opt_obdd.subroutine} — the same divide-and-conquer, quantum
+    minimum finding and composition tower — run over a multi-rooted
+    {!Ovo_core.Shared} state, minimising the shared node count of
+    several functions at once. *)
 
 val minimize :
   ?kind:Ovo_core.Compact.kind ->
   ctx:Qctx.t ->
-  subroutine ->
+  Opt_obdd.subroutine ->
   Ovo_boolfun.Truthtable.t array ->
   Ovo_core.Shared.result * float
 (** Jointly minimise the shared diagram of the given functions; returns
@@ -28,6 +16,6 @@ val minimize :
 val minimize_mtables :
   ?kind:Ovo_core.Compact.kind ->
   ctx:Qctx.t ->
-  subroutine ->
+  Opt_obdd.subroutine ->
   Ovo_boolfun.Mtable.t array ->
   Ovo_core.Shared.result * float

@@ -167,19 +167,6 @@ let brute_weighted ?(kind = C.Bdd) ~weights tt =
 
 let extension_props =
   [
-    QCheck.Test.make
-      ~name:"count_optimal_orders equals the exhaustive spectrum" ~count:40
-      (Helpers.arb_truthtable ~lo:1 ~hi:5 ())
-      (fun tt ->
-        let s = Ovo_ordering.Spectrum.compute tt in
-        int_of_float (Fs.count_optimal_orders tt)
-        = s.Ovo_ordering.Spectrum.optimal_orderings);
-    QCheck.Test.make ~name:"count_optimal_orders of symmetric functions is n!"
-      ~count:20
-      (QCheck.int_range 1 6)
-      (fun n ->
-        let tt = Ovo_boolfun.Families.parity n in
-        Fs.count_optimal_orders tt = Ovo_ordering.Perm.count n);
     QCheck.Test.make ~name:"weighted DP equals weighted brute force" ~count:40
       (QCheck.pair (Helpers.arb_truthtable ~lo:1 ~hi:5 ()) QCheck.small_int)
       (fun (tt, seed) ->

@@ -1,4 +1,5 @@
 module OS = Ovo_quantum.Opt_shared
+module O = Ovo_quantum.Opt_obdd
 module Q = Ovo_quantum
 module S = Ovo_core.Shared
 module T = Ovo_boolfun.Truthtable
@@ -26,19 +27,19 @@ let unit_tests =
         in
         let exact = (S.minimize outputs).S.mincost in
         let ctx = Q.Qctx.make () in
-        let r, cost = OS.minimize ~ctx (OS.theorem10 ()) outputs in
+        let r, cost = OS.minimize ~ctx (O.theorem10 ()) outputs in
         Helpers.check_int "mincost" exact r.S.mincost;
         Helpers.check_bool "cost accounted" true (cost > 0.);
         Helpers.check_bool "valid" true
           (S.check r.S.state
              (Array.map Ovo_boolfun.Mtable.of_truthtable outputs)));
     Helpers.case "subroutine names carry over" (fun () ->
-        Helpers.check_bool "fs*" true (OS.name OS.fs_star = "FS*");
-        Helpers.check_bool "tower" true (OS.name (OS.tower ~depth:2) = "Gamma_2"));
+        Helpers.check_bool "fs*" true (O.name O.fs_star = "FS*");
+        Helpers.check_bool "tower" true (O.name (O.tower ~depth:2) = "Gamma_2"));
     Helpers.case "classical subroutine over shared states" (fun () ->
         let outputs = [| T.var 3 0; T.( &&& ) (T.var 3 1) (T.var 3 2) |] in
         let ctx = Q.Qctx.make () in
-        let r, _ = OS.minimize ~ctx OS.fs_star outputs in
+        let r, _ = OS.minimize ~ctx O.fs_star outputs in
         Helpers.check_int "exact" (S.minimize outputs).S.mincost r.S.mincost);
   ]
 
@@ -48,26 +49,26 @@ let props =
       ~count:30 arb_pair
       (fun tts ->
         let ctx = Q.Qctx.make () in
-        let r, _ = OS.minimize ~ctx (OS.theorem10 ()) tts in
+        let r, _ = OS.minimize ~ctx (O.theorem10 ()) tts in
         r.S.mincost = (S.minimize tts).S.mincost);
     QCheck.Test.make ~name:"quantum shared simple_split equals exact Shared"
       ~count:20 arb_pair
       (fun tts ->
         let ctx = Q.Qctx.make () in
-        let r, _ = OS.minimize ~ctx (OS.simple_split ()) tts in
+        let r, _ = OS.minimize ~ctx (O.simple_split ()) tts in
         r.S.mincost = (S.minimize tts).S.mincost);
     QCheck.Test.make ~name:"quantum shared tower-2 equals exact Shared"
       ~count:15 arb_pair
       (fun tts ->
         let ctx = Q.Qctx.make () in
-        let r, _ = OS.minimize ~ctx (OS.tower ~depth:2) tts in
+        let r, _ = OS.minimize ~ctx (O.tower ~depth:2) tts in
         r.S.mincost = (S.minimize tts).S.mincost);
     QCheck.Test.make
       ~name:"error injection still yields valid shared diagrams" ~count:30
       (QCheck.pair arb_pair QCheck.small_int)
       (fun (tts, seed) ->
         let ctx = Q.Qctx.make ~rng:(Helpers.rng seed) ~epsilon:0.5 () in
-        let r, _ = OS.minimize ~ctx (OS.theorem10 ()) tts in
+        let r, _ = OS.minimize ~ctx (O.theorem10 ()) tts in
         S.check r.S.state (Array.map Ovo_boolfun.Mtable.of_truthtable tts)
         && r.S.mincost >= (S.minimize tts).S.mincost);
   ]
