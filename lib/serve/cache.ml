@@ -52,6 +52,12 @@ let find t ~digest ~kind ~canon =
           t.misses <- t.misses + 1;
           None)
 
+let mem t ~digest ~kind ~canon =
+  with_lock t (fun () ->
+      match Lru.find t.lru (digest, kind) with
+      | Some e -> Truthtable.equal e.canon canon
+      | None -> false)
+
 let add t ~digest ~kind entry =
   with_lock t (fun () -> Lru.add t.lru (digest, kind) entry);
   (* outside the lock: the persist hook does file I/O *)

@@ -52,6 +52,17 @@ val find :
     canonical table equals [canon]; a digest collision counts as a
     miss (and a collision). *)
 
+val mem :
+  t ->
+  digest:string ->
+  kind:Ovo_core.Compact.kind ->
+  canon:Ovo_boolfun.Truthtable.t ->
+  bool
+(** Whether {!find} would hit, counting neither a hit nor a miss.  It
+    touches the entry as {!find} does, so an answer admitted on the
+    strength of it is the least likely to be evicted before its job
+    reads it. *)
+
 val add :
   t -> digest:string -> kind:Ovo_core.Compact.kind -> entry -> unit
 (** Insert and, when configured, persist. *)

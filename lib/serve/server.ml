@@ -113,13 +113,14 @@ let admit_solve t (p : P.solve_params) =
          { code = P.Shutting_down; message = "server is draining";
            retry_after_ms = None })
   else
-    (* only an exact solve needs the DP's memory; a scored reply does
-       not, so the budget does not gate it *)
+    (* only an exact solve on a cache miss needs the DP's memory; a
+       cached or scored reply does not, so the budget does not gate it *)
     let mem_budget =
       if t.cfg.orderer = `Exact then t.cfg.mem_budget else None
     in
     match
-      Solver.parse_table ?mem_budget ~max_arity:t.cfg.max_arity p.table
+      Solver.parse_table ?mem_budget ~cache:(t.cache, p.kind)
+        ~max_arity:t.cfg.max_arity p.table
     with
     | Error (`Bad m) ->
         Stats.record_outcome t.stats `Error;

@@ -15,7 +15,15 @@ type solved = {
 
 let is_pow2 k = k > 0 && k land (k - 1) = 0
 
-let parse_table ?mem_budget ~max_arity s =
+let cached cache tt =
+  match cache with
+  | None -> false
+  | Some (cache, kind) ->
+      let canon, _ = Truthtable.canonicalize tt in
+      Cache.mem cache ~digest:(Truthtable.digest_of_canonical canon) ~kind
+        ~canon
+
+let parse_table ?mem_budget ?cache ~max_arity s =
   let len = String.length s in
   if not (is_pow2 len) then
     Error (`Bad (Printf.sprintf "table length %d is not a power of two" len))
@@ -33,12 +41,13 @@ let parse_table ?mem_budget ~max_arity s =
       let limit cap =
         "the server's --mem-budget " ^ Ovo_core.Membudget.pp_bytes cap
       in
+      let tt = Truthtable.of_string s in
       match
         Option.bind mem_budget (fun cap ->
             Ovo_core.Membudget.refusal ~n:!n ~limit:(limit cap) cap)
       with
-      | Some m -> Error (`Too_large m)
-      | None -> Ok (Truthtable.of_string s)
+      | Some m when not (cached cache tt) -> Error (`Too_large m)
+      | _ -> Ok tt
 
 (* Fs results are read-last-first ([order.(0)] at the bottom); the wire
    carries root-first.  [perm] maps canonical variables back to the

@@ -21,6 +21,7 @@ type solved = {
 
 val parse_table :
   ?mem_budget:int ->
+  ?cache:Cache.t * Ovo_core.Compact.kind ->
   max_arity:int ->
   string ->
   (Ovo_boolfun.Truthtable.t, [ `Bad of string | `Too_large of string ]) result
@@ -28,7 +29,10 @@ val parse_table :
     arity at most [max_arity], and, with [mem_budget], an exact solve's
     {!Ovo_core.Membudget.estimate} within that many bytes ([`Too_large]
     naming the estimate otherwise).  Runs at admission, before any
-    queueing, so a solve that cannot fit is refused up front. *)
+    queueing, so a solve that cannot fit is refused up front.  An
+    over-budget table whose answer [cache] holds under the given kind
+    ({!Cache.mem}) is admitted: a hit runs no DP.  Only such tables are
+    canonicalized here. *)
 
 val solve :
   ?trace:Ovo_obs.Trace.t ->

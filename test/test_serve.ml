@@ -680,6 +680,52 @@ let e2e_tests =
                      to_int_opt
                   = Some 0)
             | _ -> Alcotest.fail "expected stats"));
+    Helpers.case "daemon: --mem-budget admits a table its warm store answers"
+      (fun () ->
+        (* arity 10 needs 67 107 B: over a 60 000 B budget unless the
+           answer is already cached *)
+        let table k =
+          String.init 1024 (fun i -> if i mod k = 1 then '1' else '0')
+        in
+        let dir = Filename.temp_file "ovo-serve-budget" "" in
+        Sys.remove dir;
+        let run_once mem_budget f =
+          let sock = temp_sock () in
+          let cfg =
+            { (Server.default_config ~listen:(P.Unix_sock sock)) with
+              Server.workers = 1; store_dir = Some dir; mem_budget }
+          in
+          let server = Server.start cfg in
+          let waiter = Thread.create (fun () -> Server.wait server) () in
+          Fun.protect
+            ~finally:(fun () ->
+              Server.shutdown server;
+              Thread.join waiter)
+            (fun () ->
+              Client.with_conn (P.Unix_sock sock) @@ fun c -> f c)
+        in
+        let solve c table =
+          expect_ok
+            (Client.roundtrip c
+               { P.id = 1;
+                 op =
+                   P.Solve
+                     { P.table; kind = Ovo_core.Compact.Bdd;
+                       engine = Ovo_core.Engine.Seq; deadline_ms = None } })
+        in
+        run_once None (fun c ->
+            match solve c (table 5) with
+            | P.Ok_solve r -> Helpers.check_bool "cold" false r.P.cached
+            | _ -> Alcotest.fail "expected a solve reply");
+        run_once (Some 60000) (fun c ->
+            (match solve c (table 5) with
+            | P.Ok_solve r -> Helpers.check_bool "cached" true r.P.cached
+            | _ -> Alcotest.fail "a cached table was refused");
+            match solve c (table 7) with
+            | P.Error { code = P.Too_large; message; _ } ->
+                Helpers.check_bool message true
+                  (Helpers.contains message "67107 B")
+            | _ -> Alcotest.fail "an uncached arity-10 table was admitted"));
   ]
 
 let () =
