@@ -161,10 +161,11 @@ let read_header fail s =
     fail "inconsistent header";
   if h.h_total <> binomial (Varset.cardinal h.h_j_set) h.h_k then
     fail "entry count does not match layer";
-  if h.h_len < 1 || h.h_lo + h.h_len > h.h_total then fail "bad extent range";
-  if h.h_present > h.h_len then fail "inconsistent header";
+  if h.h_lo <> 0 || h.h_len <> h.h_total then
+    fail "extent does not span its layer";
+  if h.h_present > h.h_total then fail "inconsistent header";
   if slen <> extent_header_bytes + h.h_payload_len then fail "truncated extent";
-  if h.h_ver = raw_extent_version && h.h_payload_len <> h.h_len * entry_bytes
+  if h.h_ver = raw_extent_version && h.h_payload_len <> h.h_total * entry_bytes
   then fail "payload length mismatch";
   if h.h_ver = packed_version && h.h_payload_len < 3 * h.h_present then
     fail "payload too short for its entries";
@@ -172,19 +173,19 @@ let read_header fail s =
 
 (* --- the v3 stream ---------------------------------------------------- *)
 
-(* The compressed stream over a dense slice: for every set entry, in
+(* The compressed stream over a dense layer: for every set entry, in
    rank order, [varint gap-from-previous-set-rank] (first: gap from
-   [lo - 1]) ++ [zig-zag varint cost delta] (first: delta from 0) ++
+   [-1]) ++ [zig-zag varint cost delta] (first: delta from 0) ++
    [u8 choice].  Costs within a layer are small and monotone-ish in
    colex order, so deltas are mostly 1-byte. *)
-let compress_slice data ~len ~lo =
+let compress_slice data ~len =
   let buf = Buffer.create (len * 3) in
-  let prev_rank = ref (lo - 1) and prev_cost = ref 0 in
-  for i = 0 to len - 1 do
-    let eoff = i * entry_bytes in
+  let prev_rank = ref (-1) and prev_cost = ref 0 in
+  for rank = 0 to len - 1 do
+    let eoff = rank * entry_bytes in
     let c64 = Bytes.get_int64_le data eoff in
     if c64 >= 0L then begin
-      let rank = lo + i and cost = Int64.to_int c64 in
+      let cost = Int64.to_int c64 in
       varint_add buf (rank - !prev_rank);
       varint_add buf (zigzag (cost - !prev_cost));
       Buffer.add_char buf (Bytes.get data (eoff + 8));
@@ -194,17 +195,17 @@ let compress_slice data ~len ~lo =
   done;
   Buffer.contents buf
 
-(* Decode the v3 stream of header [h] into the dense slice [dst] of
-   its range.  Every rank must lie inside that range. *)
+(* Decode the v3 stream of header [h] into the dense layer [dst].
+   Every rank must lie inside the layer. *)
 let decompress_into fail s h ~dst =
   let limit = extent_header_bytes + h.h_payload_len in
   let cursor = ref extent_header_bytes in
-  let prev_rank = ref (h.h_lo - 1) and prev_cost = ref 0 in
+  let prev_rank = ref (-1) and prev_cost = ref 0 in
   for _ = 1 to h.h_present do
     if !cursor >= limit then fail "truncated stream";
     let gap = read_varint fail s cursor in
     if gap <= 0 then fail "non-increasing rank" (* gap 0 = duplicate *);
-    if gap >= h.h_lo + h.h_len - !prev_rank then fail "entry rank out of range";
+    if gap >= h.h_total - !prev_rank then fail "entry rank out of range";
     let rank = !prev_rank + gap in
     let cost = !prev_cost + unzigzag (read_varint fail s cursor) in
     if cost < 0 then fail "negative cost";
@@ -213,7 +214,7 @@ let decompress_into fail s h ~dst =
     incr cursor;
     prev_rank := rank;
     prev_cost := cost;
-    let off = (rank - h.h_lo) * entry_bytes in
+    let off = rank * entry_bytes in
     Bytes.set_int64_le dst off (Int64.of_int cost);
     Bytes.set_uint8 dst (off + 8) ch
   done;
@@ -225,41 +226,33 @@ module Extent = struct
   type t = {
     x_j_set : Varset.t;
     x_k : int;
-    x_total : int;  (* C(|j_set|, k): the whole layer's subset count *)
-    x_lo : int;
-    x_len : int;
+    x_total : int;  (* C(|j_set|, k): the layer's subset count *)
     mutable x_present : int;
-    x_data : Bytes.t;  (* dense 9 B/entry slice for ranks [lo, lo+len) *)
+    x_data : Bytes.t;  (* dense 9 B/entry, by rank *)
   }
 
   let j_set t = t.x_j_set
   let k t = t.x_k
   let total t = t.x_total
-  let lo t = t.x_lo
-  let len t = t.x_len
   let present t = t.x_present
-  let size_bytes t = extent_header_bytes + (t.x_len * entry_bytes)
+  let size_bytes t = extent_header_bytes + (t.x_total * entry_bytes)
 
-  let create ~j_set ~k ~total ~lo ~len =
+  let create ~j_set ~k ~total =
     let m = Varset.cardinal j_set in
     if k < 1 || k > m || total <> binomial m k then
       invalid_arg "Layer_pack.Extent.create: bad layer shape";
-    if lo < 0 || len < 1 || lo + len > total then
-      invalid_arg "Layer_pack.Extent.create: bad extent range";
     {
       x_j_set = j_set;
       x_k = k;
       x_total = total;
-      x_lo = lo;
-      x_len = len;
       x_present = 0;
-      x_data = Bytes.make (len * entry_bytes) '\xff';
+      x_data = Bytes.make (total * entry_bytes) '\xff';
     }
 
   let off_of t rank =
-    if rank < t.x_lo || rank >= t.x_lo + t.x_len then
-      invalid_arg "Layer_pack.Extent: rank outside this extent";
-    (rank - t.x_lo) * entry_bytes
+    if rank < 0 || rank >= t.x_total then
+      invalid_arg "Layer_pack.Extent: rank outside the layer";
+    rank * entry_bytes
 
   let set t ~rank ~cost ~choice =
     if cost < 0 then invalid_arg "Layer_pack.Extent.set: negative cost";
@@ -285,18 +278,18 @@ module Extent = struct
     Bytes.get_uint8 t.x_data (off + 8)
 
   let iter t f =
-    for i = 0 to t.x_len - 1 do
-      let off = i * entry_bytes in
+    for rank = 0 to t.x_total - 1 do
+      let off = rank * entry_bytes in
       let c = Bytes.get_int64_le t.x_data off in
       if c >= 0L then
-        f ~rank:(t.x_lo + i) ~cost:(Int64.to_int c)
+        f ~rank ~cost:(Int64.to_int c)
           ~choice:(Bytes.get_uint8 t.x_data (off + 8))
     done
 
   let with_header t ~ver payload =
     let b = Bytes.create (extent_header_bytes + String.length payload) in
     set_extent_header b ~ver ~k:t.x_k ~j_set:t.x_j_set ~total:t.x_total
-      ~lo:t.x_lo ~len:t.x_len ~present:t.x_present
+      ~lo:0 ~len:t.x_total ~present:t.x_present
       ~payload_len:(String.length payload);
     Bytes.blit_string payload 0 b extent_header_bytes (String.length payload);
     Bytes.unsafe_to_string b
@@ -308,36 +301,34 @@ module Extent = struct
 
   let encode_packed t =
     with_header t ~ver:packed_version
-      (compress_slice t.x_data ~len:t.x_len ~lo:t.x_lo)
+      (compress_slice t.x_data ~len:t.x_total)
 
   let encode t =
     let packed = encode_packed t and raw = encode_raw t in
     if String.length packed < String.length raw then packed else raw
 
-  (* Every header field is checked before the slice is allocated, and a
-     complete extent has [len = present]: the allocation is bounded by
+  (* Every header field is checked before the layer is allocated, and a
+     complete extent has [total = present]: the allocation is bounded by
      the payload's own length (9 B per 9 B of v4, per at least 3 B of
-     v3), whatever the header claims.  A v4 slice must hold exactly
+     v3), whatever the header claims.  A v4 layer must hold exactly
      [present] set entries. *)
   let decode s =
     let fail msg = failwith ("Layer_pack.Extent.decode: " ^ msg) in
     let h = read_header fail s in
-    if h.h_present <> h.h_len then fail "extent is not complete";
+    if h.h_present <> h.h_total then fail "extent is not complete";
     let t =
       {
         x_j_set = h.h_j_set;
         x_k = h.h_k;
         x_total = h.h_total;
-        x_lo = h.h_lo;
-        x_len = h.h_len;
         x_present = 0;
-        x_data = Bytes.make (h.h_len * entry_bytes) '\xff';
+        x_data = Bytes.make (h.h_total * entry_bytes) '\xff';
       }
     in
     if h.h_ver = raw_extent_version then begin
       Bytes.blit_string s extent_header_bytes t.x_data 0
-        (h.h_len * entry_bytes);
-      for i = 0 to h.h_len - 1 do
+        (h.h_total * entry_bytes);
+      for i = 0 to h.h_total - 1 do
         if Bytes.get_int64_le t.x_data (i * entry_bytes) >= 0L then
           t.x_present <- t.x_present + 1
       done;

@@ -80,7 +80,7 @@ module Layers = struct
   (* Pack one completed rank-indexed layer and charge it. *)
   let put_layer t ~k (layer : entry array) =
     let total = Array.length layer in
-    let x = Extent.create ~j_set:t.j_set ~k ~total ~lo:0 ~len:total in
+    let x = Extent.create ~j_set:t.j_set ~k ~total in
     Array.iteri
       (fun r -> function
         | Winner { cost; choice; _ } -> Extent.set x ~rank:r ~cost ~choice

@@ -51,23 +51,22 @@ let encode_layer (p : Sdp.progress) =
   in
   let m = Varset.cardinal j_set in
   let total = Lp.binomial m k and pascal = Lp.pascal_table ~m ~k in
-  let x = Lp.Extent.create ~j_set ~k ~total ~lo:0 ~len:total in
+  let x = Lp.Extent.create ~j_set ~k ~total in
   Array.iter
     (fun (ksub, cost, choice) ->
       Lp.Extent.set x ~rank:(Lp.rank_in ~pascal ~j_set ksub) ~cost ~choice)
     p.Sdp.p_entries;
   Lp.Extent.encode x
 
-(* [Extent.decode] raises only [Failure] and checks the header against
-   the payload's length before allocating, so what a hostile record can
-   make [load] allocate is bounded by the record's own length. *)
+(* [Extent.decode] raises only [Failure], refuses a record that does
+   not span its layer, and checks the header against the payload's
+   length before allocating, so what a hostile record can make [load]
+   allocate is bounded by the record's own length. *)
 let decode_layer payload =
   let x = Lp.Extent.decode payload in
-  if Lp.Extent.lo x <> 0 || Lp.Extent.len x <> Lp.Extent.total x then
-    failwith "Checkpoint: layer record does not span its layer";
   let j_set = Lp.Extent.j_set x and k = Lp.Extent.k x in
   let pascal = Lp.pascal_table ~m:(Varset.cardinal j_set) ~k in
-  let entries = Array.make (Lp.Extent.len x) (Varset.empty, 0, 0) in
+  let entries = Array.make (Lp.Extent.total x) (Varset.empty, 0, 0) in
   Lp.Extent.iter x (fun ~rank ~cost ~choice ->
       entries.(rank) <- (Lp.unrank_in ~pascal ~j_set ~k rank, cost, choice));
   { Sdp.p_layer = k; p_entries = entries }

@@ -18,23 +18,22 @@ module X = Lp.Extent
 let vs_of = List.fold_left (fun s i -> Vs.add i s) Vs.empty
 let bits s = Vs.fold (fun i acc -> acc lor (1 lsl i)) s 0
 
-(* A whole layer as one extent ([lo = 0], [len = C(m,k)]) — the shape of
-   a checkpoint record — with every entry set from [f ksub], visited in
-   rank order.  Also returns the subset of each rank. *)
+(* A layer as one extent — the shape of a checkpoint record — with every
+   entry set from [f ksub], visited in rank order.  Also returns the
+   subset of each rank. *)
 let whole_layer j_set ~k f =
   let m = Vs.cardinal j_set in
   let total = Lp.binomial m k and pascal = Lp.pascal_table ~m ~k in
-  let x = X.create ~j_set ~k ~total ~lo:0 ~len:total in
+  let x = X.create ~j_set ~k ~total in
   Vs.iter_subsets_of ~size:k j_set (fun ksub ->
       let cost, choice = f ksub in
       X.set x ~rank:(Lp.rank_in ~pascal ~j_set ksub) ~cost ~choice);
   (x, Lp.unrank_in ~pascal ~j_set ~k)
 
 let same_extent msg a b =
-  Helpers.check_int (msg ^ ": lo") (X.lo a) (X.lo b);
-  Helpers.check_int (msg ^ ": len") (X.len a) (X.len b);
+  Helpers.check_int (msg ^ ": total") (X.total a) (X.total b);
   Helpers.check_int (msg ^ ": present") (X.present a) (X.present b);
-  for r = X.lo a to X.lo a + X.len a - 1 do
+  for r = 0 to X.total a - 1 do
     Helpers.check_bool (msg ^ ": mem") (X.mem a ~rank:r) (X.mem b ~rank:r);
     if X.mem a ~rank:r then begin
       Helpers.check_int (msg ^ ": cost") (X.cost a ~rank:r) (X.cost b ~rank:r);
@@ -140,13 +139,20 @@ let pack_tests =
           [ X.encode_packed x; X.encode_raw x ];
         Helpers.check_bool "short header" true (fails "xy");
         (* a partial extent has no complete range to decode *)
-        let partial =
-          X.create ~j_set:(vs_of [ 0; 1; 2 ]) ~k:1 ~total:3 ~lo:0 ~len:3
-        in
+        let partial = X.create ~j_set:(vs_of [ 0; 1; 2 ]) ~k:1 ~total:3 in
         X.set partial ~rank:1 ~cost:4 ~choice:1;
-        Helpers.check_bool "incomplete" true (fails (X.encode partial)));
+        Helpers.check_bool "incomplete" true (fails (X.encode partial));
+        (* the header's rank range must span the layer: lo = 0 and
+           len = total *)
+        let with_u32 off v =
+          let b = Bytes.of_string (X.encode x) in
+          Bytes.set_int32_le b off (Int32.of_int v);
+          Bytes.to_string b
+        in
+        Helpers.check_bool "lo > 0" true (fails (with_u32 14 1));
+        Helpers.check_bool "len < total" true (fails (with_u32 18 2)));
     Helpers.case "unset entry is an error" (fun () ->
-        let x = X.create ~j_set:(vs_of [ 0; 1 ]) ~k:1 ~total:2 ~lo:0 ~len:2 in
+        let x = X.create ~j_set:(vs_of [ 0; 1 ]) ~k:1 ~total:2 in
         Helpers.check_bool "unset" true
           (match X.cost x ~rank:0 with
           | exception Invalid_argument _ -> true
@@ -155,8 +161,8 @@ let pack_tests =
 
 (* --- extents ----------------------------------------------------------- *)
 
-(* A deterministic pseudo-random complete extent: a rank range of a
-   layer with every entry set, costs of mixed magnitude. *)
+(* A deterministic pseudo-random complete extent: a layer with every
+   entry set, costs of mixed magnitude. *)
 let random_extent st =
   let m = 4 + Random.State.int st 5 in
   let j_set =
@@ -167,10 +173,8 @@ let random_extent st =
   in
   let k = 1 + Random.State.int st m in
   let total = Lp.binomial m k in
-  let len = 1 + Random.State.int st total in
-  let lo = Random.State.int st (total - len + 1) in
-  let x = X.create ~j_set ~k ~total ~lo ~len in
-  for r = lo to lo + len - 1 do
+  let x = X.create ~j_set ~k ~total in
+  for r = 0 to total - 1 do
     X.set x ~rank:r
       ~cost:(Random.State.full_int st (1 lsl (1 + Random.State.int st 40)))
       ~choice:(Random.State.int st 256)
@@ -195,18 +199,21 @@ let extent_tests =
     Helpers.case "global-rank set/get and bounds" (fun () ->
         let j_set = vs_of [ 0; 1; 2; 3; 4; 5 ] in
         let total = Lp.binomial 6 3 in
-        let x = X.create ~j_set ~k:3 ~total ~lo:5 ~len:7 in
-        X.set x ~rank:5 ~cost:42 ~choice:1;
-        X.set x ~rank:11 ~cost:7 ~choice:2;
-        Helpers.check_int "cost lo" 42 (X.cost x ~rank:5);
-        Helpers.check_int "cost hi" 7 (X.cost x ~rank:11);
+        let x = X.create ~j_set ~k:3 ~total in
+        X.set x ~rank:0 ~cost:42 ~choice:1;
+        X.set x ~rank:19 ~cost:7 ~choice:2;
+        Helpers.check_int "cost first" 42 (X.cost x ~rank:0);
+        Helpers.check_int "cost last" 7 (X.cost x ~rank:19);
         Helpers.check_int "present" 2 (X.present x);
         Helpers.check_bool "unset mem" false (X.mem x ~rank:6);
-        Helpers.check_bool "out of range" true
-          (match X.set x ~rank:12 ~cost:1 ~choice:0 with
-          | exception Invalid_argument _ -> true
-          | _ -> false);
-        Helpers.check_int "size" (30 + (7 * 9)) (X.size_bytes x));
+        List.iter
+          (fun rank ->
+            Helpers.check_bool "out of range" true
+              (match X.set x ~rank ~cost:1 ~choice:0 with
+              | exception Invalid_argument _ -> true
+              | _ -> false))
+          [ -1; 20 ];
+        Helpers.check_int "size" (30 + (20 * 9)) (X.size_bytes x));
   ]
 
 (* --- Membudget -------------------------------------------------------- *)
