@@ -36,12 +36,14 @@ val r_u32 : reader -> int
 
 val r_u64 : reader -> int
 (** Read back the fixed-width integers, in writing order.  All raise
-    [Failure] past end of input. *)
+    {!Corrupt} past end of input, and [r_u64] on a value outside OCaml's
+    [int] range. *)
 
 val r_str : reader -> string
 
 val r_int_array : reader -> int array
-(** Read back a length-prefixed string / int array. *)
+(** Read back a length-prefixed string / int array; raise {!Corrupt}
+    when the prefix counts past end of input. *)
 
 val expect_end : reader -> unit
 (** Raises {!Corrupt} unless the whole payload was consumed — trailing
