@@ -7,8 +7,9 @@
     {!Domain.t}s with no synchronisation beyond one barrier per layer.
     This module captures that split once: a sweep opens a {!pool} with
     {!with_pool} and runs each layer as one {!map}.  {!Subset_dp.Make}
-    (and everything above it: {!Fs}, {!Fs_star}, {!Fs_weighted},
-    {!Shared} and the quantum entry points) takes an engine parameter.
+    and everything above it take an engine parameter: {!Fs_star}, with
+    {!Fs} and {!Shared} on top of it, {!Fs_weighted}, and the quantum
+    entry points.
 
     {!Par} is deterministic: every result lands at its own index, so a
     parallel run produces bit-identical tables, orderings and metrics to

@@ -2,7 +2,8 @@
     (paper Lemma 8 and the pseudo-code of Appendix D).
 
     Given [FS(⟨I₁,…,I_m⟩)] — here a {!Compact.state} whose assigned set
-    is [I = I₁ ∪ … ∪ I_m] — and a set [J] of still-free variables, [FS*]
+    is [I = I₁ ∪ … ∪ I_m], with one root or, for {!Shared}, several —
+    and a set [J] of still-free variables, [FS*]
     computes [FS(⟨I₁,…,I_m,K⟩)] for every [K ⊆ J] by cardinality, using
     the recurrence of Lemma 7:
 

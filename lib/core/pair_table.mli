@@ -35,8 +35,9 @@ val claim : zdd:bool -> bit:int -> next_id:int -> cells:int -> t
 val count : t -> int array -> unit
 (** Scan a table and record its unelided pairs, building nothing: the
     cost-only probe of a full state.  It keeps only the pair set, a
-    stamp and a key per slot.  Several tables scanned under one claim
-    share the pair set, as the roots of a shared diagram do. *)
+    stamp and a key per slot.  A table holding several roots' tables
+    back to back is scanned root by root into the one pair set, as the
+    roots of a shared diagram share nodes. *)
 
 val compact : t -> int array -> int array
 (** The same scan, building the compacted table (half the length of the

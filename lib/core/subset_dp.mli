@@ -1,12 +1,12 @@
 (** The subset dynamic program of Lemmas 4/7, abstracted over the state
     being compacted — a {e two-pass} engine over two arena layers.
 
-    Both the single-rooted [FS*] ({!Fs_star}) and the multi-rooted
-    variant ({!Shared}) run the same loop: for growing cardinality [k],
-    compute the optimal state for every [K ⊆ J] with [|K| = k] by trying
-    each [h ∈ K] on top of the optimal state for [K ∖ {h}].  This functor
-    captures that loop once; the per-state operations come from the
-    parameter.
+    [FS*] ({!Fs_star}, over a {!Compact.state} with one root or, for
+    {!Shared}, several) and the weighted objective ({!Fs_weighted}) run
+    the same loop: for growing cardinality [k], compute the optimal
+    state for every [K ⊆ J] with [|K| = k] by trying each [h ∈ K] on top
+    of the optimal state for [K ∖ {h}].  This functor captures that loop
+    once; the per-state operations come from the parameter.
 
     Inside the sweep a state is only [{mincost; next_id}] plus its
     table, a {e slice} at its colex rank in its layer's {!Arena} buffer:

@@ -15,6 +15,12 @@
       [α_(t-1)·|J|] minimising [MINCOST⟨I,K,L∖K⟩] (the Lemma 9
       identity), recursing on [K] and composing the remainder with [Γ].
 
+    A subroutine never looks inside a state beyond what {!Ovo_core.Fs_star}
+    does, so it serves the multi-rooted states of {!Ovo_core.Shared}
+    unchanged: {!Opt_shared} minimises shared diagrams with these same
+    subroutines, the paper's closing remark that the speedups carry over
+    to other diagram variants.
+
     The returned modeled cost is measured in table-cell operations: the
     classical parts contribute their {e actual} counted cells, the
     quantum searches contribute [queries × max-branch-cost] as a quantum
