@@ -386,29 +386,7 @@ let ablations () =
   Printf.printf "  with preprocess: gamma_1 = %.5f (alpha = %.6f)\n" g1 a1;
 
   Printf.printf
-    "\n(d) A* pruning of the subset lattice (exact results, fewer states):\n";
-  Printf.printf "  %-16s %4s %9s %7s %8s\n" "function" "n" "expanded" "2^n"
-    "ratio";
-  List.iter
-    (fun (name, tt) ->
-      let r = Ovo_ordering.Astar.run tt in
-      Printf.printf "  %-16s %4d %9d %7d %8.2f%%\n" name
-        (T.arity tt) r.Ovo_ordering.Astar.expanded
-        r.Ovo_ordering.Astar.subsets_total
-        (100.
-        *. float_of_int r.Ovo_ordering.Astar.expanded
-        /. float_of_int r.Ovo_ordering.Astar.subsets_total))
-    [
-      ("achilles-4", F.achilles 4);
-      ("parity-8", F.parity 8);
-      ("mux-2", F.multiplexer ~select:2);
-      ("hwb-8", F.hidden_weighted_bit 8);
-      ("adder-4-carry", F.adder_bit ~bits:4 ~out:4);
-      ("small-support", T.( ||| ) (T.var 10 2) (T.( &&& ) (T.var 10 5) (T.var 10 8)));
-    ];
-
-  Printf.printf
-    "\n(e) exact windows (FS* blocks) vs brute-force windows on hwb-10:\n";
+    "\n(d) exact windows (FS* blocks) vs brute-force windows on hwb-10:\n";
   let tt = F.hidden_weighted_bit 10 in
   let win = Ovo_ordering.Window.run ~window:4 tt in
   let blk = Ovo_ordering.Exact_block.run ~block:4 tt in

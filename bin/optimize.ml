@@ -13,7 +13,6 @@ type heuristic =
   | Sifting
   | Window
   | Exact_block
-  | Astar
   | Genetic
   | Influence
   | Scored
@@ -27,10 +26,9 @@ let algos =
   [ ("fs", Exact Fs); ("qdc", Exact Qdc); ("simple", Exact Simple);
     ("brute", Heuristic Brute); ("sifting", Heuristic Sifting);
     ("window", Heuristic Window); ("exact-block", Heuristic Exact_block);
-    ("astar", Heuristic Astar); ("genetic", Heuristic Genetic);
-    ("influence", Heuristic Influence); ("scored", Heuristic Scored);
-    ("annealing", Heuristic Annealing); ("portfolio", Heuristic Portfolio);
-    ("random", Heuristic Random_search) ]
+    ("genetic", Heuristic Genetic); ("influence", Heuristic Influence);
+    ("scored", Heuristic Scored); ("annealing", Heuristic Annealing);
+    ("portfolio", Heuristic Portfolio); ("random", Heuristic Random_search) ]
 
 (* An unknown name parses and is refused after the flag checks, so
    misused checkpoint flags are reported first (pinned by test/store.t). *)
@@ -66,8 +64,8 @@ let algo_arg =
           "One of $(b,fs) (exact DP, Theorem 5), $(b,qdc) (quantum \
            divide-and-conquer, Theorem 10, simulated), $(b,tower:N) \
            (Theorem 13 composition of depth N, simulated), $(b,brute), \
-           $(b,simple) (Sec 3.1 single split, simulated), $(b,astar) (exact, \
-           pruned), $(b,sifting), $(b,window), $(b,exact-block), \
+           $(b,simple) (Sec 3.1 single split, simulated), $(b,sifting), \
+           $(b,window), $(b,exact-block), \
            $(b,annealing), $(b,genetic), $(b,influence), $(b,scored) \
            (learned weighted scoring, see $(b,--model)), $(b,portfolio), \
            $(b,random).")
@@ -225,10 +223,6 @@ let heuristic ~trace ~metrics ~kind ~seed ~model h tt =
         (Window.run ~trace ~metrics ~kind tt).order )
   | Exact_block ->
       ("exact-block hybrid", (Exact_block.run ~metrics ~kind tt).order)
-  | Astar ->
-      let r = Astar.run ~trace ~metrics ~kind tt in
-      Format.printf "A* expanded %d of %d subsets@." r.expanded r.subsets_total;
-      ("A* (exact, pruned)", r.order)
   | Genetic ->
       ( "genetic algorithm (heuristic)",
         (Genetic.run ~metrics ~kind ~rng:(rng ()) tt).order )

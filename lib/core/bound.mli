@@ -7,10 +7,8 @@
 
     - a {!lower} is an {e admissible} lower bound on the cost any
       completion must still add, given the set of currently-free
-      variables — the same machinery the A* search in [lib/ordering]
-      prunes with, extracted here so core, ordering and quantum layers
-      consume one implementation (alongside the {!Bounds} counting
-      caps);
+      variables, so core, ordering and quantum layers consume one
+      implementation (alongside the {!Bounds} counting caps);
     - an {!upper} is an achievable total cost, normally seeded from a
       heuristic orderer (sifting or the portfolio) through an {e
       injected provider} — core never depends on [lib/ordering], the
@@ -65,12 +63,12 @@ type layer_stat = {
 type t
 
 val counting_lower : Compact.kind -> Ovo_boolfun.Mtable.t -> lower
-(** The A* heuristic, per kind: every {e relevant} free variable labels
+(** The counting bound, per kind: every {e relevant} free variable labels
     at least one node in any completed diagram.  [Bdd]: classic support
     (some input pair differing only in the variable changes the value).
     [Zdd]: zero-suppressed liveness (some point with the variable set
     has a non-zero value).  Admissible for the plain node-count
-    objective of {!Fs_star} sweeps over [mt], including sub-sweeps over
+    objective of {!Subset_dp} sweeps over [mt], including sub-sweeps over
     partially-assigned bases. *)
 
 val weighted_counting_lower :

@@ -30,12 +30,3 @@ let check_widths ~n widths =
       if float_of_int w > max_width ~n ~level:(i + 1) then ok := false)
     widths;
   !ok
-
-let support_lower_bound tt =
-  List.length (Ovo_boolfun.Truthtable.support tt)
-
-let size_lower_bound tt =
-  let terminals =
-    match Ovo_boolfun.Truthtable.is_const tt with Some _ -> 1 | None -> 2
-  in
-  support_lower_bound tt + terminals

@@ -9,7 +9,8 @@
 
     Levels are the paper's: level [j ∈ 1..n] counted from the bottom
     (read last), so level [j] sees [n-j] variables above it and [j-1]
-    below. *)
+    below.  The matching lower bound, one node per variable the
+    function depends on, is {!Bound.counting_lower}. *)
 
 val max_width : n:int -> level:int -> float
 (** Universal cap on the number of nodes at a level, for any function
@@ -30,12 +31,3 @@ val max_size : int -> float
 val check_widths : n:int -> int array -> bool
 (** [check_widths ~n widths] — whether a measured per-level profile
     (index 0 = bottom level) respects every cap. *)
-
-val support_lower_bound : Ovo_boolfun.Truthtable.t -> int
-(** Ordering-independent lower bound on the non-terminal count: every
-    variable the function essentially depends on labels at least one
-    node in any diagram. *)
-
-val size_lower_bound : Ovo_boolfun.Truthtable.t -> int
-(** {!support_lower_bound} plus the reachable terminals (2 for
-    non-constant functions, 1 otherwise). *)

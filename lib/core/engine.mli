@@ -6,10 +6,9 @@
     frozen layer [k-1], so the subsets of a layer can be split across
     {!Domain.t}s with no synchronisation beyond one barrier per layer.
     This module captures that split once: a sweep opens a {!pool} with
-    {!with_pool} and runs each layer as one {!map}.  {!Subset_dp.Make}
-    and everything above it take an engine parameter: {!Fs_star}, with
-    {!Fs} and {!Shared} on top of it, {!Fs_weighted}, and the quantum
-    entry points.
+    {!with_pool} and runs each layer as one {!map}.  {!Subset_dp} and
+    everything above it take an engine parameter: {!Fs}, {!Shared} and
+    {!Fs_weighted} on top of it, and the quantum entry points.
 
     {!Par} is deterministic: every result lands at its own index, so a
     parallel run produces bit-identical tables, orderings and metrics to

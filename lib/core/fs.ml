@@ -25,7 +25,7 @@ let run_mtable ?(trace = Ovo_obs.Trace.null) ?(kind = Compact.Bdd) ?engine
     "fs.run"
     (fun () ->
       let st =
-        Fs_star.complete ~trace ?engine ?cancel ?metrics ?membudget ?prune
+        Subset_dp.complete ~trace ?engine ?cancel ?metrics ?membudget ?prune
           ?on_layer ?resume ~base (Compact.free base)
       in
       let r = of_state st in
@@ -45,7 +45,8 @@ let all_mincosts ?(trace = Ovo_obs.Trace.null) ?(kind = Compact.Bdd) ?engine
   let base = Compact.of_truthtable kind tt in
   Ovo_obs.Trace.with_span trace ~cat:"fs" "fs.all_mincosts" (fun () ->
       let table =
-        Fs_star.costs ~trace ?engine ?cancel ?metrics ~base (Compact.free base)
+        Subset_dp.costs ~trace ?engine ?cancel ?metrics ~base
+          (Compact.free base)
       in
       let n = Ovo_boolfun.Truthtable.arity tt in
       let all = Hashtbl.create (1 lsl n) in

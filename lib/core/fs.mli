@@ -45,7 +45,7 @@ val run :
     library persists them).  [resume] (default [[]]) preloads previously
     completed layers so the sweep continues where a checkpointed run
     stopped; the final solution is bit-identical to an uninterrupted
-    run under both engines.  See {!Subset_dp.Make.run}.
+    run under both engines.  See {!Subset_dp.run}.
 
     [prune] (default off) turns the sweep into an exact branch-and-bound
     against the given {!Bound.t} — same answers, fewer states; see
@@ -79,7 +79,7 @@ val all_mincosts :
 (** [MINCOST_I] for every subset [I ⊆ \[n\]] — the full DP table, used by
     the Lemma 4 / Lemma 9 verification tests and by the divide-and-conquer
     cross-checks.  The table has [2^n] entries, filled in one pass from
-    the packed table of a pure cost-table sweep ({!Fs_star.costs}): no
+    the packed table of a pure cost-table sweep ({!Subset_dp.costs}): no
     per-candidate state, no layer of states kept. *)
 
 val of_state : Compact.state -> result

@@ -40,11 +40,6 @@ let diagrams (st : state) =
         ~order ~nodes ~root)
     st.table
 
-let eval st ~root code =
-  require_complete "eval" st;
-  if root < 0 || root >= Compact.roots st then invalid_arg "Shared.eval";
-  Diagram.eval (diagrams st).(root) code
-
 let check st mts =
   let views = diagrams st in
   Array.length mts = Array.length views && Array.for_all2 Diagram.check views mts
@@ -83,8 +78,8 @@ let minimize_mtables ?(trace = Ovo_obs.Trace.null) ?(kind = Compact.Bdd)
     (fun () ->
       let r =
         of_state
-          (Fs_star.complete ~trace ?engine ?cancel ?metrics ?membudget ?prune
-             ~base (Compact.free base))
+          (Subset_dp.complete ~trace ?engine ?cancel ?metrics ?membudget
+             ?prune ~base (Compact.free base))
       in
       Option.iter (fun b -> Bound.check_final b r.mincost) prune;
       r)

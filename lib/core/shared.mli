@@ -16,7 +16,7 @@
 type state = Compact.state
 (** A multi-rooted {!Compact.state}: one table per root, back to back
     in its [table], over one node set.  {!Compact.compact},
-    {!Compact.materialise}, {!Compact.compact_chain} and {!Fs_star}
+    {!Compact.materialise}, {!Compact.compact_chain} and {!Subset_dp}
     serve it as they serve one root; [mincost] counts distinct
     non-terminal nodes over all roots. *)
 
@@ -27,9 +27,6 @@ val initial : Compact.kind -> Ovo_boolfun.Mtable.t array -> state
 
 val roots : state -> int array
 (** Root ids of a complete state, one per input table. *)
-
-val eval : state -> root:int -> int -> int
-(** Evaluate output [root] of a complete state on an assignment code. *)
 
 val check : state -> Ovo_boolfun.Mtable.t array -> bool
 (** Semantic equivalence of every root against its table. *)
@@ -60,7 +57,7 @@ val minimize :
   ?prune:Bound.t ->
   Ovo_boolfun.Truthtable.t array ->
   result
-(** Exact optimal ordering for the shared diagram ({!Fs_star.complete}
+(** Exact optimal ordering for the shared diagram ({!Subset_dp.complete}
     over the multi-rooted state): visits all [2^n] subsets, [O*(m·3^n)]
     cells.  [engine]/[cancel]/[metrics] as in {!Fs.run}. *)
 

@@ -63,11 +63,6 @@ let iter_subsets_of_size ~n ~k f =
     done
   end
 
-let subsets_of_size ~n ~k =
-  let acc = ref [] in
-  iter_subsets_of_size ~n ~k (fun s -> acc := s :: !acc);
-  List.rev !acc
-
 (* Subsets of an arbitrary set: enumerate subsets of [{0..m-1}] for
    [m = cardinal s] and spread the chosen positions onto [s]'s members. *)
 let iter_subsets_of s ~size f =

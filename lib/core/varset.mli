@@ -72,9 +72,6 @@ val iter_subsets_of_size : n:int -> k:int -> (t -> unit) -> unit
 (** Enumerates every [k]-element subset of [{0,…,n-1}] exactly once, in
     increasing bitmask order (Gosper's hack). *)
 
-val subsets_of_size : n:int -> k:int -> t list
-(** Materialised version of {!iter_subsets_of_size}. *)
-
 val iter_subsets_of : t -> size:int -> (t -> unit) -> unit
 (** Enumerates the [size]-element subsets of an arbitrary set. *)
 

@@ -19,7 +19,7 @@ let run_mtable ?(metrics = Ovo_core.Metrics.create ())
         Ovo_core.Varset.of_list (Array.to_list (Array.sub order start w))
       in
       (* exact DP over the window (Lemma 8) *)
-      let st = Ovo_core.Fs_star.complete ~metrics ~base window_vars in
+      let st = Ovo_core.Subset_dp.complete ~metrics ~base window_vars in
       (* the suborder achieved by the optimal state, window part only *)
       let block =
         Array.sub (Array.of_list (Ovo_core.Compact.order st)) start w

@@ -31,17 +31,12 @@ let bound ?trace ?(kind = C.Bdd) ?(portfolio = false) ?rng tt =
    total, so either reading of the heuristic order's direction yields a
    sound seed — take the cheaper of the two. *)
 let weighted_cost_of_chain ~kind ~weights mt order =
-  let metrics = Ovo_core.Metrics.create () in
-  let st = ref (C.initial kind mt) and total = ref 0 in
-  Array.iter
-    (fun h ->
-      let next = C.compact ~metrics !st h in
-      total := !total + (weights.(h) * C.width_of_last ~before:!st ~after:next);
-      st := next)
-    order;
-  !total
+  C.weighted_cost ~weights
+    (C.compact_chain ~metrics:(Ovo_core.Metrics.create ()) (C.initial kind mt)
+       order)
 
 let weighted_bound ?trace ?(kind = C.Bdd) ~weights mt =
+  Ovo_core.Fs_weighted.check_weights ~n:(Mtable.arity mt) weights;
   let r = Sifting.run_mtable ?trace ~kind mt in
   let rev = Array.of_list (List.rev (Array.to_list r.Sifting.order)) in
   let ub_value =

@@ -1,6 +1,6 @@
 module Compact = Ovo_core.Compact
 module Fs = Ovo_core.Fs
-module Fs_star = Ovo_core.Fs_star
+module Subset_dp = Ovo_core.Subset_dp
 module Metrics = Ovo_core.Metrics
 module Varset = Ovo_core.Varset
 
@@ -85,7 +85,8 @@ let fs_star =
             "qdc.fs_star"
             (fun () ->
               measured_cells ctx (fun () ->
-                  Fs_star.complete ~trace:ctx.Qctx.trace ~engine:ctx.Qctx.engine
+                  Subset_dp.complete ~trace:ctx.Qctx.trace
+                    ~engine:ctx.Qctx.engine
                     ~metrics:ctx.Qctx.metrics ?membudget:ctx.Qctx.membudget
                     ?prune:ctx.Qctx.bound ~base j_set)));
   }
@@ -133,7 +134,7 @@ let simple_split ?alpha () =
           oracle_catching_pruned (fun ksub ->
               let st_k, cost_k =
                 measured_cells ctx (fun () ->
-                    Fs_star.complete ~engine:ctx.Qctx.engine
+                    Subset_dp.complete ~engine:ctx.Qctx.engine
                       ~metrics:ctx.Qctx.metrics
                       ?membudget:ctx.Qctx.membudget ?prune:ctx.Qctx.bound
                       ~base ksub)
@@ -194,7 +195,8 @@ let opt_obdd ?label ~k ~alpha gamma =
               "qdc.preprocess"
               (fun () ->
                 measured_cells ctx (fun () ->
-                    Fs_star.run ~trace:ctx.Qctx.trace ~engine:ctx.Qctx.engine
+                    Subset_dp.run ~trace:ctx.Qctx.trace
+                      ~engine:ctx.Qctx.engine
                       ~metrics:ctx.Qctx.metrics
                       ?membudget:ctx.Qctx.membudget ?prune:ctx.Qctx.bound
                       ~upto:b.(0) ~base j_set))
@@ -203,7 +205,7 @@ let opt_obdd ?label ~k ~alpha gamma =
             (* [state_of] raises Pruned_out for a pruned preprocess
                state — absorbed by the enclosing oracle like any other
                dead branch *)
-            if t = 1 then (Fs_star.state_of pre l, 0.)
+            if t = 1 then (Subset_dp.state_of pre l, 0.)
             else begin
               let candidates = subsets_of l ~size:b.(t - 2) in
               let memo = Hashtbl.create (Array.length candidates) in
@@ -240,7 +242,7 @@ let opt_obdd ?label ~k ~alpha gamma =
              done *)
           let state, search_cost =
             Fun.protect
-              ~finally:(fun () -> Ovo_core.Subset_dp.release pre.Fs_star.table)
+              ~finally:(fun () -> Subset_dp.release pre.Subset_dp.table)
               (fun () -> divide_and_conquer j_set (m + 1))
           in
           Log.debug (fun msg ->

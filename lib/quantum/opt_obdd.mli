@@ -15,8 +15,8 @@
       [α_(t-1)·|J|] minimising [MINCOST⟨I,K,L∖K⟩] (the Lemma 9
       identity), recursing on [K] and composing the remainder with [Γ].
 
-    A subroutine never looks inside a state beyond what {!Ovo_core.Fs_star}
-    does, so it serves the multi-rooted states of {!Ovo_core.Shared}
+    A subroutine never looks inside a state beyond what
+    {!Ovo_core.Subset_dp} does, so it serves the multi-rooted states of {!Ovo_core.Shared}
     unchanged: {!Opt_shared} minimises shared diagrams with these same
     subroutines, the paper's closing remark that the speedups carry over
     to other diagram variants.

@@ -1,6 +1,14 @@
 module B = Ovo_core.Bounds
 module T = Ovo_boolfun.Truthtable
 module Fs = Ovo_core.Fs
+module C = Ovo_core.Compact
+
+(* The counting lower bound of {!Ovo_core.Bound} before any variable is
+   placed: one node per variable the function depends on. *)
+let counting ?(kind = C.Bdd) tt =
+  (Ovo_core.Bound.counting_lower kind (Ovo_boolfun.Mtable.of_truthtable tt))
+    .Ovo_core.Bound.remaining
+    (Ovo_core.Varset.full (T.arity tt))
 
 let unit_tests =
   [
@@ -48,11 +56,14 @@ let unit_tests =
         (* x0 & x1 & ... & xk needs exactly one node per variable *)
         for n = 1 to 6 do
           let tt = T.of_fun n (fun code -> code = (1 lsl n) - 1) in
-          Helpers.check_int "conjunction" n (B.support_lower_bound tt);
+          Helpers.check_int "conjunction" n (counting tt);
           Helpers.check_int "optimal equals bound" n (Fs.run tt).Fs.mincost
         done);
     Helpers.case "size lower bound of constants" (fun () ->
-        Helpers.check_int "const" 1 (B.size_lower_bound (T.const 4 true)));
+        (* no node, and the one reachable terminal *)
+        let tt = T.const 4 true in
+        Helpers.check_int "nodes" 0 (counting tt);
+        Helpers.check_int "const" 1 (Fs.run tt).Fs.size);
   ]
 
 let props =
@@ -73,9 +84,11 @@ let props =
     QCheck.Test.make ~name:"lower bounds never exceed the optimum" ~count:150
       (Helpers.arb_truthtable ~lo:1 ~hi:6 ())
       (fun tt ->
-        let r = Fs.run tt in
-        B.support_lower_bound tt <= r.Fs.mincost
-        && B.size_lower_bound tt <= r.Fs.size);
+        let r = Fs.run tt and lb = counting tt in
+        let terminals = if T.is_const tt = None then 2 else 1 in
+        lb <= r.Fs.mincost
+        && lb + terminals <= r.Fs.size
+        && counting ~kind:C.Zdd tt <= (Fs.run ~kind:C.Zdd tt).Fs.mincost);
     QCheck.Test.make ~name:"optimum never exceeds the worst-case cap"
       ~count:150
       (Helpers.arb_truthtable ~lo:1 ~hi:6 ())

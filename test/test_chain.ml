@@ -305,7 +305,7 @@ module Ref = struct
         let window_vars =
           Ovo_core.Varset.of_list (Array.to_list (Array.sub !order start w))
         in
-        let st = Ovo_core.Fs_star.complete ~base window_vars in
+        let st = Ovo_core.Subset_dp.complete ~base window_vars in
         let cand = Array.copy !order in
         Array.blit (Array.of_list (C.order st)) start cand start w;
         let c = cost_of base0 cand in

@@ -1,4 +1,4 @@
-(* The cost counters and the Subset_dp functor, tested directly. *)
+(* The cost counters and the sweep's cell width, tested directly. *)
 
 module Metrics = Ovo_core.Metrics
 module C = Ovo_core.Compact
@@ -30,65 +30,8 @@ let unit_tests =
         Helpers.check_int "compactions" 6 d.Metrics.s_compactions);
   ]
 
-(* A toy COMPACTABLE instance with no table: its slices are empty, so
-   the sweep kernel sees only the step cost.  Placing variable i costs i
-   times the number of variables still free after it, so the optimum
-   over a set places big indices early and different orders genuinely
-   differ. *)
-module Toy = struct
-  type state = { free : Ovo_core.Varset.t; cost : int }
-
-  let compact st i =
-    if not (Ovo_core.Varset.mem i st.free) then invalid_arg "toy";
-    let free = Ovo_core.Varset.remove i st.free in
-    { free; cost = st.cost + (i * Ovo_core.Varset.cardinal free) }
-
-  let materialise ~metrics:_ st i = compact st i
-  let mincost st = st.cost
-  let free st = st.free
-  let next_id _ = 0
-  let cells _ = 0
-  let load _ _ _ = ()
-  let probe ~metrics:_ ~base:_ _ _ ~bit:_ ~next_id:_ = 0
-  let write ~metrics:_ ~base:_ _ _ _ _ ~bit:_ ~next_id:_ = 0
-
-  let step_cost ~base sub i ~width:_ =
-    i * (Ovo_core.Varset.cardinal (Ovo_core.Varset.diff base.free sub) - 1)
-end
-
-module Toy_dp = Ovo_core.Subset_dp.Make (Toy)
-
-let toy_brute base vars =
-  List.fold_left
-    (fun acc order ->
-      min acc
-        (Array.fold_left Toy.compact base (Array.of_list order)).Toy.cost)
-    max_int
-    (Helpers.permutations vars)
-
 let dp_tests =
   [
-    Helpers.case "functor DP matches brute force on the toy problem" (fun () ->
-        for n = 1 to 6 do
-          let full = Ovo_core.Varset.full n in
-          let base = { Toy.free = full; cost = 0 } in
-          let st = Toy_dp.complete ~base full in
-          Helpers.check_int
-            (Printf.sprintf "n=%d" n)
-            (toy_brute base (List.init n (fun i -> i)))
-            st.Toy.cost
-        done);
-    Helpers.case "early stop produces exactly the layer" (fun () ->
-        let full = Ovo_core.Varset.full 5 in
-        let base = { Toy.free = full; cost = 0 } in
-        let t = Toy_dp.run ~upto:2 ~base full in
-        Helpers.check_int "layer" 10 (Hashtbl.length t.Toy_dp.layer);
-        Hashtbl.iter
-          (fun k (st : Toy.state) ->
-            Helpers.check_int "free matches"
-              (Ovo_core.Varset.cardinal (Ovo_core.Varset.diff full k))
-              (Ovo_core.Varset.cardinal st.Toy.free))
-          t.Toy_dp.layer);
     Helpers.case "4-byte cells: value alphabets past 65 535 match brute force"
       (fun () ->
         (* terminal ids at or past 65 536 need 4-byte cells from the base
@@ -130,11 +73,6 @@ let dp_tests =
             check (Printf.sprintf "alphabet %d" alphabet) alphabet
               [| 0; 1; 2; alphabet - 2; alphabet - 1 |]
         done);
-    Helpers.case "invalid J rejected" (fun () ->
-        let base = { Toy.free = Ovo_core.Varset.of_list [ 0; 1 ]; cost = 0 } in
-        Alcotest.check_raises "bad J"
-          (Invalid_argument "Subset_dp.run: J not free in the base state")
-          (fun () -> ignore (Toy_dp.run ~base (Ovo_core.Varset.of_list [ 2 ]))));
   ]
 
 let () =

@@ -1,5 +1,5 @@
 module Fs = Ovo_core.Fs
-module Fss = Ovo_core.Fs_star
+module Fss = Ovo_core.Subset_dp
 module B = Ovo_core.Bound
 module C = Ovo_core.Compact
 module V = Ovo_core.Varset
@@ -39,10 +39,11 @@ let unit_tests =
         (* every subset of size <= 2 has a MINCOST, none of size 3 *)
         for k = 0 to 2 do
           V.iter_subsets_of_size ~n:5 ~k (fun ksub ->
-              Helpers.check_bool "summary" true (Fss.mincost_of t ksub >= 0))
+              Helpers.check_bool "summary" true
+                (Fss.mincost t.Fss.table ksub >= 0))
         done;
         Helpers.check_bool "beyond upto" true
-          (match Fss.mincost_of t (V.of_list [ 0; 1; 2 ]) with
+          (match Fss.mincost t.Fss.table (V.of_list [ 0; 1; 2 ]) with
           | exception Invalid_argument _ -> true
           | _ -> false);
         Hashtbl.iter
@@ -52,18 +53,19 @@ let unit_tests =
         let tt = T.of_string "0110" in
         let base = C.compact ~metrics (C.of_truthtable C.Bdd tt) 0 in
         Alcotest.check_raises "not free"
-          (Invalid_argument "Fs_star.run: J not free in the base state")
+          (Invalid_argument "Subset_dp.run: J not free in the base state")
           (fun () -> ignore (Fss.run ~base (V.of_list [ 0 ]))));
     Helpers.case "bad upto rejected" (fun () ->
         let tt = T.of_string "0110" in
         let base = C.of_truthtable C.Bdd tt in
-        Alcotest.check_raises "upto" (Invalid_argument "Fs_star.run: bad upto")
+        Alcotest.check_raises "upto"
+          (Invalid_argument "Subset_dp.run: bad upto")
           (fun () -> ignore (Fss.run ~upto:3 ~base (V.full 2))));
     Helpers.case "empty J returns the base" (fun () ->
         let tt = T.of_string "0110" in
         let base = C.of_truthtable C.Bdd tt in
         let t = Fss.run ~base V.empty in
-        Helpers.check_int "mincost" 0 (Fss.mincost_of t V.empty);
+        Helpers.check_int "mincost" 0 (Fss.mincost t.Fss.table V.empty);
         Helpers.check_bool "state" true (Fss.state_of t V.empty == base));
     Helpers.case "accessors raise Pruned_out on pruned subsets" (fun () ->
         (* seeded with the optimum, the sweep drops every subset that
@@ -84,7 +86,8 @@ let unit_tests =
         let dropped = ref 0 and dropped_last = ref 0 in
         for k = 0 to upto do
           V.iter_subsets_of_size ~n ~k (fun ksub ->
-              if is_pruned (fun () -> Fss.mincost_of pruned ksub) then begin
+              if is_pruned (fun () -> Fss.mincost pruned.Fss.table ksub)
+              then begin
                 incr dropped;
                 if k = upto then begin
                   incr dropped_last;
@@ -94,8 +97,8 @@ let unit_tests =
               end
               else begin
                 Helpers.check_int "kept mincost"
-                  (Fss.mincost_of plain ksub)
-                  (Fss.mincost_of pruned ksub);
+                  (Fss.mincost plain.Fss.table ksub)
+                  (Fss.mincost pruned.Fss.table ksub);
                 if k = upto then
                   Helpers.check_bool "kept state" true
                     (C.order (Fss.state_of pruned ksub)

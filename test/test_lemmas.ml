@@ -7,7 +7,7 @@
                 MINCOST_<K,[n]∖K>([n]∖K))  for every split size k. *)
 
 module Fs = Ovo_core.Fs
-module Fss = Ovo_core.Fs_star
+module Fss = Ovo_core.Subset_dp
 module C = Ovo_core.Compact
 module V = Ovo_core.Varset
 module T = Ovo_boolfun.Truthtable
@@ -43,7 +43,7 @@ let lemma9_holds ?(kind = C.Bdd) tt =
   let n = T.arity tt in
   let base = C.of_truthtable kind tt in
   let full_run = Fss.run ~base (V.full n) in
-  let total = Fss.mincost_of full_run (V.full n) in
+  let total = Fss.mincost full_run.Fss.table (V.full n) in
   let ok = ref true in
   for k = 1 to n - 1 do
     let best = ref max_int in
