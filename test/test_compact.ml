@@ -44,7 +44,7 @@ let widths_of_chain ~kind tt order =
   Array.iteri
     (fun i v ->
       let next = C.compact ~metrics !st v in
-      widths.(i) <- C.width_of_last ~before:!st ~after:next;
+      widths.(i) <- next.C.mincost - !st.C.mincost;
       st := next)
     order;
   widths
@@ -167,7 +167,7 @@ let props =
         let width_for perm =
           let s = C.compact_chain ~metrics base (Array.of_list perm) in
           let s' = C.compact ~metrics s i in
-          C.width_of_last ~before:s ~after:s'
+          s'.C.mincost - s.C.mincost
         in
         match Helpers.permutations below with
         | [] -> true
