@@ -273,6 +273,14 @@ let cache_tests =
            with
           | Error (`Too_large _) -> true
           | _ -> false);
+        (* characters are checked before the arity *)
+        Helpers.check_bool "bad character beats too large" true
+          (match
+             Solver.parse_table ~max_arity:9
+               (String.init 1024 (fun i -> if i = 700 then 'x' else '1'))
+           with
+          | Error (`Bad m) -> m = "table must contain only '0' and '1'"
+          | _ -> false);
         Helpers.check_bool "good" true
           (match Solver.parse_table ~max_arity:16 "0110" with
           | Ok _ -> true
