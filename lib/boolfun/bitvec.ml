@@ -30,8 +30,6 @@ let init len f =
   done;
   v
 
-let copy v = { len = v.len; data = Bytes.copy v.data }
-
 (* The last byte may contain unused bits; they are kept at zero by [set],
    so byte-level comparison and hashing are sound. *)
 let equal a b = a.len = b.len && Bytes.equal a.data b.data
@@ -134,25 +132,156 @@ let lnot_ v =
   end;
   { len = v.len; data = out }
 
-let fold f acc v =
-  let acc = ref acc in
-  for i = 0 to v.len - 1 do
-    acc := f !acc (get v i)
-  done;
-  !acc
+let byte v i = Char.code (Bytes.get v.data i)
 
-let iteri f v =
-  for i = 0 to v.len - 1 do
-    f i (get v i)
-  done
+(* --- word kernels over [2^n]-bit vectors indexed by [n]-bit codes --- *)
+
+(* Branch-free 32-bit popcount (SWAR); the product cannot overflow a
+   63-bit int. *)
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x5555_5555) in
+  let x = (x land 0x3333_3333) + ((x lsr 2) land 0x3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f in
+  ((x * 0x0101_0101) lsr 24) land 0xff
+
+(* Bits [32c .. 32c + 31]; a vector shorter than a word is one
+   zero-padded word. *)
+let word32 v c =
+  if Bytes.length v.data >= 4 then
+    Int32.to_int (Bytes.get_int32_le v.data (4 * c)) land 0xffff_ffff
+  else begin
+    let w = ref 0 in
+    for i = 0 to Bytes.length v.data - 1 do
+      w := !w lor (Char.code (Bytes.get v.data i) lsl (8 * i))
+    done;
+    !w
+  end
+
+(* Within a word, index bit [j < 5] is set exactly at the positions of
+   [index_masks.(j)]; index bits 5 and up are the bits of the word's
+   number. *)
+let index_masks =
+  [| 0xaaaa_aaaa; 0xcccc_cccc; 0xf0f0_f0f0; 0xff00_ff00; 0xffff_0000 |]
+
+let index_counts v n =
+  if n < 0 || n > Sys.int_size - 2 || v.len <> 1 lsl n then
+    invalid_arg "Bitvec.index_counts";
+  let c1 = Array.make n 0 and c11 = Array.make_matrix n n 0 in
+  let low = min n 5 in
+  let under = Array.make 5 0 in
+  for c = 0 to max 1 (v.len lsr 5) - 1 do
+    let w = word32 v c in
+    let total = popcount32 w in
+    for j = 0 to low - 1 do
+      let wj = w land index_masks.(j) in
+      under.(j) <- popcount32 wj;
+      c1.(j) <- c1.(j) + under.(j);
+      let row = c11.(j) in
+      for k = j + 1 to low - 1 do
+        row.(k) <- row.(k) + popcount32 (wj land index_masks.(k))
+      done
+    done;
+    for t = 5 to n - 1 do
+      let s = (c lsr (t - 5)) land 1 in
+      c1.(t) <- c1.(t) + (s * total);
+      for j = 0 to low - 1 do
+        c11.(j).(t) <- c11.(j).(t) + (s * under.(j))
+      done;
+      let row = c11.(t) in
+      for u = t + 1 to n - 1 do
+        row.(u) <- row.(u) + ((s land (c lsr (u - 5))) * total)
+      done
+    done
+  done;
+  for j = 0 to n - 1 do
+    for k = j + 1 to n - 1 do
+      c11.(k).(j) <- c11.(j).(k)
+    done
+  done;
+  (c1, c11)
+
+(* [spread perm ~from ~bits] maps each value [m] of the index bits
+   [from .. from + bits - 1] to where [perm] sends them: bit [t] of [m]
+   lands on bit [perm.(from + t)]. *)
+let spread perm ~from ~bits =
+  let tbl = Array.make (1 lsl bits) 0 in
+  for t = 0 to bits - 1 do
+    let b = 1 lsl perm.(from + t) and half = 1 lsl t in
+    for m = half to (2 * half) - 1 do
+      tbl.(m) <- tbl.(m - half) lor b
+    done
+  done;
+  tbl
+
+let bit_at data s =
+  (Char.code (Bytes.unsafe_get data (s lsr 3)) lsr (s land 7)) land 1
+
+(* The source index of output bit [8b + k] is [lo.(k) lor hi.(b)]: one
+   table over the low 3 index bits, one over the rest.  Each output byte
+   is gathered with shifts and masks, with no branch on a bit.  The
+   range check keeps every source index below [2^n], so the unchecked
+   reads stay in bounds even when [perm] repeats an entry. *)
+let permute_index v perm =
+  let n = Array.length perm in
+  if n > Sys.int_size - 2 || v.len <> 1 lsl n then
+    invalid_arg "Bitvec.permute_index";
+  Array.iter
+    (fun p -> if p < 0 || p >= n then invalid_arg "Bitvec.permute_index")
+    perm;
+  let low = min n 3 in
+  let lo = spread perm ~from:0 ~bits:low in
+  let hi = spread perm ~from:low ~bits:(n - low) in
+  let src = v.data in
+  let out = Bytes.create (nbytes v.len) in
+  if n >= 3 then begin
+    let l1 = lo.(1) and l2 = lo.(2) and l3 = lo.(3) and l4 = lo.(4)
+    and l5 = lo.(5) and l6 = lo.(6) and l7 = lo.(7) in
+    for b = 0 to Bytes.length out - 1 do
+      let h = hi.(b) in
+      let byte =
+        bit_at src h
+        lor (bit_at src (l1 lor h) lsl 1)
+        lor (bit_at src (l2 lor h) lsl 2)
+        lor (bit_at src (l3 lor h) lsl 3)
+        lor (bit_at src (l4 lor h) lsl 4)
+        lor (bit_at src (l5 lor h) lsl 5)
+        lor (bit_at src (l6 lor h) lsl 6)
+        lor (bit_at src (l7 lor h) lsl 7)
+      in
+      Bytes.unsafe_set out b (Char.unsafe_chr byte)
+    done
+  end
+  else begin
+    let byte = ref 0 in
+    for k = 0 to v.len - 1 do
+      byte := !byte lor (bit_at src lo.(k) lsl k)
+    done;
+    Bytes.unsafe_set out 0 (Char.unsafe_chr !byte)
+  end;
+  { len = v.len; data = out }
 
 let to_string v = String.init v.len (fun i -> if get v i then '1' else '0')
 
+(* Each character adds [code - 48] to its byte and is ORed into [bad]:
+   a string of '0' and '1' leaves [bad] at 0 or 1, any other byte sets
+   a higher bit or the sign, so one test at the end replaces a branch
+   per character. *)
 let of_string s =
-  init (String.length s) (fun i ->
-      match s.[i] with
-      | '1' -> true
-      | '0' -> false
-      | _ -> invalid_arg "Bitvec.of_string")
+  let len = String.length s in
+  let data = Bytes.create (nbytes len) in
+  let bad = ref 0 in
+  for b = 0 to Bytes.length data - 1 do
+    let base = 8 * b in
+    let stop = if len - base < 8 then len else base + 8 in
+    let byte = ref 0 in
+    for i = base to stop - 1 do
+      let d = Char.code (String.unsafe_get s i) - 48 in
+      byte := !byte lor (d lsl (i - base));
+      bad := !bad lor d
+    done;
+    Bytes.unsafe_set data b (Char.unsafe_chr (!byte land 0xff))
+  done;
+  if !bad land lnot 1 <> 0 then invalid_arg "Bitvec.of_string";
+  { len; data }
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -25,9 +25,6 @@ val set : t -> int -> bool -> unit
 val init : int -> (int -> bool) -> t
 (** [init len f] builds a vector whose bit [i] is [f i]. *)
 
-val copy : t -> t
-(** Deep copy. *)
-
 val equal : t -> t -> bool
 (** Structural equality (same length, same bits). *)
 
@@ -67,18 +64,39 @@ val map2 : (bool -> bool -> bool) -> t -> t -> t
 val lnot_ : t -> t
 (** Bitwise complement. *)
 
-val fold : ('a -> bool -> 'a) -> 'a -> t -> 'a
-(** Left fold over bits in index order. *)
+val byte : t -> int -> int
+(** [byte v i] is packed byte [i], bits [8i .. 8i + 7] with bit [8i]
+    least significant.  A vector has [(length v + 7) / 8] bytes, and the
+    bits past [length v] read as zero. *)
 
-val iteri : (int -> bool -> unit) -> t -> unit
-(** Iterate with index. *)
+(** {2 Vectors indexed by [n]-bit codes}
+
+    A vector of length [2^n] is a table over the codes [0 .. 2^n - 1],
+    as in {!Truthtable}.  These kernels read it in 32-bit words or whole
+    bytes, not bit by bit. *)
+
+val index_counts : t -> int -> int array * int array array
+(** [index_counts v n], for [length v = 2^n], is [(c1, c11)]: [c1.(j)]
+    counts the set bits whose index has bit [j] set, and [c11.(j).(k)]
+    ([j <> k]) those whose index has bits [j] and [k] set; the diagonal
+    is zero.  Popcounts of 32-bit words under constant masks for index
+    bits 0–4, the word's number for the rest: O(n^2 2^n / 32).  Raises
+    [Invalid_argument] when the length is not [2^n]. *)
+
+val permute_index : t -> int array -> t
+(** [permute_index v perm], for [length v = 2^n] and
+    [n = Array.length perm], moves index bit [j] to bit [perm.(j)]: bit
+    [i] of the result is bit [s] of [v], where [s] sets bit [perm.(j)]
+    for each bit [j] set in [i].  Raises [Invalid_argument] on a length
+    other than [2^n] or an entry outside [0 .. n-1]; whether [perm] is a
+    permutation is the caller's to check. *)
 
 val to_string : t -> string
 (** Bits as a ['0']/['1'] string, index 0 first. *)
 
 val of_string : string -> t
-(** Inverse of {!to_string}; raises [Invalid_argument] on characters other
-    than ['0'] and ['1']. *)
+(** Inverse of {!to_string}; raises [Invalid_argument "Bitvec.of_string"]
+    on characters other than ['0'] and ['1']. *)
 
 val pp : Format.formatter -> t -> unit
 (** Pretty-printer ({!to_string} form). *)

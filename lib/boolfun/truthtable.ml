@@ -89,6 +89,10 @@ let flip tt j =
   if j < 0 || j >= tt.n then invalid_arg "Truthtable.flip";
   { tt with bits = Bitvec.flip_index tt.bits j }
 
+(* [permute_vars] without the permutation check, for the permutations
+   [canonicalize] builds itself. *)
+let permute tt perm = { tt with bits = Bitvec.permute_index tt.bits perm }
+
 let permute_vars tt perm =
   if Array.length perm <> tt.n then invalid_arg "Truthtable.permute_vars";
   let seen = Array.make tt.n false in
@@ -98,102 +102,87 @@ let permute_vars tt perm =
         invalid_arg "Truthtable.permute_vars: not a permutation";
       seen.(j) <- true)
     perm;
-  of_fun tt.n (fun code ->
-      let old_code = ref 0 in
-      for j = 0 to tt.n - 1 do
-        if code land (1 lsl j) <> 0 then
-          old_code := !old_code lor (1 lsl perm.(j))
-      done;
-      eval tt !old_code)
+  permute tt perm
 
 (* --- canonical form under variable permutation -------------------- *)
 
-(* Permutation-invariant per-variable fingerprints, refined
-   Weisfeiler–Lehman style.  The raw data is collected in one pass over
-   the satisfying assignments: [ones] (total satisfying count),
-   [c1.(j)] (satisfying count with bit j set) and [c11.(j).(k)]
-   (satisfying count with bits j and k both set).  All three transport
-   through a variable relabeling, so any ranking computed from them is
-   identical for permutation-equivalent functions. *)
-let pair_counts tt =
-  let n = tt.n in
-  let ones = ref 0 in
-  let c1 = Array.make n 0 in
-  let c11 = Array.make_matrix n n 0 in
-  for code = 0 to (1 lsl n) - 1 do
-    if eval tt code then begin
-      incr ones;
-      let rec bits m =
-        if m <> 0 then begin
-          let j = m land -m in
-          let jx = ref 0 in
-          let v = ref j in
-          while !v > 1 do
-            incr jx;
-            v := !v lsr 1
-          done;
-          c1.(!jx) <- c1.(!jx) + 1;
-          let rec bits2 m2 =
-            if m2 <> 0 then begin
-              let k = m2 land -m2 in
-              let kx = ref 0 in
-              let w = ref k in
-              while !w > 1 do
-                incr kx;
-                w := !w lsr 1
-              done;
-              c11.(!jx).(!kx) <- c11.(!jx).(!kx) + 1;
-              c11.(!kx).(!jx) <- c11.(!kx).(!jx) + 1;
-              bits2 (m2 lxor k)
-            end
-          in
-          bits2 (m lxor j);
-          bits (m lxor j)
-        end
-      in
-      bits code
-    end
+(* [dense_ranks n cmp] ranks [0 .. n-1] by [cmp]: the rank of [j] is the
+   number of distinct keys below [j]'s.  An insertion sort, since [n] is
+   an arity.  Also returns the number of classes. *)
+let dense_ranks n cmp =
+  let order = Array.init n Fun.id in
+  for i = 1 to n - 1 do
+    let x = order.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && cmp order.(!j) x > 0 do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- x
   done;
-  (!ones, c1, c11)
+  let ranks = Array.make n 0 and r = ref 0 in
+  for i = 1 to n - 1 do
+    if cmp order.(i - 1) order.(i) <> 0 then incr r;
+    ranks.(order.(i)) <- !r
+  done;
+  (ranks, !r + 1)
 
-(* Refine integer ranks until the partition stabilises: a variable's new
-   key is its old rank together with the sorted multiset of
-   (other's rank, joint satisfying count) pairs.  Ranks are re-assigned
-   in sorted-key order, which is itself permutation-invariant. *)
-let refine_ranks n c11 ranks0 =
-  let ranks = ref ranks0 in
-  let classes r = Array.fold_left (fun m x -> max m x) 0 r + 1 in
-  let continue = ref true in
-  while !continue do
-    let key j =
-      let others = ref [] in
-      for k = 0 to n - 1 do
-        if k <> j then others := (!ranks.(k), c11.(j).(k)) :: !others
+(* A (rank, joint count) pair is the int [rank lsl (n + 1) lor count],
+   which orders as the pair does because a count is at most [2^(n-2)].
+   Ranks are below [n], so a pair is below [n * 2^(n+1)], which fits an
+   OCaml int (below [2^62]) for every [n <= max_key_arity]. *)
+let max_key_arity = Sys.int_size - 8
+
+(* Refine integer ranks until the partition stabilises.  Variables are
+   fingerprinted by permutation-invariant counts: [c1.(j)] satisfying
+   assignments with bit j set, [c11.(j).(k)] with bits j and k both set
+   ({!Bitvec.index_counts}).  A variable's new key is its old rank
+   followed by the sorted multiset of (other's rank, joint count) pairs;
+   ranks are re-assigned in sorted-key order, itself
+   permutation-invariant.  Each key starts with the old rank, so a
+   partition into singletons maps to itself: refinement stops there. *)
+let refine_ranks n c11 (ranks0, classes0) =
+  let keys = Array.make (n * n) 0 in
+  let cmp a b =
+    let rec go i =
+      if i = n then 0
+      else
+        let c = Int.compare keys.((a * n) + i) keys.((b * n) + i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+  in
+  let rec loop ranks classes =
+    if classes = n then ranks
+    else begin
+      for j = 0 to n - 1 do
+        let row = j * n in
+        keys.(row) <- ranks.(j);
+        let last = ref row in
+        for k = 0 to n - 1 do
+          if k <> j then begin
+            let x = (ranks.(k) lsl (n + 1)) lor c11.(j).(k) in
+            let i = ref !last in
+            while !i > row && keys.(!i) > x do
+              keys.(!i + 1) <- keys.(!i);
+              decr i
+            done;
+            keys.(!i + 1) <- x;
+            incr last
+          end
+        done
       done;
-      (!ranks.(j), List.sort Stdlib.compare !others)
-    in
-    let keys = Array.init n key in
-    let sorted = List.sort_uniq Stdlib.compare (Array.to_list keys) in
-    let next =
-      Array.map
-        (fun k ->
-          let rec index i = function
-            | [] -> assert false
-            | x :: tl -> if x = k then i else index (i + 1) tl
-          in
-          index 0 sorted)
-        keys
-    in
-    continue := classes next > classes !ranks;
-    ranks := next
-  done;
-  !ranks
+      let next, classes' = dense_ranks n cmp in
+      if classes' > classes then loop next classes' else next
+    end
+  in
+  loop ranks0 classes0
 
-(* Swapping variables [a] and [b] as a [permute_vars] transposition. *)
+(* Swapping variables [a] and [b] as a [permute] transposition. *)
 let swap_fixes tt a b =
   let n = tt.n in
   let p = Array.init n (fun i -> if i = a then b else if i = b then a else i) in
-  equal (permute_vars tt p) tt
+  equal (permute tt p) tt
 
 let rec perms_of = function
   | [] -> [ [] ]
@@ -207,19 +196,11 @@ let canonicalize ?(max_enum = 720) tt =
   let identity = Array.init n (fun i -> i) in
   if n <= 1 then (tt, identity)
   else begin
-    let _, c1, c11 = pair_counts tt in
-    let rank0 =
-      let sorted = List.sort_uniq Stdlib.compare (Array.to_list c1) in
-      Array.map
-        (fun c ->
-          let rec index i = function
-            | [] -> assert false
-            | x :: tl -> if x = c then i else index (i + 1) tl
-          in
-          index 0 sorted)
-        c1
+    if n > max_key_arity then invalid_arg "Truthtable.canonicalize: arity";
+    let c1, c11 = Bitvec.index_counts tt.bits n in
+    let ranks =
+      refine_ranks n c11 (dense_ranks n (fun a b -> Int.compare c1.(a) c1.(b)))
     in
-    let ranks = refine_ranks n c11 rank0 in
     (* classes in rank order; members ascending for determinism *)
     let nclasses = Array.fold_left (fun m x -> max m x) 0 ranks + 1 in
     let classes =
@@ -265,7 +246,7 @@ let canonicalize ?(max_enum = 720) tt =
     let rec product acc = function
       | [] ->
           let perm = Array.of_list (List.concat (List.rev acc)) in
-          let cand = permute_vars tt perm in
+          let cand = permute tt perm in
           let better =
             match !best with
             | None -> true
@@ -280,23 +261,15 @@ let canonicalize ?(max_enum = 720) tt =
     match !best with Some (t, p) -> (t, p) | None -> assert false
   end
 
-(* 64-bit FNV-1a over the canonical bit string, seeded with the arity. *)
+(* 64-bit FNV-1a over the arity, then over the packed bytes of the
+   table.  [Bitvec] keeps the bits past the length zero, so for n <= 2
+   the one partial byte is fed as it stands. *)
 let digest_of_canonical canon =
   let fnv_prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  let feed byte =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (byte land 0xff))) fnv_prime
-  in
-  feed canon.n;
-  let bits = to_bitvec canon in
-  let len = Bitvec.length bits in
-  let byte = ref 0 in
-  for i = 0 to len - 1 do
-    if Bitvec.get bits i then byte := !byte lor (1 lsl (i land 7));
-    if i land 7 = 7 || i = len - 1 then begin
-      feed !byte;
-      byte := 0
-    end
+  for i = 0 to (size canon + 7) lsr 3 do
+    let b = if i = 0 then canon.n else Bitvec.byte canon.bits (i - 1) in
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xff))) fnv_prime
   done;
   Printf.sprintf "%d:%016Lx" canon.n !h
 

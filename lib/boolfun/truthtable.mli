@@ -104,7 +104,11 @@ val canonicalize : ?max_enum:int -> t -> t * int array
     is identical for every permutation-equivalent input; beyond it the
     result is still deterministic per input, merely not guaranteed to
     coincide across permutations.  An ordering optimal for [canon] maps
-    back to one for [tt] through [perm]. *)
+    back to one for [tt] through [perm].
+
+    The counts come from popcounts of 32-bit words
+    ({!Bitvec.index_counts}) and every candidate order is applied by
+    {!Bitvec.permute_index}: no step walks the table bit by bit. *)
 
 val digest_of_canonical : t -> string
 (** The digest of a table taken as already canonical:
@@ -114,12 +118,15 @@ val digest_of_canonical : t -> string
 
 val digest : t -> string
 (** A stable content digest of the {!canonicalize}d function: the
-    variable count and a 64-bit FNV-1a hash of the canonical bit-vector,
-    as ["<n>:<16 hex digits>"].  Equal functions always collide;
+    variable count and a 64-bit FNV-1a hash of the canonical bit-vector
+    (the arity's low byte, then the table packed eight entries per
+    byte, entry [8i + b] at bit [b] of byte [i]), as
+    ["<n>:<16 hex digits>"].  Equal functions always collide;
     permutation-equivalent functions collide whenever canonicalization
     stayed within its enumeration cap.  Intended as a cache key — pair
     it with an equality check on the canonical table to rule out hash
-    collisions. *)
+    collisions.  The canonical table, its permutation and this string
+    are a persistent format: stores key answers by the digest. *)
 
 val random : Random.State.t -> int -> t
 (** Uniformly random function of the given arity. *)

@@ -27,27 +27,27 @@ let parse_table ?mem_budget ?cache ~max_arity s =
   let len = String.length s in
   if not (is_pow2 len) then
     Error (`Bad (Printf.sprintf "table length %d is not a power of two" len))
-  else if String.exists (fun c -> c <> '0' && c <> '1') s then
-    Error (`Bad "table must contain only '0' and '1'")
   else
-    let n = ref 0 in
-    while 1 lsl !n < len do incr n done;
-    if !n > max_arity then
-      Error
-        (`Too_large
-           (Printf.sprintf "arity %d exceeds the server limit of %d" !n
-              max_arity))
-    else
-      let limit cap =
-        "the server's --mem-budget " ^ Ovo_core.Membudget.pp_bytes cap
-      in
-      let tt = Truthtable.of_string s in
-      match
-        Option.bind mem_budget (fun cap ->
-            Ovo_core.Membudget.refusal ~n:!n ~limit:(limit cap) cap)
-      with
-      | Some m when not (cached cache tt) -> Error (`Too_large m)
-      | _ -> Ok tt
+    match Truthtable.of_string s with
+    | exception Invalid_argument _ ->
+        Error (`Bad "table must contain only '0' and '1'")
+    | tt -> (
+        let n = Truthtable.arity tt in
+        if n > max_arity then
+          Error
+            (`Too_large
+               (Printf.sprintf "arity %d exceeds the server limit of %d" n
+                  max_arity))
+        else
+          let limit cap =
+            "the server's --mem-budget " ^ Ovo_core.Membudget.pp_bytes cap
+          in
+          match
+            Option.bind mem_budget (fun cap ->
+                Ovo_core.Membudget.refusal ~n ~limit:(limit cap) cap)
+          with
+          | Some m when not (cached cache tt) -> Error (`Too_large m)
+          | _ -> Ok tt)
 
 (* Fs results are read-last-first ([order.(0)] at the bottom); the wire
    carries root-first.  [perm] maps canonical variables back to the
