@@ -280,6 +280,10 @@ let run input kind algo dot save weights seed engine stats obs checkpoint
         refuse
           (checkpoint <> None && resume <> None)
           "pass --checkpoint (start fresh) or --resume (continue), not both";
+        (* with or without --weights, which overrides a known --algo *)
+        (match algo with
+        | Unknown s -> failwith ("unknown --algo " ^ s)
+        | Exact _ | Heuristic _ -> ());
         if exact then refuse_oversized ~mem_budget tt;
         let model = Front.load_weights model in
         (* one context counts the run's pricing and the final
@@ -311,7 +315,7 @@ let run input kind algo dot save weights seed engine stats obs checkpoint
         in
         let membudget, diagram, metrics =
           match (weights, algo) with
-          | None, Unknown s -> failwith ("unknown --algo " ^ s)
+          | None, Unknown _ -> assert false (* refused above *)
           | None, Heuristic h ->
               let label, order =
                 heuristic ~trace ~metrics ~kind ~seed ~model h tt
