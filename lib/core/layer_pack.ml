@@ -9,22 +9,20 @@ let binomial n k =
     !r
   end
 
-(* One cardinality layer of the DP, or a rank range of it, bit-packed:
-   entry [r - lo] of an extent holds the (cost, choice) of the k-subset
-   whose combinatorial (colex) rank within [j_set] is [r].  8-byte LE
-   cost + 1-byte choice — a fixed 9 bytes per subset, where a hashtable
-   binding costs ~10x that in boxed words, and a layout that serialises
-   to a checkpoint payload for free.
+(* One cardinality layer of the DP, bit-packed: entry [r] of an extent
+   holds the (cost, choice) of the k-subset whose combinatorial (colex)
+   rank within [j_set] is [r].  8-byte LE cost + 1-byte choice — a fixed
+   9 bytes per subset, where a hashtable binding costs ~10x that in
+   boxed words.
 
    A branch-and-bound sweep leaves pruned subsets unset (a negative
    cost); the in-memory layout stays dense (rank arithmetic is the whole
-   point).  [Extent.encode] switches to a delta+varint compressed stream
-   over the set entries whenever that is smaller, so cost locality
-   shrinks checkpoints. *)
+   point).  [Extent.encode] writes the one wire format, v3: a
+   delta+varint stream over the set entries, so cost locality shrinks
+   checkpoints. *)
 
 let entry_bytes = 9
-let packed_version = 3
-let raw_extent_version = 4
+let extent_version = 3
 let extent_header_bytes = 30
 
 (* --- combinatorial number system helpers ------------------------------ *)
@@ -81,7 +79,7 @@ let unrank_in ~pascal ~j_set ~k r =
 (* --- zig-zag varints (LEB128) ----------------------------------------- *)
 
 (* Costs along colex order move in small steps, so the v3 stream stores
-   per-entry deltas as zig-zag varints: 1–2 bytes where the raw layout
+   per-entry deltas as zig-zag varints: 1–2 bytes where the dense layout
    spends 8. *)
 
 let varint_add buf v =
@@ -111,92 +109,54 @@ let read_varint fail s pos =
   done;
   !v
 
-(* --- the v3/v4 extent header ---------------------------------------- *)
+(* --- the v3 extent header -------------------------------------------- *)
 
-let set_extent_header b ~ver ~k ~j_set ~total ~lo ~len ~present ~payload_len =
-  Bytes.set_uint8 b 0 ver;
-  Bytes.set_uint8 b 1 k;
-  Bytes.set_int64_le b 2 (Int64.of_int j_set);
-  Bytes.set_int32_le b 10 (Int32.of_int total);
-  Bytes.set_int32_le b 14 (Int32.of_int lo);
-  Bytes.set_int32_le b 18 (Int32.of_int len);
-  Bytes.set_int32_le b 22 (Int32.of_int present);
-  Bytes.set_int32_le b 26 (Int32.of_int payload_len)
-
+(* [u8 version][u8 k][u64 j_set][u32 total][u32 lo][u32 len][u32 present]
+   [u32 payload length], all LE.  [lo] and [len] date from extents that
+   held a rank range of their layer: a record spans its layer, so they
+   always read [0] and [total]. *)
 type header = {
-  h_ver : int;
   h_k : int;
   h_j_set : Varset.t;
   h_total : int;
-  h_lo : int;
-  h_len : int;
   h_present : int;
   h_payload_len : int;
 }
 
 (* Parse the header and check it against itself and the payload length
    before anything is sized by it: a damaged or hostile header fails
-   here, never as an out-of-bounds read or an oversized buffer.  A v4
-   payload is exactly its dense slice; every v3 entry takes at least 3
-   bytes (rank gap, cost delta, choice). *)
+   here, never as an out-of-bounds read or an oversized buffer.  Every
+   entry of the stream takes at least 3 bytes (rank gap, cost delta,
+   choice).  Any other version, the spill era's raw v4 included, is
+   refused. *)
 let read_header fail s =
   let slen = String.length s in
   if slen < extent_header_bytes then fail "payload shorter than header";
   let u32 i = Int32.to_int (String.get_int32_le s i) land 0xFFFF_FFFF in
+  if String.get_uint8 s 0 <> extent_version then fail "unknown version";
   let h =
     {
-      h_ver = String.get_uint8 s 0;
       h_k = String.get_uint8 s 1;
       h_j_set = Int64.to_int (String.get_int64_le s 2);
       h_total = u32 10;
-      h_lo = u32 14;
-      h_len = u32 18;
       h_present = u32 22;
       h_payload_len = u32 26;
     }
   in
-  if h.h_ver <> packed_version && h.h_ver <> raw_extent_version then
-    fail "unknown version";
   if h.h_j_set < 0 || h.h_k < 1 || h.h_k > Varset.cardinal h.h_j_set then
     fail "inconsistent header";
   if h.h_total <> binomial (Varset.cardinal h.h_j_set) h.h_k then
     fail "entry count does not match layer";
-  if h.h_lo <> 0 || h.h_len <> h.h_total then
+  if u32 14 <> 0 || u32 18 <> h.h_total then
     fail "extent does not span its layer";
   if h.h_present > h.h_total then fail "inconsistent header";
   if slen <> extent_header_bytes + h.h_payload_len then fail "truncated extent";
-  if h.h_ver = raw_extent_version && h.h_payload_len <> h.h_total * entry_bytes
-  then fail "payload length mismatch";
-  if h.h_ver = packed_version && h.h_payload_len < 3 * h.h_present then
+  if h.h_payload_len < 3 * h.h_present then
     fail "payload too short for its entries";
   h
 
-(* --- the v3 stream ---------------------------------------------------- *)
-
-(* The compressed stream over a dense layer: for every set entry, in
-   rank order, [varint gap-from-previous-set-rank] (first: gap from
-   [-1]) ++ [zig-zag varint cost delta] (first: delta from 0) ++
-   [u8 choice].  Costs within a layer are small and monotone-ish in
-   colex order, so deltas are mostly 1-byte. *)
-let compress_slice data ~len =
-  let buf = Buffer.create (len * 3) in
-  let prev_rank = ref (-1) and prev_cost = ref 0 in
-  for rank = 0 to len - 1 do
-    let eoff = rank * entry_bytes in
-    let c64 = Bytes.get_int64_le data eoff in
-    if c64 >= 0L then begin
-      let cost = Int64.to_int c64 in
-      varint_add buf (rank - !prev_rank);
-      varint_add buf (zigzag (cost - !prev_cost));
-      Buffer.add_char buf (Bytes.get data (eoff + 8));
-      prev_rank := rank;
-      prev_cost := cost
-    end
-  done;
-  Buffer.contents buf
-
-(* Decode the v3 stream of header [h] into the dense layer [dst].
-   Every rank must lie inside the layer. *)
+(* Decode the stream of header [h] into the dense layer [dst].  Every
+   rank must lie inside the layer. *)
 let decompress_into fail s h ~dst =
   let limit = extent_header_bytes + h.h_payload_len in
   let cursor = ref extent_header_bytes in
@@ -227,27 +187,27 @@ module Extent = struct
     x_j_set : Varset.t;
     x_k : int;
     x_total : int;  (* C(|j_set|, k): the layer's subset count *)
-    mutable x_present : int;
-    x_data : Bytes.t;  (* dense 9 B/entry, by rank *)
+    x_data : Bytes.t;  (* dense 9 B/entry, by rank; an unset cost is < 0 *)
   }
 
   let j_set t = t.x_j_set
   let k t = t.x_k
   let total t = t.x_total
-  let present t = t.x_present
   let size_bytes t = extent_header_bytes + (t.x_total * entry_bytes)
 
-  let create ~j_set ~k ~total =
-    let m = Varset.cardinal j_set in
-    if k < 1 || k > m || total <> binomial m k then
-      invalid_arg "Layer_pack.Extent.create: bad layer shape";
+  let make ~j_set ~k ~total =
     {
       x_j_set = j_set;
       x_k = k;
       x_total = total;
-      x_present = 0;
       x_data = Bytes.make (total * entry_bytes) '\xff';
     }
+
+  let create ~j_set ~k ~total =
+    let m = Varset.cardinal j_set in
+    if k < 0 || k > m || total <> binomial m k then
+      invalid_arg "Layer_pack.Extent.create: bad layer shape";
+    make ~j_set ~k ~total
 
   let off_of t rank =
     if rank < 0 || rank >= t.x_total then
@@ -259,10 +219,8 @@ module Extent = struct
     if choice < 0 || choice > 0xff then
       invalid_arg "Layer_pack.Extent.set: bad choice";
     let off = off_of t rank in
-    let b = t.x_data in
-    if Bytes.get_int64_le b off < 0L then t.x_present <- t.x_present + 1;
-    Bytes.set_int64_le b off (Int64.of_int cost);
-    Bytes.set_uint8 b (off + 8) choice
+    Bytes.set_int64_le t.x_data off (Int64.of_int cost);
+    Bytes.set_uint8 t.x_data (off + 8) choice
 
   let mem t ~rank = Bytes.get_int64_le t.x_data (off_of t rank) >= 0L
 
@@ -286,58 +244,46 @@ module Extent = struct
           ~choice:(Bytes.get_uint8 t.x_data (off + 8))
     done
 
-  let with_header t ~ver payload =
-    let b = Bytes.create (extent_header_bytes + String.length payload) in
-    set_extent_header b ~ver ~k:t.x_k ~j_set:t.x_j_set ~total:t.x_total
-      ~lo:0 ~len:t.x_total ~present:t.x_present
-      ~payload_len:(String.length payload);
-    Bytes.blit_string payload 0 b extent_header_bytes (String.length payload);
-    Bytes.unsafe_to_string b
+  let present t =
+    let n = ref 0 in
+    iter t (fun ~rank:_ ~cost:_ ~choice:_ -> incr n);
+    !n
 
-  (* [with_header] copies the slice out at once, so the unsafe view of
-     the live buffer never outlives this call *)
-  let encode_raw t =
-    with_header t ~ver:raw_extent_version (Bytes.unsafe_to_string t.x_data)
-
-  let encode_packed t =
-    with_header t ~ver:packed_version
-      (compress_slice t.x_data ~len:t.x_total)
-
+  (* The v3 stream: for every set entry, in rank order,
+     [varint gap-from-previous-set-rank] (first: gap from [-1]) ++
+     [zig-zag varint cost delta] (first: delta from 0) ++ [u8 choice].
+     Costs within a layer are small and monotone-ish in colex order, so
+     deltas are mostly 1-byte. *)
   let encode t =
-    let packed = encode_packed t and raw = encode_raw t in
-    if String.length packed < String.length raw then packed else raw
+    let buf = Buffer.create (t.x_total * 3) in
+    let present = ref 0 and prev_rank = ref (-1) and prev_cost = ref 0 in
+    iter t (fun ~rank ~cost ~choice ->
+        varint_add buf (rank - !prev_rank);
+        varint_add buf (zigzag (cost - !prev_cost));
+        Buffer.add_uint8 buf choice;
+        incr present;
+        prev_rank := rank;
+        prev_cost := cost);
+    let len = Buffer.length buf in
+    let b = Bytes.create (extent_header_bytes + len) in
+    Bytes.set_uint8 b 0 extent_version;
+    Bytes.set_uint8 b 1 t.x_k;
+    Bytes.set_int64_le b 2 (Int64.of_int t.x_j_set);
+    List.iteri
+      (fun i v -> Bytes.set_int32_le b (10 + (4 * i)) (Int32.of_int v))
+      [ t.x_total; 0; t.x_total; !present; len ];
+    Buffer.blit buf 0 b extent_header_bytes len;
+    Bytes.unsafe_to_string b
 
   (* Every header field is checked before the layer is allocated, and a
      complete extent has [total = present]: the allocation is bounded by
-     the payload's own length (9 B per 9 B of v4, per at least 3 B of
-     v3), whatever the header claims.  A v4 layer must hold exactly
-     [present] set entries. *)
+     the payload's own length (9 B per at least 3 B of stream), whatever
+     the header claims. *)
   let decode s =
     let fail msg = failwith ("Layer_pack.Extent.decode: " ^ msg) in
     let h = read_header fail s in
     if h.h_present <> h.h_total then fail "extent is not complete";
-    let t =
-      {
-        x_j_set = h.h_j_set;
-        x_k = h.h_k;
-        x_total = h.h_total;
-        x_present = 0;
-        x_data = Bytes.make (h.h_total * entry_bytes) '\xff';
-      }
-    in
-    if h.h_ver = raw_extent_version then begin
-      Bytes.blit_string s extent_header_bytes t.x_data 0
-        (h.h_total * entry_bytes);
-      for i = 0 to h.h_total - 1 do
-        if Bytes.get_int64_le t.x_data (i * entry_bytes) >= 0L then
-          t.x_present <- t.x_present + 1
-      done;
-      if t.x_present <> h.h_present then
-        fail "present count does not match data"
-    end
-    else begin
-      decompress_into fail s h ~dst:t.x_data;
-      t.x_present <- h.h_present
-    end;
+    let t = make ~j_set:h.h_j_set ~k:h.h_k ~total:h.h_total in
+    decompress_into fail s h ~dst:t.x_data;
     t
 end

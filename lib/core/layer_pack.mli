@@ -1,5 +1,5 @@
 (** Bit-packed cost/choice tables for the cardinality layers of the
-    subset DP — the one form the DP's table takes, in memory and in
+    subset DP — the one form the DP's table takes, in the sweep and in
     checkpoints.
 
     The sweep of {!Subset_dp} produces, for every [k]-subset [K] of the
@@ -8,15 +8,16 @@
     buffer at 9 bytes per subset (8-byte LE cost, 1-byte choice),
     indexed by the subset's {e combinatorial rank} (colex order — the
     order {!Varset.iter_subsets_of} enumerates, so ranks are dense in
-    [0 .. C(m,k)-1]).
+    [0 .. C(m,k)-1]).  The sweep's workers write each subset's winner
+    straight into its layer's extent, at its own rank.
 
-    An extent serialises to one of two self-describing formats with the
-    same 30-byte header: compressed v3 (delta+varint over the colex
-    stream of set entries — cost locality packs small) or raw v4 (the
-    dense layer verbatim); {!Extent.encode} picks whichever is smaller.
-    The header's rank-range fields always read [lo = 0] and
-    [len = C(m,k)], so checkpoint files keep their format; the decoder
-    rejects any other range, and rejects damage as a clean [Failure]. *)
+    An extent serialises to one self-describing format, v3: a 30-byte
+    header, then a delta+varint stream over the colex sequence of set
+    entries (cost locality packs small).  The header's rank-range
+    fields always read [lo = 0] and [len = C(m,k)], so checkpoint files
+    keep their format; the decoder rejects any other range or version
+    (the raw v4 of older builds included), and rejects damage as a
+    clean [Failure]. *)
 
 val binomial : int -> int -> int
 (** [binomial n k] = [C(n,k)]; [0] outside [0 <= k <= n]. *)
@@ -25,7 +26,7 @@ val entry_bytes : int
 (** Bytes per packed entry (9). *)
 
 val extent_header_bytes : int
-(** Bytes of the self-describing v3/v4 header (30). *)
+(** Bytes of the self-describing v3 header (30). *)
 
 (** {1 Combinatorial number system} *)
 
@@ -53,8 +54,8 @@ module Extent : sig
 
   val create : j_set:Varset.t -> k:int -> total:int -> t
   (** An empty extent of the size-[k] layer over [j_set]
-      ([total = C(cardinal j_set, k)], validated).  Raises
-      [Invalid_argument] on a bad shape. *)
+      ([0 <= k <= cardinal j_set], [total = C(cardinal j_set, k)]).
+      Raises [Invalid_argument] on a bad shape. *)
 
   val j_set : t -> Varset.t
   val k : t -> int
@@ -63,7 +64,7 @@ module Extent : sig
   (** The layer's subset count. *)
 
   val present : t -> int
-  (** Entries actually set. *)
+  (** Entries actually set, counted by a scan. *)
 
   val size_bytes : t -> int
   (** Resident charge: the 30-byte header plus [total * 9] dense
@@ -71,7 +72,9 @@ module Extent : sig
 
   val set : t -> rank:int -> cost:int -> choice:int -> unit
   (** Write the entry of a rank; raises [Invalid_argument] outside
-      [0, total), on a negative cost or an over-wide choice. *)
+      [0, total), on a negative cost or an over-wide choice.  Writes to
+      distinct ranks touch distinct bytes, so the participants of one
+      {!Engine.map} may fill one extent concurrently. *)
 
   val mem : t -> rank:int -> bool
   val cost : t -> rank:int -> int
@@ -84,20 +87,16 @@ module Extent : sig
   (** Every set entry, in rank order. *)
 
   val encode : t -> string
-  (** The smaller of {!encode_packed} (compressed v3) and {!encode_raw}
-      (v4: the dense layer verbatim) — compression is chosen
-      automatically exactly when it wins. *)
-
-  val encode_packed : t -> string
-  val encode_raw : t -> string
+  (** The v3 record: the header, then for every set entry in rank
+      order its rank gap, zig-zag cost delta (both LEB128 varints) and
+      choice byte. *)
 
   val decode : string -> t
   (** The inverse of {!encode} for a {e complete} extent (every entry
       set, as in a checkpoint's layer record).  Total on hostile bytes:
-      the header is validated before anything is allocated
-      ([1 <= k <= m], [total = C(m,k)], [lo = 0], [len = total],
-      [present = total], a v3 payload of at least 3 bytes per entry, a
-      v4 payload of exactly [9·total] bytes), so the allocation is
-      bounded by the payload's own length, and every failure is a
-      [Failure]. *)
+      the header is validated before anything is allocated (version 3,
+      [1 <= k <= m], [total = C(m,k)], [lo = 0], [len = total],
+      [present = total], a payload of at least 3 bytes per entry), so
+      the allocation is bounded by the payload's own length, and every
+      failure is a [Failure]. *)
 end

@@ -40,9 +40,9 @@ val pp_bytes : int -> string
 (** {1 Accounting} *)
 
 type t
-(** A mutable per-run accounting context (calling-domain only — a layer
-    is packed once every participant of its parallel map has finished,
-    so no synchronisation is needed). *)
+(** A mutable per-run accounting context (calling-domain only — the
+    sweep charges a layer's extent before its parallel map starts, so
+    no synchronisation is needed). *)
 
 val create : ?budget_bytes:int -> unit -> t
 (** Fresh context, recording the budget the solve was admitted under
@@ -66,8 +66,7 @@ val shrank : t -> int -> unit
 (** A resident layer of that many bytes was released. *)
 
 val note_layer_bytes : t -> int -> unit
-(** Record one completed layer's packed bytes (for
-    {!peak_layer_bytes}). *)
+(** Record one layer's packed bytes (for {!peak_layer_bytes}). *)
 
 val parse_bytes : string -> (int, string) result
 (** Parse a CLI byte size: plain bytes or a [k]/[M]/[G] suffix (binary

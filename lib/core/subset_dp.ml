@@ -1,24 +1,17 @@
 module Trace = Ovo_obs.Trace
+module Extent = Layer_pack.Extent
 
 type progress = {
   p_layer : int;
   p_entries : (Varset.t * int * int) array;
 }
 
-(* One subset's slot in a layer held as an array indexed by colex rank:
-   the winner of the Lemma 7 minimisation, or [Pruned] for a subset the
-   branch-and-bound discarded (or that no kept predecessor reaches).
-   A winner's table is the slice at its rank in the layer's arena
-   buffer, holding ids below [next_id]. *)
-type entry = Pruned | Winner of { cost : int; choice : int; next_id : int }
-
-(* The packed cost/choice store of one sweep: layer [k] is one
-   whole-layer {!Layer_pack.Extent} (9 bytes per subset, indexed by
-   colex rank), charged to the sweep's {!Membudget} as it is packed and
-   released with the table. *)
+(* The cost/choice store of one sweep: layer [k] is one whole-layer
+   {!Layer_pack.Extent} (9 bytes per subset, indexed by colex rank),
+   charged to the sweep's {!Membudget} when it is created and released
+   with the table.  The sweep's workers write each subset's winner into
+   it at the subset's own rank, so the extent is the layer. *)
 module Layers = struct
-  module Extent = Layer_pack.Extent
-
   type t = {
     j_set : Varset.t;
     base_cost : int;
@@ -41,18 +34,16 @@ module Layers = struct
   let rank t ksub = Layer_pack.rank_in ~pascal:t.pascal ~j_set:t.j_set ksub
   let unrank t ~k r = Layer_pack.unrank_in ~pascal:t.pascal ~j_set:t.j_set ~k r
 
-  (* Pack one completed rank-indexed layer and charge it. *)
-  let put_layer t ~k (layer : entry array) =
-    let total = Array.length layer in
-    let x = Extent.create ~j_set:t.j_set ~k ~total in
-    Array.iteri
-      (fun r -> function
-        | Winner { cost; choice; _ } -> Extent.set x ~rank:r ~cost ~choice
-        | Pruned -> ())
-      layer;
+  (* Layer [k]'s extent, empty, charged as it is created. *)
+  let add t ~k =
+    let x =
+      Extent.create ~j_set:t.j_set ~k
+        ~total:(Layer_pack.binomial (Array.length t.members) k)
+    in
     Membudget.grew t.mb (Extent.size_bytes x);
     Membudget.note_layer_bytes t.mb (Extent.size_bytes x);
-    t.slots.(k) <- Some x
+    t.slots.(k) <- Some x;
+    x
 
   (* Hand the layers' charge back to the budget: a table is dead once
      its caller has read it, and a budget shared by many sweeps (the
@@ -120,9 +111,9 @@ let mincost (t : table) ksub =
   if k = 0 then t.Layers.base_cost
   else
     let x = Layers.layer t k and r = Layers.rank t ksub in
-    if not (Layer_pack.Extent.mem x ~rank:r) then
+    if not (Extent.mem x ~rank:r) then
       raise (Bound.Pruned_out "Subset_dp.mincost: the subset was pruned");
-    Layer_pack.Extent.cost x ~rank:r
+    Extent.cost x ~rank:r
 
 type t = {
   j_set : Varset.t;
@@ -157,15 +148,22 @@ type ctx = {
   below : int array;
 }
 
+(* One layer of the sweep as the workers leave it: the winners' costs
+   and choices in the layer's extent, and each rank's [next_id] (the
+   ids its slice holds are below it), [-1] for a pruned rank. *)
+type layer = { x : Extent.t; next : int array }
+
 (* The two-pass layer step for the subset K of colex rank [r] in layer
    [k].  Pass 1 probes every candidate [h] for its cost only (Lemma 7
-   minimisation), reading the predecessor's slice in [src].  Pass 2
-   writes the single winner's slice at rank [r] of [dst]; the final
-   layer has no [dst] (nothing reads its slices).  Ties keep the
-   smallest [h], as the one-pass code did.  The previous layer is
-   frozen and each rank owns its slice, so this function is safe on
-   Engine.Par workers; its result lands at index [r] of the next
-   layer.
+   minimisation), reading the predecessor's cost in [prev]'s extent and
+   its slice in [src].  Pass 2 writes the single winner's slice at rank
+   [r] of [dst]; the final layer has no [dst] (nothing reads its
+   slices).  The winner's cost and choice go into [x] at rank [r], and
+   the result — its [next_id], or [-1] when K is pruned — lands at index
+   [r] of the layer's next ids.  Ties keep the smallest [h], as the
+   one-pass code did.  The previous layer is frozen and each rank owns
+   its slice and its entry of [x], so this function is safe on
+   Engine.Par workers.
 
    Pass 1 finds every predecessor K ∖ {h} by rank, with no hashing:
    with c_1 < … < c_k the positions of K's members in J, rank K =
@@ -180,7 +178,7 @@ type ctx = {
    nothing.
 
    [prune = Some (b, cap, base_free)] turns the step into a
-   branch-and-bound one: a [Pruned] predecessor is skipped (a subset
+   branch-and-bound one: a pruned predecessor is skipped (a subset
    all of whose predecessors are gone is unreachable and pruned too),
    and a winner whose cost plus admissible remaining bound exceeds the
    incumbent snapshot [cap] is dropped.  [cap] is read once per layer
@@ -191,7 +189,7 @@ type ctx = {
    chain to every optimal target survives and answers stay
    bit-identical (a pruned candidate never beats the surviving tight
    choice, so ties still keep the smallest [h]). *)
-let eval_rank ctx ~k ~prev ~src ~dst ~prune metrics r =
+let eval_rank ctx ~k ~prev ~x ~src ~dst ~prune metrics r =
   let pascal = ctx.layers.Layers.pascal
   and members = ctx.layers.Layers.members in
   let ksub = Layers.unrank ctx.layers ~k r in
@@ -204,29 +202,30 @@ let eval_rank ctx ~k ~prev ~src ~dst ~prune metrics r =
     done;
     rest := !rest - pascal.(!c).(i);
     let h = members.(!c) and pr = !rest + !above in
-    (match prev.(pr) with
-    | Pruned -> ()
-    | Winner { cost; next_id; _ } ->
-        let bit = ctx.below.(!c) - (i - 1) in
-        let width = Compact.probe ~metrics ctx.kind src pr ~bit ~next_id in
-        let cost =
-          match ctx.weights with
-          | None -> cost + width
-          | Some w -> cost + (w.(h) * width)
-        in
-        if cost <= !best_c then begin
-          best_c := cost;
-          best_h := h;
-          best_r := pr;
-          best_bit := bit;
-          best_w := width;
-          best_next := next_id
-        end);
+    let next_id = prev.next.(pr) in
+    if next_id >= 0 then begin
+      let bit = ctx.below.(!c) - (i - 1) in
+      let width = Compact.probe ~metrics ctx.kind src pr ~bit ~next_id in
+      let cost = Extent.cost prev.x ~rank:pr in
+      let cost =
+        match ctx.weights with
+        | None -> cost + width
+        | Some w -> cost + (w.(h) * width)
+      in
+      if cost <= !best_c then begin
+        best_c := cost;
+        best_h := h;
+        best_r := pr;
+        best_bit := bit;
+        best_w := width;
+        best_next := next_id
+      end
+    end;
     above := !above + pascal.(!c).(i - 1)
   done;
   if !best_h < 0 then begin
     assert (Option.is_some prune);
-    Pruned
+    -1
   end
   else
     let keep =
@@ -235,7 +234,7 @@ let eval_rank ctx ~k ~prev ~src ~dst ~prune metrics r =
       | Some (b, cap, base_free) ->
           !best_c + Bound.remaining b (Varset.diff base_free ksub) <= cap
     in
-    if not keep then Pruned
+    if not keep then -1
     else begin
       (match dst with
       | None -> ()
@@ -245,8 +244,8 @@ let eval_rank ctx ~k ~prev ~src ~dst ~prune metrics r =
               ~next_id:!best_next
           in
           assert (width = !best_w));
-      Winner
-        { cost = !best_c; choice = !best_h; next_id = !best_next + !best_w }
+      Extent.set x ~rank:r ~cost:!best_c ~choice:!best_h;
+      !best_next + !best_w
     end
 
 (* A resume must be a consecutive, complete prefix of layers 1..m with
@@ -274,31 +273,26 @@ let validate_resume ~upto j_set resume =
     resume;
   !expect - 1
 
-(* A checkpointed layer as a rank-indexed one, slices not yet rebuilt
-   ([next_id] is only known once they are).  [validate_resume] checked
-   the entry count, so a repeated subset leaves another one missing. *)
-let layer_of_progress layers p =
-  let layer = Array.make (Array.length p.p_entries) Pruned in
+(* A checkpointed layer, set into its extent.  [validate_resume]
+   checked the entry count, so a repeated subset leaves another one
+   missing. *)
+let add_progress layers p =
+  let x = Layers.add layers ~k:p.p_layer in
   Array.iter
     (fun (ksub, cost, choice) ->
-      let r = Layers.rank layers ksub in
-      (match layer.(r) with
-      | Pruned -> ()
-      | Winner _ -> invalid_arg "Subset_dp.run: resume layer is incomplete");
-      layer.(r) <- Winner { cost; choice; next_id = 0 })
+      let rank = Layers.rank layers ksub in
+      if Extent.mem x ~rank then
+        invalid_arg "Subset_dp.run: resume layer is incomplete";
+      Extent.set x ~rank ~cost ~choice)
     p.p_entries;
-  layer
+  x
 
 (* The kept subsets of a layer as checkpoint triples, in rank order. *)
-let progress_of layers ~k layer =
-  let acc = ref [] in
-  for r = Array.length layer - 1 downto 0 do
-    match layer.(r) with
-    | Winner { cost; choice; _ } ->
-        acc := (Layers.unrank layers ~k r, cost, choice) :: !acc
-    | Pruned -> ()
-  done;
-  { p_layer = k; p_entries = Array.of_list !acc }
+let progress_of layers x =
+  let k = Extent.k x and acc = ref [] in
+  Extent.iter x (fun ~rank ~cost ~choice ->
+      acc := (Layers.unrank layers ~k rank, cost, choice) :: !acc);
+  { p_layer = k; p_entries = Array.of_list (List.rev !acc) }
 
 (* The full state of a subset: its recorded chain replayed over the
    base.  Node ids are assigned in scan order, a deterministic
@@ -307,58 +301,51 @@ let progress_of layers ~k layer =
 let replay ~metrics base chain =
   List.fold_left (fun st h -> Compact.materialise ~metrics st h) base chain
 
-(* Replay the chains of every kept subset of layer [k] of the packed
+(* Replay the chains of every kept subset of the layer [x] of the packed
    table, inside a "dp.rebuild" span; [f r st] receives each state. *)
-let rebuild ~trace ~replay table ~k layer f =
+let rebuild ~trace ~replay table x f =
+  let k = Extent.k x in
   Trace.with_span trace ~cat:"dp"
     ~args:(fun () ->
       [
         ("k", Ovo_obs.Json.Int k);
-        ("subsets", Ovo_obs.Json.Int (Array.length layer));
+        ("subsets", Ovo_obs.Json.Int (Extent.total x));
       ])
     "dp.rebuild"
     (fun () ->
-      let ranks =
-        List.filter
-          (fun r -> layer.(r) <> Pruned)
-          (List.init (Array.length layer) Fun.id)
-        |> Array.of_list
-      in
+      let ranks = ref [] in
+      Extent.iter x (fun ~rank ~cost:_ ~choice:_ ->
+          ranks := rank :: !ranks);
+      let ranks = Array.of_list (List.rev !ranks) in
       let chains =
         Layers.chains table (Array.map (Layers.unrank table ~k) ranks)
       in
       Array.iteri (fun i r -> f r (replay chains.(i))) ranks)
 
-let max_next layer =
-  Array.fold_left
-    (fun acc -> function
-      | Winner { next_id; _ } -> max acc next_id
-      | Pruned -> acc)
-    0 layer
-
-(* One full DP sweep.  A layer is an array indexed by colex rank: the
-   workers of one [Engine.map] each write their subsets' winners at
-   their own ranks, and their slices at the same ranks of the layer's
-   arena buffer, so between two layers the calling domain does no
-   hashing and no re-ranking — only the incumbent update and packing.
-   The final layer writes no slices: its states are rebuilt by replay
-   ([run]) or only its table is wanted ([costs], [complete]).  Layer
-   [k] lives in arena buffer [k mod 2] and dies when layer [k + 2]
-   overwrites it; only the packed integer layers outlive a layer.  A
-   layer's cells are 2 bytes when the previous layer's largest
-   [next_id] plus the nodes one compaction can add stay within
-   {!Arena.narrow_ids}, and 4 bytes otherwise.
+(* One full DP sweep.  A layer is its extent, indexed by colex rank,
+   plus the next ids of its slices: the workers of one [Engine.map]
+   each write their subsets' winners into the extent at their own
+   ranks, their slices at the same ranks of the layer's arena buffer,
+   and return their next ids, so between two layers the calling domain
+   does no hashing, no re-ranking and no packing — only the incumbent
+   update.  The final layer writes no slices: its states are rebuilt by
+   replay ([run]) or only its table is wanted ([costs], [complete]).
+   Layer [k] lives in arena buffer [k mod 2] and dies when layer
+   [k + 2] overwrites it; only the extents outlive a layer.  A layer's
+   cells are 2 bytes when the previous layer's largest [next_id] plus
+   the nodes one compaction can add stay within {!Arena.narrow_ids},
+   and 4 bytes otherwise.  Layer 0 is the base alone, in an extent of
+   its own outside the table.
 
    The sweep opens one {!Engine.with_pool} sized for its widest layer:
    a Par sweep spawns its worker domains once, the calling domain works
    as participant 0, and every exit path (a result, Cancelled,
    Pruned_out, or an [on_layer] that raises) joins the workers.
 
-   Each completed layer is bit-packed into one {!Layer_pack.Extent}
-   by {!Layers.put_layer}, which charges [mb]; packing reads the layer
-   by rank on the calling domain once every participant has finished
-   it, so the packed bytes — like the results they encode — are
-   identical under Seq and Par.
+   Each layer's extent is created, and charged to [mb], before its map
+   starts; nothing reads it until the map has joined, and every rank is
+   written by exactly one participant, so the packed bytes — like the
+   results they encode — are identical under Seq and Par.
 
    [on_layer] fires once per completed cardinality layer with that
    layer's (subset, cost, tight choice) triples — the checkpoint
@@ -408,16 +395,14 @@ let sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~weights ~upto ~on_layer
   in
   let start_k = validate_resume ~upto j_set resume + 1 in
   let layer =
-    ref
-      [|
-        Winner { cost = base_cost; choice = -1; next_id = base.next_id };
-      |]
+    let x = Extent.create ~j_set ~k:0 ~total:1 in
+    Extent.set x ~rank:0 ~cost:base_cost ~choice:0;
+    ref { x; next = [| base.next_id |] }
   in
   List.iter
     (fun p ->
-      let resumed = layer_of_progress layers p in
-      Layers.put_layer layers ~k:p.p_layer resumed;
-      layer := resumed)
+      let x = add_progress layers p in
+      layer := { x; next = Array.make (Extent.total x) (-1) })
     resume;
   (* the slices of layer [start_k - 1], if a layer follows it; a
      resumed layer's ids are below the base's plus every cell of the
@@ -434,15 +419,11 @@ let sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~weights ~upto ~on_layer
        let l =
          arena_layer k ~bound:(base.next_id + cells - (cells lsr k))
        in
-       let resumed = !layer in
-       rebuild ~trace ~replay:(replay ~metrics base) layers ~k resumed
-         (fun r st ->
-           match resumed.(r) with
-           | Winner { cost; choice; _ } ->
-               assert (objective weights st = cost);
-               Compact.load st l r;
-               resumed.(r) <- Winner { cost; choice; next_id = st.next_id }
-           | Pruned -> assert false);
+       let { x; next } = !layer in
+       rebuild ~trace ~replay:(replay ~metrics base) layers x (fun r st ->
+           assert (objective weights st = Extent.cost x ~rank:r);
+           Compact.load st l r;
+           next.(r) <- st.next_id);
        src := Some l
      end);
   let width = ref 0 in
@@ -473,7 +454,7 @@ let sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~weights ~upto ~on_layer
             let dst =
               if last then None
               else
-                let top = max_next prev in
+                let top = Array.fold_left max 0 prev.next in
                 Some
                   (arena_layer k
                      ~bound:(top + min (cells lsr k) (top * top)))
@@ -485,6 +466,7 @@ let sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~weights ~upto ~on_layer
             let pr =
               Option.map (fun b -> (b, Bound.incumbent b, base_free)) prune
             in
+            let x = Layers.add layers ~k in
             let before = Metrics.snapshot metrics in
             let next =
               Trace.with_span trace ~cat:"dp"
@@ -497,7 +479,7 @@ let sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~weights ~upto ~on_layer
                 (Printf.sprintf "layer k=%d" k)
                 (fun () ->
                   Engine.map ~cancel pool ~metrics
-                    (eval_rank ctx ~k ~prev ~src:(Option.get !src) ~dst
+                    (eval_rank ctx ~k ~prev ~x ~src:(Option.get !src) ~dst
                        ~prune:pr)
                     total)
             in
@@ -508,19 +490,15 @@ let sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~weights ~upto ~on_layer
                    whose completion cost is known exactly (achievable
                    totals), and record the trajectory *)
                 let kept = ref 0 and best_lb = ref max_int in
-                Array.iteri
-                  (fun r -> function
-                    | Pruned -> ()
-                    | Winner { cost; _ } ->
-                        incr kept;
-                        let free =
-                          Varset.diff base_free (Layers.unrank layers ~k r)
-                        in
-                        (match Bound.exact_completion b free with
-                        | Some extra -> Bound.observe b (cost + extra)
-                        | None -> ());
-                        best_lb := min !best_lb (cost + Bound.remaining b free))
-                  next;
+                Extent.iter x (fun ~rank ~cost ~choice:_ ->
+                    incr kept;
+                    let free =
+                      Varset.diff base_free (Layers.unrank layers ~k rank)
+                    in
+                    (match Bound.exact_completion b free with
+                    | Some extra -> Bound.observe b (cost + extra)
+                    | None -> ());
+                    best_lb := min !best_lb (cost + Bound.remaining b free));
                 let pruned = total - !kept in
                 Bound.note_pruned b pruned;
                 if !kept = 0 then
@@ -544,12 +522,11 @@ let sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~weights ~upto ~on_layer
                 if Bound.incumbent b < max_int then
                   Trace.counter trace "prune.incumbent"
                     (float_of_int (Bound.incumbent b)));
-            Option.iter (fun f -> f (progress_of layers ~k next)) on_layer;
-            Layers.put_layer layers ~k next;
-            layer := next;
+            Option.iter (fun f -> f (progress_of layers x)) on_layer;
+            layer := { x; next };
             if not last then src := dst
           done));
-  (layers, !layer)
+  (layers, !layer.x)
 
 let membudget_of = function
   | Some mb -> mb
@@ -577,7 +554,7 @@ let run ?(trace = Trace.null) ?(engine = Engine.Seq)
     sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~weights:None ~upto
       ~on_layer ~resume ~base j_set
   in
-  let layer = Hashtbl.create (Array.length last) in
+  let layer = Hashtbl.create (Extent.total last) in
   let replay chain =
     match List.rev chain with
     | [] -> base
@@ -586,7 +563,7 @@ let run ?(trace = Trace.null) ?(engine = Engine.Seq)
           (replay ~metrics:(Metrics.create ()) base (List.rev prefix))
           h
   in
-  rebuild ~trace ~replay table ~k:upto last (fun r st ->
+  rebuild ~trace ~replay table last (fun r st ->
       Hashtbl.replace layer (Layers.unrank table ~k:upto r) st);
   { j_set; upto; table; layer }
 

@@ -44,13 +44,16 @@
     deterministic and identical to {!Engine.Seq}.
 
     The DP's table — [MINCOST⟨K⟩] and a tight last-placed variable for
-    every subset — has one form, the {!table}: every completed
-    cardinality layer is bit-packed into one colex-rank-indexed
-    {!Layer_pack.Extent} (9 bytes per subset) and charged to an optional
-    {!Membudget}, which only accounts: a solve is admitted against its
-    budget before the sweep starts ({!Membudget.estimate}), and the
-    calling domain packs each layer by rank once every participant has
-    finished it, so the table is identical under both engines.
+    every subset — has one form, the {!table}: every cardinality layer
+    is one colex-rank-indexed {!Layer_pack.Extent} (9 bytes per
+    subset), created before the layer's map starts and charged then to
+    an optional {!Membudget}, which only accounts (a solve is admitted
+    against its budget before the sweep starts, {!Membudget.estimate}).
+    Each participant writes its subsets' winners into the extent at
+    their own ranks and nothing reads it before the map has joined, so
+    the table is identical under both engines; a layer of the sweep is
+    that extent plus the [next_id] of each rank's slice, and nothing is
+    packed or copied between layers.
     {!run} returns it beside the final layer's states, {!costs} returns
     it alone, and {!complete} backtracks the argmin pointers over it to
     materialise an optimal state in [|J|] compactions, as the paper
@@ -157,9 +160,9 @@ val run :
     run under {!Engine.Seq} and {!Engine.Par} alike.
 
     [membudget] (default an {!Membudget.unbounded} context) is charged
-    the packed bytes of every completed layer; the caller releases
-    them with {!release}.  It only accounts: results never depend on
-    it. *)
+    the bytes of every layer's extent as the sweep creates it; the
+    caller releases them with {!release}.  It only accounts: results
+    never depend on it. *)
 
 val costs :
   ?trace:Ovo_obs.Trace.t ->

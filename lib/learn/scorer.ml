@@ -182,15 +182,11 @@ let bound ?trace ?weights ?(kind = Ovo_core.Compact.Bdd) tt =
     ~seed:(upper ?trace ?weights ~kind tt)
     (B.counting_lower kind (Ovo_boolfun.Mtable.of_truthtable tt))
 
-let seeded_bound ?trace ?weights ?(kind = Ovo_core.Compact.Bdd)
-    ?(portfolio = false) ?rng tt =
-  (* the scored incumbent is free; sifting (or the portfolio) then gets
-     a chance to tighten it — ties keep the free seed *)
+let seeded_bound ?trace ?weights ?(kind = Ovo_core.Compact.Bdd) tt =
+  (* the scored incumbent is free; sifting then gets a chance to
+     tighten it — ties keep the free seed *)
   let scored = upper ?trace ?weights ~kind tt in
-  let refined =
-    if portfolio then Ovo_ordering.Seed.portfolio_upper ?trace ~kind ?rng tt
-    else Ovo_ordering.Seed.sifting_upper ?trace ~kind tt
-  in
+  let refined = Ovo_ordering.Seed.sifting_upper ?trace ~kind tt in
   let seed =
     if scored.B.ub_value <= refined.B.ub_value then scored else refined
   in

@@ -86,13 +86,11 @@ val seeded_bound :
   ?trace:Ovo_obs.Trace.t ->
   ?weights:Weights.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?portfolio:bool ->
-  ?rng:Random.State.t ->
   Ovo_boolfun.Truthtable.t ->
   Ovo_core.Bound.t
 (** What [--prune] uses: the scored incumbent first (free), then
-    sifting (or the whole portfolio with [portfolio:true]) tightens it;
-    the seed records whichever source won, ties going to the scorer. *)
+    sifting tightens it; the seed records whichever source won, ties
+    going to the scorer. *)
 
 val portfolio_member :
   ?weights:Weights.t ->

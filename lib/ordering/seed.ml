@@ -2,30 +2,13 @@ module B = Ovo_core.Bound
 module C = Ovo_core.Compact
 module Mtable = Ovo_boolfun.Mtable
 
-let sifting_upper_mtable ?trace ?kind ?max_passes mt =
-  let r = Sifting.run_mtable ?trace ?kind ?max_passes mt in
+let sifting_upper ?trace ?kind ?max_passes tt =
+  let r = Sifting.run ?trace ?kind ?max_passes tt in
   { B.ub_source = "sifting"; ub_value = r.Sifting.mincost }
 
-let sifting_upper ?trace ?kind ?max_passes tt =
-  sifting_upper_mtable ?trace ?kind ?max_passes (Mtable.of_truthtable tt)
-
-let portfolio_upper ?trace ?kind ?rng ?extra tt =
-  let r = Portfolio.run ?trace ?kind ?rng ?extra tt in
-  {
-    B.ub_source = "portfolio:" ^ r.Portfolio.best.Portfolio.method_name;
-    ub_value = r.Portfolio.best.Portfolio.mincost;
-  }
-
-let bound_mtable ?trace ?(kind = C.Bdd) ?max_passes mt =
-  B.make ~seed:(sifting_upper_mtable ?trace ~kind ?max_passes mt)
-    (B.counting_lower kind mt)
-
-let bound ?trace ?(kind = C.Bdd) ?(portfolio = false) ?rng tt =
-  let seed =
-    if portfolio then portfolio_upper ?trace ~kind ?rng tt
-    else sifting_upper ?trace ~kind tt
-  in
-  B.make ~seed (B.counting_lower kind (Mtable.of_truthtable tt))
+let bound ?trace ?(kind = C.Bdd) tt =
+  B.make ~seed:(sifting_upper ?trace ~kind tt)
+    (B.counting_lower kind (Mtable.of_truthtable tt))
 
 (* Replaying any permutation bottom-up gives an achievable weighted
    total, so either reading of the heuristic order's direction yields a

@@ -20,7 +20,6 @@ let with_lock t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 let length t = with_lock t (fun () -> Queue.length t.q)
-let is_closed t = with_lock t (fun () -> t.closed)
 
 let try_push t x =
   with_lock t (fun () ->

@@ -34,5 +34,3 @@ val pop : 'a t -> 'a option
 
 val close : 'a t -> unit
 (** Idempotent.  Wakes every blocked {!pop}. *)
-
-val is_closed : 'a t -> bool

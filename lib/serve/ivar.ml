@@ -27,9 +27,3 @@ let read t =
   let x = get () in
   Mutex.unlock t.m;
   x
-
-let peek t =
-  Mutex.lock t.m;
-  let v = t.v in
-  Mutex.unlock t.m;
-  v

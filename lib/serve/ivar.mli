@@ -13,5 +13,3 @@ val fill : 'a t -> 'a -> unit
 
 val read : 'a t -> 'a
 (** Block until filled. *)
-
-val peek : 'a t -> 'a option

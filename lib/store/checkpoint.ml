@@ -113,9 +113,14 @@ let load path =
 
 let open_resume ?fsync ~path m =
   match load path with
-  | Error _ ->
-      (* missing or unusable: start fresh *)
+  | Error _ when Rlog.holds_no_record path ->
+      (* missing, or killed before its meta record was whole *)
       (create ?fsync ~path m, [])
+  | Error e ->
+      failwith
+        (Printf.sprintf
+           "Checkpoint.open_resume: %s is not a checkpoint, left as it is (%s)"
+           path e)
   | Ok (m', _) when m' <> m ->
       failwith
         (Printf.sprintf

@@ -7,12 +7,12 @@
 
     A layer record is {e one extent spanning the layer}: the payload is
     {!Ovo_core.Layer_pack.Extent.encode} of the extent with [lo = 0] and
-    [len = C(m,k)] — compressed v3 or raw v4, whichever is smaller — the
-    form the DP's table takes in memory, so checkpoints share the pack
-    format's encoders and damage checks.  A record of another type or
-    format — an older writer's triple-format (type 1) or whole-layer
-    v1/v2 record — ends the resume prefix, so that layer and its
-    successors are recomputed.
+    [len = C(m,k)] — the v3 stream — the form the DP's table takes in
+    memory, so checkpoints share the pack format's encoder and damage
+    checks.  A record of another type or format — an older writer's
+    triple-format (type 1), whole-layer v1/v2 or raw v4 record — ends
+    the resume prefix, so that layer and its successors are
+    recomputed.
 
     Because layer states are rebuilt by deterministically replaying the
     recorded choice chains, a run killed at any point and resumed from
@@ -64,4 +64,9 @@ val open_resume :
     recovered layers are returned for the DP's [resume] argument.
     Raises [Failure] when the file exists but records a {e different}
     run (digest or kind mismatch) — resuming it would corrupt both
-    runs.  A missing file degrades to {!create}. *)
+    runs.  Only a file that holds no record yet
+    ({!Rlog.holds_no_record}: missing, empty, or torn inside or just
+    past the log's magic) degrades to {!create}; any other file — a
+    foreign magic, or a log whose first record is not a checkpoint
+    meta — raises [Failure] naming [path] and is left byte for byte as
+    it was. *)

@@ -101,6 +101,13 @@ let read path =
               rec_discarded_bytes = String.length contents - valid_end;
             } )
 
+let holds_no_record path =
+  match read_file path with
+  | exception Sys_error _ -> not (Sys.file_exists path)
+  | contents ->
+      let n = min (String.length contents) header_len in
+      String.sub contents 0 n = String.sub magic 0 n && fst (scan contents) = []
+
 type t = {
   t_path : string;
   fd : Unix.file_descr;

@@ -37,6 +37,12 @@ val read : string -> (record list * recovery, string) result
     cannot be read or carries a foreign magic; a missing file is an
     [Error] too. *)
 
+val holds_no_record : string -> bool
+(** [true] when [path] is missing, or is a log that holds no record
+    yet: empty, torn inside the magic, or the magic with no valid
+    record after it.  A file with a foreign magic, or any valid record,
+    is [false]. *)
+
 type t
 (** An open, appendable log. *)
 
