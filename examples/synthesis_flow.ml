@@ -1,7 +1,7 @@
 (* A miniature synthesis flow, end to end:
 
      BLIF netlist  →  structural elaboration  →  exact shared ordering
-     →  a live Dynbdd manager reordered to it  →  incremental edits
+     →  a live Bdd manager reordered to it  →  incremental edits
      →  re-sifting  →  exchange-format export.
 
    This is the shape in which the exact optimiser earns its keep inside
@@ -11,7 +11,7 @@
 
 module Bl = Ovo_boolfun.Blif
 module S = Ovo_core.Shared
-module D = Ovo_bdd.Dynbdd
+module B = Ovo_bdd.Bdd
 
 let netlist =
   {|.model alu_slice
@@ -61,33 +61,33 @@ let () =
 
   (* 2. load into a reorderable manager under that order *)
   let rf = Array.init n (fun i -> r.S.order.(n - 1 - i)) in
-  let man = D.create ~order:rf n in
-  let handles = Array.map (D.of_truthtable man) outputs in
-  Array.iter (D.protect man) handles;
-  Printf.printf "manager holds the netlist at %d live nodes\n" (D.live_size man);
+  let man = B.create ~order:rf n in
+  let handles = Array.map (B.of_truthtable man) outputs in
+  Array.iter (B.protect man) handles;
+  Printf.printf "manager holds the netlist at %d live nodes\n" (B.live_size man);
 
   (* 3. an ECO: also expose out & !cout *)
-  let eco = D.and_ man handles.(0) (D.not_ man handles.(1)) in
-  D.protect man eco;
-  Printf.printf "after the ECO: %d live nodes\n" (D.live_size man);
+  let eco = B.and_ man handles.(0) (B.not_ man handles.(1)) in
+  B.protect man eco;
+  Printf.printf "after the ECO: %d live nodes\n" (B.live_size man);
 
   (* 4. re-sift to absorb the change, collect garbage *)
-  D.sift man;
-  D.compress man;
+  B.sift man;
+  B.compress man;
   Printf.printf "after sifting + GC: %d live nodes (order: %s)\n"
-    (D.live_size man)
+    (B.live_size man)
     (String.concat " "
        (List.map
           (fun l -> List.nth (Bl.input_names m) l)
-          (Array.to_list (D.order man))));
+          (Array.to_list (B.order man))));
 
   (* 5. export the first output in the exchange format *)
   Array.iteri
     (fun j h ->
       if j = 0 then begin
-        let tt = D.to_truthtable man h in
+        let tt = B.to_truthtable man h in
         let d = Ovo_core.Eval_order.diagram tt
-            (Ovo_core.Eval_order.read_first (D.order man))
+            (Ovo_core.Eval_order.read_first (B.order man))
         in
         let text = Ovo_core.Diagram.serialize d in
         Printf.printf "serialized %s: %d bytes, reloads to size %d\n" names.(j)

@@ -1,7 +1,9 @@
 (* Node ids: 0 = false, 1 = true, inner nodes from 2 up.  Inner node [u]
    lives at index [u - 2] of the [levels]/[los]/[his] stores.  The level
    of a terminal is [n] (below every variable), which makes the min-level
-   cofactoring in [ite] uniform. *)
+   cofactoring in [ite] uniform.  Node contents are mutable (a swap
+   rewrites them) and the unique tables are per level, keyed by
+   (lo, hi). *)
 
 type man = {
   n : int;
@@ -11,8 +13,9 @@ type man = {
   mutable los : int array;
   mutable his : int array;
   mutable next : int;  (* next free index into the stores *)
-  unique : (int * int * int, int) Hashtbl.t;
+  unique : (int * int, int) Hashtbl.t array;  (* one table per level *)
   ite_cache : (int * int * int, int) Hashtbl.t;
+  mutable roots : int list;  (* protected *)
 }
 
 type t = int
@@ -41,8 +44,9 @@ let create ?order n =
     los = Array.make 64 0;
     his = Array.make 64 0;
     next = 0;
-    unique = Hashtbl.create 256;
+    unique = Array.init (max n 1) (fun _ -> Hashtbl.create 64);
     ite_cache = Hashtbl.create 256;
+    roots = [];
   }
 
 let nvars man = man.n
@@ -72,8 +76,7 @@ let grow man =
 let mk man lvl l h =
   if l = h then l
   else
-    let key = (lvl, l, h) in
-    match Hashtbl.find_opt man.unique key with
+    match Hashtbl.find_opt man.unique.(lvl) (l, h) with
     | Some u -> u
     | None ->
         grow man;
@@ -83,13 +86,15 @@ let mk man lvl l h =
         man.los.(idx) <- l;
         man.his.(idx) <- h;
         let u = idx + 2 in
-        Hashtbl.add man.unique key u;
+        Hashtbl.add man.unique.(lvl) (l, h) u;
         u
 
 let var man v =
   if v < 0 || v >= man.n then invalid_arg "Bdd.var";
   mk man man.var_level.(v) 0 1
 
+(* The ite cache survives reordering because ids keep their functions;
+   see the interface comment. *)
 let rec ite man f g h =
   if f = 1 then g
   else if f = 0 then h
@@ -146,20 +151,27 @@ let forall man vars t =
 let compose_var man f ~var:v g =
   ite man g (restrict man f ~var:v true) (restrict man f ~var:v false)
 
-let support man t =
-  let seen_levels = Hashtbl.create 16 in
-  let visited = Hashtbl.create 64 in
+(* Visit every node reachable from [roots] once, terminals included,
+   each before its children (lo first). *)
+let iter_reachable man roots f =
+  let visited = Hashtbl.create 256 in
   let rec go u =
-    if u >= 2 && not (Hashtbl.mem visited u) then begin
+    if not (Hashtbl.mem visited u) then begin
       Hashtbl.replace visited u ();
-      Hashtbl.replace seen_levels (level man u) ();
-      go (lo man u);
-      go (hi man u)
+      f u;
+      if u >= 2 then begin
+        go (lo man u);
+        go (hi man u)
+      end
     end
   in
-  go t;
-  Hashtbl.fold (fun l () acc -> man.level_var.(l) :: acc) seen_levels []
-  |> List.sort compare
+  List.iter go roots
+
+let support man t =
+  let tested = Array.make man.n false in
+  iter_reachable man [ t ] (fun u ->
+      if u >= 2 then tested.(level man u) <- true);
+  List.filter (fun v -> tested.(man.var_level.(v))) (List.init man.n Fun.id)
 
 let eval man t code =
   let rec go u =
@@ -206,18 +218,9 @@ let sat_one man t =
     go t []
 
 let shared_size man ts =
-  let visited = Hashtbl.create 64 in
-  let terminals = Hashtbl.create 2 in
-  let rec go u =
-    if u < 2 then Hashtbl.replace terminals u ()
-    else if not (Hashtbl.mem visited u) then begin
-      Hashtbl.replace visited u ();
-      go (lo man u);
-      go (hi man u)
-    end
-  in
-  List.iter go ts;
-  Hashtbl.length visited + Hashtbl.length terminals
+  let count = ref 0 in
+  iter_reachable man ts (fun _ -> incr count);
+  !count
 
 let size man t = shared_size man [ t ]
 
@@ -328,10 +331,7 @@ let to_expr man t =
 let to_dot man t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "digraph bdd {\n  rankdir=TB;\n";
-  let visited = Hashtbl.create 64 in
-  let rec go u =
-    if not (Hashtbl.mem visited u) then begin
-      Hashtbl.replace visited u ();
+  iter_reachable man [ t ] (fun u ->
       if u < 2 then
         Buffer.add_string buf
           (Printf.sprintf "  n%d [shape=box,label=\"%d\"];\n" u u)
@@ -341,12 +341,199 @@ let to_dot man t =
              man.level_var.(level man u));
         Buffer.add_string buf
           (Printf.sprintf "  n%d -> n%d [style=dashed];\n" u (lo man u));
-        Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" u (hi man u));
-        go (lo man u);
-        go (hi man u)
-      end
-    end
-  in
-  go t;
+        Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" u (hi man u))
+      end);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
+
+(* Dynamic reordering. *)
+
+let protect man t =
+  if not (List.mem t man.roots) then man.roots <- t :: man.roots
+
+let protected man = man.roots
+
+let live_size man = shared_size man man.roots
+
+(* Adjacent-level swap.  Writing x for the variable at level [l] and y
+   for the one at [l+1] (pre-swap):
+
+   - level-[l] nodes not pointing into level [l+1] ("independent of y")
+     move down to level [l+1] unchanged;
+   - all old level-[l+1] nodes move up to level [l] unchanged (those
+     only reachable through rewritten nodes become garbage, which is
+     harmless);
+   - each remaining level-[l] node u = x ? f1 : f0 is rewritten in place
+     to test y first: u := y ? mk(x ? f11 : f01) : mk(x ? f10 : f00).
+
+   Every id keeps its function, so by canonicity no two rebuilt keys can
+   collide (asserted). *)
+let swap_levels man l =
+  if l < 0 || l + 1 >= man.n then invalid_arg "Bdd.swap_levels";
+  let top = Hashtbl.fold (fun _ u acc -> u :: acc) man.unique.(l) [] in
+  let bottom_tbl = man.unique.(l + 1) in
+  let bottom = Hashtbl.fold (fun _ u acc -> u :: acc) bottom_tbl [] in
+  let in_bottom = Hashtbl.create (List.length bottom) in
+  List.iter (fun u -> Hashtbl.replace in_bottom u ()) bottom;
+  man.unique.(l) <- Hashtbl.create (List.length top);
+  man.unique.(l + 1) <- Hashtbl.create (List.length bottom);
+  let add lvl u =
+    let key = (lo man u, hi man u) in
+    assert (not (Hashtbl.mem man.unique.(lvl) key));
+    man.levels.(u - 2) <- lvl;
+    Hashtbl.add man.unique.(lvl) key u
+  in
+  (* old bottom nodes rise to level l *)
+  List.iter (add l) bottom;
+  (* independent top nodes sink to level l+1; they must be in the table
+     before the rewrites below call mk at that level *)
+  let dependent, independent =
+    List.partition
+      (fun u ->
+        Hashtbl.mem in_bottom (lo man u) || Hashtbl.mem in_bottom (hi man u))
+      top
+  in
+  List.iter (add (l + 1)) independent;
+  List.iter
+    (fun u ->
+      let f0 = lo man u and f1 = hi man u in
+      let cof f =
+        if Hashtbl.mem in_bottom f then (lo man f, hi man f) else (f, f)
+      in
+      let f00, f01 = cof f0 and f10, f11 = cof f1 in
+      let new_lo = mk man (l + 1) f00 f10 in
+      let new_hi = mk man (l + 1) f01 f11 in
+      assert (new_lo <> new_hi);
+      man.los.(u - 2) <- new_lo;
+      man.his.(u - 2) <- new_hi;
+      add l u)
+    dependent;
+  let x = man.level_var.(l) and y = man.level_var.(l + 1) in
+  man.level_var.(l) <- y;
+  man.level_var.(l + 1) <- x;
+  man.var_level.(x) <- l + 1;
+  man.var_level.(y) <- l
+
+(* Move the variable currently at [from] to position [target] by
+   adjacent swaps. *)
+let move_level man ~from ~target =
+  if from < target then
+    for l = from to target - 1 do
+      swap_levels man l
+    done
+  else
+    for l = from - 1 downto target do
+      swap_levels man l
+    done
+
+(* Mark-and-sweep over the unique tables.  Ids stay stable (the stores
+   are not compacted), so every handle under a protected root remains
+   valid; dead nodes merely become unfindable, which keeps the per-level
+   tables — the dominant cost of swaps — proportional to the live size.
+   A dead handle must not be used afterwards: an equivalent node may be
+   re-created under a fresh id, and comparing the two would wrongly
+   report inequality. *)
+let compress man =
+  let live = Hashtbl.create 256 in
+  iter_reachable man man.roots (fun u -> Hashtbl.replace live u ());
+  Array.iteri
+    (fun lvl tbl ->
+      let dead =
+        Hashtbl.fold
+          (fun key u acc -> if Hashtbl.mem live u then acc else key :: acc)
+          tbl []
+      in
+      List.iter (Hashtbl.remove man.unique.(lvl)) dead)
+    man.unique;
+  (* operation-cache entries may reference dead nodes; results must not
+     resurrect them through the unique tables, so drop the cache *)
+  Hashtbl.reset man.ite_cache
+
+let sift man =
+  if man.n > 1 && man.roots <> [] then begin
+    let improved = ref true and passes = ref 0 in
+    while !improved && !passes < 4 do
+      incr passes;
+      improved := false;
+      (* fattest variables first: count live nodes per level *)
+      let counts = Array.make man.n 0 in
+      iter_reachable man man.roots (fun u ->
+          if u >= 2 then counts.(level man u) <- counts.(level man u) + 1);
+      let schedule =
+        List.sort
+          (fun (_, c1) (_, c2) -> compare c2 c1)
+          (List.init man.n (fun l -> (man.level_var.(l), counts.(l))))
+      in
+      List.iter
+        (fun (v, _) ->
+          let start_size = live_size man in
+          let best_size = ref start_size in
+          let best_pos = ref man.var_level.(v) in
+          (* walk v down to the bottom, then up to the top, tracking the
+             best position seen *)
+          let probe () =
+            let s = live_size man in
+            if s < !best_size then begin
+              best_size := s;
+              best_pos := man.var_level.(v)
+            end
+          in
+          while man.var_level.(v) < man.n - 1 do
+            swap_levels man man.var_level.(v);
+            probe ()
+          done;
+          while man.var_level.(v) > 0 do
+            swap_levels man (man.var_level.(v) - 1);
+            probe ()
+          done;
+          move_level man ~from:man.var_level.(v) ~target:!best_pos;
+          (* the walk leaves dead nodes in the level tables; collecting
+             them keeps every later swap proportional to the live size *)
+          compress man;
+          if !best_size < start_size then improved := true)
+        schedule
+    done
+  end
+
+let set_order man target =
+  if Array.length target <> man.n then invalid_arg "Bdd.set_order";
+  let seen = Array.make man.n false in
+  Array.iter
+    (fun v ->
+      if v < 0 || v >= man.n || seen.(v) then
+        invalid_arg "Bdd.set_order: not a permutation";
+      seen.(v) <- true)
+    target;
+  for l = 0 to man.n - 1 do
+    (* bring target.(l) to level l *)
+    let v = target.(l) in
+    move_level man ~from:man.var_level.(v) ~target:l
+  done
+
+let check_invariants man =
+  let ok = ref true in
+  (* level_var/var_level mutually inverse *)
+  Array.iteri
+    (fun l v -> if man.var_level.(v) <> l then ok := false)
+    man.level_var;
+  (* unique tables point at nodes of their level with matching keys, and
+     children sit strictly below *)
+  Array.iteri
+    (fun lvl tbl ->
+      Hashtbl.iter
+        (fun (l, h) u ->
+          if level man u <> lvl then ok := false;
+          if lo man u <> l || hi man u <> h then ok := false;
+          if l = h then ok := false;
+          if level man l <= lvl || level man h <= lvl then ok := false)
+        tbl)
+    man.unique;
+  (* no duplicate (level, lo, hi) among live nodes *)
+  let seen = Hashtbl.create 256 in
+  iter_reachable man man.roots (fun u ->
+      if u >= 2 then begin
+        let key = (level man u, lo man u, hi man u) in
+        if Hashtbl.mem seen key then ok := false;
+        Hashtbl.replace seen key ()
+      end);
+  !ok

@@ -1,19 +1,43 @@
-(** A from-scratch reduced-ordered-BDD package (unique table, hash-consed
-    [mk], memoised [ite]), in the style of Brace–Rudell–Bryant.
+(** A from-scratch reduced-ordered-BDD package (unique tables, hash-consed
+    [mk], memoised [ite]), in the style of Brace–Rudell–Bryant, with
+    {e dynamic reordering}: adjacent level swaps in place, and Rudell
+    sifting over the live graph.
 
     This is the substrate the ordering optimiser serves: once
     [Ovo_core.Fs] (or a heuristic) has produced a good variable ordering,
-    a manager created with that ordering represents and manipulates the
-    function at the minimum size.
+    a manager created with that ordering, or reordered to it with
+    {!set_order}, represents and manipulates the function at the
+    minimum size.
 
     A manager owns [n] variables.  Levels run from 0 (root side, tested
     first) to [n-1]; the manager's {e ordering} maps level → variable
     label.  All public operations speak in variable labels and assignment
     codes (bit [j] of a code = variable [j]), so client code is
-    independent of the ordering in force. *)
+    independent of the ordering in force.
+
+    Real packages (CUDD, BuDDy) reorder a populated manager without
+    rebuilding client handles, and so does this one: {!swap_levels}
+    exchanges two adjacent levels by local node surgery, and {!sift}
+    runs the classical sifting loop (move each variable through all
+    positions by swaps, keep the best) over the protected roots.
+
+    The crucial invariant making in-place swaps sound: a swap preserves
+    the {e function} of every node id — updated level-[l] nodes keep
+    their ids with rewritten children; nodes of both levels that do not
+    interact move between the levels unchanged.  Distinct live nodes
+    always represent distinct functions (canonicity), so the rebuilt
+    unique tables cannot collide, client handles stay valid, and even
+    memoised operation caches survive (they relate ids, and ids keep
+    their functions).
+
+    Handles are only as alive as the nodes they reach: {!protect} roots
+    you intend to keep across reorderings so {!sift} can measure what
+    matters.  Dead nodes are left as garbage (no reference counting)
+    until {!compress}; {!live_size} reports the reachable count. *)
 
 type man
-(** A mutable manager: unique table, node store, operation caches. *)
+(** A mutable manager: per-level unique tables, node store, operation
+    cache, protected roots. *)
 
 type t
 (** A BDD handle, valid for the manager that created it. *)
@@ -27,15 +51,19 @@ val create : ?order:int array -> int -> man
 
 val nvars : man -> int
 val order : man -> int array
-(** The read-first ordering in force (copy). *)
+(** The read-first ordering in force (copy; changes under swaps and
+    sifting). *)
 
 val node_count : man -> int
-(** Total nodes allocated in the manager (a growth diagnostic). *)
+(** Nodes currently in the stores (live + garbage), terminals included —
+    a growth diagnostic; compare with {!live_size} to decide when to
+    {!compress}. *)
 
 val bfalse : man -> t
 val btrue : man -> t
 val var : man -> int -> t
-(** The projection function of a variable label. *)
+(** The projection function of a variable label (valid under any
+    current order). *)
 
 val equal : t -> t -> bool
 (** Constant-time semantic equality (canonicity). *)
@@ -87,9 +115,11 @@ val shared_size : man -> t list -> int
     the shared multi-rooted diagram these functions form. *)
 
 val of_truthtable : man -> Ovo_boolfun.Truthtable.t -> t
-(** Build the canonical BDD of a function (arity must match). *)
+(** Build the canonical BDD of a function (arity must match) under the
+    ordering in force at call time. *)
 
 val to_truthtable : man -> t -> Ovo_boolfun.Truthtable.t
+(** Label-indexed semantics — invariant under reordering. *)
 
 val of_expr : man -> Ovo_boolfun.Expr.t -> t
 (** Compile a formula bottom-up with the connectives above. *)
@@ -112,3 +142,41 @@ val to_expr : man -> t -> Ovo_boolfun.Expr.t
 
 val to_dot : man -> t -> string
 (** Graphviz rendering of the sub-diagram rooted here. *)
+
+(** {1 Dynamic reordering} *)
+
+val protect : man -> t -> unit
+(** Register a root for sifting/size accounting (idempotent). *)
+
+val protected : man -> t list
+
+val live_size : man -> int
+(** [shared_size] of the protected roots: nodes reachable from them,
+    terminals included. *)
+
+val swap_levels : man -> int -> unit
+(** [swap_levels man l] exchanges levels [l] and [l+1] in place;
+    raises [Invalid_argument] when [l+1] is out of range.  All handles
+    keep their functions. *)
+
+val sift : man -> unit
+(** Rudell sifting on the protected roots: each variable (fattest level
+    first) is moved through every position by adjacent swaps and left
+    where {!live_size} was smallest; passes repeat until no improvement,
+    at most 4 passes. *)
+
+val set_order : man -> int array -> unit
+(** Reorder to an explicit read-first ordering (bubble-sort of swaps) —
+    e.g. one produced by {!Ovo_core.Fs}. *)
+
+val compress : man -> unit
+(** Garbage collection: drops every node not reachable from the
+    protected roots from the unique tables (swaps and discarded
+    intermediate results leave garbage behind, and table size is what
+    swaps pay for).  Handles under a protected root remain valid;
+    handles to collected nodes must not be used again — protect what
+    you keep. *)
+
+val check_invariants : man -> bool
+(** Test hook: unique tables are consistent, children are below parents,
+    no two live nodes share (level, lo, hi). *)

@@ -2,9 +2,7 @@
    must agree wherever their semantics overlap. *)
 
 module T = Ovo_boolfun.Truthtable
-module E = Ovo_boolfun.Expr
 module B = Ovo_bdd.Bdd
-module D = Ovo_bdd.Dynbdd
 
 (* a random multi-level netlist: w internal gates, each a random 2-input
    connective over earlier signals; rendered to BLIF and compared with
@@ -62,28 +60,6 @@ let props =
         let m = Ovo_boolfun.Blif.of_string blif in
         T.equal (Ovo_boolfun.Blif.output_table m "g0") expect);
     QCheck.Test.make
-      ~name:"Bdd and Dynbdd agree on random expressions" ~count:150
-      (Helpers.arb_expr ~vars:5 ())
-      (fun e ->
-        let n = max 1 (E.max_var e + 1) in
-        let expect = E.to_truthtable ~arity:n e in
-        let man_b = B.create n and man_d = D.create n in
-        let via_b = B.to_truthtable man_b (B.of_expr man_b e) in
-        let build_d man =
-          (* Dynbdd has no of_expr; build through connectives *)
-          let rec go = function
-            | E.Const b -> if b then D.btrue man else D.bfalse man
-            | E.Var v -> D.var man v
-            | E.Not a -> D.not_ man (go a)
-            | E.And (a, b) -> D.and_ man (go a) (go b)
-            | E.Or (a, b) -> D.or_ man (go a) (go b)
-            | E.Xor (a, b) -> D.xor_ man (go a) (go b)
-          in
-          go e
-        in
-        let via_d = D.to_truthtable man_d (build_d man_d) in
-        T.equal via_b expect && T.equal via_d expect);
-    QCheck.Test.make
       ~name:"optimised diagram imports agree across managers" ~count:80
       (Helpers.arb_truthtable ~lo:1 ~hi:6 ())
       (fun tt ->
@@ -92,12 +68,12 @@ let props =
         let n = T.arity tt in
         let man_b = B.create ~order:rf n in
         let b = B.import man_b r.Ovo_core.Fs.diagram in
-        let man_d = D.create ~order:rf n in
-        let d = D.of_truthtable man_d tt in
-        D.protect man_d d;
+        let man_d = B.create ~order:rf n in
+        let d = B.of_truthtable man_d tt in
+        B.protect man_d d;
         (* both managers under the optimal order realise the optimal size *)
         B.size man_b b = r.Ovo_core.Fs.size
-        && D.live_size man_d = r.Ovo_core.Fs.size);
+        && B.live_size man_d = r.Ovo_core.Fs.size);
     QCheck.Test.make
       ~name:"serialize through disk-free channels: Pla -> Fs -> Diagram -> Pla"
       ~count:60
