@@ -101,12 +101,15 @@ let read path =
               rec_discarded_bytes = String.length contents - valid_end;
             } )
 
+(* The magic, or a prefix of it when shorter (a header torn by a crash). *)
+let starts_like_a_log contents =
+  let n = min (String.length contents) header_len in
+  String.sub contents 0 n = String.sub magic 0 n
+
 let holds_no_record path =
   match read_file path with
   | exception Sys_error _ -> not (Sys.file_exists path)
-  | contents ->
-      let n = min (String.length contents) header_len in
-      String.sub contents 0 n = String.sub magic 0 n && fst (scan contents) = []
+  | contents -> starts_like_a_log contents && fst (scan contents) = []
 
 type t = {
   t_path : string;
@@ -143,10 +146,8 @@ let open_append ?(fsync = Never) path =
   let contents =
     match read_file path with exception Sys_error _ -> "" | c -> c
   in
-  if
-    String.length contents >= header_len
-    && String.sub contents 0 header_len <> magic
-  then failwith (Printf.sprintf "Rlog.open_append: %s: foreign magic" path);
+  if not (starts_like_a_log contents) then
+    failwith (Printf.sprintf "Rlog.open_append: %s: foreign magic" path);
   if String.length contents < header_len then begin
     (* missing, empty, or killed before the header hit the disk *)
     let t = create ~fsync path in

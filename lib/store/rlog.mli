@@ -50,7 +50,9 @@ val open_append : ?fsync:fsync -> string -> t * record list * recovery
 (** Open for appending, creating the file (with header) when missing.
     An existing file is recovered first — truncated back to its valid
     prefix, whose records are returned — so new appends never follow
-    garbage.  Raises [Failure] on a foreign magic (the file is not
+    garbage.  A file shorter than the magic starts a fresh log only
+    when its bytes are a prefix of the magic (a torn header).  Raises
+    [Failure] on a foreign magic, short or not (the file is not
     touched).  [fsync] defaults to {!Never}. *)
 
 val create : ?fsync:fsync -> string -> t

@@ -178,16 +178,31 @@ let rlog_tests =
         Helpers.check_int "append past damage" 1 (List.length rs);
         Rlog.close t);
     Helpers.case "foreign magic refused" (fun () ->
+        (* shorter than the magic too, unless a prefix of it *)
+        List.iter
+          (fun contents ->
+            let path = tmpfile () in
+            write_file path contents;
+            (match Rlog.read path with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.fail (contents ^ ": expected an error"));
+            (match Rlog.open_append path with
+            | exception Failure _ -> ()
+            | t, _, _ ->
+                Rlog.close t;
+                Alcotest.fail (contents ^ ": open_append accepted it"));
+            Helpers.check_bool (contents ^ ": byte-identical") true
+              (read_file path = contents);
+            Sys.remove path)
+          [ "NOTOVO!!record-shaped garbage"; "abc"; "a\nb\n" ];
         let path = tmpfile () in
-        write_file path "NOTOVO!!record-shaped garbage";
-        (match Rlog.read path with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "expected an error");
-        match Rlog.open_append path with
-        | exception Failure _ -> ()
-        | t, _, _ ->
-            Rlog.close t;
-            Alcotest.fail "open_append accepted a foreign file");
+        write_file path "OVOL";
+        let t, rs, _ = Rlog.open_append path in
+        Rlog.close t;
+        Helpers.check_int "torn magic: an empty log" 0 (List.length rs);
+        Helpers.check_bool "torn magic: header rewritten" true
+          (read_file path = "OVOLOG01");
+        Sys.remove path);
     Helpers.case "write_atomic replaces wholesale" (fun () ->
         let path = tmpfile () in
         Rlog.write_atomic path [ (1, "old") ];
