@@ -5,22 +5,19 @@ open Cmdliner
 module P = Ovo_serve.Protocol
 
 let router_cmd =
-  let run listen shards replicas hash health_interval connect_timeout
-      backoff_ms idle_timeout prom =
-    match Ovo_router.Shard_map.strategy_of_string hash with
-    | Error (`Msg m) -> `Error (false, "--hash: " ^ m)
-    | Ok strategy -> (
-        let shards =
-          List.map
-            (fun a -> { Ovo_router.Shard_map.name = P.addr_to_string a; addr = a })
-            shards
-        in
-        try
-          Ovo_router.Router.run
-            { Ovo_router.Router.listen; shards; strategy; replicas;
-              health_interval; connect_timeout; backoff_ms; idle_timeout; prom };
-          `Ok ()
-        with Invalid_argument m -> `Error (false, m))
+  let run listen shards replicas health_interval connect_timeout backoff_ms
+      idle_timeout prom =
+    let shards =
+      List.map
+        (fun a -> { Ovo_router.Shard_map.name = P.addr_to_string a; addr = a })
+        shards
+    in
+    try
+      Ovo_router.Router.run
+        { Ovo_router.Router.listen; shards; replicas; health_interval;
+          connect_timeout; backoff_ms; idle_timeout; prom };
+      `Ok ()
+    with Invalid_argument m -> `Error (false, m)
   in
   let listen =
     Front.listen_arg ~default:"ovo-router.sock"
@@ -42,12 +39,6 @@ let router_cmd =
          & info [ "replicas" ] ~docv:"N"
              ~doc:"Owners per key (primary + failovers).  With 2, any \
                    single shard can die without a $(b,shard_down).")
-  in
-  let hash =
-    Arg.(value & opt string "rendezvous"
-         & info [ "hash" ] ~docv:"STRATEGY"
-             ~doc:"Consistent-hash strategy: $(b,rendezvous) (default), \
-                   $(b,ring), or $(b,ring:VNODES).")
   in
   let health_interval =
     Arg.(value & opt float 2.0
@@ -87,7 +78,7 @@ let router_cmd =
           (doc/fleet.md)")
     Term.(
       ret
-        (const run $ listen $ shards $ replicas $ hash $ health_interval
+        (const run $ listen $ shards $ replicas $ health_interval
        $ connect_timeout $ backoff_ms $ idle_timeout $ prom))
 
 (* ------------------------------------------------------------------ *)
@@ -113,7 +104,7 @@ let terminate procs =
     procs
 
 (* Start one [ovo serve] daemon per name under [dir] — and, given
-   [router = (replicas, hash)], an [ovo router] in front of them — each
+   [router = replicas], an [ovo router] in front of them — each
    re-invoking this executable with output appended to DIR/NAME.log,
    and wait until every one answers a ping.  On a failure every process
    started is sent SIGTERM. *)
@@ -153,12 +144,12 @@ let spawn_fleet ~dir ~workers ?(access_log = false) ?router names =
   | [] -> (
       match router with
       | None -> Ok (shards, None)
-      | Some (replicas, hash) ->
+      | Some replicas ->
           let r =
             spawn "router" (fun sock ->
                 [ "router"; "--listen"; sock; "--shards";
                   String.concat "," (List.map (fun p -> p.sock) shards);
-                  "--replicas"; string_of_int replicas; "--hash"; hash ])
+                  "--replicas"; string_of_int replicas ])
           in
           if wait_ready r.sock then Ok (shards, Some r)
           else begin
@@ -225,7 +216,7 @@ let dir_arg ~doc =
   Arg.(value & opt string "ovo-fleet" & info [ "dir" ] ~docv:"DIR" ~doc)
 
 let fleet_up_cmd =
-  let run n dir workers access_log router replicas hash =
+  let run n dir workers access_log router replicas =
     let fail m = `Error (false, m) in
     if n < 1 then fail "need at least one shard"
     else if Sys.file_exists (fleet_state_file dir) then
@@ -235,7 +226,7 @@ let fleet_up_cmd =
             --dir %s` first"
            (fleet_state_file dir) dir)
     else
-      let router = if router then Some (replicas, hash) else None in
+      let router = if router then Some replicas else None in
       match
         spawn_fleet ~dir ~workers ~access_log ?router (shard_names n)
       with
@@ -279,19 +270,13 @@ let fleet_up_cmd =
          & info [ "replicas" ] ~docv:"N"
              ~doc:"Router replicas per key (with $(b,--router)).")
   in
-  let hash =
-    Arg.(value & opt string "rendezvous"
-         & info [ "hash" ] ~docv:"STRATEGY"
-             ~doc:"Router hash strategy (with $(b,--router)).")
-  in
   Cmd.v
     (Cmd.info "up"
        ~doc:"Start $(i,N) local shard daemons (and optionally a router) \
              under $(i,DIR)")
     Term.(
       ret
-        (const run $ n $ dir $ workers $ access_log $ router $ replicas
-       $ hash))
+        (const run $ n $ dir $ workers $ access_log $ router $ replicas))
 
 let fleet_down_cmd =
   let run dir =
@@ -618,9 +603,7 @@ let bench_serve_cmd =
         match run_on [ "single" ] with
         | Error m -> fail m
         | Ok single -> (
-            match
-              run_on ~router:(replicas, "rendezvous") (shard_names n)
-            with
+            match run_on ~router:replicas (shard_names n) with
             | Error m -> fail m
             | Ok fleet ->
                 let w1, single_j = bench_aggregate single in

@@ -9,7 +9,6 @@ module Json = Ovo_obs.Json
 type config = {
   listen : P.addr;
   shards : Shard_map.shard list;
-  strategy : Shard_map.strategy;
   replicas : int;
   health_interval : float;
   connect_timeout : float;
@@ -19,9 +18,8 @@ type config = {
 }
 
 let default_config ~listen ~shards =
-  { listen; shards; strategy = Shard_map.Rendezvous; replicas = 2;
-    health_interval = 2.0; connect_timeout = 1.0; backoff_ms = 50.;
-    idle_timeout = None; prom = None }
+  { listen; shards; replicas = 2; health_interval = 2.0; connect_timeout = 1.0;
+    backoff_ms = 50.; idle_timeout = None; prom = None }
 
 type t = {
   cfg : config;
@@ -304,7 +302,7 @@ let conn_loop t fd =
 
 let start cfg =
   let cfg = { cfg with replicas = max 1 cfg.replicas } in
-  let map = Shard_map.make ~strategy:cfg.strategy cfg.shards in
+  let map = Shard_map.make cfg.shards in
   let names = List.map (fun (s : Shard_map.shard) -> s.name) cfg.shards in
   let stats = Rstats.create ~shards:names () in
   (* listen first: it ignores SIGPIPE before the health probes write *)
@@ -335,11 +333,10 @@ let run cfg =
   let t = start cfg in
   Net.stop_on_signals t.net;
   Printf.eprintf
-    "[ovo-router] routing %s over %d shard%s (%s, %d replica%s)\n%!"
+    "[ovo-router] routing %s over %d shard%s (rendezvous, %d replica%s)\n%!"
     (P.addr_to_string t.cfg.listen)
     (List.length t.cfg.shards)
     (if List.length t.cfg.shards = 1 then "" else "s")
-    (Shard_map.strategy_to_string t.cfg.strategy)
     t.cfg.replicas
     (if t.cfg.replicas = 1 then "" else "s");
   wait t

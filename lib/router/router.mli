@@ -23,7 +23,6 @@
 type config = {
   listen : Ovo_serve.Protocol.addr;
   shards : Shard_map.shard list;
-  strategy : Shard_map.strategy;
   replicas : int;
       (** length of each key's preference list (primary + failovers);
           default 2 — one shard can die without any [shard_down] *)

@@ -1,46 +1,19 @@
 type shard = { name : string; addr : Ovo_serve.Protocol.addr }
 
-type strategy =
-  | Rendezvous
-  | Ring of { vnodes : int }
-
-let strategy_of_string = function
-  | "rendezvous" | "hrw" -> Ok Rendezvous
-  | "ring" -> Ok (Ring { vnodes = 64 })
-  | s -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "ring" -> (
-          match
-            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-          with
-          | Some v when v > 0 -> Ok (Ring { vnodes = v })
-          | _ -> Error (`Msg (Printf.sprintf "bad vnode count in %S" s)))
-      | _ ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown hash strategy %S (rendezvous | ring | ring:VNODES)"
-                  s)))
-
-let strategy_to_string = function
-  | Rendezvous -> "rendezvous"
-  | Ring { vnodes } -> Printf.sprintf "ring:%d" vnodes
-
 (* FNV-1a over the bytes, folded into OCaml's 63-bit int (the offset
    basis keeps only the low 62 bits of the canonical 64-bit constant —
    any fixed basis works).  Speed does not matter here (one hash per
-   request, or [vnodes] per shard at ring build time); what matters is
-   that the function is deterministic across processes — routing has
-   to be a pure function of [(key, shard set)], never of process
-   state — so no [Hashtbl.hash], whose output is version-dependent,
-   and no seeds. *)
+   shard per request); what matters is that the function is
+   deterministic across processes — routing has to be a pure function
+   of [(key, shard set)], never of process state — so no
+   [Hashtbl.hash], whose output is version-dependent, and no seeds. *)
 (* Splitmix-style finalizer.  Raw FNV-1a under-mixes the top bits when
-   two inputs differ only in a short suffix (shard names do), and both
-   strategies are maximally sensitive to the top bits — rendezvous
-   ranks by magnitude, the ring by position — which measurably skews
-   placement (~half the keys moved on a shard add instead of ~1/N
-   before this pass).  The multiplier constants are arbitrary odd
-   numbers that fit OCaml's int; the shift amounts are splitmix64's. *)
+   two inputs differ only in a short suffix (shard names do), and
+   rendezvous, which ranks by magnitude, is maximally sensitive to the
+   top bits, which measurably skews placement (~half the keys moved on
+   a shard add instead of ~1/N before this pass).  The multiplier
+   constants are arbitrary odd numbers that fit OCaml's int; the shift
+   amounts are splitmix64's. *)
 let mix (h : int) : int =
   let h = h lxor (h lsr 30) in
   let h = h * 0x2f58476d1ce4e5b9 in
@@ -58,16 +31,11 @@ let fnv1a (s : string) : int =
     s;
   mix !h
 
-type t = {
-  strategy : strategy;
-  shards : shard array;  (* sorted by name: layout-independent *)
-  ring : (int * int) array;  (* (point, shard index), sorted by point *)
-}
+type t = shard array  (* sorted by name: layout-independent *)
 
-let shards t = Array.to_list t.shards
-let strategy t = t.strategy
+let shards t = Array.to_list t
 
-let make ~strategy shards =
+let make shards =
   (match shards with
   | [] -> invalid_arg "Shard_map.make: no shards"
   | _ -> ());
@@ -75,22 +43,7 @@ let make ~strategy shards =
   let sorted_names = List.sort_uniq compare names in
   if List.length sorted_names <> List.length names then
     invalid_arg "Shard_map.make: duplicate shard name";
-  let shards =
-    Array.of_list (List.sort (fun a b -> compare a.name b.name) shards)
-  in
-  let ring =
-    match strategy with
-    | Rendezvous -> [||]
-    | Ring { vnodes } ->
-        let points =
-          Array.init (Array.length shards * vnodes) (fun i ->
-              let s = i / vnodes and v = i mod vnodes in
-              (fnv1a (Printf.sprintf "%s#%d" shards.(s).name v), s))
-        in
-        Array.sort compare points;
-        points
-  in
-  { strategy; shards; ring }
+  Array.of_list (List.sort (fun a b -> compare a.name b.name) shards)
 
 (* Rendezvous (highest-random-weight): every shard scores
    hash(key, shard); ranking by score gives each key its own
@@ -98,54 +51,14 @@ let make ~strategy shards =
    somewhere in a key's list (other shards keep their relative order),
    which is exactly the minimal-disruption property the qcheck suite
    pins down. *)
-let rendezvous_rank t ~live key =
-  Array.to_list t.shards
+let owners ?(replicas = 1) t ~live key =
+  shards t
   |> List.filter (fun s -> live s.name)
   |> List.map (fun s -> (fnv1a (key ^ "\x00" ^ s.name), s))
   |> List.sort (fun (ha, a) (hb, b) ->
          match compare hb ha with 0 -> compare a.name b.name | c -> c)
+  |> List.filteri (fun i _ -> i < max 1 replicas)
   |> List.map snd
-
-(* Ring: walk clockwise from the key's point, collecting distinct live
-   shards.  A dead shard's segments fall through to the next point —
-   again only the affected keys move. *)
-let ring_rank t ~live key =
-  let n = Array.length t.ring in
-  if n = 0 then []
-  else begin
-    let point = fnv1a key in
-    (* first ring point strictly above the key's point (binary search) *)
-    let rec bsearch lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if fst t.ring.(mid) <= point then bsearch (mid + 1) hi
-        else bsearch lo mid
-    in
-    let start = bsearch 0 n mod n in
-    let seen = Hashtbl.create 8 in
-    let out = ref [] in
-    (try
-       for i = 0 to n - 1 do
-         let _, si = t.ring.((start + i) mod n) in
-         let s = t.shards.(si) in
-         if live s.name && not (Hashtbl.mem seen s.name) then begin
-           Hashtbl.add seen s.name ();
-           out := s :: !out;
-           if Hashtbl.length seen = Array.length t.shards then raise Exit
-         end
-       done
-     with Exit -> ());
-    List.rev !out
-  end
-
-let owners ?(replicas = 1) t ~live key =
-  let ranked =
-    match t.strategy with
-    | Rendezvous -> rendezvous_rank t ~live key
-    | Ring _ -> ring_rank t ~live key
-  in
-  List.filteri (fun i _ -> i < max 1 replicas) ranked
 
 let owner t ~live key =
   match owners ~replicas:1 t ~live key with

@@ -5,31 +5,18 @@
     all functions in one NPN-ish equivalence class land on the same
     shard and its cache concentrates instead of diluting N ways.
 
-    Two strategies, both built on a process-independent FNV-1a hash
-    (never [Hashtbl.hash], whose value may change across runtimes):
+    Placement is rendezvous (highest-random-weight) hashing: rank
+    shards by [hash (key, shard)], a process-independent FNV-1a hash
+    (never [Hashtbl.hash], whose value may change across runtimes).
+    No precomputed state, perfect balance in expectation,
+    O(shards log shards) per lookup.
 
-    - {!Rendezvous} (highest-random-weight): rank shards by
-      [hash (key, shard)].  No precomputed state, perfect balance in
-      expectation, O(shards log shards) per lookup.
-    - {!Ring}: classic ring with [vnodes] virtual points per shard,
-      O(log (shards * vnodes)) per lookup.
-
-    Both give the consistent-hash contract the qcheck suite pins down:
+    It gives the consistent-hash contract the qcheck suite pins down:
     routing is a pure function of [(key, live shard set)], and adding
     or removing one shard only moves the keys that shard owns
     (~[1/N] of them) — every other key keeps its owner. *)
 
 type shard = { name : string; addr : Ovo_serve.Protocol.addr }
-
-type strategy =
-  | Rendezvous
-  | Ring of { vnodes : int }
-
-val strategy_of_string : string -> (strategy, [ `Msg of string ]) result
-(** ["rendezvous"] (or ["hrw"]), ["ring"] (64 vnodes), or
-    ["ring:VNODES"]. *)
-
-val strategy_to_string : strategy -> string
 
 val fnv1a : string -> int
 (** The placement hash (FNV-1a 64, masked non-negative) — exposed for
@@ -37,13 +24,12 @@ val fnv1a : string -> int
 
 type t
 
-val make : strategy:strategy -> shard list -> t
+val make : shard list -> t
 (** Build a map.  Raises [Invalid_argument] on an empty list or a
     duplicate shard name.  Shard order in the input does not matter
     (the map sorts by name). *)
 
 val shards : t -> shard list
-val strategy : t -> strategy
 
 val owners :
   ?replicas:int -> t -> live:(string -> bool) -> string -> shard list

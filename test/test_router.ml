@@ -22,72 +22,43 @@ let mk_shards names =
 
 let shard_names n = List.init n (fun i -> Printf.sprintf "s%02d" i)
 
-let owner_name strategy names key =
-  let m = Shard_map.make ~strategy (mk_shards names) in
+let owner_name names key =
+  let m = Shard_map.make (mk_shards names) in
   match Shard_map.owner m ~live:all_up key with
   | Some s -> s.Shard_map.name
   | None -> Alcotest.fail "no owner with all shards live"
-
-let strategies =
-  [ ("rendezvous", Shard_map.Rendezvous);
-    ("ring", Shard_map.Ring { vnodes = 64 }) ]
 
 let unit_tests =
   [
     Helpers.case "make rejects empty and duplicate shard lists" (fun () ->
         let bad l =
-          match Shard_map.make ~strategy:Shard_map.Rendezvous l with
+          match Shard_map.make l with
           | exception Invalid_argument _ -> true
           | _ -> false
         in
         Helpers.check_bool "empty" true (bad []);
         Helpers.check_bool "dup" true (bad (mk_shards [ "a"; "a" ])));
-    Helpers.case "strategy_of_string parses and roundtrips" (fun () ->
-        let ok s expect =
-          match Shard_map.strategy_of_string s with
-          | Ok st -> Helpers.check_bool s true (st = expect)
-          | Error (`Msg m) -> Alcotest.fail m
-        in
-        ok "rendezvous" Shard_map.Rendezvous;
-        ok "hrw" Shard_map.Rendezvous;
-        ok "ring" (Shard_map.Ring { vnodes = 64 });
-        ok "ring:7" (Shard_map.Ring { vnodes = 7 });
-        Helpers.check_bool "garbage rejected" true
-          (Result.is_error (Shard_map.strategy_of_string "ring:0"));
-        Helpers.check_bool "roundtrip" true
-          (Shard_map.strategy_of_string
-             (Shard_map.strategy_to_string (Shard_map.Ring { vnodes = 9 }))
-          = Ok (Shard_map.Ring { vnodes = 9 })));
     Helpers.case "input order does not matter" (fun () ->
-        List.iter
-          (fun (_, strategy) ->
-            let key = "somekey" in
-            let fwd = owner_name strategy (shard_names 5) key in
-            let rev = owner_name strategy (List.rev (shard_names 5)) key in
-            Helpers.check_bool "same owner" true (fwd = rev))
-          strategies);
+        let key = "somekey" in
+        let fwd = owner_name (shard_names 5) key in
+        let rev = owner_name (List.rev (shard_names 5)) key in
+        Helpers.check_bool "same owner" true (fwd = rev));
     Helpers.case "dead primary falls over to the next replica" (fun () ->
-        List.iter
-          (fun (_, strategy) ->
-            let m = Shard_map.make ~strategy (mk_shards (shard_names 4)) in
-            let key = "k" in
-            match Shard_map.owners ~replicas:2 m ~live:all_up key with
-            | [ a; b ] ->
-                let live n = n <> a.Shard_map.name in
-                (match Shard_map.owner m ~live key with
-                | Some s ->
-                    Helpers.check_bool "failover is the old second" true
-                      (s.Shard_map.name = b.Shard_map.name)
-                | None -> Alcotest.fail "no owner");
-                Helpers.check_bool "distinct replicas" true
-                  (a.Shard_map.name <> b.Shard_map.name)
-            | _ -> Alcotest.fail "expected two owners")
-          strategies);
+        let m = Shard_map.make (mk_shards (shard_names 4)) in
+        let key = "k" in
+        match Shard_map.owners ~replicas:2 m ~live:all_up key with
+        | [ a; b ] ->
+            let live n = n <> a.Shard_map.name in
+            (match Shard_map.owner m ~live key with
+            | Some s ->
+                Helpers.check_bool "failover is the old second" true
+                  (s.Shard_map.name = b.Shard_map.name)
+            | None -> Alcotest.fail "no owner");
+            Helpers.check_bool "distinct replicas" true
+              (a.Shard_map.name <> b.Shard_map.name)
+        | _ -> Alcotest.fail "expected two owners");
     Helpers.case "no live shard means no owner" (fun () ->
-        let m =
-          Shard_map.make ~strategy:Shard_map.Rendezvous
-            (mk_shards (shard_names 3))
-        in
+        let m = Shard_map.make (mk_shards (shard_names 3)) in
         Helpers.check_bool "empty" true
           (Shard_map.owners ~replicas:2 m ~live:(fun _ -> false) "k" = []));
     Helpers.case "health: probe sweep and data-path feeders flip liveness"
@@ -134,102 +105,87 @@ let gen_key =
 let arb_key = QCheck.make ~print:(fun s -> s) gen_key
 
 let props =
-  List.concat_map
-    (fun (sname, strategy) ->
-      [
-        QCheck.Test.make
-          ~name:
-            (Printf.sprintf
-               "%s: routing is a pure function of (key, live set)" sname)
-          ~count:200
-          QCheck.(pair arb_key (int_range 1 8))
-          (fun (key, n) ->
-            let names = shard_names n in
-            let a = owner_name strategy names key in
-            let b = owner_name strategy names key in
-            a = b);
-        QCheck.Test.make
-          ~name:
-            (Printf.sprintf
-               "%s: adding a shard moves a key only onto the new shard"
-               sname)
-          ~count:100
-          QCheck.(pair (int_range 2 8) small_nat)
-          (fun (n, salt) ->
-            (* exact monotone property, no statistical slack: for every
-               key, the owner under [n+1] shards is either the owner
-               under [n] shards or the shard that was added *)
-            let names = shard_names n in
-            let added = Printf.sprintf "added%d" salt in
-            let grown = names @ [ added ] in
-            List.for_all
-              (fun i ->
-                let key = Printf.sprintf "key-%d-%d" salt i in
-                let before = owner_name strategy names key in
-                let after = owner_name strategy grown key in
-                after = before || after = added)
-              (List.init 50 Fun.id));
-        QCheck.Test.make
-          ~name:
-            (Printf.sprintf
-               "%s: removing a shard only rehomes that shard's keys" sname)
-          ~count:100
-          QCheck.(int_range 3 8)
-          (fun n ->
-            (* removal seen as failure: keys not owned by the dead shard
-               keep their owner exactly *)
-            let names = shard_names n in
-            let m = Shard_map.make ~strategy (mk_shards names) in
-            let dead = List.hd names in
-            let live n = n <> dead in
-            List.for_all
-              (fun i ->
-                let key = Printf.sprintf "key-%d" i in
-                match Shard_map.owner m ~live:all_up key with
-                | None -> false
-                | Some before ->
-                    if before.Shard_map.name = dead then true
-                    else
-                      Shard_map.owner m ~live key
-                      = Some before)
-              (List.init 60 Fun.id));
-        QCheck.Test.make
-          ~name:
-            (Printf.sprintf "%s: about 1/N of keys move on shard add" sname)
-          ~count:10
-          QCheck.(int_range 3 6)
-          (fun n ->
-            let names = shard_names n in
-            let grown = names @ [ "extra" ] in
-            let keys = List.init 400 (Printf.sprintf "bulk-key-%d") in
-            let moved =
-              List.length
-                (List.filter
-                   (fun k ->
-                     owner_name strategy names k
-                     <> owner_name strategy grown k)
-                   keys)
-            in
-            (* expectation is 400/(n+1); accept a generous band — the
-               point is "a fraction", not "all" or "none" *)
-            let expect = 400. /. float_of_int (n + 1) in
-            float_of_int moved > 0.3 *. expect
-            && float_of_int moved < 3. *. expect);
-        QCheck.Test.make
-          ~name:(Printf.sprintf "%s: replica lists are distinct shards" sname)
-          ~count:100
-          QCheck.(pair arb_key (int_range 2 8))
-          (fun (key, n) ->
-            let m = Shard_map.make ~strategy (mk_shards (shard_names n)) in
-            let owners =
-              Shard_map.owners ~replicas:3 m ~live:all_up key
-              |> List.map (fun s -> s.Shard_map.name)
-            in
-            List.length owners = min 3 n
-            && List.length (List.sort_uniq compare owners)
-               = List.length owners);
-      ])
-    strategies
+  [
+    QCheck.Test.make
+      ~name:"rendezvous: routing is a pure function of (key, live set)"
+      ~count:200
+      QCheck.(pair arb_key (int_range 1 8))
+      (fun (key, n) ->
+        let names = shard_names n in
+        let a = owner_name names key in
+        let b = owner_name names key in
+        a = b);
+    QCheck.Test.make
+      ~name:"rendezvous: adding a shard moves a key only onto the new shard"
+      ~count:100
+      QCheck.(pair (int_range 2 8) small_nat)
+      (fun (n, salt) ->
+        (* exact monotone property, no statistical slack: for every
+           key, the owner under [n+1] shards is either the owner
+           under [n] shards or the shard that was added *)
+        let names = shard_names n in
+        let added = Printf.sprintf "added%d" salt in
+        let grown = names @ [ added ] in
+        List.for_all
+          (fun i ->
+            let key = Printf.sprintf "key-%d-%d" salt i in
+            let before = owner_name names key in
+            let after = owner_name grown key in
+            after = before || after = added)
+          (List.init 50 Fun.id));
+    QCheck.Test.make
+      ~name:"rendezvous: removing a shard only rehomes that shard's keys"
+      ~count:100
+      QCheck.(int_range 3 8)
+      (fun n ->
+        (* removal seen as failure: keys not owned by the dead shard
+           keep their owner exactly *)
+        let names = shard_names n in
+        let m = Shard_map.make (mk_shards names) in
+        let dead = List.hd names in
+        let live n = n <> dead in
+        List.for_all
+          (fun i ->
+            let key = Printf.sprintf "key-%d" i in
+            match Shard_map.owner m ~live:all_up key with
+            | None -> false
+            | Some before ->
+                if before.Shard_map.name = dead then true
+                else Shard_map.owner m ~live key = Some before)
+          (List.init 60 Fun.id));
+    QCheck.Test.make
+      ~name:"rendezvous: about 1/N of keys move on shard add"
+      ~count:10
+      QCheck.(int_range 3 6)
+      (fun n ->
+        let names = shard_names n in
+        let grown = names @ [ "extra" ] in
+        let keys = List.init 400 (Printf.sprintf "bulk-key-%d") in
+        let moved =
+          List.length
+            (List.filter
+               (fun k -> owner_name names k <> owner_name grown k)
+               keys)
+        in
+        (* expectation is 400/(n+1); accept a generous band — the
+           point is "a fraction", not "all" or "none" *)
+        let expect = 400. /. float_of_int (n + 1) in
+        float_of_int moved > 0.3 *. expect
+        && float_of_int moved < 3. *. expect);
+    QCheck.Test.make
+      ~name:"rendezvous: replica lists are distinct shards"
+      ~count:100
+      QCheck.(pair arb_key (int_range 2 8))
+      (fun (key, n) ->
+        let m = Shard_map.make (mk_shards (shard_names n)) in
+        let owners =
+          Shard_map.owners ~replicas:3 m ~live:all_up key
+          |> List.map (fun s -> s.Shard_map.name)
+        in
+        List.length owners = min 3 n
+        && List.length (List.sort_uniq compare owners)
+           = List.length owners);
+  ]
 
 (* --- end-to-end: three shards behind a router ------------------------- *)
 
