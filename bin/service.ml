@@ -6,13 +6,11 @@ module P = Ovo_serve.Protocol
 
 let serve_cmd =
   let run listen workers queue_cap cache_cap max_arity idle_timeout trace_file
-      store no_store fsync mem_budget prune orderer access_log prom
-      no_telemetry shard_id =
+      store_dir fsync mem_budget prune orderer access_log prom shard_id =
     Ovo_serve.Server.run
       { Ovo_serve.Server.listen; workers; queue_cap; cache_cap; max_arity;
-        idle_timeout; trace_file; store_dir = (if no_store then None else store);
-        store_fsync = fsync; mem_budget; prune; orderer; access_log; prom;
-        telemetry = not no_telemetry; shard_id }
+        idle_timeout; trace_file; store_dir; store_fsync = fsync; mem_budget;
+        prune; orderer; access_log; prom; telemetry = true; shard_id }
   in
   let listen =
     Front.listen_arg ~default:"ovo.sock"
@@ -55,12 +53,6 @@ let serve_cmd =
                    from $(i,DIR) at startup, persist every solved result \
                    to its write-ahead log (doc/persistence.md).")
   in
-  let no_store =
-    Arg.(value & flag
-         & info [ "no-store" ]
-             ~doc:"Run purely in memory even when $(b,--store) is given \
-                   (the flag wins).")
-  in
   let mem_budget =
     Arg.(value & opt (some Front.mem_budget_conv) None
          & info [ "mem-budget" ] ~docv:"BYTES"
@@ -100,13 +92,6 @@ let serve_cmd =
          slash, or a bare filename) is atomically rewritten every second; \
          $(b,host:port) serves it per scrape over HTTP."
   in
-  let no_telemetry =
-    Arg.(value & flag
-         & info [ "no-telemetry" ]
-             ~doc:"Skip per-request instrument updates (histograms, windows, \
-                   engine gauges) — for measuring their overhead; outcome \
-                   counters and $(b,stats) stay on.")
-  in
   let shard_id =
     Arg.(value & opt (some string) None
          & info [ "shard-id" ] ~docv:"NAME"
@@ -122,9 +107,8 @@ let serve_cmd =
           and an optional durable store (protocol in doc/service.md)")
     Term.(
       const run $ listen $ workers $ queue_cap $ cache_cap $ max_arity
-      $ idle_timeout $ Front.trace_arg $ store $ no_store $ Front.fsync_arg
-      $ mem_budget $ prune $ orderer $ access_log $ prom $ no_telemetry
-      $ shard_id)
+      $ idle_timeout $ Front.trace_arg $ store $ Front.fsync_arg $ mem_budget
+      $ prune $ orderer $ access_log $ prom $ shard_id)
 
 let cannot_reach addr e =
   `Error

@@ -1,16 +1,15 @@
 type result = { mincost : int; order : int array; probes : int; accepted : int }
 
 let run_mtable ?(metrics = Ovo_core.Metrics.create ())
-    ?(kind = Ovo_core.Compact.Bdd) ?(steps = 400) ?(start_temperature = 5.0)
-    ?(cooling = 0.97) ?initial ~rng mt =
+    ?(kind = Ovo_core.Compact.Bdd) ?initial ~rng mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let chain = Chain.create ~metrics ~kind ?initial mt in
   let probes = ref 1 in
   let best = ref (Chain.order chain) and best_cost = ref (Chain.cost chain) in
   let accepted = ref 0 in
-  let temperature = ref start_temperature in
+  let temperature = ref 5.0 in
   if n > 1 then
-    for _ = 1 to steps do
+    for _ = 1 to 400 do
       let from = Random.State.int rng n in
       let to_ = Random.State.int rng n in
       if from <> to_ then begin
@@ -30,10 +29,10 @@ let run_mtable ?(metrics = Ovo_core.Metrics.create ())
           end
         end
       end;
-      temperature := !temperature *. cooling
+      temperature := !temperature *. 0.97
     done;
   { mincost = !best_cost; order = !best; probes = !probes; accepted = !accepted }
 
-let run ?metrics ?kind ?steps ?start_temperature ?cooling ?initial ~rng tt =
-  run_mtable ?metrics ?kind ?steps ?start_temperature ?cooling ?initial ~rng
+let run ?metrics ?kind ?initial ~rng tt =
+  run_mtable ?metrics ?kind ?initial ~rng
     (Ovo_boolfun.Mtable.of_truthtable tt)

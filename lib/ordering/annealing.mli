@@ -21,23 +21,17 @@ type result = {
 val run :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?steps:int ->
-  ?start_temperature:float ->
-  ?cooling:float ->
   ?initial:int array ->
   rng:Random.State.t ->
   Ovo_boolfun.Truthtable.t ->
   result
-(** Defaults: 400 steps, start temperature 5.0 (in node-count units),
-    cooling factor 0.97 per step.  The best ordering ever seen is
-    returned, so the result never loses to its initial ordering. *)
+(** 400 steps, start temperature 5.0 (in node-count units), cooling
+    factor 0.97 per step.  The best ordering ever seen is returned, so
+    the result never loses to its initial ordering. *)
 
 val run_mtable :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?steps:int ->
-  ?start_temperature:float ->
-  ?cooling:float ->
   ?initial:int array ->
   rng:Random.State.t ->
   Ovo_boolfun.Mtable.t ->

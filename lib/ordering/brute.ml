@@ -1,9 +1,9 @@
 type result = { mincost : int; order : int array; evaluated : int }
 
 let best_mtable ?(metrics = Ovo_core.Metrics.create ())
-    ?(kind = Ovo_core.Compact.Bdd) ?(limit = 9) mt =
+    ?(kind = Ovo_core.Compact.Bdd) mt =
   let n = Ovo_boolfun.Mtable.arity mt in
-  if n > limit then invalid_arg "Brute.best: arity above limit";
+  if n > 9 then invalid_arg "Brute.best: arity above limit";
   let base = Ovo_core.Compact.initial kind mt in
   let best_cost = ref max_int and best_order = ref (Perm.identity n) in
   let evaluated = ref 0 in
@@ -16,5 +16,5 @@ let best_mtable ?(metrics = Ovo_core.Metrics.create ())
       end);
   { mincost = !best_cost; order = !best_order; evaluated = !evaluated }
 
-let best ?metrics ?kind ?limit tt =
-  best_mtable ?metrics ?kind ?limit (Ovo_boolfun.Mtable.of_truthtable tt)
+let best ?metrics ?kind tt =
+  best_mtable ?metrics ?kind (Ovo_boolfun.Mtable.of_truthtable tt)

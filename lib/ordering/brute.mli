@@ -13,17 +13,14 @@ type result = {
 val best :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?limit:int ->
   Ovo_boolfun.Truthtable.t ->
   result
-(** Exhaustive search.  Refuses arities above [limit] (default 9) to
-    protect the caller from [n!] explosions — raise the limit expressly
-    if you mean it. *)
+(** Exhaustive search.  Refuses arities above 9 (raises
+    [Invalid_argument]) to protect the caller from [n!] explosions. *)
 
 val best_mtable :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?limit:int ->
   Ovo_boolfun.Mtable.t ->
   result
 (** Multi-terminal variant. *)

@@ -1,14 +1,14 @@
 type result = { mincost : int; order : int array; sweeps : int }
 
 let run_mtable ?(metrics = Ovo_core.Metrics.create ())
-    ?(kind = Ovo_core.Compact.Bdd) ?(block = 4) ?(max_sweeps = 8) ?initial mt =
+    ?(kind = Ovo_core.Compact.Bdd) ?(block = 4) ?initial mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let w = max 2 (min block (max n 2)) in
   let w = min w n in
   let chain = Chain.create ~metrics ~kind ?initial mt in
   let sweeps = ref 0 in
   let improved = ref true in
-  while !improved && !sweeps < max_sweeps do
+  while !improved && !sweeps < 8 do
     incr sweeps;
     improved := false;
     for start = 0 to n - w do
@@ -33,6 +33,6 @@ let run_mtable ?(metrics = Ovo_core.Metrics.create ())
   done;
   { mincost = Chain.cost chain; order = Chain.order chain; sweeps = !sweeps }
 
-let run ?metrics ?kind ?block ?max_sweeps ?initial tt =
-  run_mtable ?metrics ?kind ?block ?max_sweeps ?initial
+let run ?metrics ?kind ?block ?initial tt =
+  run_mtable ?metrics ?kind ?block ?initial
     (Ovo_boolfun.Mtable.of_truthtable tt)

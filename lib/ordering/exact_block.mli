@@ -8,7 +8,8 @@
     program [FS*] (Lemma 8) from the compaction state of the levels below
     the window.  Lemma 3 guarantees the levels above the window keep
     their widths (they depend only on the {e set} split), so each window
-    step can only improve the size; sweeps repeat until a fixed point.
+    step can only improve the size; sweeps repeat until a fixed point,
+    at most 8 sweeps.
 
     Cost per window position: [O(2^(n-s) · 3^w)] cells instead of
     [O(w! · 2^n)] — for [w ≥ 5] the DP is already the cheaper exact
@@ -25,18 +26,16 @@ val run :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?block:int ->
-  ?max_sweeps:int ->
   ?initial:int array ->
   Ovo_boolfun.Truthtable.t ->
   result
 (** Default [block] 4 (clamped to [n]; [block = n] degenerates to the
-    full exact FS), default [max_sweeps] 8. *)
+    full exact FS). *)
 
 val run_mtable :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?block:int ->
-  ?max_sweeps:int ->
   ?initial:int array ->
   Ovo_boolfun.Mtable.t ->
   result

@@ -32,10 +32,12 @@ let order_crossover rng p1 p2 =
     child
   end
 
+let population = 16
+let generations = 24
+let mutation_rate = 0.3
+
 let run_mtable ?(metrics = Ovo_core.Metrics.create ())
-    ?(kind = Ovo_core.Compact.Bdd) ?(population = 16) ?(generations = 24)
-    ?(mutation_rate = 0.3) ~rng mt =
-  if population < 2 then invalid_arg "Genetic.run: population too small";
+    ?(kind = Ovo_core.Compact.Bdd) ~rng mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let chain = Chain.create ~metrics ~kind mt in
   let probes = ref 0 in
@@ -79,6 +81,6 @@ let run_mtable ?(metrics = Ovo_core.Metrics.create ())
     probes = !probes;
   }
 
-let run ?metrics ?kind ?population ?generations ?mutation_rate ~rng tt =
-  run_mtable ?metrics ?kind ?population ?generations ?mutation_rate ~rng
+let run ?metrics ?kind ~rng tt =
+  run_mtable ?metrics ?kind ~rng
     (Ovo_boolfun.Mtable.of_truthtable tt)

@@ -19,22 +19,16 @@ type result = {
 val run :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?population:int ->
-  ?generations:int ->
-  ?mutation_rate:float ->
   rng:Random.State.t ->
   Ovo_boolfun.Truthtable.t ->
   result
-(** Defaults: population 16 (identity always seeded), 24 generations,
-    mutation rate 0.3.  Elitism keeps the best individual, so the result
-    never loses to the identity ordering. *)
+(** Population 16 (identity always seeded), 24 generations, mutation
+    rate 0.3.  Elitism keeps the best individual, so the result never
+    loses to the identity ordering. *)
 
 val run_mtable :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?population:int ->
-  ?generations:int ->
-  ?mutation_rate:float ->
   rng:Random.State.t ->
   Ovo_boolfun.Mtable.t ->
   result

@@ -1,7 +1,9 @@
 type result = { mincost : int; order : int array; probes : int }
 
+let samples = 100
+
 let run_mtable ?(metrics = Ovo_core.Metrics.create ())
-    ?(kind = Ovo_core.Compact.Bdd) ?(samples = 100) ~rng mt =
+    ?(kind = Ovo_core.Compact.Bdd) ~rng mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let chain = Chain.create ~metrics ~kind mt in
   let best_order = ref (Chain.order chain) in
@@ -16,5 +18,5 @@ let run_mtable ?(metrics = Ovo_core.Metrics.create ())
   done;
   { mincost = !best_cost; order = !best_order; probes = samples + 1 }
 
-let run ?metrics ?kind ?samples ~rng tt =
-  run_mtable ?metrics ?kind ?samples ~rng (Ovo_boolfun.Mtable.of_truthtable tt)
+let run ?metrics ?kind ~rng tt =
+  run_mtable ?metrics ?kind ~rng (Ovo_boolfun.Mtable.of_truthtable tt)

@@ -1,5 +1,5 @@
 (** Random-restart ordering search — the weakest baseline: sample [m]
-    uniform orderings and keep the best.  Its gap to the exact optimum
+    uniform orderings ([m] = 100) and keep the best.  Its gap to the exact optimum
     calibrates how much structure the smarter methods exploit.  Samples
     are priced through one {!Chain}, which reuses whatever prefix and
     suffix a sample shares with the previous one. *)
@@ -13,17 +13,15 @@ type result = {
 val run :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?samples:int ->
   rng:Random.State.t ->
   Ovo_boolfun.Truthtable.t ->
   result
-(** Default 100 samples; the identity ordering is always included so the
-    result never loses to "no search at all". *)
+(** The identity ordering is always included so the result never loses
+    to "no search at all". *)
 
 val run_mtable :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?samples:int ->
   rng:Random.State.t ->
   Ovo_boolfun.Mtable.t ->
   result

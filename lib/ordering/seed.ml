@@ -2,8 +2,8 @@ module B = Ovo_core.Bound
 module C = Ovo_core.Compact
 module Mtable = Ovo_boolfun.Mtable
 
-let sifting_upper ?trace ?kind ?max_passes tt =
-  let r = Sifting.run ?trace ?kind ?max_passes tt in
+let sifting_upper ?trace ?kind tt =
+  let r = Sifting.run ?trace ?kind tt in
   { B.ub_source = "sifting"; ub_value = r.Sifting.mincost }
 
 let bound ?trace ?(kind = C.Bdd) tt =

@@ -11,7 +11,6 @@
 val sifting_upper :
   ?trace:Ovo_obs.Trace.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?max_passes:int ->
   Ovo_boolfun.Truthtable.t ->
   Ovo_core.Bound.upper
 (** The cost of the sifting ordering — cheap ([O(n · 2^n)] cells per

@@ -2,7 +2,7 @@ type result = { mincost : int; order : int array; passes : int; probes : int }
 
 let run_mtable ?(trace = Ovo_obs.Trace.null)
     ?(metrics = Ovo_core.Metrics.create ()) ?(kind = Ovo_core.Compact.Bdd)
-    ?(max_passes = 8) ?initial mt =
+    ?initial mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let cells0 = metrics.Ovo_core.Metrics.table_cells in
   let chain = Chain.create ~metrics ~kind ?initial mt in
@@ -21,7 +21,7 @@ let run_mtable ?(trace = Ovo_obs.Trace.null)
       ])
     "sift.run"
   @@ fun () ->
-  while !improved && !passes < max_passes do
+  while !improved && !passes < 8 do
     incr passes;
     improved := false;
     (* sift the fattest levels first, per Rudell *)
@@ -65,6 +65,6 @@ let run_mtable ?(trace = Ovo_obs.Trace.null)
     probes = !probes;
   }
 
-let run ?trace ?metrics ?kind ?max_passes ?initial tt =
-  run_mtable ?trace ?metrics ?kind ?max_passes ?initial
+let run ?trace ?metrics ?kind ?initial tt =
+  run_mtable ?trace ?metrics ?kind ?initial
     (Ovo_boolfun.Mtable.of_truthtable tt)

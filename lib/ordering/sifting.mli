@@ -3,7 +3,7 @@
     Each variable in turn (largest level first) is moved through every
     position while the others keep their relative order; it is left at
     the best position found.  Passes repeat until no pass improves the
-    size or [max_passes] is reached.
+    size, at most 8 passes.
 
     Positions are priced through a {!Chain} rather than by adjacent
     in-place swaps.  By Lemma 3, moving a variable changes only the
@@ -32,17 +32,15 @@ val run :
   ?trace:Ovo_obs.Trace.t ->
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?max_passes:int ->
   ?initial:int array ->
   Ovo_boolfun.Truthtable.t ->
   result
-(** Default [max_passes] 8, default initial ordering the identity. *)
+(** Default initial ordering the identity. *)
 
 val run_mtable :
   ?trace:Ovo_obs.Trace.t ->
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
-  ?max_passes:int ->
   ?initial:int array ->
   Ovo_boolfun.Mtable.t ->
   result

@@ -8,9 +8,9 @@ type t = {
   histogram : (int * int) list;
 }
 
-let compute ?(kind = Ovo_core.Compact.Bdd) ?(limit = 8) tt =
+let compute ?(kind = Ovo_core.Compact.Bdd) tt =
   let n = Ovo_boolfun.Truthtable.arity tt in
-  if n > limit then invalid_arg "Spectrum.compute: arity above limit";
+  if n > 8 then invalid_arg "Spectrum.compute: arity above limit";
   let base =
     Ovo_core.Compact.initial kind (Ovo_boolfun.Mtable.of_truthtable tt)
   in

@@ -17,10 +17,9 @@ type t = {
   histogram : (int * int) list;  (** [(cost, #orderings)], ascending *)
 }
 
-val compute :
-  ?kind:Ovo_core.Compact.kind -> ?limit:int -> Ovo_boolfun.Truthtable.t -> t
-(** Exhaustive over all orderings; refuses arities above [limit]
-    (default 8). *)
+val compute : ?kind:Ovo_core.Compact.kind -> Ovo_boolfun.Truthtable.t -> t
+(** Exhaustive over all orderings; refuses arities above 8 (raises
+    [Invalid_argument]). *)
 
 val optimal_fraction : t -> float
 (** [optimal_orderings / total_orderings] — the chance a uniformly

@@ -2,7 +2,7 @@ type result = { mincost : int; order : int array; sweeps : int; probes : int }
 
 let run_mtable ?(trace = Ovo_obs.Trace.null)
     ?(metrics = Ovo_core.Metrics.create ()) ?(kind = Ovo_core.Compact.Bdd)
-    ?(window = 3) ?(max_sweeps = 16) ?initial mt =
+    ?(window = 3) ?initial mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let w = max 2 (min window n) in
   let cells0 = metrics.Ovo_core.Metrics.table_cells in
@@ -23,7 +23,7 @@ let run_mtable ?(trace = Ovo_obs.Trace.null)
       ])
     "window.run"
   @@ fun () ->
-  while !improved && !sweeps < max_sweeps do
+  while !improved && !sweeps < 16 do
     incr sweeps;
     improved := false;
     for start = 0 to n - w do
@@ -60,6 +60,6 @@ let run_mtable ?(trace = Ovo_obs.Trace.null)
     probes = !probes;
   }
 
-let run ?trace ?metrics ?kind ?window ?max_sweeps ?initial tt =
-  run_mtable ?trace ?metrics ?kind ?window ?max_sweeps ?initial
+let run ?trace ?metrics ?kind ?window ?initial tt =
+  run_mtable ?trace ?metrics ?kind ?window ?initial
     (Ovo_boolfun.Mtable.of_truthtable tt)
