@@ -423,7 +423,7 @@ let shared_bench () =
       in
       let qshared =
         if n <= 6 then begin
-          let ctx = Ovo_quantum.Qctx.make () in
+          let ctx = Ovo_quantum.Opt_obdd.make_ctx () in
           let qr, _ =
             Ovo_quantum.Opt_shared.minimize ~ctx (O.theorem10 ()) outputs
           in

@@ -1,7 +1,11 @@
 (** A from-scratch reduced-ordered-BDD package (unique tables, hash-consed
     [mk], memoised [ite]), in the style of Brace–Rudell–Bryant, with
     {e dynamic reordering}: adjacent level swaps in place, and Rudell
-    sifting over the live graph.
+    sifting over the live graph.  Its node store (orderings, node
+    arrays, one unique table per level, leaves, reachability, import,
+    dot) is the one {!Zdd} and {!Mtbdd} use; this package adds the BDD
+    elision rule (a node with equal children is elided), [ite] with its
+    cache, and reordering.
 
     This is the substrate the ordering optimiser serves: once
     [Ovo_core.Fs] (or a heuristic) has produced a good variable ordering,
@@ -36,8 +40,7 @@
     until {!compress}; {!live_size} reports the reachable count. *)
 
 type man
-(** A mutable manager: per-level unique tables, node store, operation
-    cache, protected roots. *)
+(** A mutable manager: node store, [ite] cache, protected roots. *)
 
 type t
 (** A BDD handle, valid for the manager that created it. *)
@@ -55,8 +58,8 @@ val order : man -> int array
     sifting). *)
 
 val node_count : man -> int
-(** Nodes currently in the stores (live + garbage), terminals included —
-    a growth diagnostic; compare with {!live_size} to decide when to
+(** Nodes allocated so far (live + garbage), terminals included — a
+    growth diagnostic; compare with {!live_size} to decide when to
     {!compress}. *)
 
 val bfalse : man -> t
@@ -115,8 +118,9 @@ val shared_size : man -> t list -> int
     the shared multi-rooted diagram these functions form. *)
 
 val of_truthtable : man -> Ovo_boolfun.Truthtable.t -> t
-(** Build the canonical BDD of a function (arity must match) under the
-    ordering in force at call time. *)
+(** The canonical BDD of a function (arity must match) under the
+    ordering in force at call time: one compaction chain
+    ({!Ovo_core.Eval_order.state}) whose diagram is then {!import}ed. *)
 
 val to_truthtable : man -> t -> Ovo_boolfun.Truthtable.t
 (** Label-indexed semantics — invariant under reordering. *)

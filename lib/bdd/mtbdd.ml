@@ -1,15 +1,11 @@
-(* Ids are indices into the node store.  A node is either [Leaf v] or
-   [Node (level, lo, hi)]; both are hash-consed, so ids are canonical. *)
+(* A manager is a node store (see node_store.mli) plus the caches of
+   [add], [max_] and [min_]: any int may be a leaf, and inner nodes
+   follow the BDD rule (a node with equal children is elided). *)
 
-type node = Leaf of int | Node of int * int * int
+module S = Node_store
 
 type man = {
-  n : int;
-  level_var : int array;
-  var_level : int array;
-  mutable nodes : node array;
-  mutable next : int;
-  unique : (node, int) Hashtbl.t;
+  s : S.t;
   add_cache : (int * int, int) Hashtbl.t;
   max_cache : (int * int, int) Hashtbl.t;
   min_cache : (int * int, int) Hashtbl.t;
@@ -18,63 +14,31 @@ type man = {
 type t = int
 
 let create ?order n =
-  if n < 0 then invalid_arg "Mtbdd.create";
-  let level_var =
-    match order with
-    | None -> Array.init n (fun i -> i)
-    | Some o ->
-        if Array.length o <> n then invalid_arg "Mtbdd.create: bad order";
-        Array.copy o
-  in
-  let var_level = Array.make n (-1) in
-  Array.iteri
-    (fun l v ->
-      if v < 0 || v >= n || var_level.(v) >= 0 then
-        invalid_arg "Mtbdd.create: order not a permutation";
-      var_level.(v) <- l)
-    level_var;
   {
-    n;
-    level_var;
-    var_level;
-    nodes = Array.make 64 (Leaf 0);
-    next = 0;
-    unique = Hashtbl.create 256;
+    s = S.create "Mtbdd" ?order n;
     add_cache = Hashtbl.create 64;
     max_cache = Hashtbl.create 64;
     min_cache = Hashtbl.create 64;
   }
 
-let nvars man = man.n
+let nvars man = man.s.n
+let terminal man v = S.leaf man.s v
+let is_leaf man u = S.is_leaf man.s u
+let leaf_value man u = S.leaf_value man.s u
 
-let intern man node =
-  match Hashtbl.find_opt man.unique node with
-  | Some u -> u
-  | None ->
-      if man.next >= Array.length man.nodes then
-        man.nodes <- Array.append man.nodes (Array.make (Array.length man.nodes) (Leaf 0));
-      let u = man.next in
-      man.next <- u + 1;
-      man.nodes.(u) <- node;
-      Hashtbl.add man.unique node u;
-      u
-
-let terminal man v = intern man (Leaf v)
-
-let node_of man u = man.nodes.(u)
-
-let value man u = match node_of man u with Leaf v -> Some v | Node _ -> None
+let value man u = if is_leaf man u then Some (leaf_value man u) else None
 
 let equal (a : t) (b : t) = a = b
 
-let level man u =
-  match node_of man u with Leaf _ -> man.n | Node (l, _, _) -> l
+let level man u = S.level man.s u
+let lo man u = S.lo man.s u
+let hi man u = S.hi man.s u
 
-let mk man lvl l h = if l = h then l else intern man (Node (lvl, l, h))
+let mk man lvl l h = if l = h then l else S.node man.s lvl l h
 
 let select man v if_false if_true =
-  if v < 0 || v >= man.n then invalid_arg "Mtbdd.select";
-  mk man man.var_level.(v) if_false if_true
+  if v < 0 || v >= man.s.n then invalid_arg "Mtbdd.select";
+  mk man man.s.var_level.(v) if_false if_true
 
 let apply1 man f t =
   let memo = Hashtbl.create 64 in
@@ -83,9 +47,8 @@ let apply1 man f t =
     | Some r -> r
     | None ->
         let r =
-          match node_of man u with
-          | Leaf v -> terminal man (f v)
-          | Node (l, lo, hi) -> mk man l (go lo) (go hi)
+          if is_leaf man u then terminal man (f (leaf_value man u))
+          else mk man (level man u) (go (lo man u)) (go (hi man u))
         in
         Hashtbl.add memo u r;
         r
@@ -94,26 +57,21 @@ let apply1 man f t =
 
 let apply2_with man cache f a b =
   let rec go a b =
-    match (node_of man a, node_of man b) with
-    | Leaf va, Leaf vb -> terminal man (f va vb)
-    | _ -> (
-        let key = (a, b) in
-        match Hashtbl.find_opt cache key with
-        | Some r -> r
-        | None ->
-            let la = level man a and lb = level man b in
-            let m = min la lb in
-            let cof u lu =
-              if lu = m then
-                match node_of man u with
-                | Node (_, lo, hi) -> (lo, hi)
-                | Leaf _ -> (u, u)
-              else (u, u)
-            in
-            let a0, a1 = cof a la and b0, b1 = cof b lb in
-            let r = mk man m (go a0 b0) (go a1 b1) in
-            Hashtbl.add cache key r;
-            r)
+    if is_leaf man a && is_leaf man b then
+      terminal man (f (leaf_value man a) (leaf_value man b))
+    else
+      let key = (a, b) in
+      match Hashtbl.find_opt cache key with
+      | Some r -> r
+      | None ->
+          let m = min (level man a) (level man b) in
+          let cof u =
+            if level man u = m then (lo man u, hi man u) else (u, u)
+          in
+          let a0, a1 = cof a and b0, b1 = cof b in
+          let r = mk man m (go a0 b0) (go a1 b1) in
+          Hashtbl.add cache key r;
+          r
   in
   go a b
 
@@ -124,26 +82,18 @@ let max_ man a b = apply2_with man man.max_cache max a b
 let min_ man a b = apply2_with man man.min_cache min a b
 
 let restrict man t ~var:v b =
-  if v < 0 || v >= man.n then invalid_arg "Mtbdd.restrict";
-  let lvl = man.var_level.(v) in
+  if v < 0 || v >= man.s.n then invalid_arg "Mtbdd.restrict";
+  let lvl = man.s.var_level.(v) in
   let memo = Hashtbl.create 64 in
   let rec go u =
-    if level man u >= lvl then
-      if level man u = lvl then begin
-        match node_of man u with
-        | Node (_, lo, hi) -> if b then hi else lo
-        | Leaf _ -> u
-      end
-      else u
+    let l = level man u in
+    if l > lvl then u
+    else if l = lvl then if b then hi man u else lo man u
     else
       match Hashtbl.find_opt memo u with
       | Some r -> r
       | None ->
-          let r =
-            match node_of man u with
-            | Leaf _ -> u
-            | Node (l, lo, hi) -> mk man l (go lo) (go hi)
-          in
+          let r = mk man l (go (lo man u)) (go (hi man u)) in
           Hashtbl.add memo u r;
           r
   in
@@ -151,96 +101,25 @@ let restrict man t ~var:v b =
 
 let eval man t code =
   let rec go u =
-    match node_of man u with
-    | Leaf v -> v
-    | Node (l, lo, hi) ->
-        let v = man.level_var.(l) in
-        if code land (1 lsl v) <> 0 then go hi else go lo
+    if is_leaf man u then leaf_value man u
+    else
+      let v = man.s.level_var.(level man u) in
+      if code land (1 lsl v) <> 0 then go (hi man u) else go (lo man u)
   in
   go t
 
 let of_mtable man mt =
-  if Ovo_boolfun.Mtable.arity mt <> man.n then
-    invalid_arg "Mtbdd.of_mtable: arity mismatch";
-  (* split on the manager's level order directly via code reconstruction *)
-  let rec build lvl partial =
-    if lvl = man.n then terminal man (Ovo_boolfun.Mtable.eval mt partial)
-    else
-      let v = man.level_var.(lvl) in
-      let lo = build (lvl + 1) partial in
-      let hi = build (lvl + 1) (partial lor (1 lsl v)) in
-      mk man lvl lo hi
-  in
-  build 0 0
+  S.of_mtable man.s "Mtbdd.of_mtable" ~kind:Ovo_core.Compact.Bdd ~mk:(mk man)
+    mt
 
 let to_mtable man ~values t =
-  Ovo_boolfun.Mtable.of_fun man.n ~values (eval man t)
+  Ovo_boolfun.Mtable.of_fun man.s.n ~values (eval man t)
 
 let import man (d : Ovo_core.Diagram.t) =
-  if d.Ovo_core.Diagram.kind <> Ovo_core.Compact.Bdd then
+  if d.kind <> Ovo_core.Compact.Bdd then
     invalid_arg "Mtbdd.import: ZDD-rule diagram";
-  if d.Ovo_core.Diagram.n <> man.n then invalid_arg "Mtbdd.import: arity mismatch";
-  Array.iteri
-    (fun j v ->
-      if man.level_var.(man.n - 1 - j) <> v then
-        invalid_arg "Mtbdd.import: ordering mismatch")
-    d.Ovo_core.Diagram.order;
-  let memo = Hashtbl.create 64 in
-  let rec go u =
-    if u < d.Ovo_core.Diagram.num_terminals then terminal man u
-    else
-      match Hashtbl.find_opt memo u with
-      | Some r -> r
-      | None ->
-          let nd = d.Ovo_core.Diagram.nodes.(u - d.Ovo_core.Diagram.num_terminals) in
-          let r =
-            mk man
-              man.var_level.(nd.Ovo_core.Diagram.var)
-              (go nd.Ovo_core.Diagram.lo)
-              (go nd.Ovo_core.Diagram.hi)
-          in
-          Hashtbl.add memo u r;
-          r
-  in
-  go d.Ovo_core.Diagram.root
+  S.import man.s "Mtbdd.import" ~mk:(mk man) d
 
-let size man t =
-  let visited = Hashtbl.create 64 in
-  let rec go u =
-    if not (Hashtbl.mem visited u) then begin
-      Hashtbl.replace visited u ();
-      match node_of man u with
-      | Leaf _ -> ()
-      | Node (_, lo, hi) ->
-          go lo;
-          go hi
-    end
-  in
-  go t;
-  Hashtbl.length visited
+let size man t = S.size man.s [ t ]
 
-let to_dot man t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "digraph mtbdd {\n  rankdir=TB;\n";
-  let visited = Hashtbl.create 64 in
-  let rec go u =
-    if not (Hashtbl.mem visited u) then begin
-      Hashtbl.replace visited u ();
-      match node_of man u with
-      | Leaf v ->
-          Buffer.add_string buf
-            (Printf.sprintf "  n%d [shape=box,label=\"%d\"];\n" u v)
-      | Node (l, lo, hi) ->
-          Buffer.add_string buf
-            (Printf.sprintf "  n%d [shape=circle,label=\"x%d\"];\n" u
-               man.level_var.(l));
-          Buffer.add_string buf
-            (Printf.sprintf "  n%d -> n%d [style=dashed];\n" u lo);
-          Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" u hi);
-          go lo;
-          go hi
-    end
-  in
-  go t;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+let to_dot man t = S.to_dot man.s ~graph:"mtbdd" ~prefix:"x" t

@@ -3,10 +3,10 @@
     algorithm FS* works even when the function is multi-valued …
     producing a variant of an OBDD (called an MTBDD) of minimum size").
 
-    Terminals carry arbitrary OCaml [int] values; inner structure and
-    reduction are as in {!Bdd} (a node with equal children is elided),
-    and the manager hash-conses both.  Arithmetic is provided through a
-    generic memoised [apply]. *)
+    Terminals carry arbitrary OCaml [int] values; the node store,
+    which hash-conses leaves and inner nodes, and the reduction (a node
+    with equal children is elided) are {!Bdd}'s.  Arithmetic is provided
+    through a generic memoised [apply]. *)
 
 type man
 type t
@@ -45,6 +45,9 @@ val eval : man -> t -> int -> int
 (** Value on an assignment code. *)
 
 val of_mtable : man -> Ovo_boolfun.Mtable.t -> t
+(** The canonical MTBDD of a table (arity must match) under the
+    manager's ordering: one compaction chain, {!import}ed. *)
+
 val to_mtable : man -> values:int -> t -> Ovo_boolfun.Mtable.t
 (** [values] bounds the terminal alphabet of the output table; raises
     [Invalid_argument] if some leaf falls outside [0..values-1]. *)

@@ -1,17 +1,14 @@
-(* Ids: 0 = empty family, 1 = {∅}; inner nodes from 2.  Ordering is by
-   LEVEL: the root carries the element whose level is smallest, and a
-   node's children live at strictly larger levels (terminals at level
-   [n]).  With the default identity order, level = element label. *)
+(* A manager is a node store (see node_store.mli) plus the operation
+   cache; the ZDD rule elides a node whose hi child is the empty family.
+   Leaf ids 0 and 1 are the empty family and {∅}.  Ordering is by LEVEL:
+   the root carries the element whose level is smallest, and a node's
+   children live at strictly larger levels (leaves at level [n]).  With
+   the default identity order, level = element label. *)
+
+module S = Node_store
 
 type man = {
-  n : int;
-  level_var : int array;  (* level -> element label *)
-  var_level : int array;  (* element label -> level *)
-  mutable elems : int array;
-  mutable los : int array;
-  mutable his : int array;
-  mutable next : int;
-  unique : (int * int * int, int) Hashtbl.t;
+  s : S.t;
   cache : (int * int * int, int) Hashtbl.t;  (* (op_tag, a, b) *)
 }
 
@@ -28,71 +25,22 @@ let op_maximal = 7
 let op_minimal = 8
 
 let create ?order n =
-  if n < 0 then invalid_arg "Zdd.create";
-  let level_var =
-    match order with
-    | None -> Array.init n (fun i -> i)
-    | Some o ->
-        if Array.length o <> n then invalid_arg "Zdd.create: bad order";
-        Array.copy o
-  in
-  let var_level = Array.make n (-1) in
-  Array.iteri
-    (fun l v ->
-      if v < 0 || v >= n || var_level.(v) >= 0 then
-        invalid_arg "Zdd.create: order is not a permutation";
-      var_level.(v) <- l)
-    level_var;
-  {
-    n;
-    level_var;
-    var_level;
-    elems = Array.make 64 0;
-    los = Array.make 64 0;
-    his = Array.make 64 0;
-    next = 0;
-    unique = Hashtbl.create 256;
-    cache = Hashtbl.create 256;
-  }
+  { s = S.create "Zdd" ?order n; cache = Hashtbl.create 256 }
 
-let nelems man = man.n
-let order man = Array.copy man.level_var
-let node_count man = man.next + 2
+let nelems man = man.s.n
+let order man = Array.copy man.s.level_var
+let node_count man = S.node_count man.s
 
 let empty _man = 0
 let base _man = 1
 let equal (a : t) (b : t) = a = b
 
-let elem man u = man.elems.(u - 2)
-let lo man u = man.los.(u - 2)
-let hi man u = man.his.(u - 2)
-let level man u = if u < 2 then man.n else man.var_level.(elem man u)
+let level man u = S.level man.s u
+let lo man u = S.lo man.s u
+let hi man u = S.hi man.s u
+let elem man u = man.s.level_var.(level man u)
 
-let grow man =
-  let cap = Array.length man.elems in
-  if man.next >= cap then begin
-    let resize a = Array.append a (Array.make cap 0) in
-    man.elems <- resize man.elems;
-    man.los <- resize man.los;
-    man.his <- resize man.his
-  end
-
-let mk man v l h =
-  if h = 0 then l
-  else
-    let key = (v, l, h) in
-    match Hashtbl.find_opt man.unique key with
-    | Some u -> u
-    | None ->
-        grow man;
-        let idx = man.next in
-        man.next <- idx + 1;
-        man.elems.(idx) <- v;
-        man.los.(idx) <- l;
-        man.his.(idx) <- h;
-        let u = idx + 2 in
-        Hashtbl.add man.unique key u;
-        u
+let mk man lvl l h = if h = 0 then l else S.node man.s lvl l h
 
 let cached man tag a b compute =
   let key = (tag, a, b) in
@@ -111,11 +59,10 @@ let rec union man a b =
     let a, b = if a < b then (a, b) else (b, a) in
     cached man op_union a b (fun () ->
         let la = level man a and lb = level man b in
-        if la < lb then mk man (elem man a) (union man (lo man a) b) (hi man a)
-        else if lb < la then
-          mk man (elem man b) (union man a (lo man b)) (hi man b)
+        if la < lb then mk man la (union man (lo man a) b) (hi man a)
+        else if lb < la then mk man lb (union man a (lo man b)) (hi man b)
         else
-          mk man (elem man a)
+          mk man la
             (union man (lo man a) (lo man b))
             (union man (hi man a) (hi man b)))
 
@@ -129,7 +76,7 @@ let rec inter man a b =
         if la < lb then inter man (lo man a) b
         else if lb < la then inter man a (lo man b)
         else
-          mk man (elem man a)
+          mk man la
             (inter man (lo man a) (lo man b))
             (inter man (hi man a) (hi man b)))
 
@@ -139,10 +86,10 @@ let rec diff man a b =
   else
     cached man op_diff a b (fun () ->
         let la = level man a and lb = level man b in
-        if la < lb then mk man (elem man a) (diff man (lo man a) b) (hi man a)
+        if la < lb then mk man la (diff man (lo man a) b) (hi man a)
         else if lb < la then diff man a (lo man b)
         else
-          mk man (elem man a)
+          mk man la
             (diff man (lo man a) (lo man b))
             (diff man (hi man a) (hi man b)))
 
@@ -155,14 +102,14 @@ let rec join man a b =
     cached man op_join a b (fun () ->
         let la = level man a and lb = level man b in
         if la < lb then
-          mk man (elem man a) (join man (lo man a) b) (join man (hi man a) b)
+          mk man la (join man (lo man a) b) (join man (hi man a) b)
         else if lb < la then
-          mk man (elem man b) (join man a (lo man b)) (join man a (hi man b))
+          mk man lb (join man a (lo man b)) (join man a (hi man b))
         else
           let hh = join man (hi man a) (hi man b) in
           let hl = join man (hi man a) (lo man b) in
           let lh = join man (lo man a) (hi man b) in
-          mk man (elem man a)
+          mk man la
             (join man (lo man a) (lo man b))
             (union man hh (union man hl lh)))
 
@@ -186,7 +133,7 @@ let rec meet man a b =
                  (meet man (hi man a) (lo man b))
                  (meet man (lo man a) (hi man b)))
           in
-          mk man (elem man a) drop keep_v)
+          mk man la drop keep_v)
 
 (* sets of [a] that are a subset of no member of [b] *)
 let rec nonsub man a b =
@@ -201,10 +148,10 @@ let rec nonsub man a b =
         let la = level man a and lb = level man b in
         if la < lb then
           (* members with the top element can't fit inside v-free sets *)
-          mk man (elem man a) (nonsub man (lo man a) b) (hi man a)
+          mk man la (nonsub man (lo man a) b) (hi man a)
         else if lb < la then nonsub man a (union man (lo man b) (hi man b))
         else
-          mk man (elem man a)
+          mk man la
             (nonsub man (lo man a) (union man (lo man b) (hi man b)))
             (nonsub man (hi man a) (hi man b)))
 
@@ -221,10 +168,10 @@ let rec nonsup man a b =
     cached man op_nonsup a b (fun () ->
         let la = level man a and lb = level man b in
         if la < lb then
-          mk man (elem man a) (nonsup man (lo man a) b) (nonsup man (hi man a) b)
+          mk man la (nonsup man (lo man a) b) (nonsup man (hi man a) b)
         else if lb < la then nonsup man a (lo man b)
         else
-          mk man (elem man a)
+          mk man la
             (nonsup man (lo man a) (lo man b))
             (nonsup man (hi man a) (union man (lo man b) (hi man b))))
 
@@ -234,7 +181,7 @@ let rec maximal man a =
     cached man op_maximal a a (fun () ->
         let h' = maximal man (hi man a) in
         let l' = nonsub man (maximal man (lo man a)) h' in
-        mk man (elem man a) l' h')
+        mk man (level man a) l' h')
 
 let rec minimal man a =
   if a < 2 then a
@@ -242,42 +189,45 @@ let rec minimal man a =
     cached man op_minimal a a (fun () ->
         let l' = minimal man (lo man a) in
         let h' = nonsup man (minimal man (hi man a)) l' in
-        mk man (elem man a) l' h')
+        mk man (level man a) l' h')
 
 let check_elem man v =
-  if v < 0 || v >= man.n then invalid_arg "Zdd: element out of range"
+  if v < 0 || v >= man.s.n then invalid_arg "Zdd: element out of range"
 
 let rec change man t v =
   check_elem man v;
-  let lv = man.var_level.(v) in
+  let lv = man.s.var_level.(v) in
   if t = 0 then 0
-  else if level man t > lv then mk man v 0 t
-  else if level man t = lv then mk man v (hi man t) (lo man t)
-  else mk man (elem man t) (change man (lo man t) v) (change man (hi man t) v)
+  else if level man t > lv then mk man lv 0 t
+  else if level man t = lv then mk man lv (hi man t) (lo man t)
+  else mk man (level man t) (change man (lo man t) v) (change man (hi man t) v)
 
 let rec subset0 man t v =
   check_elem man v;
-  let lv = man.var_level.(v) in
+  let lv = man.s.var_level.(v) in
   if t < 2 then t
   else if level man t > lv then t
   else if level man t = lv then lo man t
-  else mk man (elem man t) (subset0 man (lo man t) v) (subset0 man (hi man t) v)
+  else
+    mk man (level man t) (subset0 man (lo man t) v) (subset0 man (hi man t) v)
 
 let rec subset1 man t v =
   check_elem man v;
-  let lv = man.var_level.(v) in
+  let lv = man.s.var_level.(v) in
   if t < 2 then 0
   else if level man t > lv then 0
   else if level man t = lv then hi man t
-  else mk man (elem man t) (subset1 man (lo man t) v) (subset1 man (hi man t) v)
+  else
+    mk man (level man t) (subset1 man (lo man t) v) (subset1 man (hi man t) v)
 
 let singleton man set =
   let sorted = List.sort_uniq compare set in
   List.iter (check_elem man) sorted;
   let by_level_desc =
-    List.sort (fun a b -> compare man.var_level.(b) man.var_level.(a)) sorted
+    let vl = man.s.var_level in
+    List.sort (fun a b -> compare vl.(b) vl.(a)) sorted
   in
-  List.fold_left (fun acc v -> mk man v 0 acc) 1 by_level_desc
+  List.fold_left (fun acc v -> mk man man.s.var_level.(v) 0 acc) 1 by_level_desc
 
 let of_family man sets =
   List.fold_left (fun acc s -> union man acc (singleton man s)) 0 sets
@@ -309,7 +259,7 @@ let count man t =
   go t
 
 let count_by_size man t =
-  let len = man.n + 1 in
+  let len = man.s.n + 1 in
   let memo = Hashtbl.create 64 in
   let rec go t =
     if t = 0 then Array.make len 0.
@@ -336,7 +286,8 @@ let mem man t set =
   let sorted = List.sort_uniq compare set in
   List.iter (check_elem man) sorted;
   let by_level =
-    List.sort (fun a b -> compare man.var_level.(a) man.var_level.(b)) sorted
+    let vl = man.s.var_level in
+    List.sort (fun a b -> compare vl.(a) vl.(b)) sorted
   in
   let rec go t = function
     | [] ->
@@ -345,102 +296,32 @@ let mem man t set =
     | v :: rest ->
         if t < 2 then false
         else
-          let lt = level man t and lv = man.var_level.(v) in
+          let lt = level man t and lv = man.s.var_level.(v) in
           if lt > lv then false
           else if lt = lv then go (hi man t) rest
           else go (lo man t) (v :: rest)
   in
   go t by_level
 
-let size man t =
-  let visited = Hashtbl.create 64 in
-  let terminals = Hashtbl.create 2 in
-  let rec go u =
-    if u < 2 then Hashtbl.replace terminals u ()
-    else if not (Hashtbl.mem visited u) then begin
-      Hashtbl.replace visited u ();
-      go (lo man u);
-      go (hi man u)
-    end
-  in
-  go t;
-  Hashtbl.length visited + Hashtbl.length terminals
+let size man t = S.size man.s [ t ]
 
 let import man (d : Ovo_core.Diagram.t) =
-  if d.Ovo_core.Diagram.kind <> Ovo_core.Compact.Zdd then
+  if d.kind <> Ovo_core.Compact.Zdd then
     invalid_arg "Zdd.import: not a ZDD-rule diagram";
-  if d.Ovo_core.Diagram.num_terminals <> 2 then
-    invalid_arg "Zdd.import: not two-terminal";
-  if d.Ovo_core.Diagram.n <> man.n then invalid_arg "Zdd.import: arity mismatch";
-  Array.iteri
-    (fun j v ->
-      if man.level_var.(man.n - 1 - j) <> v then
-        invalid_arg "Zdd.import: ordering mismatch")
-    d.Ovo_core.Diagram.order;
-  let memo = Hashtbl.create 64 in
-  let rec go u =
-    if u < 2 then u
-    else
-      match Hashtbl.find_opt memo u with
-      | Some r -> r
-      | None ->
-          let nd = d.Ovo_core.Diagram.nodes.(u - 2) in
-          let r =
-            mk man nd.Ovo_core.Diagram.var
-              (go nd.Ovo_core.Diagram.lo)
-              (go nd.Ovo_core.Diagram.hi)
-          in
-          Hashtbl.add memo u r;
-          r
-  in
-  go d.Ovo_core.Diagram.root
+  if d.num_terminals <> 2 then invalid_arg "Zdd.import: not two-terminal";
+  S.import man.s "Zdd.import" ~mk:(mk man) d
 
 let of_truthtable man tt =
-  if Ovo_boolfun.Truthtable.arity tt <> man.n then
-    invalid_arg "Zdd.of_truthtable: arity mismatch";
-  let family = ref 0 in
-  for code = 0 to Ovo_boolfun.Truthtable.size tt - 1 do
-    if Ovo_boolfun.Truthtable.eval tt code then begin
-      let set = ref [] in
-      for v = man.n - 1 downto 0 do
-        if code land (1 lsl v) <> 0 then set := v :: !set
-      done;
-      family := union man !family (singleton man !set)
-    end
-  done;
-  !family
+  S.of_mtable man.s "Zdd.of_truthtable" ~kind:Ovo_core.Compact.Zdd
+    ~mk:(mk man)
+    (Ovo_boolfun.Mtable.of_truthtable tt)
 
 let to_truthtable man t =
-  Ovo_boolfun.Truthtable.of_fun man.n (fun code ->
+  Ovo_boolfun.Truthtable.of_fun man.s.n (fun code ->
       let set = ref [] in
-      for v = man.n - 1 downto 0 do
+      for v = man.s.n - 1 downto 0 do
         if code land (1 lsl v) <> 0 then set := v :: !set
       done;
       mem man t !set)
 
-let to_dot man t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "digraph zdd {\n  rankdir=TB;\n";
-  let visited = Hashtbl.create 64 in
-  let rec go u =
-    if not (Hashtbl.mem visited u) then begin
-      Hashtbl.replace visited u ();
-      if u < 2 then
-        Buffer.add_string buf
-          (Printf.sprintf "  n%d [shape=box,label=\"%s\"];\n" u
-             (if u = 0 then "0" else "1"))
-      else begin
-        Buffer.add_string buf
-          (Printf.sprintf "  n%d [shape=circle,label=\"e%d\"];\n" u
-             (elem man u));
-        Buffer.add_string buf
-          (Printf.sprintf "  n%d -> n%d [style=dashed];\n" u (lo man u));
-        Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" u (hi man u));
-        go (lo man u);
-        go (hi man u)
-      end
-    end
-  in
-  go t;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+let to_dot man t = S.to_dot man.s ~graph:"zdd" ~prefix:"e" t

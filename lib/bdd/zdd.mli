@@ -6,7 +6,9 @@
     element, a node's [hi] child holds the sets containing its element,
     and the zero-suppression rule ([hi] = empty family ⇒ node elided)
     keeps sparse families compact.  The usual family algebra is provided
-    (union, intersection, difference, join, cofactors, counting). *)
+    (union, intersection, difference, join, cofactors, counting).  The
+    node store is {!Bdd}'s; only the elision rule, the operation cache
+    and the algebra are this package's own. *)
 
 type man
 type t
@@ -88,7 +90,8 @@ val minimal : man -> t -> t
 
 val of_truthtable : man -> Ovo_boolfun.Truthtable.t -> t
 (** Characteristic-function view: the family of the sets whose
-    characteristic vectors satisfy the function. *)
+    characteristic vectors satisfy the function — the ZDD-rule
+    compaction chain under the manager's ordering, {!import}ed. *)
 
 val to_truthtable : man -> t -> Ovo_boolfun.Truthtable.t
 

@@ -15,7 +15,6 @@ let inputs p = p.inputs
 let outputs p = p.outputs
 let num_cubes p = List.length p.cubes
 let input_names p = p.input_names
-let output_names p = p.output_names
 
 let split_ws s =
   String.split_on_char ' ' s

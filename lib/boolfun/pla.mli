@@ -24,7 +24,6 @@ val outputs : t -> int
 val num_cubes : t -> int
 
 val input_names : t -> string array option
-val output_names : t -> string array option
 
 val of_string : string -> t
 (** Parses the format above; raises [Failure] with a line-numbered message

@@ -15,8 +15,6 @@ let of_bitvec n v =
   if Bitvec.length v <> 1 lsl n then invalid_arg "Truthtable.of_bitvec";
   { n; bits = v }
 
-let to_bitvec tt = tt.bits
-
 let log2_exact len =
   let rec loop n = if 1 lsl n >= len then n else loop (n + 1) in
   let n = loop 0 in

@@ -26,9 +26,6 @@ val of_fun : int -> (int -> bool) -> t
 val of_bitvec : int -> Bitvec.t -> t
 (** [of_bitvec n v] wraps a bit vector of length [2^n]. *)
 
-val to_bitvec : t -> Bitvec.t
-(** Underlying bits (copy-free; treat as read-only). *)
-
 val of_string : string -> t
 (** [of_string "0110"] is the 2-variable XOR (length must be a power of
     two); entry [i] of the string is [f] at assignment code [i]. *)

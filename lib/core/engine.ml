@@ -1,6 +1,5 @@
 type t = Seq | Par of { domains : int }
 
-let seq = Seq
 let par ?(domains = 0) () = Par { domains }
 
 let hard_cap = 64
@@ -28,8 +27,6 @@ let of_string s =
       | Some _ | None ->
           Error (`Msg (Printf.sprintf "bad domain count in engine %S" s)))
   | _ -> Error (`Msg (Printf.sprintf "unknown engine %S (expected seq|par[:N])" s))
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (* The workers of one sweep.  A job is a function of the participant
    index; publishing one bumps [generation] under [lock], and each

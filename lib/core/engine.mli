@@ -21,8 +21,6 @@ type t =
           one included; [domains <= 0] means
           {!Domain.recommended_domain_count} *)
 
-val seq : t
-
 val par : ?domains:int -> unit -> t
 (** [par ()] uses the recommended domain count at run time. *)
 
@@ -36,8 +34,6 @@ val to_string : t -> string
 
 val of_string : string -> (t, [ `Msg of string ]) result
 (** Inverse of {!to_string}; accepts ["seq"], ["par"], ["par:N"]. *)
-
-val pp : Format.formatter -> t -> unit
 
 type pool
 (** The participants of one sweep: the calling domain (participant 0)

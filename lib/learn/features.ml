@@ -1,5 +1,4 @@
 module T = Ovo_boolfun.Truthtable
-module E = Ovo_boolfun.Expr
 module Json = Ovo_obs.Json
 
 type t = {
@@ -71,81 +70,6 @@ let of_truthtable tt =
     adjacency = Array.make_matrix n n 0.;
     proximity = Array.make_matrix n n 0.;
   }
-
-(* Distinct variables of a subformula, as a sorted list — subtrees are
-   small enough that set-as-list is the simple honest structure. *)
-let rec expr_vars = function
-  | E.Const _ -> []
-  | E.Var j -> [ j ]
-  | E.Not e -> expr_vars e
-  | E.And (a, b) | E.Or (a, b) | E.Xor (a, b) ->
-      List.sort_uniq compare (expr_vars a @ expr_vars b)
-
-let of_expr ?arity e =
-  let tt = E.to_truthtable ?arity e in
-  let base = of_truthtable tt in
-  let n = base.n in
-  let occ = Array.make n 0. in
-  let adjacency = Array.make_matrix n n 0. in
-  let proximity = Array.make_matrix n n 0. in
-  let meet m here a b =
-    List.iter
-      (fun u ->
-        List.iter
-          (fun v ->
-            if u <> v && u < n && v < n then begin
-              m.(u).(v) <- max m.(u).(v) here;
-              m.(v).(u) <- max m.(v).(u) here
-            end)
-          b)
-      a
-  in
-  let rec walk = function
-    | E.Const _ -> ()
-    | E.Var j -> if j < n then occ.(j) <- occ.(j) +. 1.
-    | E.Not e -> walk e
-    | E.And (a, b) as node ->
-        let va = expr_vars a and vb = expr_vars b in
-        let here = 1. /. float_of_int (E.size node) in
-        List.iter
-          (fun u ->
-            List.iter
-              (fun v ->
-                if u <> v && u < n && v < n then begin
-                  adjacency.(u).(v) <- adjacency.(u).(v) +. 1.;
-                  adjacency.(v).(u) <- adjacency.(v).(u) +. 1.
-                end)
-              vb)
-          va;
-        meet proximity here va vb;
-        walk a;
-        walk b
-    | E.Or (a, b) | E.Xor (a, b) ->
-        let node_size = 1 + E.size a + E.size b in
-        let here = 1. /. float_of_int node_size in
-        meet proximity here (expr_vars a) (expr_vars b);
-        walk a;
-        walk b
-  in
-  walk e;
-  let total = Array.fold_left ( +. ) 0. occ in
-  if total > 0. then Array.iteri (fun j c -> occ.(j) <- c /. total) occ;
-  let amax = Array.fold_left (fun m row -> Array.fold_left max m row) 0. adjacency in
-  if amax > 0. then
-    Array.iter (fun row -> Array.iteri (fun k v -> row.(k) <- v /. amax) row)
-      adjacency;
-  { base with occurrence = occ; adjacency; proximity }
-
-let of_blif b name =
-  let tt = Ovo_boolfun.Blif.output_table b name in
-  let base = of_truthtable tt in
-  let n = base.n in
-  let proximity =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            if i = j then 0. else 1. /. float_of_int (1 + abs (i - j))))
-  in
-  { base with proximity }
 
 let permute f perm =
   let n = f.n in

@@ -4,20 +4,17 @@
     Fujita–Wille) scores variables by cheap structural signals — literal
     frequency, adjacency in conjunctions, topological proximity — and
     orders by score instead of probing diagram sizes.  This module
-    extracts those signals from the three front-ends the repository
-    accepts: raw truth tables (semantic features only), expressions
-    (semantic plus syntactic structure) and BLIF netlists (semantic plus
-    input-pin topology).
+    extracts the semantic ones from a truth table; every command,
+    corpus and model builds features that way.
 
-    Every semantic feature is {e permutation-equivariant by
-    construction}: extracting from a relabelled function yields the
-    relabelled feature vectors ({!permute} states the law, and
-    [test/test_learn.ml] qchecks it with exact float equality — each
-    entry is a count over all [2^n] assignments, so relabelling permutes
-    the very same sums).  Syntactic features are equivariant under
-    relabelling of the {e source} (an expression with renamed
-    variables); for raw tables they fall back to semantic proxies or
-    zeros, as documented per field. *)
+    Every feature is {e permutation-equivariant by construction}:
+    extracting from a relabelled function yields the relabelled feature
+    vectors ({!permute} states the law, and [test/test_learn.ml]
+    qchecks it with exact float equality — each entry is a count over
+    all [2^n] assignments, so relabelling permutes the very same sums).
+    The syntactic signals, [adjacency] and [proximity], are zero for a
+    table; the fields stay because every corpus row and weight model
+    carries them. *)
 
 type t = {
   n : int;  (** arity *)
@@ -32,23 +29,17 @@ type t = {
       (** second-order spectral moment: mean over [k <> j] of the
           absolute pairwise Walsh coefficient [|W_{jk}|] *)
   occurrence : float array;
-      (** literal/occurrence frequency in the source formula
-          (normalised to sum 1); for raw tables, the support indicator
-          (1 when the function depends on the variable) *)
+      (** the support indicator (1 when the function depends on the
+          variable), the table's proxy for literal frequency *)
   cosens : float array array;
       (** pairwise co-sensitivity
           [Pr(flipping j flips f and flipping k flips f)] — the
           semantic analogue of a conjunction-adjacency matrix; symmetric,
           zero diagonal *)
   adjacency : float array array;
-      (** conjunction adjacency: how often [j] and [k] meet across the
-          two operands of an [And] (normalised to max 1); zeros for raw
-          tables, declaration handled by {!of_blif} *)
+      (** conjunction adjacency, a syntactic signal: zero for a table *)
   proximity : float array array;
-      (** topological proximity: [1 / (smallest common subtree size)]
-          over all places where [j] and [k] meet in the formula; for
-          BLIF, [1 / (1 + pin distance)] in input declaration order;
-          zeros for raw tables *)
+      (** topological proximity, a syntactic signal: zero for a table *)
 }
 
 val of_truthtable : Ovo_boolfun.Truthtable.t -> t
@@ -58,19 +49,6 @@ val of_truthtable : Ovo_boolfun.Truthtable.t -> t
     combinations, [O(n^2 2^n)] bit operations done a word at a time.
     The counts, and hence the floats, are exactly those of a per-bit
     scan. *)
-
-val of_expr : ?arity:int -> Ovo_boolfun.Expr.t -> t
-(** Semantic features of the tabulated expression plus literal
-    frequency, conjunction adjacency and subtree proximity from the
-    syntax tree.  [arity] as in {!Ovo_boolfun.Expr.to_truthtable}. *)
-
-val of_blif : Ovo_boolfun.Blif.t -> string -> t
-(** Features of one primary output (by name, as in
-    {!Ovo_boolfun.Blif.output_table}): semantic features of the
-    elaborated table plus pin-distance proximity over the declared
-    inputs.  Raises [Not_found] for unknown names.  Pin distance
-    depends on declaration order, so {!of_blif} is the one constructor
-    outside the equivariance law. *)
 
 val permute : t -> int array -> t
 (** The equivariance law: if [g = Truthtable.permute_vars f perm] then

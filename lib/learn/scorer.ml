@@ -17,8 +17,8 @@ module Weights = struct
 
   (* Hand-tuned against the catalogue corpus: influence dominates (the
      classic place-deciders-at-the-root rule), co-sensitivity pulls
-     interacting variables together, the syntactic terms only move
-     expression/BLIF inputs. *)
+     interacting variables together.  The syntactic terms weigh
+     matrices that table features leave zero, so they move nothing. *)
   let default =
     {
       influence = 1.0;

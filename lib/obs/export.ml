@@ -140,7 +140,8 @@ let write_file path t =
 
 type agg = { mutable count : int; mutable total : float; mutable max : float }
 
-let summary ?(top = 5) t =
+let summary t =
+  let top = 5 in
   let buf = Buffer.create 1024 in
   let evs = Trace.events t in
   let spans = Trace.spans t in

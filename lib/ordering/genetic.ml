@@ -1,9 +1,4 @@
-type result = {
-  mincost : int;
-  order : int array;
-  generations : int;
-  probes : int;
-}
+type result = { mincost : int; order : int array; probes : int }
 
 let order_crossover rng p1 p2 =
   let n = Array.length p1 in
@@ -74,12 +69,7 @@ let run_mtable ?(metrics = Ovo_core.Metrics.create ())
     pool := next
   done;
   let best_cost, best_order = !pool.(0) in
-  {
-    mincost = best_cost;
-    order = best_order;
-    generations;
-    probes = !probes;
-  }
+  { mincost = best_cost; order = best_order; probes = !probes }
 
 let run ?metrics ?kind ~rng tt =
   run_mtable ?metrics ?kind ~rng

@@ -9,12 +9,7 @@
     the individual shares with the last one priced, and reuses the
     widths above the last position where they differ (Lemma 3). *)
 
-type result = {
-  mincost : int;
-  order : int array;
-  generations : int;
-  probes : int;
-}
+type result = { mincost : int; order : int array; probes : int }
 
 val run :
   ?metrics:Ovo_core.Metrics.t ->

@@ -4,7 +4,7 @@ module Subset_dp = Ovo_core.Subset_dp
 module Metrics = Ovo_core.Metrics
 module Varset = Ovo_core.Varset
 
-type ctx = Qctx.t = {
+type ctx = {
   rng : Random.State.t option;
   epsilon : float;
   stats : Qsearch.stats;
@@ -15,14 +15,26 @@ type ctx = Qctx.t = {
   bound : Ovo_core.Bound.t option;
 }
 
-let make_ctx = Qctx.make
+let make_ctx ?rng ?(epsilon = Float.pow 2. (-20.))
+    ?(engine = Ovo_core.Engine.Seq) ?(trace = Ovo_obs.Trace.null) ?membudget
+    ?bound () =
+  {
+    rng;
+    epsilon;
+    stats = Qsearch.create_stats ();
+    engine;
+    metrics = Ovo_core.Metrics.create ();
+    trace;
+    membudget;
+    bound;
+  }
 
 (* Modeled classical cost of [f ()]: table cells charged to the
    context's metrics (nested measurements compose — diffs telescope). *)
-let measured_cells (ctx : Qctx.t) f =
-  let before = Metrics.snapshot ctx.Qctx.metrics in
+let measured_cells (ctx : ctx) f =
+  let before = Metrics.snapshot ctx.metrics in
   let result = f () in
-  let after = Metrics.snapshot ctx.Qctx.metrics in
+  let after = Metrics.snapshot ctx.metrics in
   (result, float_of_int (Metrics.diff after before).Metrics.s_table_cells)
 
 (* must mirror Predict.division_points *)
@@ -44,11 +56,11 @@ let division_points ~alpha n' =
    context's {!Qsearch.stats} — oracle calls and modeled query depth.
    The deltas are inclusive: an oracle at level [t] recurses into
    level [t-1], whose searches nest as child spans. *)
-let with_search_span (ctx : Qctx.t) ~name ~level ~candidates f =
-  let s = ctx.Qctx.stats in
+let with_search_span (ctx : ctx) ~name ~level ~candidates f =
+  let s = ctx.stats in
   let evals0 = s.Qsearch.oracle_evaluations in
   let queries0 = s.Qsearch.modeled_queries in
-  Ovo_obs.Trace.with_span ctx.Qctx.trace ~cat:"quantum"
+  Ovo_obs.Trace.with_span ctx.trace ~cat:"quantum"
     ~args:(fun () ->
       [
         ("level", Ovo_obs.Json.Int level);
@@ -66,7 +78,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type subroutine = {
   label : string;
-  compose : Qctx.t -> Compact.state -> Varset.t -> Compact.state * float;
+  compose : ctx -> Compact.state -> Varset.t -> Compact.state * float;
 }
 
 let name sub = sub.label
@@ -76,19 +88,19 @@ let fs_star =
   {
     label = "FS*";
     compose =
-      (fun (ctx : Qctx.t) base j_set ->
+      (fun (ctx : ctx) base j_set ->
         if Varset.is_empty j_set then (base, 0.)
         else
-          Ovo_obs.Trace.with_span ctx.Qctx.trace ~cat:"quantum"
+          Ovo_obs.Trace.with_span ctx.trace ~cat:"quantum"
             ~args:(fun () ->
               [ ("vars", Ovo_obs.Json.Int (Varset.cardinal j_set)) ])
             "qdc.fs_star"
             (fun () ->
               measured_cells ctx (fun () ->
-                  Subset_dp.complete ~trace:ctx.Qctx.trace
-                    ~engine:ctx.Qctx.engine
-                    ~metrics:ctx.Qctx.metrics ?membudget:ctx.Qctx.membudget
-                    ?prune:ctx.Qctx.bound ~base j_set)));
+                  Subset_dp.complete ~trace:ctx.trace
+                    ~engine:ctx.engine
+                    ~metrics:ctx.metrics ?membudget:ctx.membudget
+                    ?prune:ctx.bound ~base j_set)));
   }
 
 (* A sub-sweep pruned against the context's global incumbent can die
@@ -118,7 +130,7 @@ let simple_split ?alpha () =
         let c = log 3. /. log 2. in
         (c -. 1.) /. ((2. *. c) -. 1.)
   in
-  let compose (ctx : Qctx.t) base j_set =
+  let compose (ctx : ctx) base j_set =
     let n' = Varset.cardinal j_set in
     if n' = 0 then (base, 0.)
     else
@@ -134,9 +146,9 @@ let simple_split ?alpha () =
           oracle_catching_pruned (fun ksub ->
               let st_k, cost_k =
                 measured_cells ctx (fun () ->
-                    Subset_dp.complete ~engine:ctx.Qctx.engine
-                      ~metrics:ctx.Qctx.metrics
-                      ?membudget:ctx.Qctx.membudget ?prune:ctx.Qctx.bound
+                    Subset_dp.complete ~engine:ctx.engine
+                      ~metrics:ctx.metrics
+                      ?membudget:ctx.membudget ?prune:ctx.bound
                       ~base ksub)
               in
               let st, cost_rest =
@@ -148,8 +160,8 @@ let simple_split ?alpha () =
         let outcome =
           with_search_span ctx ~name:"qsearch.simple_split" ~level:1
             ~candidates:(Array.length candidates) (fun () ->
-              Qsearch.find_min ?rng:ctx.Qctx.rng ~epsilon:ctx.Qctx.epsilon
-                ~stats:ctx.Qctx.stats ~candidates ~oracle ())
+              Qsearch.find_min ?rng:ctx.rng ~epsilon:ctx.epsilon
+                ~stats:ctx.stats ~candidates ~oracle ())
         in
         match Hashtbl.find_opt memo outcome.Qsearch.argmin with
         | Some st -> (st, outcome.Qsearch.modeled_cost)
@@ -174,7 +186,7 @@ let opt_obdd ?label ~k ~alpha gamma =
     | Some l -> l
     | None -> Printf.sprintf "OptOBDD*_%s(k=%d)" gamma.label k
   in
-  let compose (ctx : Qctx.t) base j_set =
+  let compose (ctx : ctx) base j_set =
     let n' = Varset.cardinal j_set in
     if n' = 0 then (base, 0.)
     else
@@ -186,7 +198,7 @@ let opt_obdd ?label ~k ~alpha gamma =
           let b = Array.of_list b in
           let m = Array.length b in
           let pre, pre_cost =
-            Ovo_obs.Trace.with_span ctx.Qctx.trace ~cat:"quantum"
+            Ovo_obs.Trace.with_span ctx.trace ~cat:"quantum"
               ~args:(fun () ->
                 [
                   ("vars", Ovo_obs.Json.Int n');
@@ -195,10 +207,10 @@ let opt_obdd ?label ~k ~alpha gamma =
               "qdc.preprocess"
               (fun () ->
                 measured_cells ctx (fun () ->
-                    Subset_dp.run ~trace:ctx.Qctx.trace
-                      ~engine:ctx.Qctx.engine
-                      ~metrics:ctx.Qctx.metrics
-                      ?membudget:ctx.Qctx.membudget ?prune:ctx.Qctx.bound
+                    Subset_dp.run ~trace:ctx.trace
+                      ~engine:ctx.engine
+                      ~metrics:ctx.metrics
+                      ?membudget:ctx.membudget ?prune:ctx.bound
                       ~upto:b.(0) ~base j_set))
           in
           let rec divide_and_conquer l t =
@@ -222,8 +234,8 @@ let opt_obdd ?label ~k ~alpha gamma =
                 with_search_span ctx
                   ~name:(Printf.sprintf "qsearch.level t=%d" t)
                   ~level:t ~candidates:(Array.length candidates) (fun () ->
-                    Qsearch.find_min ?rng:ctx.Qctx.rng
-                      ~epsilon:ctx.Qctx.epsilon ~stats:ctx.Qctx.stats
+                    Qsearch.find_min ?rng:ctx.rng
+                      ~epsilon:ctx.epsilon ~stats:ctx.stats
                       ~candidates ~oracle ())
               in
               match Hashtbl.find_opt memo outcome.Qsearch.argmin with

@@ -28,7 +28,7 @@
     {e result} is exact whenever no error is injected; correctness tests
     compare against {!Ovo_core.Fs}. *)
 
-type ctx = Qctx.t = {
+type ctx = {
   rng : Random.State.t option;
       (** when present, qsearch errors are injected with prob. [epsilon] *)
   epsilon : float;  (** per-search error bound (paper: [2^(-p(n))]) *)
@@ -38,15 +38,26 @@ type ctx = Qctx.t = {
   metrics : Ovo_core.Metrics.t;
       (** per-context counters backing the modeled-cost measurements *)
   trace : Ovo_obs.Trace.t;
-      (** span tracer: the quantum recursion records one span per level
-          with oracle-call counts and modeled-query deltas *)
+      (** span tracer threaded through the classical subroutines and the
+          quantum recursion, which records one span per level with
+          oracle-call counts and modeled-query deltas (default
+          {!Ovo_obs.Trace.null}) *)
   membudget : Ovo_core.Membudget.t option;
-      (** one global accounting context shared by every recursive
-          [FS*] sub-sweep — see {!Qctx.t} *)
+      (** one {e global} accounting context shared by every recursive
+          [FS*] sub-sweep of the tower; each sub-sweep releases its
+          table when it returns, so its peak is the most packed table
+          one point of the recursion holds *)
   bound : Ovo_core.Bound.t option;
-      (** one global branch-and-bound incumbent shared by every
-          sub-sweep — see {!Qctx.t} *)
+      (** one {e global} branch-and-bound context: every sub-sweep
+          prunes against the same incumbent, and a sub-sweep of a
+          provably hopeless branch dies early with
+          {!Ovo_core.Bound.Pruned_out}, which the search oracles absorb
+          as "worse than the incumbent" *)
 }
+(** Execution context shared by all simulated quantum algorithms: the
+    error budget, the optional RNG that arms error injection, the query
+    statistics, plus the engine and metrics context the classical
+    subroutines run under. *)
 
 val make_ctx :
   ?rng:Random.State.t ->
@@ -58,7 +69,8 @@ val make_ctx :
   unit ->
   ctx
 (** Default [epsilon] is [2^(-20)]; no [rng] means deterministic, exact
-    simulation.  With [bound], the deterministic result is additionally
+    simulation.  A fresh {!Ovo_core.Metrics.t} is created per context.
+    With [bound], the deterministic result is additionally
     checked against the seeded upper bound ({!Ovo_core.Bound.check_final})
     and sub-sweeps of hopeless branches exit early with
     {!Ovo_core.Bound.Pruned_out}, absorbed by the enclosing search. *)

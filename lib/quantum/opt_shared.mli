@@ -6,7 +6,7 @@
 
 val minimize :
   ?kind:Ovo_core.Compact.kind ->
-  ctx:Qctx.t ->
+  ctx:Opt_obdd.ctx ->
   Opt_obdd.subroutine ->
   Ovo_boolfun.Truthtable.t array ->
   Ovo_core.Shared.result * float
@@ -15,7 +15,7 @@ val minimize :
 
 val minimize_mtables :
   ?kind:Ovo_core.Compact.kind ->
-  ctx:Qctx.t ->
+  ctx:Opt_obdd.ctx ->
   Opt_obdd.subroutine ->
   Ovo_boolfun.Mtable.t array ->
   Ovo_core.Shared.result * float

@@ -10,7 +10,6 @@ type per_shard = {
 }
 
 type t = {
-  clock : unit -> float;
   started : float;
   reg : R.t;
   shards : (string * per_shard) list;  (* fixed at startup, sorted *)
@@ -48,7 +47,7 @@ let make_shard reg name =
           ~labels:[ ("shard", name) ]
           "ovo_router_shard_up" } )
 
-let create ?(clock = Ovo_obs.Trace.monotonic) ~shards () =
+let create ~shards () =
   let reg = R.create () in
   let g_uptime =
     R.gauge reg ~help:"Seconds since router start" "ovo_router_uptime_seconds"
@@ -62,9 +61,9 @@ let create ?(clock = Ovo_obs.Trace.monotonic) ~shards () =
   in
   (* optimistic start mirrors {!Health} *)
   List.iter (fun (_, s) -> R.set s.s_up 1.) shard_rows;
-  { clock; started = clock (); reg; shards = shard_rows;
+  { started = Ovo_obs.Trace.monotonic (); reg; shards = shard_rows;
     m = Mutex.create (); endpoints;
-    req_win = Window.create ~clock ();
+    req_win = Window.create ();
     retries =
       R.counter reg ~help:"Proxy attempts re-sent to a failover replica"
         "ovo_router_retries_total";
@@ -80,7 +79,6 @@ let create ?(clock = Ovo_obs.Trace.monotonic) ~shards () =
       R.gauge reg ~help:"Shards currently passing health checks"
         "ovo_router_shards_up" }
 
-let registry t = t.reg
 
 let endpoint_of t name =
   match Hashtbl.find_opt t.endpoints name with
@@ -125,7 +123,7 @@ let set_shard_up t ~shard up =
   in
   R.set t.g_shards_up (float_of_int live)
 
-let uptime_s t = t.clock () -. t.started
+let uptime_s t = Ovo_obs.Trace.monotonic () -. t.started
 
 let refresh t =
   R.set t.g_uptime (uptime_s t);

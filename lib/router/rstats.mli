@@ -13,8 +13,8 @@
 
 type t
 
-val create : ?clock:(unit -> float) -> shards:string list -> unit -> t
-val registry : t -> Ovo_metrics.Registry.t
+val create : shards:string list -> unit -> t
+(** Timed by {!Ovo_obs.Trace.monotonic}. *)
 
 val record_request : t -> endpoint:string -> unit
 val record_proxy : t -> shard:string -> ms:float -> unit

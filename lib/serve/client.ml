@@ -40,11 +40,10 @@ let transient = function
       true
   | _ -> false
 
-let default_backoff_ms = 50.
+let backoff_ms = 50.
 let max_backoff_ms = 2000.
 
-let connect_retry ?timeout ?(retries = 0) ?(backoff_ms = default_backoff_ms)
-    addr =
+let connect_retry ?timeout ?(retries = 0) addr =
   let rec go attempt =
     match connect ?timeout addr with
     | t -> t
@@ -76,8 +75,8 @@ let roundtrip t req =
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-let with_conn ?timeout ?retries ?backoff_ms addr f =
-  let t = connect_retry ?timeout ?retries ?backoff_ms addr in
+let with_conn ?timeout ?retries addr f =
+  let t = connect_retry ?timeout ?retries addr in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
 let ping ?(timeout = 1.0) addr =

@@ -9,12 +9,11 @@ val connect : ?timeout:float -> Protocol.addr -> t
     attempt; without it a TCP connect can block for minutes.  Raises
     [Unix.Unix_error] on failure. *)
 
-val connect_retry :
-  ?timeout:float -> ?retries:int -> ?backoff_ms:float -> Protocol.addr -> t
+val connect_retry : ?timeout:float -> ?retries:int -> Protocol.addr -> t
 (** {!connect}, retried up to [retries] extra times on transient
     failures (refused, reset, missing socket file, timeout,
-    unreachable) with exponential backoff starting at [backoff_ms]
-    (default 50, doubling, capped at 2 s) — so a client survives a
+    unreachable) with exponential backoff starting at 50 ms
+    (doubling, capped at 2 s) — so a client survives a
     router or shard restart instead of failing on the first refused
     connection. *)
 
@@ -32,7 +31,6 @@ val close : t -> unit
 val with_conn :
   ?timeout:float ->
   ?retries:int ->
-  ?backoff_ms:float ->
   Protocol.addr ->
   (t -> 'a) ->
   'a

@@ -73,4 +73,3 @@ let add t k v =
       Hashtbl.replace t.tbl k node;
       push_front t node
 
-let fold f t acc = Hashtbl.fold (fun k node acc -> f k node.value acc) t.tbl acc

@@ -27,5 +27,3 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 val evictions : ('k, 'v) t -> int
 (** Entries dropped by capacity so far. *)
 
-val fold : ('k -> 'v -> 'a -> 'a) -> ('k, 'v) t -> 'a -> 'a
-(** Iteration order is unspecified. *)

@@ -21,7 +21,6 @@ type t = {
   sink : sink option;
   render : unit -> string;
   refresh : unit -> unit;
-  period : float;
   stop : bool Atomic.t;
   scrape : Net.listener option;
   mutable ticker : Thread.t option;
@@ -36,7 +35,8 @@ let write_file t path =
   Sys.rename tmp path
 
 (* Heartbeat: GC/resident gauges stay fresh even with no scraper
-   attached, and a file sink gets rewritten atomically every beat. *)
+   attached, and a file sink gets rewritten atomically every beat.  A
+   beat is 1 s, slept as ten 0.1 s naps so a stop is seen promptly. *)
 let ticker_loop t =
   let rec nap k =
     if k > 0 && not (Atomic.get t.stop) then begin
@@ -44,7 +44,6 @@ let ticker_loop t =
       nap (k - 1)
     end
   in
-  let naps = max 1 (int_of_float (Float.round (t.period /. 0.1))) in
   let rec loop () =
     if Atomic.get t.stop then ()
     else begin
@@ -52,7 +51,7 @@ let ticker_loop t =
       | Some (Prom_file path) -> (
           try write_file t path with Sys_error _ -> ())
       | Some (Prom_addr _) | None -> t.refresh ());
-      nap naps;
+      nap 10;
       loop ()
     end
   in
@@ -78,14 +77,14 @@ let serve_scrape t fd =
       try ignore (Unix.write_substring fd resp 0 (String.length resp))
       with Unix.Unix_error _ -> ())
 
-let start ?(period = 1.0) ~sink ~render ~refresh () =
+let start ~sink ~render ~refresh () =
   let scrape =
     match sink with
     | Some (Prom_addr addr) -> Some (Net.listen addr)
     | Some (Prom_file _) | None -> None
   in
   let t =
-    { sink; render; refresh; period; stop = Atomic.make false; scrape;
+    { sink; render; refresh; stop = Atomic.make false; scrape;
       ticker = None }
   in
   t.ticker <- Some (Thread.create ticker_loop t);

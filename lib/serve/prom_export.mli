@@ -30,13 +30,12 @@ val sink_to_string : sink -> string
 type t
 
 val start :
-  ?period:float ->
   sink:sink option ->
   render:(unit -> string) ->
   refresh:(unit -> unit) ->
   unit ->
   t
-(** Spawn the ticker (default [period] 1 s) and, for an address sink,
+(** Spawn the 1 s ticker and, for an address sink,
     bind and spawn the scrape responder.  [render] must refresh live
     gauges and return the full exposition; [refresh] is the cheap
     gauge-only refresh the ticker uses when there is no file to write.

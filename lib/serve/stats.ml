@@ -6,7 +6,6 @@ module Window = Ovo_metrics.Window
 type endpoint_h = { e_requests : R.counter; e_hist : R.histogram }
 
 type t = {
-  clock : unit -> float;
   started : float;
   reg : R.t;
   m : Mutex.t;  (* guards [endpoints] growth only *)
@@ -58,7 +57,7 @@ let make_endpoint reg name =
         ~labels:[ ("endpoint", name) ]
         "ovo_request_duration_ms" }
 
-let create ?(clock = Ovo_obs.Trace.monotonic) () =
+let create () =
   let reg = R.create () in
   let g_uptime =
     R.gauge reg ~help:"Seconds since daemon start" "ovo_uptime_seconds"
@@ -73,7 +72,7 @@ let create ?(clock = Ovo_obs.Trace.monotonic) () =
   in
   let counters = List.map outcome outcome_labels in
   let nth = List.nth counters in
-  { clock; started = clock (); reg; m = Mutex.create (); endpoints;
+  { started = Ovo_obs.Trace.monotonic (); reg; m = Mutex.create (); endpoints;
     g_uptime;
     ok = nth 0; cached = nth 1; cancelled = nth 2; rejected = nth 3;
     errors = nth 4;
@@ -83,8 +82,8 @@ let create ?(clock = Ovo_obs.Trace.monotonic) () =
     queue_wait_hist =
       R.histogram reg ~help:"Admission-to-worker queue wait"
         "ovo_queue_wait_ms";
-    req_win = Window.create ~clock ();
-    probe_win = Window.create ~clock ();
+    req_win = Window.create ();
+    probe_win = Window.create ();
     g_queue_depth = R.gauge reg ~help:"Jobs waiting in the queue" "ovo_queue_depth";
     g_queue_cap = R.gauge reg ~help:"Queue capacity" "ovo_queue_capacity";
     g_workers = R.gauge reg ~help:"Worker pool size" "ovo_workers";
@@ -112,8 +111,6 @@ let create ?(clock = Ovo_obs.Trace.monotonic) () =
       R.gauge reg ~help:"Resident set size in bytes (0 where unsupported)"
         "ovo_process_resident_bytes";
     busy = Atomic.make 0 }
-
-let registry t = t.reg
 
 let endpoint_of t name =
   match Hashtbl.find_opt t.endpoints name with
@@ -146,7 +143,7 @@ let record_outcome t outcome =
   | `Rejected -> R.inc t.rejected 1
   | `Error -> R.inc t.errors 1
 
-let uptime_s t = t.clock () -. t.started
+let uptime_s t = Ovo_obs.Trace.monotonic () -. t.started
 
 let snap_of t endpoint =
   match Hashtbl.find_opt t.endpoints endpoint with
@@ -155,7 +152,6 @@ let snap_of t endpoint =
 
 let avg_ms_opt t ~endpoint = Histo.mean (snap_of t endpoint)
 let avg_ms t ~endpoint = Option.value (avg_ms_opt t ~endpoint) ~default:0.
-let percentile t ~endpoint q = Histo.quantile (snap_of t endpoint) q
 
 (* ---------- solve-path instruments ---------- *)
 
@@ -174,7 +170,6 @@ let note_layer t ~layer ~states =
 let add_pruned t n = if n > 0 then R.inc t.c_pruned n
 let worker_busy t = Atomic.incr t.busy
 let worker_idle t = Atomic.decr t.busy
-let workers_busy t = Atomic.get t.busy
 
 let page_size = 4096
 

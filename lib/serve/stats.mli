@@ -21,13 +21,10 @@
 
 type t
 
-val create : ?clock:(unit -> float) -> unit -> t
-(** [clock] defaults to {!Ovo_obs.Trace.monotonic}; inject a fake clock
-    in tests.  The five protocol endpoints (ping, solve, stats, metrics,
-    shutdown) are pre-registered so the exposition's order does not
-    depend on traffic. *)
-
-val registry : t -> Ovo_metrics.Registry.t
+val create : unit -> t
+(** Timed by {!Ovo_obs.Trace.monotonic}.  The five protocol endpoints
+    (ping, solve, stats, metrics, shutdown) are pre-registered so the
+    exposition's order does not depend on traffic. *)
 
 val record : t -> endpoint:string -> ms:float -> unit
 (** One completed request on [endpoint] with end-to-end handling
@@ -47,9 +44,6 @@ val avg_ms : t -> endpoint:string -> float
 val avg_ms_opt : t -> endpoint:string -> float option
 (** As {!avg_ms} but [None] with no samples — so a caller can tell "no
     data yet" from "instantaneous". *)
-
-val percentile : t -> endpoint:string -> float -> float option
-(** Histogram quantile estimate; [None] with no samples. *)
 
 (** {2 Solve-path instruments} *)
 
@@ -76,7 +70,6 @@ val add_pruned : t -> int -> unit
 
 val worker_busy : t -> unit
 val worker_idle : t -> unit
-val workers_busy : t -> int
 
 val sample_gc : t -> unit
 (** Sample [Gc.quick_stat] (heap words, major collections) and, on

@@ -169,6 +169,15 @@ let props =
         let b = B.import man r.Ovo_core.Fs.diagram in
         T.equal (B.to_truthtable man b) tt
         && B.size man b = r.Ovo_core.Fs.size);
+    QCheck.Test.make
+      ~name:"of_truthtable is the handle of_expr builds, under any order"
+      ~count:150
+      (QCheck.pair (Helpers.arb_truthtable ~lo:1 ~hi:6 ()) QCheck.small_int)
+      (fun (tt, seed) ->
+        let n = T.arity tt in
+        let man = B.create ~order:(Helpers.perm_of_seed seed n) n in
+        B.equal (B.of_truthtable man tt)
+          (B.of_expr man (E.dnf_of_truthtable tt)));
     QCheck.Test.make ~name:"compose_var agrees with pointwise substitution"
       ~count:120
       (QCheck.triple

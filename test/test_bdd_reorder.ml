@@ -137,6 +137,26 @@ let gc_tests =
         D.compress man;
         let g = D.and_ man (D.var man 0) (D.var man 1) in
         Helpers.check_bool "same node" true (D.equal f g));
+    Helpers.case "leaves survive sift and compress" (fun () ->
+        let tt = F.hidden_weighted_bit 5 in
+        let man = D.create ~order:[| 4; 2; 0; 3; 1 |] 5 in
+        D.protect man (D.of_truthtable man tt);
+        D.protect man (D.of_truthtable man (F.parity 5));
+        D.sift man;
+        D.compress man;
+        Helpers.check_bool "constant false" true
+          (D.equal (D.of_truthtable man (T.const 5 false)) (D.bfalse man));
+        Helpers.check_bool "constant true" true
+          (D.equal (D.of_truthtable man (T.const 5 true)) (D.btrue man));
+        List.iter
+          (fun tt ->
+            Helpers.check_bool
+              (Printf.sprintf "of_truthtable %s = of_expr" (T.to_string tt))
+              true
+              (D.equal (D.of_truthtable man tt)
+                 (D.of_expr man (Ovo_boolfun.Expr.dnf_of_truthtable tt))))
+          [ tt; F.parity 5; T.var 5 3; T.not_ (T.var 5 0) ];
+        Helpers.check_bool "invariants" true (D.check_invariants man));
   ]
 
 let props =

@@ -103,6 +103,26 @@ let props =
         (* rebuild through apply2 of itself with max: identical function *)
         let d2 = M.max_ man d1 d1 in
         M.equal d1 d2);
+    QCheck.Test.make
+      ~name:"of_mtable is the Shannon tree select builds, under any order"
+      ~count:150
+      (QCheck.pair
+         (Helpers.arb_mtable ~lo:1 ~hi:6 ~values:4 ())
+         QCheck.small_int)
+      (fun (mt, seed) ->
+        let n = Mt.arity mt in
+        let order = Helpers.perm_of_seed seed n in
+        let man = M.create ~order n in
+        (* split on the variable of level l, root first; [code] holds the
+           bits of the levels above *)
+        let rec shannon l code =
+          if l = n then M.terminal man (Mt.eval mt code)
+          else
+            let v = order.(l) in
+            M.select man v (shannon (l + 1) code)
+              (shannon (l + 1) (code lor (1 lsl v)))
+        in
+        M.equal (M.of_mtable man mt) (shannon 0 0));
     QCheck.Test.make ~name:"import equals of_mtable under the same order"
       ~count:80
       (Helpers.arb_mtable ~lo:1 ~hi:4 ~values:3 ())

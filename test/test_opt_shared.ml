@@ -26,7 +26,7 @@ let unit_tests =
                   ((code land 3) * (code lsr 2)) land (1 lsl j) <> 0))
         in
         let exact = (S.minimize outputs).S.mincost in
-        let ctx = Q.Qctx.make () in
+        let ctx = Q.Opt_obdd.make_ctx () in
         let r, cost = OS.minimize ~ctx (O.theorem10 ()) outputs in
         Helpers.check_int "mincost" exact r.S.mincost;
         Helpers.check_bool "cost accounted" true (cost > 0.);
@@ -38,7 +38,7 @@ let unit_tests =
         Helpers.check_bool "tower" true (O.name (O.tower ~depth:2) = "Gamma_2"));
     Helpers.case "classical subroutine over shared states" (fun () ->
         let outputs = [| T.var 3 0; T.( &&& ) (T.var 3 1) (T.var 3 2) |] in
-        let ctx = Q.Qctx.make () in
+        let ctx = Q.Opt_obdd.make_ctx () in
         let r, _ = OS.minimize ~ctx O.fs_star outputs in
         Helpers.check_int "exact" (S.minimize outputs).S.mincost r.S.mincost);
   ]
@@ -48,26 +48,26 @@ let props =
     QCheck.Test.make ~name:"quantum shared theorem10 equals exact Shared"
       ~count:30 arb_pair
       (fun tts ->
-        let ctx = Q.Qctx.make () in
+        let ctx = Q.Opt_obdd.make_ctx () in
         let r, _ = OS.minimize ~ctx (O.theorem10 ()) tts in
         r.S.mincost = (S.minimize tts).S.mincost);
     QCheck.Test.make ~name:"quantum shared simple_split equals exact Shared"
       ~count:20 arb_pair
       (fun tts ->
-        let ctx = Q.Qctx.make () in
+        let ctx = Q.Opt_obdd.make_ctx () in
         let r, _ = OS.minimize ~ctx (O.simple_split ()) tts in
         r.S.mincost = (S.minimize tts).S.mincost);
     QCheck.Test.make ~name:"quantum shared tower-2 equals exact Shared"
       ~count:15 arb_pair
       (fun tts ->
-        let ctx = Q.Qctx.make () in
+        let ctx = Q.Opt_obdd.make_ctx () in
         let r, _ = OS.minimize ~ctx (O.tower ~depth:2) tts in
         r.S.mincost = (S.minimize tts).S.mincost);
     QCheck.Test.make
       ~name:"error injection still yields valid shared diagrams" ~count:30
       (QCheck.pair arb_pair QCheck.small_int)
       (fun (tts, seed) ->
-        let ctx = Q.Qctx.make ~rng:(Helpers.rng seed) ~epsilon:0.5 () in
+        let ctx = Q.Opt_obdd.make_ctx ~rng:(Helpers.rng seed) ~epsilon:0.5 () in
         let r, _ = OS.minimize ~ctx (O.theorem10 ()) tts in
         S.check r.S.state (Array.map Ovo_boolfun.Mtable.of_truthtable tts)
         && r.S.mincost >= (S.minimize tts).S.mincost);

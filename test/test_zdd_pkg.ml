@@ -242,6 +242,25 @@ let props =
         let man = Z.create ~order:(Ovo_core.Eval_order.read_first pi) n in
         Z.size man (Z.of_truthtable man tt)
         = Ovo_core.Eval_order.size ~kind:Ovo_core.Compact.Zdd tt pi);
+    QCheck.Test.make
+      ~name:"of_truthtable is the handle of_family builds, under any order"
+      ~count:150
+      (QCheck.pair (Helpers.arb_truthtable ~lo:1 ~hi:6 ()) QCheck.small_int)
+      (fun (tt, seed) ->
+        let n = T.arity tt in
+        let man = Z.create ~order:(Helpers.perm_of_seed seed n) n in
+        let sets =
+          List.filter_map
+            (fun code ->
+              if T.eval tt code then
+                Some
+                  (List.filter
+                     (fun v -> code land (1 lsl v) <> 0)
+                     (List.init n Fun.id))
+              else None)
+            (List.init (1 lsl n) Fun.id)
+        in
+        Z.equal (Z.of_truthtable man tt) (Z.of_family man sets));
     QCheck.Test.make ~name:"count_by_size matches the enumerated family"
       ~count:200 arb_family
       (fun (n, fam) ->
