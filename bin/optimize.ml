@@ -214,40 +214,40 @@ let refuse_oversized ~mem_budget tt =
 let heuristic ~trace ~metrics ~kind ~seed ~model h tt =
   let open Ovo_ordering in
   let rng () = Random.State.make [| seed |] in
-  match h with
-  | Brute -> ("brute force", (Brute.best ~metrics ~kind tt).order)
-  | Sifting ->
-      ("sifting (heuristic)", (Sifting.run ~trace ~metrics ~kind tt).order)
-  | Window ->
-      ( "window permutation (heuristic)",
-        (Window.run ~trace ~metrics ~kind tt).order )
-  | Exact_block ->
-      ("exact-block hybrid", (Exact_block.run ~metrics ~kind tt).order)
-  | Genetic ->
-      ( "genetic algorithm (heuristic)",
-        (Genetic.run ~metrics ~kind ~rng:(rng ()) tt).order )
-  | Influence ->
-      ("influence static heuristic", (Influence.run ~metrics ~kind tt).order)
-  | Scored ->
-      ( "scored (learned static heuristic)",
-        (Ovo_learn.Scorer.run ~trace ~metrics ~weights:model ~kind tt).order )
-  | Annealing ->
-      ( "simulated annealing (heuristic)",
-        (Annealing.run ~metrics ~kind ~rng:(rng ()) tt).order )
-  | Portfolio ->
-      let r =
-        Portfolio.run ~trace ~metrics ~kind ~rng:(rng ())
-          ~extra:[ Ovo_learn.Scorer.portfolio_member ~weights:model ~kind () ]
-          tt
-      in
-      List.iter
-        (fun (e : Portfolio.entry) ->
-          Format.printf "  %-12s %d@." e.method_name e.mincost)
-        r.entries;
-      (Printf.sprintf "portfolio (won by %s)" r.best.method_name, r.best.order)
-  | Random_search ->
-      ( "random search",
-        (Random_search.run ~metrics ~kind ~rng:(rng ()) tt).order )
+  let mt = Ovo_boolfun.Mtable.of_truthtable tt in
+  let label, (r : Chain.result) =
+    match h with
+    | Brute -> ("brute force", Brute.best ~metrics ~kind mt)
+    | Sifting -> ("sifting (heuristic)", Sifting.run ~trace ~metrics ~kind mt)
+    | Window ->
+        ("window permutation (heuristic)", Window.run ~trace ~metrics ~kind mt)
+    | Exact_block -> ("exact-block hybrid", Exact_block.run ~metrics ~kind mt)
+    | Genetic ->
+        ( "genetic algorithm (heuristic)",
+          Genetic.run ~metrics ~kind ~rng:(rng ()) mt )
+    | Influence -> ("influence static heuristic", Influence.run ~metrics ~kind tt)
+    | Scored ->
+        ( "scored (learned static heuristic)",
+          Ovo_learn.Scorer.run ~trace ~metrics ~weights:model ~kind tt )
+    | Annealing ->
+        ( "simulated annealing (heuristic)",
+          Annealing.run ~metrics ~kind ~rng:(rng ()) mt )
+    | Portfolio ->
+        let entries =
+          Portfolio.run ~trace ~metrics ~kind ~rng:(rng ())
+            ~extra:[ Ovo_learn.Scorer.portfolio_member ~weights:model ~kind () ]
+            tt
+        in
+        List.iter
+          (fun (name, (e : Chain.result)) ->
+            Format.printf "  %-12s %d@." name e.mincost)
+          entries;
+        let name, best = List.hd entries in
+        (Printf.sprintf "portfolio (won by %s)" name, best)
+    | Random_search ->
+        ("random search", Random_search.run ~metrics ~kind ~rng:(rng ()) mt)
+  in
+  (label, r.order)
 
 let run input kind algo dot save weights seed engine stats obs checkpoint
     resume crash_after fsync mem_budget prune model =

@@ -19,8 +19,9 @@ let () =
   List.iter
     (fun (name, tt) ->
       let exact = (Ovo_core.Fs.run tt).Ovo_core.Fs.mincost in
-      let hybrid = Ovo_ordering.Exact_block.run ~block:4 tt in
-      Format.printf "%-16s exact=%-5d exact-block=%-5d sweeps=%d@." name exact
-        hybrid.Ovo_ordering.Exact_block.mincost
-        hybrid.Ovo_ordering.Exact_block.sweeps)
+      let hybrid =
+        Ovo_ordering.Exact_block.run ~block:4 (Ovo_boolfun.Mtable.of_truthtable tt)
+      in
+      Format.printf "%-16s exact=%-5d exact-block=%d@." name exact
+        hybrid.Ovo_ordering.Chain.mincost)
     catalogue

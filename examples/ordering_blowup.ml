@@ -20,11 +20,10 @@ let () =
     let exact = (Ovo_core.Fs.run tt).Ovo_core.Fs.size in
     (* start sifting from the *bad* ordering to make it work for a living *)
     let sift =
-      Ovo_ordering.Sifting.run ~initial:(F.achilles_bad_order pairs) tt
+      Ovo_ordering.Sifting.run ~initial:(F.achilles_bad_order pairs)
+        (Ovo_boolfun.Mtable.of_truthtable tt)
     in
-    let sift_size =
-      E.size tt sift.Ovo_ordering.Sifting.order
-    in
+    let sift_size = E.size tt sift.Ovo_ordering.Chain.order in
     Format.printf "%5d %3d %9d %13d %6d %9d %7d %9d@." pairs n good bad
       (n + 2)
       (1 lsl (pairs + 1))

@@ -3,6 +3,8 @@ module E = Ovo_core.Eval_order
 module H = Ovo_metrics.Histo
 module Json = Ovo_obs.Json
 module Trace = Ovo_obs.Trace
+module Mtable = Ovo_boolfun.Mtable
+module Ord = Ovo_ordering
 
 type orderer = { o_name : string; o_order : T.t -> int array }
 
@@ -11,15 +13,15 @@ let default_orderers ?weights ?kind ?(seed = 0x0BDD) () =
     { o_name = "scored"; o_order = (fun tt -> Scorer.order ?weights tt) };
     {
       o_name = "influence";
-      o_order = (fun tt -> (Ovo_ordering.Influence.run ?kind tt).Ovo_ordering.Influence.order);
+      o_order = (fun tt -> (Ord.Influence.run ?kind tt).order);
     };
     {
       o_name = "sifting";
-      o_order = (fun tt -> (Ovo_ordering.Sifting.run ?kind tt).Ovo_ordering.Sifting.order);
+      o_order = (fun tt -> (Ord.Sifting.run ?kind (Mtable.of_truthtable tt)).order);
     };
     {
       o_name = "window";
-      o_order = (fun tt -> (Ovo_ordering.Window.run ?kind tt).Ovo_ordering.Window.order);
+      o_order = (fun tt -> (Ord.Window.run ?kind (Mtable.of_truthtable tt)).order);
     };
     {
       o_name = "random";
@@ -27,16 +29,7 @@ let default_orderers ?weights ?kind ?(seed = 0x0BDD) () =
         (fun tt ->
           (* content-keyed stream: the same function always draws the
              same permutation, whatever its position in the corpus *)
-          let rng = Random.State.make [| seed; T.hash tt |] in
-          let n = T.arity tt in
-          let a = Array.init n (fun j -> j) in
-          for j = n - 1 downto 1 do
-            let k = Random.State.int rng (j + 1) in
-            let t = a.(j) in
-            a.(j) <- a.(k);
-            a.(k) <- t
-          done;
-          a);
+          Ord.Perm.random (Random.State.make [| seed; T.hash tt |]) (T.arity tt));
     };
   ]
 

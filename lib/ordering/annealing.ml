@@ -1,19 +1,14 @@
-type result = { mincost : int; order : int array; probes : int; accepted : int }
-
-let run_mtable ?(metrics = Ovo_core.Metrics.create ())
+let run ?(metrics = Ovo_core.Metrics.create ())
     ?(kind = Ovo_core.Compact.Bdd) ?initial ~rng mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let chain = Chain.create ~metrics ~kind ?initial mt in
-  let probes = ref 1 in
-  let best = ref (Chain.order chain) and best_cost = ref (Chain.cost chain) in
-  let accepted = ref 0 in
+  let best = ref (Chain.result chain) in
   let temperature = ref 5.0 in
   if n > 1 then
     for _ = 1 to 400 do
       let from = Random.State.int rng n in
       let to_ = Random.State.int rng n in
       if from <> to_ then begin
-        incr probes;
         let c = Chain.price_move chain ~from ~to_ in
         let delta = float_of_int (c - Chain.cost chain) in
         let accept =
@@ -21,18 +16,10 @@ let run_mtable ?(metrics = Ovo_core.Metrics.create ())
           || Random.State.float rng 1. < exp (-.delta /. Float.max !temperature 1e-9)
         in
         if accept then begin
-          incr accepted;
           Chain.accept chain (Perm.move (Chain.order chain) ~from ~to_);
-          if c < !best_cost then begin
-            best_cost := c;
-            best := Chain.order chain
-          end
+          if c < !best.mincost then best := Chain.result chain
         end
       end;
       temperature := !temperature *. 0.97
     done;
-  { mincost = !best_cost; order = !best; probes = !probes; accepted = !accepted }
-
-let run ?metrics ?kind ?initial ~rng tt =
-  run_mtable ?metrics ?kind ?initial ~rng
-    (Ovo_boolfun.Mtable.of_truthtable tt)
+  !best

@@ -11,28 +11,13 @@
     [max a b] (Lemma 3), and an accepted move recompacts only those
     levels. *)
 
-type result = {
-  mincost : int;
-  order : int array;
-  probes : int;  (** orderings evaluated *)
-  accepted : int;  (** moves accepted (including uphill ones) *)
-}
-
 val run :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?initial:int array ->
   rng:Random.State.t ->
-  Ovo_boolfun.Truthtable.t ->
-  result
+  Ovo_boolfun.Mtable.t ->
+  Chain.result
 (** 400 steps, start temperature 5.0 (in node-count units), cooling
     factor 0.97 per step.  The best ordering ever seen is returned, so
     the result never loses to its initial ordering. *)
-
-val run_mtable :
-  ?metrics:Ovo_core.Metrics.t ->
-  ?kind:Ovo_core.Compact.kind ->
-  ?initial:int array ->
-  rng:Random.State.t ->
-  Ovo_boolfun.Mtable.t ->
-  result

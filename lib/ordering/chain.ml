@@ -1,5 +1,7 @@
 module C = Ovo_core.Compact
 
+type result = { mincost : int; order : int array }
+
 type t = {
   metrics : Ovo_core.Metrics.t;
   base : C.state;
@@ -15,6 +17,7 @@ type t = {
 let cost t = t.cost
 let order t = Array.copy t.order
 let widths t = Array.copy t.widths
+let result t = { mincost = t.cost; order = order t }
 let compact t st v = C.compact ~metrics:t.metrics st v
 let width_of t st v = C.width_if_compacted ~metrics:t.metrics st v
 

@@ -15,7 +15,12 @@
     position on {!accept}.  Every compaction and probe is charged to the
     chain's {!Ovo_core.Metrics.t}.  Every price is exactly the
     [mincost] of the full compaction chain of the candidate from the
-    chain's base (qchecked in [test/test_chain.ml]). *)
+    chain's base (qchecked in [test/test_chain.ml]).
+
+    {!result} is the one answer every ordering heuristic gives. *)
+
+type result = { mincost : int; order : int array }
+(** An order ([order.(0)] read last) and the [mincost] of its diagram. *)
 
 type t
 
@@ -34,6 +39,9 @@ val cost : t -> int
 
 val order : t -> int array
 (** A copy of the current order ([order.(0)] read last). *)
+
+val result : t -> result
+(** The current order and its cost. *)
 
 val widths : t -> int array
 (** A copy of the current per-level widths: [widths.(j)] nodes test

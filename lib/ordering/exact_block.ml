@@ -1,6 +1,4 @@
-type result = { mincost : int; order : int array; sweeps : int }
-
-let run_mtable ?(metrics = Ovo_core.Metrics.create ())
+let run ?(metrics = Ovo_core.Metrics.create ())
     ?(kind = Ovo_core.Compact.Bdd) ?(block = 4) ?initial mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let w = max 2 (min block (max n 2)) in
@@ -31,8 +29,4 @@ let run_mtable ?(metrics = Ovo_core.Metrics.create ())
       end
     done
   done;
-  { mincost = Chain.cost chain; order = Chain.order chain; sweeps = !sweeps }
-
-let run ?metrics ?kind ?block ?initial tt =
-  run_mtable ?metrics ?kind ?block ?initial
-    (Ovo_boolfun.Mtable.of_truthtable tt)
+  Chain.result chain

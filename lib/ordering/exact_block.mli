@@ -16,26 +16,12 @@
     window.  The state below the window is the {!Chain}'s prefix state,
     and the result is priced by the same chain. *)
 
-type result = {
-  mincost : int;
-  order : int array;
-  sweeps : int;
-}
-
 val run :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?block:int ->
   ?initial:int array ->
-  Ovo_boolfun.Truthtable.t ->
-  result
+  Ovo_boolfun.Mtable.t ->
+  Chain.result
 (** Default [block] 4 (clamped to [n]; [block = n] degenerates to the
     full exact FS). *)
-
-val run_mtable :
-  ?metrics:Ovo_core.Metrics.t ->
-  ?kind:Ovo_core.Compact.kind ->
-  ?block:int ->
-  ?initial:int array ->
-  Ovo_boolfun.Mtable.t ->
-  result

@@ -1,5 +1,3 @@
-type result = { mincost : int; order : int array; probes : int }
-
 let order_crossover rng p1 p2 =
   let n = Array.length p1 in
   if n = 0 then [||]
@@ -31,16 +29,11 @@ let population = 16
 let generations = 24
 let mutation_rate = 0.3
 
-let run_mtable ?(metrics = Ovo_core.Metrics.create ())
+let run ?(metrics = Ovo_core.Metrics.create ())
     ?(kind = Ovo_core.Compact.Bdd) ~rng mt =
   let n = Ovo_boolfun.Mtable.arity mt in
   let chain = Chain.create ~metrics ~kind mt in
-  let probes = ref 0 in
-  let cost_of order =
-    incr probes;
-    Chain.price chain order
-  in
-  let individual order = (cost_of order, order) in
+  let individual order = (Chain.price chain order, order) in
   let pool =
     ref
       (Array.init population (fun i ->
@@ -68,9 +61,5 @@ let run_mtable ?(metrics = Ovo_core.Metrics.create ())
     Array.sort by_cost next;
     pool := next
   done;
-  let best_cost, best_order = !pool.(0) in
-  { mincost = best_cost; order = best_order; probes = !probes }
-
-let run ?metrics ?kind ~rng tt =
-  run_mtable ?metrics ?kind ~rng
-    (Ovo_boolfun.Mtable.of_truthtable tt)
+  let mincost, order = !pool.(0) in
+  { Chain.mincost; order }

@@ -9,24 +9,15 @@
     the individual shares with the last one priced, and reuses the
     widths above the last position where they differ (Lemma 3). *)
 
-type result = { mincost : int; order : int array; probes : int }
-
 val run :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   rng:Random.State.t ->
-  Ovo_boolfun.Truthtable.t ->
-  result
+  Ovo_boolfun.Mtable.t ->
+  Chain.result
 (** Population 16 (identity always seeded), 24 generations, mutation
     rate 0.3.  Elitism keeps the best individual, so the result never
     loses to the identity ordering. *)
-
-val run_mtable :
-  ?metrics:Ovo_core.Metrics.t ->
-  ?kind:Ovo_core.Compact.kind ->
-  rng:Random.State.t ->
-  Ovo_boolfun.Mtable.t ->
-  result
 
 val order_crossover :
   Random.State.t -> int array -> int array -> int array

@@ -5,8 +5,6 @@ let influences tt =
   Array.init (T.arity tt) (fun j ->
       float_of_int (T.count_ones (T.xor tt (T.flip tt j))) /. size)
 
-type result = { mincost : int; order : int array }
-
 let run ?metrics ?kind tt =
   let n = Ovo_boolfun.Truthtable.arity tt in
   let inf = influences tt in
@@ -17,4 +15,4 @@ let run ?metrics ?kind tt =
   in
   (* ascending influence = read last first, i.e. high influence at root *)
   let order = Array.of_list (List.map fst by_influence) in
-  { mincost = Ovo_core.Eval_order.mincost ?metrics ?kind tt order; order }
+  { Chain.mincost = Ovo_core.Eval_order.mincost ?metrics ?kind tt order; order }

@@ -13,15 +13,10 @@ val influences : Ovo_boolfun.Truthtable.t -> float array
 (** [influences tt].(j) = Pr over uniform [x] that
     [f(x) ≠ f(x xor e_j)]. *)
 
-type result = {
-  mincost : int;
-  order : int array;  (** read-last first; high influence at the root *)
-}
-
 val run :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   Ovo_boolfun.Truthtable.t ->
-  result
-(** Order variables by descending influence (ties by index), evaluate
-    once. *)
+  Chain.result
+(** Order variables by descending influence (ties by index), so the
+    highest influence sits at the root, and evaluate once. *)

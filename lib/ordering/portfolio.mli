@@ -4,27 +4,19 @@
     somewhere); a portfolio at roughly the summed probe budget is the
     practical default when the exact DP is out of reach. *)
 
-type entry = {
-  method_name : string;
-  mincost : int;
-  order : int array;
-}
-
-type result = {
-  best : entry;
-  entries : entry list;  (** every member, best first *)
-}
-
 val run :
   ?trace:Ovo_obs.Trace.t ->
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?rng:Random.State.t ->
-  ?extra:(string * (Ovo_boolfun.Truthtable.t -> entry)) list ->
+  ?extra:(string * (Ovo_boolfun.Truthtable.t -> Chain.result)) list ->
   Ovo_boolfun.Truthtable.t ->
-  result
-(** Members: influence (static), sifting, window permutation, simulated
-    annealing, genetic, random search, and the exact-block hybrid.  The
+  (string * Chain.result) list
+(** Every member's name and result, best first (ties in member order),
+    so the head is the portfolio's answer.  Members: influence
+    (static), sifting, window permutation, simulated annealing,
+    genetic, random search, and the exact-block hybrid; the table is
+    converted to an {!Ovo_boolfun.Mtable.t} once for all of them.  The
     RNG defaults to a fixed seed for reproducibility.  Every built-in
     member prices through its own {!Chain}, all charged to [metrics]
     (default a fresh context).

@@ -16,11 +16,12 @@ let evaluate ?(kind = Ovo_core.Compact.Bdd) ?rng ~name tt =
     if exact = 0 then if c = 0 then 1.0 else infinity
     else float_of_int c /. float_of_int exact
   in
-  let sift = Sifting.run ~kind tt in
-  let win = Window.run ~kind tt in
-  let rand = Random_search.run ~kind ~rng tt in
-  let anneal = Annealing.run ~kind ~rng tt in
-  let genetic = Genetic.run ~kind ~rng tt in
+  let mt = Ovo_boolfun.Mtable.of_truthtable tt in
+  let sift = Sifting.run ~kind mt in
+  let win = Window.run ~kind mt in
+  let rand = Random_search.run ~kind ~rng mt in
+  let anneal = Annealing.run ~kind ~rng mt in
+  let genetic = Genetic.run ~kind ~rng mt in
   (* sample for a pessimistic ordering: max over random probes *)
   let worst = ref 0 in
   for _ = 1 to 50 do
@@ -35,11 +36,11 @@ let evaluate ?(kind = Ovo_core.Compact.Bdd) ?rng ~name tt =
     worst = !worst;
     entries =
       [
-        entry "sifting" sift.Sifting.mincost;
-        entry "window-3" win.Window.mincost;
-        entry "random-100" rand.Random_search.mincost;
-        entry "annealing" anneal.Annealing.mincost;
-        entry "genetic" genetic.Genetic.mincost;
+        entry "sifting" sift.Chain.mincost;
+        entry "window-3" win.mincost;
+        entry "random-100" rand.mincost;
+        entry "annealing" anneal.mincost;
+        entry "genetic" genetic.mincost;
       ];
   }
 

@@ -4,24 +4,11 @@
     are priced through one {!Chain}, which reuses whatever prefix and
     suffix a sample shares with the previous one. *)
 
-type result = {
-  mincost : int;
-  order : int array;
-  probes : int;
-}
-
 val run :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   rng:Random.State.t ->
-  Ovo_boolfun.Truthtable.t ->
-  result
+  Ovo_boolfun.Mtable.t ->
+  Chain.result
 (** The identity ordering is always included so the result never loses
     to "no search at all". *)
-
-val run_mtable :
-  ?metrics:Ovo_core.Metrics.t ->
-  ?kind:Ovo_core.Compact.kind ->
-  rng:Random.State.t ->
-  Ovo_boolfun.Mtable.t ->
-  result

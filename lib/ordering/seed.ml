@@ -2,13 +2,12 @@ module B = Ovo_core.Bound
 module C = Ovo_core.Compact
 module Mtable = Ovo_boolfun.Mtable
 
-let sifting_upper ?trace ?kind tt =
-  let r = Sifting.run ?trace ?kind tt in
-  { B.ub_source = "sifting"; ub_value = r.Sifting.mincost }
+let sifting_upper ?trace ?kind mt =
+  { B.ub_source = "sifting"; ub_value = (Sifting.run ?trace ?kind mt).mincost }
 
 let bound ?trace ?(kind = C.Bdd) tt =
-  B.make ~seed:(sifting_upper ?trace ~kind tt)
-    (B.counting_lower kind (Mtable.of_truthtable tt))
+  let mt = Mtable.of_truthtable tt in
+  B.make ~seed:(sifting_upper ?trace ~kind mt) (B.counting_lower kind mt)
 
 (* Replaying any permutation bottom-up gives an achievable weighted
    total, so either reading of the heuristic order's direction yields a
@@ -20,11 +19,11 @@ let weighted_cost_of_chain ~kind ~weights mt order =
 
 let weighted_bound ?trace ?(kind = C.Bdd) ~weights mt =
   Ovo_core.Fs_weighted.check_weights ~n:(Mtable.arity mt) weights;
-  let r = Sifting.run_mtable ?trace ~kind mt in
-  let rev = Array.of_list (List.rev (Array.to_list r.Sifting.order)) in
+  let r = Sifting.run ?trace ~kind mt in
+  let rev = Array.of_list (List.rev (Array.to_list r.order)) in
   let ub_value =
     min
-      (weighted_cost_of_chain ~kind ~weights mt r.Sifting.order)
+      (weighted_cost_of_chain ~kind ~weights mt r.order)
       (weighted_cost_of_chain ~kind ~weights mt rev)
   in
   B.make

@@ -11,7 +11,7 @@
 val sifting_upper :
   ?trace:Ovo_obs.Trace.t ->
   ?kind:Ovo_core.Compact.kind ->
-  Ovo_boolfun.Truthtable.t ->
+  Ovo_boolfun.Mtable.t ->
   Ovo_core.Bound.upper
 (** The cost of the sifting ordering — cheap ([O(n · 2^n)] cells per
     pass against the exact DP's [O*(3^n)]) and usually close to

@@ -1,6 +1,4 @@
-type result = { mincost : int; order : int array; passes : int; probes : int }
-
-let run_mtable ?(trace = Ovo_obs.Trace.null)
+let run ?(trace = Ovo_obs.Trace.null)
     ?(metrics = Ovo_core.Metrics.create ()) ?(kind = Ovo_core.Compact.Bdd)
     ?initial mt =
   let n = Ovo_boolfun.Mtable.arity mt in
@@ -58,13 +56,4 @@ let run_mtable ?(trace = Ovo_obs.Trace.null)
         end)
       schedule
   done;
-  {
-    mincost = Chain.cost chain;
-    order = Chain.order chain;
-    passes = !passes;
-    probes = !probes;
-  }
-
-let run ?trace ?metrics ?kind ?initial tt =
-  run_mtable ?trace ?metrics ?kind ?initial
-    (Ovo_boolfun.Mtable.of_truthtable tt)
+  Chain.result chain

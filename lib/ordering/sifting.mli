@@ -21,26 +21,11 @@
     paper's motivation for exact methods) and the tests include functions
     where it lands above the FS optimum. *)
 
-type result = {
-  mincost : int;
-  order : int array;
-  passes : int;  (** passes executed (including the final no-change one) *)
-  probes : int;  (** orderings evaluated *)
-}
-
 val run :
   ?trace:Ovo_obs.Trace.t ->
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?initial:int array ->
-  Ovo_boolfun.Truthtable.t ->
-  result
-(** Default initial ordering the identity. *)
-
-val run_mtable :
-  ?trace:Ovo_obs.Trace.t ->
-  ?metrics:Ovo_core.Metrics.t ->
-  ?kind:Ovo_core.Compact.kind ->
-  ?initial:int array ->
   Ovo_boolfun.Mtable.t ->
-  result
+  Chain.result
+(** Default initial ordering the identity. *)

@@ -1,6 +1,4 @@
-type result = { mincost : int; order : int array; sweeps : int; probes : int }
-
-let run_mtable ?(trace = Ovo_obs.Trace.null)
+let run ?(trace = Ovo_obs.Trace.null)
     ?(metrics = Ovo_core.Metrics.create ()) ?(kind = Ovo_core.Compact.Bdd)
     ?(window = 3) ?initial mt =
   let n = Ovo_boolfun.Mtable.arity mt in
@@ -53,13 +51,4 @@ let run_mtable ?(trace = Ovo_obs.Trace.null)
       end
     done
   done;
-  {
-    mincost = Chain.cost chain;
-    order = Chain.order chain;
-    sweeps = !sweeps;
-    probes = !probes;
-  }
-
-let run ?trace ?metrics ?kind ?window ?initial tt =
-  run_mtable ?trace ?metrics ?kind ?window ?initial
-    (Ovo_boolfun.Mtable.of_truthtable tt)
+  Chain.result chain

@@ -2,6 +2,7 @@ module Ord = Ovo_ordering
 module Fs = Ovo_core.Fs
 module T = Ovo_boolfun.Truthtable
 module F = Ovo_boolfun.Families
+module Mt = Ovo_boolfun.Mtable
 
 let unit_tests =
   [
@@ -28,29 +29,29 @@ let unit_tests =
     Helpers.case "brute refuses large arities" (fun () ->
         Alcotest.check_raises "limit"
           (Invalid_argument "Brute.best: arity above limit") (fun () ->
-            ignore (Ord.Brute.best (F.parity 10))));
+            ignore (Ord.Brute.best (Mt.of_truthtable (F.parity 10)))));
     Helpers.case "brute on achilles recovers the linear optimum" (fun () ->
         let tt = F.achilles 3 in
-        let r = Ord.Brute.best tt in
-        Helpers.check_int "mincost" 6 r.Ord.Brute.mincost;
-        Helpers.check_int "evaluated" 720 r.Ord.Brute.evaluated);
+        let r = Ord.Brute.best (Mt.of_truthtable tt) in
+        Helpers.check_int "mincost" 6 r.Ord.Chain.mincost);
     Helpers.case "sifting from the bad achilles ordering recovers optimum"
       (fun () ->
         let tt = F.achilles 4 in
-        let r = Ord.Sifting.run ~initial:(F.achilles_bad_order 4) tt in
-        Helpers.check_int "mincost" 8 r.Ord.Sifting.mincost);
+        let r =
+          Ord.Sifting.run ~initial:(F.achilles_bad_order 4) (Mt.of_truthtable tt)
+        in
+        Helpers.check_int "mincost" 8 r.Ord.Chain.mincost);
     Helpers.case "window is suboptimal on mux-2 but valid" (fun () ->
         let tt = F.multiplexer ~select:2 in
-        let r = Ord.Window.run ~window:3 tt in
+        let r = Ord.Window.run ~window:3 (Mt.of_truthtable tt) in
         let exact = (Fs.run tt).Fs.mincost in
-        Helpers.check_bool "at least exact" true (r.Ord.Window.mincost >= exact);
-        Helpers.check_int "reproducible cost" r.Ord.Window.mincost
-          (Ovo_core.Eval_order.mincost tt r.Ord.Window.order));
+        Helpers.check_bool "at least exact" true (r.Ord.Chain.mincost >= exact);
+        Helpers.check_int "reproducible cost" r.Ord.Chain.mincost
+          (Ovo_core.Eval_order.mincost tt r.Ord.Chain.order));
     Helpers.case "exact-block with block = n is exact" (fun () ->
         let tt = F.hidden_weighted_bit 5 in
-        let r = Ord.Exact_block.run ~block:5 tt in
-        Helpers.check_int "exact" (Fs.run tt).Fs.mincost
-          r.Ord.Exact_block.mincost);
+        let r = Ord.Exact_block.run ~block:5 (Mt.of_truthtable tt) in
+        Helpers.check_int "exact" (Fs.run tt).Fs.mincost r.Ord.Chain.mincost);
     Helpers.case "quality report structure" (fun () ->
         let tt = F.multiplexer ~select:2 in
         let report = Ord.Quality.evaluate ~name:"mux" tt in
@@ -69,42 +70,38 @@ let heuristic_soundness name run =
     (QCheck.pair (Helpers.arb_truthtable ~lo:2 ~hi:5 ()) QCheck.small_int)
     (fun (tt, seed) ->
       let exact = (Fs.run tt).Fs.mincost in
-      let cost, order = run tt seed in
+      let { Ord.Chain.mincost = cost; order } = run (Mt.of_truthtable tt) seed in
       (* sound: never below the true optimum, and honest: the reported
          cost matches the reported order *)
       cost >= exact && Ovo_core.Eval_order.mincost tt order = cost)
 
 let props =
   [
-    heuristic_soundness "sifting is sound and honest" (fun tt seed ->
-        let init = Helpers.perm_of_seed seed (T.arity tt) in
-        let r = Ord.Sifting.run ~initial:init tt in
-        (r.Ord.Sifting.mincost, r.Ord.Sifting.order));
-    heuristic_soundness "window is sound and honest" (fun tt seed ->
-        let init = Helpers.perm_of_seed seed (T.arity tt) in
-        let r = Ord.Window.run ~initial:init tt in
-        (r.Ord.Window.mincost, r.Ord.Window.order));
-    heuristic_soundness "random search is sound and honest" (fun tt seed ->
-        let r = Ord.Random_search.run ~rng:(Helpers.rng seed) tt in
-        (r.Ord.Random_search.mincost, r.Ord.Random_search.order));
-    heuristic_soundness "annealing is sound and honest" (fun tt seed ->
-        let r = Ord.Annealing.run ~rng:(Helpers.rng seed) tt in
-        (r.Ord.Annealing.mincost, r.Ord.Annealing.order));
-    heuristic_soundness "genetic search is sound and honest" (fun tt seed ->
-        let r = Ord.Genetic.run ~rng:(Helpers.rng seed) tt in
-        (r.Ord.Genetic.mincost, r.Ord.Genetic.order));
-    heuristic_soundness "exact-block is sound and honest" (fun tt seed ->
-        let init = Helpers.perm_of_seed seed (T.arity tt) in
-        let r = Ord.Exact_block.run ~block:3 ~initial:init tt in
-        (r.Ord.Exact_block.mincost, r.Ord.Exact_block.order));
+    heuristic_soundness "sifting is sound and honest" (fun mt seed ->
+        let init = Helpers.perm_of_seed seed (Mt.arity mt) in
+        Ord.Sifting.run ~initial:init mt);
+    heuristic_soundness "window is sound and honest" (fun mt seed ->
+        let init = Helpers.perm_of_seed seed (Mt.arity mt) in
+        Ord.Window.run ~initial:init mt);
+    heuristic_soundness "random search is sound and honest" (fun mt seed ->
+        Ord.Random_search.run ~rng:(Helpers.rng seed) mt);
+    heuristic_soundness "annealing is sound and honest" (fun mt seed ->
+        Ord.Annealing.run ~rng:(Helpers.rng seed) mt);
+    heuristic_soundness "genetic search is sound and honest" (fun mt seed ->
+        Ord.Genetic.run ~rng:(Helpers.rng seed) mt);
+    heuristic_soundness "exact-block is sound and honest" (fun mt seed ->
+        let init = Helpers.perm_of_seed seed (Mt.arity mt) in
+        Ord.Exact_block.run ~block:3 ~initial:init mt);
     QCheck.Test.make ~name:"brute force equals FS" ~count:40
       (Helpers.arb_truthtable ~lo:1 ~hi:5 ())
       (fun tt ->
-        (Ord.Brute.best tt).Ord.Brute.mincost = (Fs.run tt).Fs.mincost);
+        (Ord.Brute.best (Mt.of_truthtable tt)).Ord.Chain.mincost
+        = (Fs.run tt).Fs.mincost);
     QCheck.Test.make ~name:"brute force equals FS (ZDD)" ~count:30
       (Helpers.arb_truthtable ~lo:1 ~hi:4 ())
       (fun tt ->
-        (Ord.Brute.best ~kind:Ovo_core.Compact.Zdd tt).Ord.Brute.mincost
+        (Ord.Brute.best ~kind:Ovo_core.Compact.Zdd (Mt.of_truthtable tt))
+          .Ord.Chain.mincost
         = (Fs.run ~kind:Ovo_core.Compact.Zdd tt).Fs.mincost);
     QCheck.Test.make ~name:"annealing never worsens its initial ordering"
       ~count:40
@@ -112,22 +109,25 @@ let props =
       (fun (tt, seed) ->
         let init = Helpers.perm_of_seed seed (T.arity tt) in
         let before = Ovo_core.Eval_order.mincost tt init in
-        (Ord.Annealing.run ~initial:init ~rng:(Helpers.rng seed) tt)
-          .Ord.Annealing.mincost <= before);
+        (Ord.Annealing.run ~initial:init ~rng:(Helpers.rng seed)
+           (Mt.of_truthtable tt))
+          .Ord.Chain.mincost <= before);
     QCheck.Test.make ~name:"sifting never worsens its initial ordering"
       ~count:60
       (QCheck.pair (Helpers.arb_truthtable ~lo:2 ~hi:6 ()) QCheck.small_int)
       (fun (tt, seed) ->
         let init = Helpers.perm_of_seed seed (T.arity tt) in
         let before = Ovo_core.Eval_order.mincost tt init in
-        (Ord.Sifting.run ~initial:init tt).Ord.Sifting.mincost <= before);
+        (Ord.Sifting.run ~initial:init (Mt.of_truthtable tt)).Ord.Chain.mincost
+        <= before);
     QCheck.Test.make ~name:"exact-block never worsens its initial ordering"
       ~count:40
       (QCheck.pair (Helpers.arb_truthtable ~lo:2 ~hi:6 ()) QCheck.small_int)
       (fun (tt, seed) ->
         let init = Helpers.perm_of_seed seed (T.arity tt) in
         let before = Ovo_core.Eval_order.mincost tt init in
-        (Ord.Exact_block.run ~initial:init tt).Ord.Exact_block.mincost <= before);
+        (Ord.Exact_block.run ~initial:init (Mt.of_truthtable tt)).Ord.Chain.mincost
+        <= before);
     QCheck.Test.make ~name:"order crossover yields a permutation" ~count:300
       (QCheck.triple QCheck.small_int QCheck.small_int (QCheck.int_range 0 9))
       (fun (s1, s2, n) ->
@@ -141,8 +141,8 @@ let props =
         let identity_cost =
           Ovo_core.Eval_order.mincost tt (Ord.Perm.identity (T.arity tt))
         in
-        (Ord.Genetic.run ~rng:(Helpers.rng seed) tt).Ord.Genetic.mincost
-        <= identity_cost);
+        (Ord.Genetic.run ~rng:(Helpers.rng seed) (Mt.of_truthtable tt))
+          .Ord.Chain.mincost <= identity_cost);
     QCheck.Test.make ~name:"perm move preserves the multiset" ~count:100
       (QCheck.triple QCheck.small_int QCheck.small_int QCheck.small_int)
       (fun (seed, from, to_) ->

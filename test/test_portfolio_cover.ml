@@ -6,14 +6,10 @@ module E = Ovo_boolfun.Expr
 let unit_tests =
   [
     Helpers.case "portfolio lists every member, best first" (fun () ->
-        let r = P.run (Ovo_boolfun.Families.multiplexer ~select:2) in
-        Helpers.check_int "members" 7 (List.length r.P.entries);
-        (match r.P.entries with
-        | first :: rest ->
-            Helpers.check_bool "sorted" true
-              (List.for_all (fun e -> e.P.mincost >= first.P.mincost) rest);
-            Helpers.check_int "best is head" first.P.mincost r.P.best.P.mincost
-        | [] -> Alcotest.fail "empty portfolio"));
+        let entries = P.run (Ovo_boolfun.Families.multiplexer ~select:2) in
+        Helpers.check_int "members" 7 (List.length entries);
+        let costs = List.map (fun (_, r) -> r.Ovo_ordering.Chain.mincost) entries in
+        Helpers.check_bool "sorted" true (costs = List.sort compare costs));
     Helpers.case "cube cover of a single cube" (fun () ->
         let man = B.create 3 in
         let f = B.of_expr man (E.of_string "x0 & !x2") in
@@ -39,16 +35,17 @@ let props =
     QCheck.Test.make ~name:"portfolio is sound and honest" ~count:40
       (QCheck.pair (Helpers.arb_truthtable ~lo:2 ~hi:5 ()) QCheck.small_int)
       (fun (tt, seed) ->
-        let r = P.run ~rng:(Helpers.rng seed) tt in
+        let _, best = List.hd (P.run ~rng:(Helpers.rng seed) tt) in
         let exact = (Ovo_core.Fs.run tt).Ovo_core.Fs.mincost in
-        r.P.best.P.mincost >= exact
-        && Ovo_core.Eval_order.mincost tt r.P.best.P.order = r.P.best.P.mincost);
+        best.Ovo_ordering.Chain.mincost >= exact
+        && Ovo_core.Eval_order.mincost tt best.order = best.mincost);
     QCheck.Test.make
       ~name:"portfolio never loses to any individual member" ~count:40
       (QCheck.pair (Helpers.arb_truthtable ~lo:2 ~hi:5 ()) QCheck.small_int)
       (fun (tt, seed) ->
-        let r = P.run ~rng:(Helpers.rng seed) tt in
-        List.for_all (fun e -> r.P.best.P.mincost <= e.P.mincost) r.P.entries);
+        let entries = P.run ~rng:(Helpers.rng seed) tt in
+        let best = (snd (List.hd entries)).Ovo_ordering.Chain.mincost in
+        List.for_all (fun (_, r) -> best <= r.Ovo_ordering.Chain.mincost) entries);
     QCheck.Test.make ~name:"to_expr round-trips the function" ~count:150
       (Helpers.arb_truthtable ~lo:1 ~hi:6 ())
       (fun tt ->

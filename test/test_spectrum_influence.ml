@@ -41,8 +41,8 @@ let unit_tests =
         (* for mux the address bits have the highest influence and the
            heuristic's root variable should be one of them *)
         let tt = F.multiplexer ~select:2 in
-        let r = Inf.run tt in
-        let root = r.Inf.order.(Array.length r.Inf.order - 1) in
+        let { Ovo_ordering.Chain.order; _ } = Inf.run tt in
+        let root = order.(Array.length order - 1) in
         Helpers.check_bool "root is an address bit" true (root = 0 || root = 1));
   ]
 
@@ -83,9 +83,9 @@ let props =
     QCheck.Test.make ~name:"influence heuristic is sound and honest" ~count:60
       (Helpers.arb_truthtable ~lo:1 ~hi:6 ())
       (fun tt ->
-        let r = Inf.run tt in
-        r.Inf.mincost >= (Ovo_core.Fs.run tt).Ovo_core.Fs.mincost
-        && Ovo_core.Eval_order.mincost tt r.Inf.order = r.Inf.mincost);
+        let { Ovo_ordering.Chain.mincost; order } = Inf.run tt in
+        mincost >= (Ovo_core.Fs.run tt).Ovo_core.Fs.mincost
+        && Ovo_core.Eval_order.mincost tt order = mincost);
     QCheck.Test.make ~name:"simple_split (Sec 3.1) equals FS" ~count:30
       (Helpers.arb_truthtable ~lo:2 ~hi:6 ())
       (fun tt ->
