@@ -8,8 +8,6 @@ type t = {
   spectral : float array;
   occurrence : float array;
   cosens : float array array;
-  adjacency : float array array;
-  proximity : float array array;
 }
 
 (* Every semantic entry below is a count over all 2^n assignments
@@ -60,16 +58,7 @@ let of_truthtable tt =
   in
   (* f depends on x_j exactly where some flip of x_j flips f *)
   let occurrence = Array.map (fun i -> if i > 0. then 1. else 0.) influence in
-  {
-    n;
-    influence;
-    polarity;
-    spectral;
-    occurrence;
-    cosens;
-    adjacency = Array.make_matrix n n 0.;
-    proximity = Array.make_matrix n n 0.;
-  }
+  { n; influence; polarity; spectral; occurrence; cosens }
 
 let permute f perm =
   let n = f.n in
@@ -82,8 +71,6 @@ let permute f perm =
     spectral = vec f.spectral;
     occurrence = vec f.occurrence;
     cosens = mat f.cosens;
-    adjacency = mat f.adjacency;
-    proximity = mat f.proximity;
   }
 
 let equal a b =
@@ -93,8 +80,6 @@ let equal a b =
   && a.spectral = b.spectral
   && a.occurrence = b.occurrence
   && a.cosens = b.cosens
-  && a.adjacency = b.adjacency
-  && a.proximity = b.proximity
 
 let json_vec a = Json.List (Array.to_list (Array.map (fun x -> Json.Float x) a))
 
@@ -109,8 +94,6 @@ let to_json f =
       ("spectral", json_vec f.spectral);
       ("occurrence", json_vec f.occurrence);
       ("cosens", json_mat f.cosens);
-      ("adjacency", json_mat f.adjacency);
-      ("proximity", json_mat f.proximity);
     ]
 
 let vec_of_json ~len j =
@@ -154,9 +137,7 @@ let of_json j =
       let* spectral = Result.bind (field "spectral") (vec_of_json ~len:n) in
       let* occurrence = Result.bind (field "occurrence") (vec_of_json ~len:n) in
       let* cosens = Result.bind (field "cosens") (mat_of_json ~len:n) in
-      let* adjacency = Result.bind (field "adjacency") (mat_of_json ~len:n) in
-      let* proximity = Result.bind (field "proximity") (mat_of_json ~len:n) in
-      Ok { n; influence; polarity; spectral; occurrence; cosens; adjacency; proximity }
+      Ok { n; influence; polarity; spectral; occurrence; cosens }
   | _ -> Error "features: missing or malformed n"
 
 let pp ppf f =

@@ -5,16 +5,16 @@
     frequency, adjacency in conjunctions, topological proximity — and
     orders by score instead of probing diagram sizes.  This module
     extracts the semantic ones from a truth table; every command,
-    corpus and model builds features that way.
+    corpus and model builds features that way.  The syntactic signals
+    would be zero for a table, so they are not extracted; a corpus row
+    written with [adjacency] and [proximity] matrices still loads, its
+    two extra keys ignored.
 
     Every feature is {e permutation-equivariant by construction}:
     extracting from a relabelled function yields the relabelled feature
     vectors ({!permute} states the law, and [test/test_learn.ml]
     qchecks it with exact float equality — each entry is a count over
-    all [2^n] assignments, so relabelling permutes the very same sums).
-    The syntactic signals, [adjacency] and [proximity], are zero for a
-    table; the fields stay because every corpus row and weight model
-    carries them. *)
+    all [2^n] assignments, so relabelling permutes the very same sums). *)
 
 type t = {
   n : int;  (** arity *)
@@ -36,15 +36,11 @@ type t = {
           [Pr(flipping j flips f and flipping k flips f)] — the
           semantic analogue of a conjunction-adjacency matrix; symmetric,
           zero diagonal *)
-  adjacency : float array array;
-      (** conjunction adjacency, a syntactic signal: zero for a table *)
-  proximity : float array array;
-      (** topological proximity, a syntactic signal: zero for a table *)
 }
 
 val of_truthtable : Ovo_boolfun.Truthtable.t -> t
-(** Semantic features only ([occurrence] = support indicator,
-    [adjacency] and [proximity] zero).  Word-parallel: one derivative
+(** Semantic features only ([occurrence] = support indicator).
+    Word-parallel: one derivative
     [f xor f∘flip_j] per variable, then popcounts of [&&&] and [xor]
     combinations, [O(n^2 2^n)] bit operations done a word at a time.
     The counts, and hence the floats, are exactly those of a per-bit
@@ -63,6 +59,6 @@ val to_json : t -> Ovo_obs.Json.t
 
 val of_json : Ovo_obs.Json.t -> (t, string) result
 (** Inverse of {!to_json} (accepts integer-valued floats printed as
-    JSON integers). *)
+    JSON integers; unknown keys are ignored). *)
 
 val pp : Format.formatter -> t -> unit

@@ -24,17 +24,14 @@ let iter_all n f =
     end
   done
 
-let shuffle_in_place st a =
-  for i = Array.length a - 1 downto 1 do
+let random st n =
+  let a = identity n in
+  for i = n - 1 downto 1 do
     let j = Random.State.int st (i + 1) in
     let t = a.(i) in
     a.(i) <- a.(j);
     a.(j) <- t
-  done
-
-let random st n =
-  let a = identity n in
-  shuffle_in_place st a;
+  done;
   a
 
 let move p ~from ~to_ =

@@ -8,9 +8,8 @@ val iter_all : int -> (int array -> unit) -> unit
     guard the caller. *)
 
 val random : Random.State.t -> int -> int array
-(** Uniform random permutation (Fisher–Yates). *)
-
-val shuffle_in_place : Random.State.t -> int array -> unit
+(** Uniform random permutation (Fisher–Yates, one draw per position
+    from the last down). *)
 
 val move : int array -> from:int -> to_:int -> int array
 (** [move p ~from ~to_] removes the element at index [from] and
