@@ -27,7 +27,6 @@ let op_minimal = 8
 let create ?order n =
   { s = S.create "Zdd" ?order n; cache = Hashtbl.create 256 }
 
-let nelems man = man.s.n
 let order man = Array.copy man.s.level_var
 let node_count man = S.node_count man.s
 

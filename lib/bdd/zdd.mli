@@ -22,8 +22,6 @@ val create : ?order:int array -> int -> man
 val order : man -> int array
 (** The read-first ordering in force (copy). *)
 
-val nelems : man -> int
-
 val empty : man -> t
 (** The empty family [∅]. *)
 
@@ -64,8 +62,8 @@ val count : man -> t -> float
 
 val count_by_size : man -> t -> float array
 (** [count_by_size man t].(k) = number of member sets of cardinality
-    [k]; length [nelems man + 1].  The family's size generating
-    function, evaluated without enumeration. *)
+    [k]; length [n + 1] for a manager over [n] elements.  The family's
+    size generating function, evaluated without enumeration. *)
 
 val mem : man -> t -> int list -> bool
 (** Membership of one set. *)

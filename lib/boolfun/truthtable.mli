@@ -23,9 +23,6 @@ val of_fun : int -> (int -> bool) -> t
     the [O*(2^n)] truth-table extraction step of the paper's Corollary 2:
     [f] may evaluate any representation (expression, circuit, diagram). *)
 
-val of_bitvec : int -> Bitvec.t -> t
-(** [of_bitvec n v] wraps a bit vector of length [2^n]. *)
-
 val of_string : string -> t
 (** [of_string "0110"] is the 2-variable XOR (length must be a power of
     two); entry [i] of the string is [f] at assignment code [i]. *)

@@ -89,9 +89,6 @@ val to_json : snapshot -> string
     Emitted through the shared {!Ovo_obs.Json} emitter; inverse
     {!of_json}. *)
 
-val of_json_value : Ovo_obs.Json.t -> snapshot option
-(** Parse a {!to_json_value} object; [None] on mismatch. *)
-
 val of_json : string -> snapshot option
 (** Parse {!to_json} output back; [None] on malformed or incomplete
     input. *)

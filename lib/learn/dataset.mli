@@ -56,18 +56,6 @@ val tasks : spec -> (string * Ovo_boolfun.Truthtable.t) list
     entries (filtered by [families]) then [random-<seed>-<i>] randoms.
     Raises [Failure] on a family name outside the catalogue. *)
 
-val solve_row :
-  ?trace:Ovo_obs.Trace.t ->
-  ?weights:Scorer.Weights.t ->
-  spec ->
-  index:int ->
-  string ->
-  Ovo_boolfun.Truthtable.t ->
-  row
-(** Label one function: features, heuristic costs, then the exact DP
-    (scorer-seeded branch-and-bound — exact, just faster).  Span
-    [learn.dataset.row]. *)
-
 val generate :
   ?trace:Ovo_obs.Trace.t ->
   ?weights:Scorer.Weights.t ->
@@ -78,7 +66,10 @@ val generate :
 (** All rows of the spec, in {!tasks} order.  [store] names a directory
     whose [dataset.rlog] caches completed rows: rows recovered from a
     matching spec are reused, a spec mismatch starts the log over.
-    [on_row] fires once per row (fresh or recovered), in order. *)
+    [on_row] fires once per row (fresh or recovered), in order.  A
+    fresh row is labelled under a [learn.dataset.row] span: features,
+    heuristic costs, then the exact DP (scorer-seeded branch-and-bound,
+    still exact). *)
 
 val row_to_json : row -> Ovo_obs.Json.t
 

@@ -28,9 +28,6 @@
 val num_core : int
 (** Core (laddered) buckets: 256. *)
 
-val num_buckets : int
-(** [num_core + 2] — underflow and overflow included. *)
-
 val min_bound : float
 (** Upper bound of the underflow bucket (1e-3). *)
 
@@ -39,7 +36,7 @@ val bucket_upper : int -> float
     bucket. *)
 
 val index : float -> int
-(** The bucket a value lands in ([0 .. num_buckets - 1]).  NaN and
+(** The bucket a value lands in ([0 .. num_core + 1]).  NaN and
     non-positive values land in bucket 0. *)
 
 val max_rel_error : float
@@ -54,7 +51,9 @@ val count : t -> int
 val sum : t -> float
 
 type snapshot = {
-  counts : int array;  (** per-bucket tallies, length {!num_buckets} *)
+  counts : int array;
+      (** per-bucket tallies, length [num_core + 2] (underflow and
+          overflow included) *)
   count : int;
   sum : float;
   vmin : float;  (** [infinity] when empty *)

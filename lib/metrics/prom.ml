@@ -11,6 +11,7 @@ let escape_with ~quote s =
   Buffer.contents b
 
 let escape_label = escape_with ~quote:true
+(* Contents of a HELP line: backslash and newline escaped. *)
 let escape_help = escape_with ~quote:false
 
 let labels_to_string labels =

@@ -18,8 +18,5 @@ val escape_label : string -> string
 (** Contents of a label value between the quotes: backslash, double
     quote and newline become their two-character escapes. *)
 
-val escape_help : string -> string
-(** Contents of a HELP line: backslash and newline escaped. *)
-
 val render : Registry.t -> string
 (** The full exposition, newline-terminated. *)

@@ -1,3 +1,6 @@
+(* Exact cells for FS* from a base with [free] unassigned variables over
+   a [j]-element J, stopped at cardinality [upto]:
+   sum over i <= upto of C(j,i)·i·2^(free-i). *)
 let fs_star_cells ~free ~j ~upto =
   let acc = ref 0. in
   for i = 1 to upto do
@@ -32,13 +35,16 @@ let log2_cost_per_var points =
       in
       ((m *. sxy) -. (sx *. sy)) /. ((m *. sxx) -. (sx *. sx))
 
+(* The Lemma 6 query count, max 1 (round (sqrt (N log2(1/eps)))); must
+   mirror Ovo_quantum.Qsearch.queries_bound ([n] is a float so
+   astronomically large candidate spaces stay representable). *)
 let quantum_queries ~n ~epsilon =
   if n <= 0. then invalid_arg "Predict.quantum_queries";
   let eps = if epsilon <= 0. then 1e-300 else min epsilon 0.5 in
   Float.max 1. (Float.round (sqrt (n *. (-.log eps /. log 2.))))
 
-type subroutine_cost = free:int -> j:int -> float
-
+(* A subroutine's cost of extending a compaction state with [free]
+   unassigned variables over a [j]-element block; classical FS* first. *)
 let fs_star_cost ~free ~j = if j = 0 then 0. else fs_star_cells ~free ~j ~upto:j
 
 (* must mirror Opt_obdd.division_points *)
@@ -55,6 +61,9 @@ let division_points ~alpha n' =
   in
   dedup 0 (List.sort compare clamped)
 
+(* Modeled cost of OptOBDD*_gamma(k, alpha) over a given inner
+   subroutine; mirrors Ovo_quantum.Opt_obdd.opt_obdd including its
+   division-point rounding and de-duplication. *)
 let opt_obdd_cost ~epsilon ~alpha inner ~free ~j =
   if j = 0 then 0.
   else

@@ -12,11 +12,6 @@ val fs_cells : int -> float
     [Σ_k C(n,k)·k·2^(n-k) = n·3^(n-1)] (each size-[k] set tries its [k]
     last-variable choices, each a compaction of [2^(n-k)] cells). *)
 
-val fs_star_cells : free:int -> j:int -> upto:int -> float
-(** Exact cells for [FS*] from a base with [free] unassigned variables
-    over a [j]-element [J], stopped at cardinality [upto]:
-    [Σ_(i<=upto) C(j,i)·i·2^(free-i)]. *)
-
 val brute_force_cells : int -> float
 (** Exact cells of the [O*(n!·2^n)] brute force: [n!·(2^n - 1)] (one
     compaction chain per ordering). *)
@@ -40,24 +35,6 @@ val log2_cost_per_var : (int * float) list -> float
     cost curves far beyond what the simulation can execute and locate the
     modeled crossovers.  [Test_optobdd] asserts bit-for-bit agreement
     with the simulation on small instances. *)
-
-val quantum_queries : n:float -> epsilon:float -> float
-(** The Lemma 6 query count, [max 1 (round (sqrt (N log2(1/eps))))] —
-    must mirror [Ovo_quantum.Qsearch.queries_bound] ([n] is a float so
-    astronomically large candidate spaces stay representable). *)
-
-type subroutine_cost = free:int -> j:int -> float
-(** Cost of extending a compaction state with [free] unassigned
-    variables over a [j]-element block. *)
-
-val fs_star_cost : subroutine_cost
-(** Classical [FS*]: [fs_star_cells ~free ~j ~upto:j]. *)
-
-val opt_obdd_cost :
-  epsilon:float -> alpha:float array -> subroutine_cost -> subroutine_cost
-(** Modeled cost of [OptOBDD*_gamma(k, alpha)] over a given inner
-    subroutine — mirrors [Ovo_quantum.Opt_obdd.opt_obdd] including its
-    division-point rounding and de-duplication. *)
 
 val theorem10_cost : epsilon:float -> alpha:float array -> int -> float
 (** Whole-run modeled cost of [OptOBDD(k, alpha)] on [n] variables. *)

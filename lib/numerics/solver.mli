@@ -6,15 +6,11 @@ val bisect :
     signs, else [Invalid_argument]); default tolerance [1e-13] on the
     argument. *)
 
-val find_bracket :
-  f:(float -> float) -> lo:float -> hi:float -> steps:int -> (float * float) option
-(** Scan [steps] equal sub-intervals of [lo..hi] and return the first one
-    across which [f] changes sign (infinite values are skipped). *)
-
 val solve :
   ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> steps:int -> unit -> float
-(** {!find_bracket} then {!bisect}; raises [Failure] when no sign change
-    is found. *)
+(** Scan [steps] equal sub-intervals of [lo..hi] for the first one
+    across which [f] changes sign (infinite values are skipped), then
+    {!bisect} it; raises [Failure] when no sign change is found. *)
 
 val solve_offset :
   ?tol:float ->

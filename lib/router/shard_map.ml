@@ -22,6 +22,7 @@ let mix (h : int) : int =
   let h = h lxor (h lsr 31) in
   h land max_int
 
+(* The placement hash: FNV-1a 64, masked non-negative. *)
 let fnv1a (s : string) : int =
   let h = ref 0xbf29ce484222325 in
   String.iter

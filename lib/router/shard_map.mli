@@ -18,10 +18,6 @@
 
 type shard = { name : string; addr : Ovo_serve.Protocol.addr }
 
-val fnv1a : string -> int
-(** The placement hash (FNV-1a 64, masked non-negative) — exposed for
-    the property tests. *)
-
 type t
 
 val make : shard list -> t

@@ -6,12 +6,6 @@ val sockaddr_of : Protocol.addr -> Unix.socket_domain * Unix.sockaddr
 (** Resolve an {!Protocol.addr} (hostname lookup included) to what
     [Unix.connect] / [Unix.bind] want. *)
 
-val bind_listen : Protocol.addr -> Unix.file_descr
-(** Bind and listen (backlog 64).  A stale Unix-socket file from a
-    previous unclean exit is removed first; TCP sockets get
-    [SO_REUSEADDR].  Raises [Unix.Unix_error] if the address cannot be
-    bound. *)
-
 (** {1 The NDJSON listener}
 
     A bound socket, its acceptor thread, the stop flag that shutdown
@@ -21,9 +15,11 @@ type listener
 
 val listen : ?idle_timeout:float -> Protocol.addr -> listener
 (** Ignore SIGPIPE (a client vanishing mid-reply must surface as
-    [EPIPE], not kill the process) and {!bind_listen}.  With
-    [idle_timeout], shutdown starts after that many seconds without a
-    connection or request. *)
+    [EPIPE], not kill the process), then bind and listen (backlog 64).
+    A stale Unix-socket file from a previous unclean exit is removed
+    first; TCP sockets get [SO_REUSEADDR].  Raises [Unix.Unix_error] if
+    the address cannot be bound.  With [idle_timeout], shutdown starts
+    after that many seconds without a connection or request. *)
 
 val accept : listener -> (Unix.file_descr -> unit) -> unit
 (** Start the acceptor thread: it hands every accepted connection to

@@ -70,7 +70,6 @@ type error_code =
   | Internal
 
 val error_code_to_string : error_code -> string
-val error_code_of_string : string -> error_code option
 
 type response =
   | Ok_solve of solve_reply
