@@ -65,7 +65,11 @@ let serve_cmd =
   let prune =
     Arg.(value & flag
          & info [ "prune" ]
-             ~doc:"Run every cache-miss solve as a sifting-seeded exact                    branch-and-bound: identical answers, fewer DP states,                    and deadline-cancelled replies carry the best-so-far                    bound pair.")
+             ~doc:"Run every cache-miss solve as an exact branch-and-bound \
+                   seeded by the learned scorer's incumbent, tightened by \
+                   sifting: identical answers, fewer DP states, and \
+                   deadline-cancelled replies carry the best-so-far bound \
+                   pair.")
   in
   let orderer =
     let orderer_conv = Arg.enum [ ("exact", `Exact); ("scored", `Scored) ] in

@@ -10,9 +10,9 @@
       variables, so core, ordering and quantum layers consume one
       implementation (alongside the {!Bounds} counting caps);
     - an {!upper} is an achievable total cost, normally seeded from a
-      heuristic orderer (sifting or the portfolio) through an {e
-      injected provider} — core never depends on [lib/ordering], the
-      caller passes the seed in;
+      heuristic orderer (the learned scorer, tightened by sifting)
+      through an {e injected provider} — core never depends on
+      [lib/ordering], the caller passes the seed in;
     - {!t} is the live pruning context of one solve: the lower bound,
       the atomic incumbent shared across {!Engine.Par} worker domains,
       the pruned-state counter and the per-layer incumbent trajectory.

@@ -27,9 +27,10 @@ val evaluate :
   name:string ->
   Ovo_boolfun.Truthtable.t ->
   report
-(** Runs exact FS, sifting, window permutation, random search and
-    simulated annealing (with the given or a fixed-seed RNG) on the
-    function. *)
+(** Runs exact FS, sifting, window permutation, random search,
+    simulated annealing and genetic search (the last three sharing the
+    given or a fixed-seed RNG) on the function, converted to an
+    {!Ovo_boolfun.Mtable.t} once for all five heuristics. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Aligned multi-line rendering. *)

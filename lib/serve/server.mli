@@ -53,9 +53,10 @@ type config = {
           admission with [too_large] ({!Solver.parse_table}).  [None]
           (the default) admits every arity up to [max_arity]. *)
   prune : bool;
-      (** run each cache-miss solve as a sifting-seeded exact
-          branch-and-bound ({!Solver.solve}): identical answers, fewer
-          states, and deadline-cancelled replies carry the best-so-far
+      (** run each cache-miss solve as an exact branch-and-bound seeded
+          by [Ovo_learn.Scorer.seeded_bound], the scored incumbent
+          tightened by sifting ({!Solver.solve}): identical answers,
+          fewer states, and deadline-cancelled replies carry the best-so-far
           [(lower, incumbent)] bound pair in their message.  Default
           off. *)
   orderer : [ `Exact | `Scored ];
