@@ -154,12 +154,13 @@ let quantum_vs_classical () =
   for n = 4 to 11 do
     let tt = T.random (Random.State.make [| 7 * n |]) n in
     let _, fs_cells = measured_cells (fun metrics -> Fs.run ~metrics tt) in
+    let mt = Ovo_boolfun.Mtable.of_truthtable tt in
     let ctx = O.make_ctx () in
-    let _, qcost = O.minimize ~ctx (O.theorem10 ()) tt in
+    let _, qcost = O.minimize ~ctx (O.theorem10 ()) mt in
     let tower_cost =
       if n <= 9 then begin
         let ctx2 = O.make_ctx () in
-        let _, c = O.minimize ~ctx:ctx2 (O.tower ~depth:2) tt in
+        let _, c = O.minimize ~ctx:ctx2 (O.tower ~depth:2) mt in
         Some c
       end
       else None
@@ -235,7 +236,9 @@ let optimality_check () =
     let tt = T.random st n in
     let exact = (Fs.run tt).Fs.mincost in
     let ctx = O.make_ctx () in
-    let r, _ = O.minimize ~ctx (O.theorem10 ()) tt in
+    let r, _ =
+      O.minimize ~ctx (O.theorem10 ()) (Ovo_boolfun.Mtable.of_truthtable tt)
+    in
     if r.Fs.mincost = exact && Ovo_core.Diagram.check_tt r.Fs.diagram tt then
       incr agree
   done;
@@ -247,7 +250,9 @@ let optimality_check () =
     let tt = T.random st n in
     let exact = (Fs.run tt).Fs.mincost in
     let ctx = O.make_ctx ~rng ~epsilon:0.5 () in
-    let r, _ = O.minimize ~ctx (O.theorem10 ()) tt in
+    let r, _ =
+      O.minimize ~ctx (O.theorem10 ()) (Ovo_boolfun.Mtable.of_truthtable tt)
+    in
     if Ovo_core.Diagram.check_tt r.Fs.diagram tt then incr valid;
     if r.Fs.mincost = exact then incr minimum
   done;
@@ -428,27 +433,25 @@ let shared_bench () =
     "sum-of-singles" "blocked" "quantum";
   List.iter
     (fun (name, outputs) ->
-      let r = Ovo_core.Shared.minimize outputs in
+      let mts = Array.map Ovo_boolfun.Mtable.of_truthtable outputs in
+      let r = Ovo_core.Shared.minimize mts in
       let singles =
         Array.fold_left
           (fun acc tt -> acc + (Fs.run tt).Fs.mincost)
           0 outputs
       in
       let n = T.arity outputs.(0) in
+      let base = Ovo_core.Shared.initial C.Bdd mts in
       let blocked =
-        (C.compact_chain ~metrics:(Ovo_core.Metrics.create ())
-           (Ovo_core.Shared.initial C.Bdd
-              (Array.map Ovo_boolfun.Mtable.of_truthtable outputs))
+        (C.compact_chain ~metrics:(Ovo_core.Metrics.create ()) base
            (Array.init n (fun i -> i)))
           .C.mincost
       in
       let qshared =
         if n <= 6 then begin
-          let ctx = Ovo_quantum.Opt_obdd.make_ctx () in
-          let qr, _ =
-            Ovo_quantum.Opt_shared.minimize ~ctx (O.theorem10 ()) outputs
-          in
-          string_of_int qr.Ovo_core.Shared.mincost
+          let ctx = O.make_ctx () in
+          let st, _ = O.apply (O.theorem10 ()) ctx base (C.free base) in
+          string_of_int (Ovo_core.Shared.of_state st).Ovo_core.Shared.mincost
         end
         else "-"
       in

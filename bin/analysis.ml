@@ -109,7 +109,8 @@ let shared_cmd =
           let outputs = Ovo_boolfun.Pla.tables p in
           let metrics = Ovo_core.Metrics.create () in
           let r =
-            Ovo_core.Shared.minimize ~trace ~kind ~engine ~metrics outputs
+            Ovo_core.Shared.minimize ~trace ~kind ~engine ~metrics
+              (Array.map Ovo_boolfun.Mtable.of_truthtable outputs)
           in
           Format.printf "outputs            : %d over %d inputs@."
             (Array.length outputs) (Ovo_boolfun.Pla.inputs p);

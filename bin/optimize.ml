@@ -309,7 +309,10 @@ let run input kind algo dot save weights seed engine stats obs checkpoint
           let ctx =
             Ovo_quantum.Opt_obdd.make_ctx ~engine ~trace ?membudget ?bound ()
           in
-          let r, cost = Ovo_quantum.Opt_obdd.minimize ~kind ~ctx sub tt in
+          let r, cost =
+            Ovo_quantum.Opt_obdd.minimize ~kind ~ctx sub
+              (Ovo_boolfun.Mtable.of_truthtable tt)
+          in
           print_result ~algo:label ~modeled:(Some cost) r;
           (membudget, r.diagram, ctx.metrics)
         in
@@ -327,12 +330,17 @@ let run input kind algo dot save weights seed engine stats obs checkpoint
               print_result ~algo:label ~modeled:None r;
               (None, r.diagram, metrics)
           | Some ws, _ ->
+              let weights = Array.of_list ws in
               let r =
-                Ovo_core.Fs_weighted.run ~trace ~kind ~engine ~metrics
-                  ?membudget ?prune:bound ~weights:(Array.of_list ws) tt
+                Ovo_core.Fs.run ~trace ~kind ~engine ~metrics ?membudget
+                  ?prune:bound ~weights tt
+              in
+              let weighted_cost =
+                Array.fold_left ( + ) 0
+                  (Array.mapi (fun j v -> weights.(v) * r.widths.(j)) r.order)
               in
               Format.printf "algorithm        : FS (exact, weighted)@.";
-              Format.printf "weighted cost    : %d@." r.weighted_cost;
+              Format.printf "weighted cost    : %d@." weighted_cost;
               Format.printf "node count       : %d@." r.mincost;
               Format.printf "order (root first): %a@." Front.pp_order
                 (Ovo_core.Eval_order.read_first r.order);

@@ -60,7 +60,8 @@ let () =
       in
       let ctx = Ovo_quantum.Opt_obdd.make_ctx () in
       let q, qcost =
-        Ovo_quantum.Opt_obdd.minimize ~ctx (Ovo_quantum.Opt_obdd.theorem10 ()) tt
+        Ovo_quantum.Opt_obdd.minimize ~ctx (Ovo_quantum.Opt_obdd.theorem10 ())
+          (Ovo_boolfun.Mtable.of_truthtable tt)
       in
       Format.printf "p%d %9d %9d %13d %16.0f@." j r.Ovo_core.Fs.size fs_cells
         q.Ovo_core.Fs.size qcost)

@@ -40,7 +40,7 @@ let () =
   in
 
   (* the joint optimum over one shared order *)
-  let shared = S.minimize outputs in
+  let shared = S.minimize (Array.map Ovo_boolfun.Mtable.of_truthtable outputs) in
   Printf.printf "shared exact optimum: %d nodes (vs %d if kept separate)\n"
     shared.S.mincost sum_singles;
   Printf.printf "shared optimal order (root first): %s\n"

@@ -51,7 +51,7 @@ let () =
     (Array.length outputs);
 
   (* 1. exact shared ordering for all outputs *)
-  let r = S.minimize outputs in
+  let r = S.minimize (Array.map Ovo_boolfun.Mtable.of_truthtable outputs) in
   Printf.printf "exact shared optimum: %d nodes, order (root first): %s\n"
     r.S.size
     (String.concat " "

@@ -63,10 +63,17 @@ let source_of = function
 (* The admissibility argument works directly on any completed diagram:
    each relevant free variable labels >= 1 node there, and every node
    labelled by a currently-free variable is created by the remaining
-   compactions — so the remaining cost is >= the relevant-free count.
+   compactions — so the remaining cost is >= the relevant-free count
+   (with weights, >= their summed weights).
    When no relevant variable is free the completion is exactly free of
    charge: every remaining compaction elides its whole table. *)
-let counting_of ~lb_source ~weight rel =
+let counting_lower ?weights kind mt =
+  let rel = relevant kind mt in
+  let lb_source, weight =
+    match weights with
+    | None -> (source_of kind, fun _ -> 1)
+    | Some w -> ("weighted-" ^ source_of kind, fun i -> w.(i))
+  in
   {
     lb_source;
     remaining =
@@ -74,23 +81,6 @@ let counting_of ~lb_source ~weight rel =
     exact_completion =
       (fun free -> if Varset.disjoint rel free then Some 0 else None);
   }
-
-let counting_lower kind mt =
-  counting_of ~lb_source:(source_of kind) ~weight:(fun _ -> 1) (relevant kind mt)
-
-let weighted_counting_lower ~weights kind mt =
-  counting_of
-    ~lb_source:("weighted-" ^ source_of kind)
-    ~weight:(fun i -> weights.(i))
-    (relevant kind mt)
-
-let shared_counting_lower kind mts =
-  let rel =
-    Array.fold_left
-      (fun acc mt -> Varset.union acc (relevant kind mt))
-      Varset.empty mts
-  in
-  counting_of ~lb_source:("shared-" ^ source_of kind) ~weight:(fun _ -> 1) rel
 
 let make ?seed lower =
   {

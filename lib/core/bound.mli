@@ -62,24 +62,18 @@ type layer_stat = {
 
 type t
 
-val counting_lower : Compact.kind -> Ovo_boolfun.Mtable.t -> lower
+val counting_lower :
+  ?weights:int array -> Compact.kind -> Ovo_boolfun.Mtable.t -> lower
 (** The counting bound, per kind: every {e relevant} free variable labels
     at least one node in any completed diagram.  [Bdd]: classic support
     (some input pair differing only in the variable changes the value).
     [Zdd]: zero-suppressed liveness (some point with the variable set
     has a non-zero value).  Admissible for the plain node-count
     objective of {!Subset_dp} sweeps over [mt], including sub-sweeps over
-    partially-assigned bases. *)
-
-val weighted_counting_lower :
-  weights:int array -> Compact.kind -> Ovo_boolfun.Mtable.t -> lower
-(** As {!counting_lower} for the weighted objective of {!Fs_weighted}:
-    each relevant free variable [i] contributes [weights.(i)]. *)
-
-val shared_counting_lower :
-  Compact.kind -> Ovo_boolfun.Mtable.t array -> lower
-(** As {!counting_lower} for the multi-rooted objective of {!Shared}:
-    a variable relevant to any root labels at least one shared node. *)
+    partially-assigned bases.  With [weights] it bounds the weighted
+    objective of {!Fs.run} [~weights] instead: each relevant free
+    variable [i] contributes [weights.(i)], and [lb_source] gains a
+    ["weighted-"] prefix. *)
 
 val make : ?seed:upper -> lower -> t
 (** A fresh pruning context; the incumbent starts at the seed's value

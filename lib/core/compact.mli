@@ -149,8 +149,8 @@ val compact_chain : metrics:Metrics.t -> state -> int array -> state
 
 val weighted_cost : weights:int array -> state -> int
 (** [Σ weights.(var) · width] over the state's levels: the objective of
-    the weighted ordering problem ({!Fs_weighted}), which Lemma 3 lets
-    the DP minimise level by level.  Unit weights give [mincost]. *)
+    the weighted ordering problem ({!Fs.run} [~weights]), which Lemma 3
+    lets the DP minimise level by level.  Unit weights give [mincost]. *)
 
 val iter_nodes : (int -> var:int -> lo:int -> hi:int -> unit) -> level list -> unit
 (** [iter_nodes f levels] calls [f id ~var ~lo ~hi] on every node the

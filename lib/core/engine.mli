@@ -7,8 +7,8 @@
     {!Domain.t}s with no synchronisation beyond one barrier per layer.
     This module captures that split once: a sweep opens a {!pool} with
     {!with_pool} and runs each layer as one {!map}.  {!Subset_dp} and
-    everything above it take an engine parameter: {!Fs}, {!Shared} and
-    {!Fs_weighted} on top of it, and the quantum entry points.
+    everything above it take an engine parameter: {!Fs} and {!Shared}
+    on top of it, and the quantum entry points.
 
     {!Par} is deterministic: every result lands at its own index, so a
     parallel run produces bit-identical tables, orderings and metrics to

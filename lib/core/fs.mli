@@ -6,7 +6,10 @@
     table, Remark 2), [run] produces a minimum reduced diagram together
     with an optimal variable ordering, visiting every subset [I ⊆ \[n\]]
     once and charging [O(2^{n-|I|})] per subset —
-    [Σ_k C(n,k) 2^{n-k} = 3^n] table cells in total. *)
+    [Σ_k C(n,k) 2^{n-k} = 3^n] table cells in total.  With [weights] the
+    same sweep minimises [Σ_j w_(π[j]) · Cost_(π[j])]: Lemma 3 makes a
+    level's width a function of the set split alone, so
+    [WCOST_I = min_h (WCOST_(I∖h) + w_h · Cost_h)]. *)
 
 type result = {
   mincost : int;  (** minimum number of non-terminal nodes *)
@@ -24,6 +27,7 @@ val run :
   ?metrics:Metrics.t ->
   ?membudget:Membudget.t ->
   ?prune:Bound.t ->
+  ?weights:int array ->
   ?on_layer:(Subset_dp.progress -> unit) ->
   ?resume:Subset_dp.progress list ->
   Ovo_boolfun.Truthtable.t ->
@@ -52,7 +56,15 @@ val run :
     {!Subset_dp}.  The final cost is sanity-checked against the seeded
     upper bound ({!Bound.check_final}), so an unsound provider raises
     {!Bound.Pruned_out} instead of silently corrupting the optimum.
-    Incompatible with [resume]. *)
+    Incompatible with [resume].
+
+    [weights] (default: the node count) must pass {!check_weights}.  The
+    result's [mincost] stays the node count of the chosen order, whose
+    weighted cost is [Σ_j weights.(order.(j)) · widths.(j)]; [prune]'s
+    bound must be admissible for that objective ({!Bound.counting_lower}
+    [~weights] is), and {!Bound.check_final} reads the optimal state's
+    {!Compact.weighted_cost}.  A [resume] must come from a run with the
+    same weights. *)
 
 val run_mtable :
   ?trace:Ovo_obs.Trace.t ->
@@ -62,25 +74,20 @@ val run_mtable :
   ?metrics:Metrics.t ->
   ?membudget:Membudget.t ->
   ?prune:Bound.t ->
+  ?weights:int array ->
   ?on_layer:(Subset_dp.progress -> unit) ->
   ?resume:Subset_dp.progress list ->
   Ovo_boolfun.Mtable.t ->
   result
 (** Multi-terminal variant (minimum MTBDD when [kind = Bdd]). *)
 
-val all_mincosts :
-  ?trace:Ovo_obs.Trace.t ->
-  ?kind:Compact.kind ->
-  ?engine:Engine.t ->
-  ?cancel:Cancel.t ->
-  ?metrics:Metrics.t ->
-  Ovo_boolfun.Truthtable.t ->
-  (Varset.t, int) Hashtbl.t
-(** [MINCOST_I] for every subset [I ⊆ \[n\]] — the full DP table, used by
-    the Lemma 4 / Lemma 9 verification tests and by the divide-and-conquer
-    cross-checks.  The table has [2^n] entries, filled in one pass from
-    the packed table of a pure cost-table sweep ({!Subset_dp.costs}): no
-    per-candidate state, no layer of states kept. *)
+val check_weights : n:int -> int array -> unit
+(** Refuse weights that do not fit an [n]-variable solve: raises
+    [Invalid_argument] unless there are [n] of them, none is negative
+    and [Σ_h w_h · 2^(n-1) ≤ max_int].  A level has at most [2^(n-1)]
+    nodes, so then no objective, bound or incumbent can overflow.
+    {!run} checks first; a pruning seed priced under the weights
+    ([Ovo_ordering.Seed.weighted_bound]) must check before it prices. *)
 
 val of_state : Compact.state -> result
 (** Package a complete single-rooted compaction state (any provenance:

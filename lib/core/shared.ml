@@ -65,8 +65,8 @@ let of_state (st : state) =
     state = st;
   }
 
-let minimize_mtables ?(trace = Ovo_obs.Trace.null) ?(kind = Compact.Bdd)
-    ?engine ?cancel ?metrics ?membudget ?prune mts =
+let minimize ?(trace = Ovo_obs.Trace.null) ?(kind = Compact.Bdd) ?engine
+    ?metrics mts =
   let base = initial kind mts in
   Ovo_obs.Trace.with_span trace ~cat:"fs"
     ~args:(fun () ->
@@ -76,17 +76,8 @@ let minimize_mtables ?(trace = Ovo_obs.Trace.null) ?(kind = Compact.Bdd)
       ])
     "shared.minimize"
     (fun () ->
-      let r =
-        of_state
-          (Subset_dp.complete ~trace ?engine ?cancel ?metrics ?membudget
-             ?prune ~base (Compact.free base))
-      in
-      Option.iter (fun b -> Bound.check_final b r.mincost) prune;
-      r)
-
-let minimize ?trace ?kind ?engine ?cancel ?metrics ?membudget ?prune tts =
-  minimize_mtables ?trace ?kind ?engine ?cancel ?metrics ?membudget ?prune
-    (Array.map Ovo_boolfun.Mtable.of_truthtable tts)
+      of_state
+        (Subset_dp.complete ~trace ?engine ?metrics ~base (Compact.free base)))
 
 let to_dot (st : state) =
   require_complete "to_dot" st;

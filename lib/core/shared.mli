@@ -51,26 +51,14 @@ val minimize :
   ?trace:Ovo_obs.Trace.t ->
   ?kind:Compact.kind ->
   ?engine:Engine.t ->
-  ?cancel:Cancel.t ->
   ?metrics:Metrics.t ->
-  ?membudget:Membudget.t ->
-  ?prune:Bound.t ->
-  Ovo_boolfun.Truthtable.t array ->
+  Ovo_boolfun.Mtable.t array ->
   result
 (** Exact optimal ordering for the shared diagram ({!Subset_dp.complete}
     over the multi-rooted state): visits all [2^n] subsets, [O*(m·3^n)]
-    cells.  [engine]/[cancel]/[metrics] as in {!Fs.run}. *)
-
-val minimize_mtables :
-  ?trace:Ovo_obs.Trace.t ->
-  ?kind:Compact.kind ->
-  ?engine:Engine.t ->
-  ?cancel:Cancel.t ->
-  ?metrics:Metrics.t ->
-  ?membudget:Membudget.t ->
-  ?prune:Bound.t ->
-  Ovo_boolfun.Mtable.t array ->
-  result
+    cells.  [engine]/[metrics] as in {!Fs.run}.  The quantum optimisers
+    solve the same state: [Ovo_quantum.Opt_obdd.apply] over {!initial},
+    packaged by {!of_state}. *)
 
 val to_dot : state -> string
 (** Graphviz rendering of a complete shared diagram (roots annotated). *)

@@ -329,7 +329,7 @@ let rebuild ~trace ~replay table x f =
    and return their next ids, so between two layers the calling domain
    does no hashing, no re-ranking and no packing — only the incumbent
    update.  The final layer writes no slices: its states are rebuilt by
-   replay ([run]) or only its table is wanted ([costs], [complete]).
+   replay ([run]) or only its table is wanted ([complete]).
    Layer [k] lives in arena buffer [k mod 2] and dies when layer
    [k + 2] overwrites it; only the extents outlive a layer.  A layer's
    cells are 2 bytes when the previous layer's largest [next_id] plus
@@ -531,15 +531,6 @@ let sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~weights ~upto ~on_layer
 let membudget_of = function
   | Some mb -> mb
   | None -> Membudget.unbounded ()
-
-let costs ?(trace = Trace.null) ?(engine = Engine.Seq)
-    ?(cancel = Cancel.never) ?(metrics = Metrics.create ()) ?membudget ?prune
-    ?on_layer ?(resume = []) ?upto ~base j_set =
-  let upto = validate ~base j_set upto in
-  let mb = membudget_of membudget in
-  fst
-    (sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~weights:None ~upto
-       ~on_layer ~resume ~base j_set)
 
 (* The sweep, then the final layer's full states rebuilt by replay.
    The sweep already counted every state but the final layer's, so a

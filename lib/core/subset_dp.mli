@@ -16,10 +16,10 @@
     bound of Lemma 8 — which is the preprocessing step of the quantum
     algorithms.  Running to [k = |J|] with [I = ∅], [J = \[n\]] is the
     original algorithm FS (Theorem 5, {!Fs}).  The weighted objective
-    of {!Fs_weighted} is the same recurrence with a level of [width]
-    nodes testing [h] costing [weights.(h) · width] (Lemma 3 makes a
-    level's width a function of the set split alone); {!complete}
-    takes the weights.
+    of {!Fs.run} [~weights] is the same recurrence with a level of
+    [width] nodes testing [h] costing [weights.(h) · width] (Lemma 3
+    makes a level's width a function of the set split alone);
+    {!complete} takes the weights.
 
     Inside the sweep a state is only [{mincost; next_id}] plus its
     table, a {e slice} at its colex rank in its layer's {!Arena} buffer:
@@ -54,8 +54,8 @@
     the table is identical under both engines; a layer of the sweep is
     that extent plus the [next_id] of each rank's slice, and nothing is
     packed or copied between layers.
-    {!run} returns it beside the final layer's states, {!costs} returns
-    it alone, and {!complete} backtracks the argmin pointers over it to
+    {!run} returns it beside the final layer's states, and {!complete}
+    backtracks the argmin pointers over it to
     materialise an optimal state in [|J|] compactions, as the paper
     reconstructs orderings from the DP table.
 
@@ -90,8 +90,8 @@ val release : table -> unit
 (** Hand the table's resident bytes back to the {!Membudget} its sweep
     charged them to; the table must not be read afterwards.  {!complete}
     releases its own table, and a sweep that raises releases the one it
-    was building; a caller of {!run} or {!costs} releases the table it
-    got once it is done with it. *)
+    was building; a caller of {!run} releases the table it got once it
+    is done with it. *)
 
 type progress = {
   p_layer : int;  (** the cardinality layer that just completed *)
@@ -164,25 +164,6 @@ val run :
     caller releases them with {!release}.  It only accounts: results
     never depend on it. *)
 
-val costs :
-  ?trace:Ovo_obs.Trace.t ->
-  ?engine:Engine.t ->
-  ?cancel:Cancel.t ->
-  ?metrics:Metrics.t ->
-  ?membudget:Membudget.t ->
-  ?prune:Bound.t ->
-  ?on_layer:(progress -> unit) ->
-  ?resume:progress list ->
-  ?upto:int ->
-  base:Compact.state ->
-  Varset.t ->
-  table
-(** Pure cost-table mode: same sweep, but the final layer's states are
-    never rebuilt and only the packed {!table} is returned, 9 bytes per
-    subset; read it with {!mincost}.
-    Same validation and defaults as {!run}, including [on_layer] and
-    [resume]. *)
-
 val state_of : t -> Varset.t -> Compact.state
 (** The kept optimal state of a subset at cardinality [upto].  Raises
     [Invalid_argument] for a subset outside that layer ([K ⊄ J] or
@@ -206,14 +187,15 @@ val complete :
 (** [complete ~base j_set]: full run returning the single optimal state
     for [K = J] — the composition step [FS(⟨I⟩) ↦ FS(⟨I,J⟩)] used
     verbatim by the quantum algorithms (their classical subroutine
-    [Γ = FS*]) and the entry point {!Fs.run} drives.  The cost-only
-    sweep of {!costs}, then one backtrack of the argmin pointers over
-    the packed table, replayed over [base] in [|J|] materialisations
-    (span ["dp.reconstruct"]), after which the table is {!release}d.
+    [Γ = FS*]) and the entry point {!Fs.run} drives.  The sweep of
+    {!run} without rebuilding its final layer, then one backtrack of the
+    argmin pointers over the packed table, replayed over [base] in [|J|]
+    materialisations (span ["dp.reconstruct"]), after which the table
+    is {!release}d.
     The only full state it builds is that chain's.
 
     With [weights] (one non-negative weight per variable of the base,
-    checked by the caller, as {!Fs_weighted} does) the sweep minimises
+    checked by the caller, as {!Fs.run} does) the sweep minimises
     the weighted objective instead of the node count: a level of
     [width] nodes testing [h] costs [weights.(h) · width], a state's
     objective is {!Compact.weighted_cost} over its levels, and [prune]'s

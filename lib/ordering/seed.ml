@@ -18,7 +18,7 @@ let weighted_cost_of_chain ~kind ~weights mt order =
        order)
 
 let weighted_bound ?trace ?(kind = C.Bdd) ~weights mt =
-  Ovo_core.Fs_weighted.check_weights ~n:(Mtable.arity mt) weights;
+  Ovo_core.Fs.check_weights ~n:(Mtable.arity mt) weights;
   let r = Sifting.run ?trace ~kind mt in
   let rev = Array.of_list (List.rev (Array.to_list r.order)) in
   let ub_value =
@@ -28,16 +28,4 @@ let weighted_bound ?trace ?(kind = C.Bdd) ~weights mt =
   in
   B.make
     ~seed:{ B.ub_source = "sifting-weighted"; ub_value }
-    (B.weighted_counting_lower ~weights kind mt)
-
-(* No multi-rooted sifting exists yet; the identity placement is still
-   an achievable shared total and typically within a small factor. *)
-let shared_bound ?(kind = C.Bdd) mts =
-  let base = Ovo_core.Shared.initial kind mts in
-  let st =
-    C.compact_chain ~metrics:(Ovo_core.Metrics.create ()) base
-      (Array.init base.C.n Fun.id)
-  in
-  B.make
-    ~seed:{ B.ub_source = "shared-identity"; ub_value = st.C.mincost }
-    (B.shared_counting_lower kind mts)
+    (B.counting_lower ~weights kind mt)

@@ -282,7 +282,7 @@ let tower ~depth =
   in
   build (depth - 1)
 
-let minimize_mtable ?(kind = Compact.Bdd) ~ctx sub mt =
+let minimize ?(kind = Compact.Bdd) ~ctx sub mt =
   let base = Compact.initial kind mt in
   let state, cost = sub.compose ctx base (Compact.free base) in
   let r = Fs.of_state state in
@@ -293,6 +293,3 @@ let minimize_mtable ?(kind = Compact.Bdd) ~ctx sub mt =
   | None, Some b -> Ovo_core.Bound.check_final b r.Fs.mincost
   | _ -> ());
   (r, cost)
-
-let minimize ?kind ~ctx sub tt =
-  minimize_mtable ?kind ~ctx sub (Ovo_boolfun.Mtable.of_truthtable tt)

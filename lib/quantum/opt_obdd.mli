@@ -16,10 +16,12 @@
       identity), recursing on [K] and composing the remainder with [Γ].
 
     A subroutine never looks inside a state beyond what
-    {!Ovo_core.Subset_dp} does, so it serves the multi-rooted states of {!Ovo_core.Shared}
-    unchanged: {!Opt_shared} minimises shared diagrams with these same
-    subroutines, the paper's closing remark that the speedups carry over
-    to other diagram variants.
+    {!Ovo_core.Subset_dp} does, so it serves the multi-rooted states of
+    {!Ovo_core.Shared} unchanged: {!apply} over
+    {!Ovo_core.Shared.initial}, packaged by {!Ovo_core.Shared.of_state},
+    minimises a shared diagram with these same subroutines — the
+    paper's closing remark that the speedups carry over to other diagram
+    variants.
 
     The returned modeled cost is measured in table-cell operations: the
     classical parts contribute their {e actual} counted cells, the
@@ -123,15 +125,9 @@ val minimize :
   ?kind:Ovo_core.Compact.kind ->
   ctx:ctx ->
   subroutine ->
-  Ovo_boolfun.Truthtable.t ->
-  Ovo_core.Fs.result * float
-(** End-to-end minimisation of a Boolean function: returns the (claimed)
-    minimum diagram with its ordering, plus the modeled quantum time. *)
-
-val minimize_mtable :
-  ?kind:Ovo_core.Compact.kind ->
-  ctx:ctx ->
-  subroutine ->
   Ovo_boolfun.Mtable.t ->
   Ovo_core.Fs.result * float
-(** Multi-terminal variant (minimum MTBDDs / multi-terminal ZDDs). *)
+(** End-to-end minimisation of a function (a Boolean one through
+    {!Ovo_boolfun.Mtable.of_truthtable}; a multi-valued table gives a
+    minimum MTBDD or multi-terminal ZDD): returns the (claimed) minimum
+    diagram with its ordering, plus the modeled quantum time. *)

@@ -78,6 +78,28 @@ let brute_mincost_mtable ?(kind = Ovo_core.Compact.Bdd) mt =
           .Ovo_core.Compact.mincost)
     max_int (all_orders n)
 
+(* [MINCOST_I] for every [I ⊆ \[n\]]: the full DP table of one
+   [Subset_dp.run] sweep, read subset by subset. *)
+let all_mincosts ?engine ?metrics tt =
+  let module Sdp = Ovo_core.Subset_dp in
+  let n = Ovo_boolfun.Truthtable.arity tt in
+  let base = Ovo_core.Compact.of_truthtable Ovo_core.Compact.Bdd tt in
+  let run = Sdp.run ?engine ?metrics ~base (Ovo_core.Varset.full n) in
+  let all = Hashtbl.create (1 lsl n) in
+  for i_set = 0 to Ovo_core.Varset.full n do
+    Hashtbl.replace all i_set (Sdp.mincost run.Sdp.table i_set)
+  done;
+  all
+
+(* The weighted objective of a [Fs.run ~weights] result:
+   [Σ_j weights.(order.(j)) · widths.(j)]. *)
+let weighted_cost ~weights (r : Ovo_core.Fs.result) =
+  let cost = ref 0 in
+  Array.iteri
+    (fun j v -> cost := !cost + (weights.(v) * r.Ovo_core.Fs.widths.(j)))
+    r.Ovo_core.Fs.order;
+  !cost
+
 (* --- alcotest plumbing ------------------------------------------------- *)
 
 let qtests props = List.map QCheck_alcotest.to_alcotest props

@@ -112,25 +112,26 @@ let unit_tests =
         let seq = Fs.run tt and par = Fs.run ~engine:par2 tt in
         Helpers.check_int "mincost" seq.Fs.mincost par.Fs.mincost;
         Alcotest.(check (array int)) "order" seq.Fs.order par.Fs.order);
-    Helpers.case "cost-mode all_mincosts allocates no per-candidate copies"
+    Helpers.case "the DP table sweep allocates no per-candidate copies"
       (fun () ->
         let n = 6 in
         let tt = T.random (Helpers.rng 21) n in
         let m = M.create () in
-        let table = Fs.all_mincosts ~metrics:m tt in
+        let table = Helpers.all_mincosts ~metrics:m tt in
         Helpers.check_int "entries" (1 lsl n) (Hashtbl.length table);
         let s = M.snapshot m in
         (* probes do all the pricing: one per (K, h) pair *)
         Helpers.check_int "probes = n*2^(n-1)"
           (n * (1 lsl (n - 1)))
           s.M.s_cost_probes;
-        (* exactly one winner per non-empty subset below the top layer is
-           materialised; the final layer is skipped in cost mode.  A
-           winner shares its parent's node levels, so none copies a node
+        (* exactly one winner per non-empty subset is materialised: the
+           sweep writes those below the top layer, and rebuilding the
+           top layer charges its one replay's last placement.  A winner
+           shares its parent's node levels, so none copies a node
            table *)
         Helpers.check_int "copies = 0" 0 s.M.s_node_table_copies;
-        Helpers.check_int "winners = 2^n - 2"
-          ((1 lsl n) - 2)
+        Helpers.check_int "winners = 2^n - 1"
+          ((1 lsl n) - 1)
           s.M.s_states_materialised;
         (* the point of the refactor: far fewer copies than candidates *)
         Helpers.check_bool "copies < probes" true
@@ -252,19 +253,18 @@ let props =
       (Helpers.arb_truthtable ~lo:1 ~hi:7 ())
       (fun tt ->
         tables_equal
-          (Fs.all_mincosts ~engine:E.Seq tt)
-          (Fs.all_mincosts ~engine:par2 tt));
+          (Helpers.all_mincosts ~engine:E.Seq tt)
+          (Helpers.all_mincosts ~engine:par2 tt));
     QCheck.Test.make ~name:"Par equals Seq for weighted runs" ~count:30
       (QCheck.pair (Helpers.arb_truthtable ~lo:1 ~hi:6 ()) QCheck.small_int)
       (fun (tt, seed) ->
         let n = T.arity tt in
         let st = Helpers.rng seed in
         let weights = Array.init n (fun _ -> 1 + Random.State.int st 5) in
-        let seq = Ovo_core.Fs_weighted.run ~engine:E.Seq ~weights tt in
-        let par = Ovo_core.Fs_weighted.run ~engine:par2 ~weights tt in
-        seq.Ovo_core.Fs_weighted.weighted_cost
-        = par.Ovo_core.Fs_weighted.weighted_cost
-        && seq.Ovo_core.Fs_weighted.order = par.Ovo_core.Fs_weighted.order);
+        let seq = Fs.run ~engine:E.Seq ~weights tt in
+        let par = Fs.run ~engine:par2 ~weights tt in
+        Helpers.weighted_cost ~weights seq = Helpers.weighted_cost ~weights par
+        && seq.Fs.order = par.Fs.order);
     QCheck.Test.make ~name:"Par equals Seq for shared minimisation" ~count:20
       (QCheck.pair
          (Helpers.arb_truthtable ~lo:2 ~hi:5 ())
@@ -274,7 +274,9 @@ let props =
         let pad tt =
           T.of_fun n (fun code -> T.eval tt (code land ((1 lsl T.arity tt) - 1)))
         in
-        let outs = [| pad a; pad b |] in
+        let outs =
+          Array.map Ovo_boolfun.Mtable.of_truthtable [| pad a; pad b |]
+        in
         let seq = Ovo_core.Shared.minimize ~engine:E.Seq outs in
         let par = Ovo_core.Shared.minimize ~engine:par2 outs in
         seq.Ovo_core.Shared.mincost = par.Ovo_core.Shared.mincost

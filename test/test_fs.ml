@@ -51,11 +51,11 @@ let exhaustive_small () =
         let tt = T.of_fun n (fun code -> bits land (1 lsl code) <> 0) in
         List.iter
           (fun kind ->
-            let r = Ovo_core.Fs_weighted.run ~kind ~weights tt in
+            let r = Fs.run ~kind ~weights tt in
             Helpers.check_int
               (Printf.sprintf "weighted fn%d %d" n bits)
               (brute_weighted ~kind ~weights tt)
-              r.Ovo_core.Fs_weighted.weighted_cost)
+              (Helpers.weighted_cost ~weights r))
           [ C.Bdd; C.Zdd ]
       done)
     [ (2, [| 3; 0 |]); (3, [| 3; 0; 2 |]) ]
@@ -101,7 +101,7 @@ let unit_tests =
     Helpers.case "all_mincosts has 2^n entries and matches run" (fun () ->
         let tt = F.multiplexer ~select:2 in
         let n = T.arity tt in
-        let table = Fs.all_mincosts tt in
+        let table = Helpers.all_mincosts tt in
         Helpers.check_int "entries" (1 lsl n) (Hashtbl.length table);
         Helpers.check_int "full set" (Fs.run tt).Fs.mincost
           (Hashtbl.find table (Ovo_core.Varset.full n));
@@ -125,20 +125,19 @@ let unit_tests =
            any other weight beside it, is refused.  At n = 1 that is
            max_int itself, so nothing larger exists. *)
         let refused weights tt =
-          match Ovo_core.Fs_weighted.run ~weights tt with
-          | exception Invalid_argument m ->
-              m = "Fs_weighted.run: weights too large"
+          match Fs.run ~weights tt with
+          | exception Invalid_argument m -> m = "Fs.run: weights too large"
           | _ -> false
         in
         let st = Helpers.rng 21 in
         for n = 1 to 5 do
           let tt = T.random st n and cap = max_int asr (n - 1) in
           let at w = Array.init n (fun i -> if i = 0 then w else 0) in
-          let r = Ovo_core.Fs_weighted.run ~weights:(at cap) tt in
+          let r = Fs.run ~weights:(at cap) tt in
           Helpers.check_int
             (Printf.sprintf "n=%d accepted" n)
             (brute_weighted ~weights:(at cap) tt)
-            r.Ovo_core.Fs_weighted.weighted_cost;
+            (Helpers.weighted_cost ~weights:(at cap) r);
           if n > 1 then begin
             Helpers.check_bool
               (Printf.sprintf "n=%d refused" n)
@@ -195,7 +194,7 @@ let props =
       (fun tt ->
         (* dropping the top variable of an optimal block never increases
            the cost: MINCOST_I >= min over h of MINCOST_(I minus h) *)
-        let table = Fs.all_mincosts tt in
+        let table = Helpers.all_mincosts tt in
         let ok = ref true in
         Hashtbl.iter
           (fun iset cost ->
@@ -221,10 +220,9 @@ let extension_props =
         let st = Helpers.rng seed in
         let weights = Array.init n (fun _ -> Random.State.int st 5) in
         let kind = if Random.State.bool st then C.Bdd else C.Zdd in
-        let r = Ovo_core.Fs_weighted.run ~kind ~weights tt in
-        r.Ovo_core.Fs_weighted.weighted_cost
-        = brute_weighted ~kind ~weights tt
-        && Ovo_core.Diagram.check_tt r.Ovo_core.Fs_weighted.diagram tt);
+        let r = Fs.run ~kind ~weights tt in
+        Helpers.weighted_cost ~weights r = brute_weighted ~kind ~weights tt
+        && Ovo_core.Diagram.check_tt r.Fs.diagram tt);
     QCheck.Test.make ~name:"uniform weights reduce to plain FS" ~count:40
       (Helpers.arb_truthtable ~lo:1 ~hi:6 ())
       (fun tt ->
@@ -233,12 +231,11 @@ let extension_props =
         let n = T.arity tt in
         List.for_all
           (fun kind ->
-            let r =
-              Ovo_core.Fs_weighted.run ~kind ~weights:(Array.make n 1) tt
-            in
+            let weights = Array.make n 1 in
+            let r = Fs.run ~kind ~weights tt in
             let p = Fs.run ~kind tt in
-            r.Ovo_core.Fs_weighted.weighted_cost = p.Fs.mincost
-            && r.Ovo_core.Fs_weighted.order = p.Fs.order)
+            Helpers.weighted_cost ~weights r = p.Fs.mincost
+            && r.Fs.order = p.Fs.order)
           [ C.Bdd; C.Zdd ]);
     QCheck.Test.make
       ~name:"weighted order is consistent with its reported costs" ~count:40
@@ -247,15 +244,14 @@ let extension_props =
         let n = T.arity tt in
         let st = Helpers.rng seed in
         let weights = Array.init n (fun _ -> 1 + Random.State.int st 4) in
-        let r = Ovo_core.Fs_weighted.run ~weights tt in
-        let widths = Ovo_core.Eval_order.widths tt r.Ovo_core.Fs_weighted.order in
+        let r = Fs.run ~weights tt in
+        let widths = Ovo_core.Eval_order.widths tt r.Fs.order in
         let recomputed = ref 0 in
         Array.iteri
           (fun level w ->
-            recomputed :=
-              !recomputed + (weights.(r.Ovo_core.Fs_weighted.order.(level)) * w))
+            recomputed := !recomputed + (weights.(r.Fs.order.(level)) * w))
           widths;
-        !recomputed = r.Ovo_core.Fs_weighted.weighted_cost);
+        !recomputed = Helpers.weighted_cost ~weights r);
   ]
 
 let () =

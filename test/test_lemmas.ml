@@ -16,7 +16,7 @@ module T = Ovo_boolfun.Truthtable
 let metrics = Ovo_core.Metrics.create ()
 
 let lemma4_holds tt =
-  let table = Fs.all_mincosts tt in
+  let table = Helpers.all_mincosts tt in
   let base = C.of_truthtable C.Bdd tt in
   let ok = ref true in
   Hashtbl.iter

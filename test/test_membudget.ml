@@ -304,7 +304,9 @@ let budget_tests =
             List.iter
               (fun (label, sub) ->
                 let mb = Mb.unbounded () in
-                ignore (O.minimize ~ctx:(O.make_ctx ~membudget:mb ()) sub tt);
+                ignore
+                  (O.minimize ~ctx:(O.make_ctx ~membudget:mb ()) sub
+                     (Ovo_boolfun.Mtable.of_truthtable tt));
                 Helpers.check_bool
                   (Printf.sprintf "%s %s: %d <= %d" name label
                      (Mb.peak_resident_bytes mb) (Mb.peak_resident_bytes fs))

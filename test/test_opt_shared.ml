@@ -1,8 +1,18 @@
-module OS = Ovo_quantum.Opt_shared
 module O = Ovo_quantum.Opt_obdd
 module Q = Ovo_quantum
 module S = Ovo_core.Shared
 module T = Ovo_boolfun.Truthtable
+
+let mtables = Array.map Ovo_boolfun.Mtable.of_truthtable
+
+(* A quantum shared solve: the subroutine applied to the multi-rooted
+   base, packaged as a shared result. *)
+let quantum ~ctx sub tts =
+  let base = S.initial Ovo_core.Compact.Bdd (mtables tts) in
+  let st, cost = O.apply sub ctx base (Ovo_core.Compact.free base) in
+  (S.of_state st, cost)
+
+let exact tts = (S.minimize (mtables tts)).S.mincost
 
 let gen_pair =
   QCheck.Gen.(
@@ -25,22 +35,21 @@ let unit_tests =
               T.of_fun 4 (fun code ->
                   ((code land 3) * (code lsr 2)) land (1 lsl j) <> 0))
         in
-        let exact = (S.minimize outputs).S.mincost in
+        let exact = exact outputs in
         let ctx = Q.Opt_obdd.make_ctx () in
-        let r, cost = OS.minimize ~ctx (O.theorem10 ()) outputs in
+        let r, cost = quantum ~ctx (O.theorem10 ()) outputs in
         Helpers.check_int "mincost" exact r.S.mincost;
         Helpers.check_bool "cost accounted" true (cost > 0.);
         Helpers.check_bool "valid" true
-          (S.check r.S.state
-             (Array.map Ovo_boolfun.Mtable.of_truthtable outputs)));
+          (S.check r.S.state (mtables outputs)));
     Helpers.case "subroutine names carry over" (fun () ->
         Helpers.check_bool "fs*" true (O.name O.fs_star = "FS*");
         Helpers.check_bool "tower" true (O.name (O.tower ~depth:2) = "Gamma_2"));
     Helpers.case "classical subroutine over shared states" (fun () ->
         let outputs = [| T.var 3 0; T.( &&& ) (T.var 3 1) (T.var 3 2) |] in
         let ctx = Q.Opt_obdd.make_ctx () in
-        let r, _ = OS.minimize ~ctx O.fs_star outputs in
-        Helpers.check_int "exact" (S.minimize outputs).S.mincost r.S.mincost);
+        let r, _ = quantum ~ctx O.fs_star outputs in
+        Helpers.check_int "exact" (exact outputs) r.S.mincost);
   ]
 
 let props =
@@ -49,28 +58,28 @@ let props =
       ~count:30 arb_pair
       (fun tts ->
         let ctx = Q.Opt_obdd.make_ctx () in
-        let r, _ = OS.minimize ~ctx (O.theorem10 ()) tts in
-        r.S.mincost = (S.minimize tts).S.mincost);
+        let r, _ = quantum ~ctx (O.theorem10 ()) tts in
+        r.S.mincost = exact tts);
     QCheck.Test.make ~name:"quantum shared simple_split equals exact Shared"
       ~count:20 arb_pair
       (fun tts ->
         let ctx = Q.Opt_obdd.make_ctx () in
-        let r, _ = OS.minimize ~ctx (O.simple_split ()) tts in
-        r.S.mincost = (S.minimize tts).S.mincost);
+        let r, _ = quantum ~ctx (O.simple_split ()) tts in
+        r.S.mincost = exact tts);
     QCheck.Test.make ~name:"quantum shared tower-2 equals exact Shared"
       ~count:15 arb_pair
       (fun tts ->
         let ctx = Q.Opt_obdd.make_ctx () in
-        let r, _ = OS.minimize ~ctx (O.tower ~depth:2) tts in
-        r.S.mincost = (S.minimize tts).S.mincost);
+        let r, _ = quantum ~ctx (O.tower ~depth:2) tts in
+        r.S.mincost = exact tts);
     QCheck.Test.make
       ~name:"error injection still yields valid shared diagrams" ~count:30
       (QCheck.pair arb_pair QCheck.small_int)
       (fun (tts, seed) ->
         let ctx = Q.Opt_obdd.make_ctx ~rng:(Helpers.rng seed) ~epsilon:0.5 () in
-        let r, _ = OS.minimize ~ctx (O.theorem10 ()) tts in
-        S.check r.S.state (Array.map Ovo_boolfun.Mtable.of_truthtable tts)
-        && r.S.mincost >= (S.minimize tts).S.mincost);
+        let r, _ = quantum ~ctx (O.theorem10 ()) tts in
+        S.check r.S.state (mtables tts)
+        && r.S.mincost >= exact tts);
   ]
 
 let () =

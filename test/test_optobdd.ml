@@ -4,9 +4,8 @@ module Fs = Ovo_core.Fs
 module C = Ovo_core.Compact
 module T = Ovo_boolfun.Truthtable
 
-let minimize ?kind sub tt =
-  let ctx = O.make_ctx () in
-  O.minimize ?kind ~ctx sub tt
+let minimize ?(ctx = O.make_ctx ()) ?kind sub tt =
+  O.minimize ?kind ~ctx sub (Ovo_boolfun.Mtable.of_truthtable tt)
 
 let unit_tests =
   [
@@ -76,7 +75,7 @@ let unit_tests =
     Helpers.case "stats record searches and queries" (fun () ->
         let ctx = O.make_ctx () in
         let tt = Ovo_boolfun.Families.parity 7 in
-        let _ = O.minimize ~ctx (O.theorem10 ()) tt in
+        let _ = minimize ~ctx (O.theorem10 ()) tt in
         Helpers.check_bool "searched" true
           (ctx.O.stats.Ovo_quantum.Qsearch.searches > 0);
         Helpers.check_bool "queries accounted" true
@@ -90,14 +89,14 @@ let predictor_tests =
         for n = 2 to 8 do
           let tt = T.random (Helpers.rng n) n in
           let ctx = O.make_ctx () in
-          let _, sim = O.minimize ~ctx (O.theorem10 ()) tt in
+          let _, sim = minimize ~ctx (O.theorem10 ()) tt in
           let pred =
             Ovo_numerics.Predict.theorem10_cost ~epsilon:eps
               ~alpha:(P.table1_alpha 6) n
           in
           Alcotest.(check (float 1e-6)) (Printf.sprintf "t10 n=%d" n) pred sim;
           let ctx2 = O.make_ctx () in
-          let _, sim2 = O.minimize ~ctx:ctx2 (O.tower ~depth:2) tt in
+          let _, sim2 = minimize ~ctx:ctx2 (O.tower ~depth:2) tt in
           let pred2 =
             Ovo_numerics.Predict.tower_cost ~epsilon:eps
               ~alphas:[| P.table2_alpha 0; P.table2_alpha 1 |]
@@ -144,7 +143,7 @@ let props =
       (QCheck.pair (Helpers.arb_truthtable ~lo:2 ~hi:5 ()) QCheck.small_int)
       (fun (tt, seed) ->
         let ctx = O.make_ctx ~rng:(Helpers.rng seed) ~epsilon:0.4 () in
-        let r, _ = O.minimize ~ctx (O.theorem10 ()) tt in
+        let r, _ = minimize ~ctx (O.theorem10 ()) tt in
         Ovo_core.Diagram.check_tt r.Fs.diagram tt
         && r.Fs.mincost >= (Fs.run tt).Fs.mincost
         && Ovo_core.Eval_order.mincost tt r.Fs.order = r.Fs.mincost);
@@ -152,7 +151,7 @@ let props =
       (Helpers.arb_mtable ~lo:2 ~hi:4 ~values:3 ())
       (fun mt ->
         let ctx = O.make_ctx () in
-        let r, _ = O.minimize_mtable ~ctx (O.theorem10 ()) mt in
+        let r, _ = O.minimize ~ctx (O.theorem10 ()) mt in
         r.Fs.mincost = (Fs.run_mtable mt).Fs.mincost
         && Ovo_core.Diagram.check r.Fs.diagram mt);
   ]

@@ -10,6 +10,9 @@ let metrics = Ovo_core.Metrics.create ()
 let of_truthtables kind tts =
   S.initial kind (Array.map Ovo_boolfun.Mtable.of_truthtable tts)
 
+let minimize ?kind tts =
+  S.minimize ?kind (Array.map Ovo_boolfun.Mtable.of_truthtable tts)
+
 let brute_shared ?(kind = C.Bdd) tts =
   let base = of_truthtables kind tts in
   let n = T.arity tts.(0) in
@@ -149,7 +152,7 @@ let unit_tests =
            shared, so the shared count is below the sum of the parts *)
         let f0 = T.( &&& ) (T.var 3 0) (T.var 3 1) in
         let f1 = T.( ||| ) f0 (T.var 3 2) in
-        let r = S.minimize [| f0; f1 |] in
+        let r = minimize [| f0; f1 |] in
         let alone0 = (Ovo_core.Fs.run f0).Ovo_core.Fs.mincost in
         let alone1 = (Ovo_core.Fs.run f1).Ovo_core.Fs.mincost in
         Helpers.check_bool "shared < sum" true (r.S.mincost < alone0 + alone1);
@@ -158,11 +161,11 @@ let unit_tests =
     Helpers.case "identical roots cost as one" (fun () ->
         let f = Ovo_boolfun.Families.multiplexer ~select:2 in
         let single = (Ovo_core.Fs.run f).Ovo_core.Fs.mincost in
-        let r = S.minimize [| f; f; f |] in
+        let r = minimize [| f; f; f |] in
         Helpers.check_int "same as single" single r.S.mincost);
     Helpers.case "single root equals plain FS" (fun () ->
         let f = Ovo_boolfun.Families.hidden_weighted_bit 5 in
-        let r = S.minimize [| f |] in
+        let r = minimize [| f |] in
         Helpers.check_int "mincost" (Ovo_core.Fs.run f).Ovo_core.Fs.mincost
           r.S.mincost);
     Helpers.case "2-bit multiplier shared optimum" (fun () ->
@@ -171,7 +174,7 @@ let unit_tests =
               T.of_fun 4 (fun code ->
                   ((code land 3) * (code lsr 2)) land (1 lsl j) <> 0))
         in
-        let r = S.minimize outputs in
+        let r = minimize outputs in
         Helpers.check_int "matches brute force" (brute_shared outputs)
           r.S.mincost;
         Helpers.check_bool "valid" true
@@ -179,12 +182,12 @@ let unit_tests =
              (Array.map Ovo_boolfun.Mtable.of_truthtable outputs)));
     Helpers.case "roots of complete state" (fun () ->
         let f0 = T.var 2 0 and f1 = T.const 2 true in
-        let r = S.minimize [| f0; f1 |] in
+        let r = minimize [| f0; f1 |] in
         let roots = S.roots r.S.state in
         Helpers.check_int "two roots" 2 (Array.length roots);
         Helpers.check_int "constant root is the terminal" 1 roots.(1));
     Helpers.case "single-root readers refuse a state with two roots" (fun () ->
-        let st = (S.minimize [| T.var 2 0; T.var 2 1 |]).S.state in
+        let st = (minimize [| T.var 2 0; T.var 2 1 |]).S.state in
         Alcotest.check_raises "Compact.root"
           (Invalid_argument "Compact.root: state has several roots") (fun () ->
             ignore (C.root st));
@@ -200,7 +203,7 @@ let unit_tests =
           (Invalid_argument "Shared.initial: need at least one root") (fun () ->
             ignore (of_truthtables C.Bdd [||])));
     Helpers.case "to_dot emits all roots" (fun () ->
-        let r = S.minimize [| T.var 2 0; T.var 2 1 |] in
+        let r = minimize [| T.var 2 0; T.var 2 1 |] in
         let dot = S.to_dot r.S.state in
         Helpers.check_bool "r0" true
           (String.length dot > 0
@@ -219,21 +222,21 @@ let props =
   [
     QCheck.Test.make ~name:"shared optimum equals brute force" ~count:60
       arb_pair
-      (fun tts -> (S.minimize tts).S.mincost = brute_shared tts);
+      (fun tts -> (minimize tts).S.mincost = brute_shared tts);
     QCheck.Test.make ~name:"shared optimum equals brute force (ZDD)" ~count:40
       arb_pair
       (fun tts ->
-        (S.minimize ~kind:C.Zdd tts).S.mincost = brute_shared ~kind:C.Zdd tts);
+        (minimize ~kind:C.Zdd tts).S.mincost = brute_shared ~kind:C.Zdd tts);
     QCheck.Test.make ~name:"every root evaluates to its function" ~count:60
       arb_pair
       (fun tts ->
-        let r = S.minimize tts in
+        let r = minimize tts in
         S.check r.S.state (Array.map Ovo_boolfun.Mtable.of_truthtable tts));
     QCheck.Test.make
       ~name:"shared cost brackets: >= each single optimum, <= sum under its own order"
       ~count:60 arb_pair
       (fun tts ->
-        let r = S.minimize tts in
+        let r = minimize tts in
         let singles =
           Array.to_list
             (Array.map (fun tt -> (Ovo_core.Fs.run tt).Ovo_core.Fs.mincost) tts)
@@ -253,7 +256,7 @@ let props =
     QCheck.Test.make ~name:"order returned achieves the reported cost"
       ~count:60 arb_pair
       (fun tts ->
-        let r = S.minimize tts in
+        let r = minimize tts in
         let re = C.compact_chain ~metrics (of_truthtables C.Bdd tts) r.S.order in
         re.C.mincost = r.S.mincost);
   ]
@@ -263,7 +266,7 @@ let diagram_props =
     QCheck.Test.make ~name:"per-root diagram views are valid and shared"
       ~count:60 arb_pair
       (fun tts ->
-        let r = S.minimize tts in
+        let r = minimize tts in
         let views = S.diagrams r.S.state in
         Array.length views = Array.length tts
         && Array.for_all2
@@ -273,7 +276,7 @@ let diagram_props =
       ~name:"per-root views serialize and reload independently" ~count:40
       arb_pair
       (fun tts ->
-        let r = S.minimize tts in
+        let r = minimize tts in
         let views = S.diagrams r.S.state in
         Array.for_all2
           (fun d tt ->

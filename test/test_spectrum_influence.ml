@@ -93,7 +93,7 @@ let props =
         let r, _ =
           Ovo_quantum.Opt_obdd.minimize ~ctx
             (Ovo_quantum.Opt_obdd.simple_split ())
-            tt
+            (Ovo_boolfun.Mtable.of_truthtable tt)
         in
         r.Ovo_core.Fs.mincost = (Ovo_core.Fs.run tt).Ovo_core.Fs.mincost);
   ]
