@@ -103,17 +103,17 @@ let solve_row ?(trace = Trace.null) ?weights spec ~index name tt =
       let kind = spec.kind in
       let n = T.arity tt in
       let features = Features.of_truthtable tt in
+      let mt = Ovo_boolfun.Mtable.of_truthtable tt in
       let scored = Scorer.run ~trace ?weights ~kind tt in
       let influence = Ovo_ordering.Influence.run ~kind tt in
-      let sifting =
-        Ovo_ordering.Sifting.run ~trace ~kind (Ovo_boolfun.Mtable.of_truthtable tt)
-      in
+      let sifting = Ovo_ordering.Sifting.run ~trace ~kind mt in
       let rng = Random.State.make [| spec.seed; index |] in
       let identity, reverse, randoms = sampled_orders rng n in
       let random_costs = List.map (fun o -> E.mincost ~kind tt o) randoms in
       let c_random = match random_costs with c :: _ -> c | [] -> 0 in
-      (* exact label: scorer-seeded branch-and-bound, still exact *)
-      let prune = Scorer.seeded_bound ~trace ?weights ~kind tt in
+      (* exact label: branch-and-bound seeded as --prune is, from the
+         scored and sifting results above; still exact *)
+      let prune = Scorer.seeded_bound_of ~kind ~scored ~sifting mt in
       let opt = Ovo_core.Fs.run ~trace ~kind ~prune tt in
       let c_worst =
         List.fold_left max 0

@@ -160,16 +160,24 @@ let bound ?trace ?weights ?(kind = Ovo_core.Compact.Bdd) tt =
     ~seed:(upper ?trace ?weights ~kind tt)
     (B.counting_lower kind (Ovo_boolfun.Mtable.of_truthtable tt))
 
-let seeded_bound ?trace ?weights ?(kind = Ovo_core.Compact.Bdd) tt =
-  (* the scored incumbent is free; sifting then gets a chance to
-     tighten it — ties keep the free seed *)
-  let mt = Ovo_boolfun.Mtable.of_truthtable tt in
-  let scored = upper ?trace ?weights ~kind tt in
-  let refined = Ovo_ordering.Seed.sifting_upper ?trace ~kind mt in
+(* the scored incumbent is free; sifting then gets a chance to tighten
+   it — ties keep the free seed *)
+let seeded_bound_of ~kind ~(scored : Ovo_ordering.Chain.result)
+    ~(sifting : Ovo_ordering.Chain.result) mt =
   let seed =
-    if scored.B.ub_value <= refined.B.ub_value then scored else refined
+    if scored.mincost <= sifting.mincost then
+      { B.ub_source = "scored"; ub_value = scored.mincost }
+    else { B.ub_source = "sifting"; ub_value = sifting.mincost }
   in
   B.make ~seed (B.counting_lower kind mt)
 
+let seeded_bound ?trace ?weights ?(kind = Ovo_core.Compact.Bdd) tt =
+  let mt = Ovo_boolfun.Mtable.of_truthtable tt in
+  (* let-bound in order: labelled arguments are evaluated right to
+     left, and a --prune trace keeps the scorer's span before sifting's *)
+  let scored = run ?trace ?weights ~kind tt in
+  let sifting = Ovo_ordering.Sifting.run ?trace ~kind mt in
+  seeded_bound_of ~kind ~scored ~sifting mt
+
 let portfolio_member ?weights ?kind () =
-  ("scored", fun tt -> run ?weights ?kind tt)
+  ("scored", fun ~metrics tt -> run ~metrics ?weights ?kind tt)

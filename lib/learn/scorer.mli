@@ -90,12 +90,23 @@ val seeded_bound :
     sifting tightens it; the seed records whichever source won, ties
     going to the scorer. *)
 
+val seeded_bound_of :
+  kind:Ovo_core.Compact.kind ->
+  scored:Ovo_ordering.Chain.result ->
+  sifting:Ovo_ordering.Chain.result ->
+  Ovo_boolfun.Mtable.t ->
+  Ovo_core.Bound.t
+(** {!seeded_bound}'s context from a scored ({!run}) and a sifting
+    result already in hand, under the same tie rule. *)
+
 val portfolio_member :
   ?weights:Weights.t ->
   ?kind:Ovo_core.Compact.kind ->
   unit ->
-  string * (Ovo_boolfun.Truthtable.t -> Ovo_ordering.Chain.result)
+  string
+  * (metrics:Ovo_core.Metrics.t -> Ovo_boolfun.Truthtable.t ->
+     Ovo_ordering.Chain.result)
 (** The [("scored", run)] pair {!Ovo_ordering.Portfolio.run} accepts as
-    an extra member — injected by callers that sit above both
-    libraries, mirroring how {!Ovo_ordering.Seed} injects bounds into
-    the core. *)
+    an extra member, charging the portfolio's [metrics] — injected by
+    callers that sit above both libraries, mirroring how
+    {!Ovo_ordering.Seed} injects bounds into the core. *)

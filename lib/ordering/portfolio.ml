@@ -23,7 +23,7 @@ let run ?(trace = Ovo_obs.Trace.null) ?(metrics = Ovo_core.Metrics.create ())
      (layers above register the learn scorer here without ordering ever
      depending on it) *)
   let members =
-    List.map (fun (name, f) -> (name, fun () -> f tt)) extra
+    List.map (fun (name, f) -> (name, fun () -> f ~metrics tt)) extra
     @ [
         ("influence", fun () -> Influence.run ~metrics ~kind tt);
         ("sifting", fun () -> Sifting.run ~trace ~metrics ~kind mt);

@@ -9,7 +9,10 @@ val run :
   ?metrics:Ovo_core.Metrics.t ->
   ?kind:Ovo_core.Compact.kind ->
   ?rng:Random.State.t ->
-  ?extra:(string * (Ovo_boolfun.Truthtable.t -> Chain.result)) list ->
+  ?extra:
+    (string
+    * (metrics:Ovo_core.Metrics.t -> Ovo_boolfun.Truthtable.t -> Chain.result))
+    list ->
   Ovo_boolfun.Truthtable.t ->
   (string * Chain.result) list
 (** Every member's name and result, best first (ties in member order),
@@ -22,6 +25,6 @@ val run :
     (default a fresh context).
 
     [extra] prepends injected members (name, solver), each wrapped in
-    the same [portfolio.<name>] span — how layers above register the
-    [ovo.learn] scorer without this library depending on it (the same
-    inversion {!Seed} uses toward the core). *)
+    the same [portfolio.<name>] span and charged to [metrics] — how
+    layers above register the [ovo.learn] scorer without this library
+    depending on it (the same inversion {!Seed} uses toward the core). *)
